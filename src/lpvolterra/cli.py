@@ -141,6 +141,14 @@ def _need(params, key, kind):
         raise BadArguments(f"bad value for {key}: {params[key]!r}")
 
 
+def _need_finite(params, key, positive=False):
+    value = _need(params, key, float)
+    if not math.isfinite(value) or (positive and value <= 0):
+        bound = "finite and > 0" if positive else "finite"
+        raise BadArguments(f"{key} must be {bound}; got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -207,7 +215,7 @@ def cmd_radius(params):
         if t not in family_names:
             raise BadArguments(f"unknown family {t!r}; expected pade, hermite-pade")
         families.append(family_names[t])
-    threshold = _need(params, "threshold", float)
+    threshold = _need_finite(params, "threshold", positive=True)
     digits = _need(params, "digits", int)
     output = _need(params, "output", str)
 
@@ -256,16 +264,16 @@ def cmd_orbit(params):
     alpha = parse_alpha(_need(params, "alpha", str))
     if alpha == "symbolic":
         raise BadArguments("orbit integration needs a numeric alpha")
-    a = _need(params, "a", float)
-    phi = _need(params, "phi", float)
+    a = _need_finite(params, "a")
+    phi = _need_finite(params, "phi")
     order = _need(params, "order", int)
     if order < 0:
         raise BadArguments("order must be >= 0")
-    periods = _need(params, "periods", float)
+    periods = _need_finite(params, "periods", positive=True)
     points = _need(params, "points", int)
-    if periods <= 0 or points < 2:
-        raise BadArguments("need periods > 0 and at least 2 grid points")
-    tolerance = _need(params, "tolerance", float)
+    if points < 2:
+        raise BadArguments("need at least 2 grid points")
+    tolerance = _need_finite(params, "tolerance", positive=True)
     digits = _need(params, "digits", int)
     radius_check = bool(params.get("radius_check", True))
     prefix = _need(params, "output", str)

@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 from .algebra import QQ, SYMBOLIC, PhaseRing, evaluate_numeric, numeric_ring
 from .trigpoly import (TrigPoly, VectorTrigPoly, evaluate_at_zero, harmonic,
                        max_harmonic, particular_solution, residual,
-                       solve_linear, tp_add, tp_diff, tp_mul, tp_mul_el,
-                       tp_scale, tp_term, tp_zero)
+                       solve_linear, tp_add, tp_diff, tp_dot, tp_mul,
+                       tp_mul_el, tp_scale, tp_term, tp_zero)
 
 GAUGE_ZERO_INITIAL = "zero-initial"
 GAUGE_SIMPLIFIED_XI = "simplified-xi"
@@ -140,9 +140,15 @@ def build_forcing(n: int, prior: PerturbationSeries) -> ForcingWithUnknown:
     ring = prior.coeff_ring
     inv_s = ring.s(-1)
     s = ring.s(1)
-    conv = tp_zero(ring)
-    for j in range(n):
-        conv = tp_add(conv, tp_mul(prior.orders[j].xi, prior.orders[n - 1 - j].eta))
+    xis = [prior.orders[j].xi for j in range(n)]
+    etas = [prior.orders[n - 1 - j].eta for j in range(n)]
+    if ring.has_phase:
+        # phase-ring coefficients stay on the dict product
+        conv = tp_zero(ring)
+        for x, e in zip(xis, etas):
+            conv = tp_add(conv, tp_mul(x, e))
+    else:
+        conv = tp_dot(xis, etas)
     F = tp_mul_el(conv, ring.neg(inv_s))
     G = tp_mul_el(conv, s)
     for j in range(1, n):
@@ -288,11 +294,9 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI,
         if gauge == GAUGE_ZERO_INITIAL:
             gc = (coeff.zero(), coeff.zero())
             w = solve_linear_anchored(part, coeff)
-        elif gauge == GAUGE_SIMPLIFIED_XI:
-            # absorb="xi" already zeroes the first harmonic of xi_n
-            w = part
-            gc = (evaluate_at_zero(w.xi, phase), evaluate_at_zero(w.eta, phase))
         else:
+            # the absorb choice already zeroes the first harmonic of xi_n
+            # (simplified-xi) or eta_n (simplified-eta)
             w = part
             gc = (evaluate_at_zero(w.xi, phase), evaluate_at_zero(w.eta, phase))
         _check_order(n, gauge, forcing, w)

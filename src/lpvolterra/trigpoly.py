@@ -10,9 +10,10 @@ term.  All values are exact and treated as immutable.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .algebra import QQ, PhaseRing
+from .algebra import QQ, PhaseRing, QuadraticRing, SymbolicRing, _sdict_of
 
 
 class ResonantForcingError(ValueError):
@@ -157,6 +158,112 @@ def tp_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
             acc_cos(a - b, w)           # cos a cos b = [cos(a-b) + cos(a+b)]/2
             acc_cos(a + b, w)
     return TrigPoly(ring, sin_out, cos_out)
+
+
+def _int_form(p: TrigPoly):
+    """p over one denominator d: (d, {s-exponent: (sin, cos)}), where sin
+    and cos list the (harmonic, integer numerator) pairs that are nonzero."""
+    terms = []
+    den = 1
+    for kind, store in enumerate((p.sin, p.cos)):
+        for j, v in store.items():
+            for e, q in _sdict_of(p.ring, v).items():
+                n, d = int(q.numerator), int(q.denominator)
+                terms.append((e, kind, j, n, d))
+                den = math.lcm(den, d)
+    enc: dict = {}
+    for e, kind, j, n, d in terms:
+        enc.setdefault(e, ([], []))[kind].append((j, n * (den // d)))
+    return den, enc
+
+
+def tp_dot(ps, qs) -> TrigPoly:
+    """Exact sum_j ps[j] * qs[j] for a phase-free coefficient ring.
+
+    Equal to summing :func:`tp_mul` products with :func:`tp_add`, but done
+    fraction-free: every operand is put over one denominator, each pair's
+    integer products are scaled to the common denominator L and summed on
+    plain ints, and one rational num/(2L) is built per output coefficient
+    (the 1/2 of the product-to-sum rules sits in the denominator).  Empty
+    lists give the zero polynomial, whose ring is then None.
+    """
+    if len(ps) != len(qs):
+        raise ValueError("tp_dot needs operand lists of equal length")
+    if not ps:
+        return TrigPoly(None)
+    ring = ps[0].ring
+    if ring.has_phase:
+        raise ValueError("tp_dot needs a phase-free ring; use tp_mul")
+    pairs = [(_int_form(p), _int_form(q)) for p, q in zip(ps, qs)]
+    den = math.lcm(*(dp * dq for (dp, _), (dq, _) in pairs))
+    # harmonics a +- b land at offset m + (a +- b) and fold back at the end:
+    # cos(-k) = cos(k), sin(-k) = -sin(k)
+    m = max(max_harmonic(p) + max_harmonic(q) for p, q in zip(ps, qs))
+    acc: dict = {}
+    for (dp, p_enc), (dq, q_enc) in pairs:
+        k = den // (dp * dq)
+        for ep, (p_sin, p_cos) in p_enc.items():
+            p_sin = [(a, u * k) for a, u in p_sin]
+            p_cos = [(a, u * k) for a, u in p_cos]
+            for eq, (q_sin, q_cos) in q_enc.items():
+                e = ep + eq
+                if e not in acc:
+                    acc[e] = ([0] * (2 * m + 1), [0] * (2 * m + 1))
+                sin, cos = acc[e]
+                for a, u in p_sin:
+                    for b, v in q_sin:   # sin a sin b = [cos(a-b) - cos(a+b)]/2
+                        w = u * v
+                        cos[m + a - b] += w
+                        cos[m + a + b] -= w
+                    for b, v in q_cos:   # sin a cos b = [sin(a+b) + sin(a-b)]/2
+                        w = u * v
+                        sin[m + a + b] += w
+                        sin[m + a - b] += w
+                for a, u in p_cos:
+                    for b, v in q_sin:   # cos a sin b = [sin(a+b) - sin(a-b)]/2
+                        w = u * v
+                        sin[m + a + b] += w
+                        sin[m + a - b] -= w
+                    for b, v in q_cos:   # cos a cos b = [cos(a-b) + cos(a+b)]/2
+                        w = u * v
+                        cos[m + a - b] += w
+                        cos[m + a + b] += w
+    # {harmonic: {s-exponent: numerator over 2 * den}}
+    sin_num: dict = {}
+    cos_num: dict = {}
+    for e, (sin, cos) in sorted(acc.items()):
+        if cos[m]:
+            cos_num.setdefault(0, {})[e] = cos[m]
+        for j in range(1, m + 1):
+            s = sin[m + j] - sin[m - j]
+            if s:
+                sin_num.setdefault(j, {})[e] = s
+            c = cos[m + j] + cos[m - j]
+            if c:
+                cos_num.setdefault(j, {})[e] = c
+    return TrigPoly(ring, _from_numerators(ring, sin_num, 2 * den),
+                    _from_numerators(ring, cos_num, 2 * den))
+
+
+def _from_numerators(ring, store, den) -> dict:
+    """{harmonic: ring element} from {harmonic: {s-exponent: numerator}}
+    over the common denominator den, with zero elements dropped."""
+    out = {}
+    if isinstance(ring, SymbolicRing):
+        for j, nums in sorted(store.items()):
+            out[j] = {e: QQ(n, den) for e, n in nums.items()}
+    elif isinstance(ring, QuadraticRing):
+        # s^2 = alpha = a/b folds exponent 2 into exponent 0
+        a, b = int(ring.alpha.numerator), int(ring.alpha.denominator)
+        for j, nums in sorted(store.items()):
+            u = nums.get(0, 0) * b + nums.get(2, 0) * a
+            v = nums.get(1, 0)
+            if u or v:
+                out[j] = (QQ(u, den * b), QQ(v, den))
+    else:
+        for j, nums in sorted(store.items()):
+            out[j] = QQ(nums[0], den)
+    return out
 
 
 def tp_diff(p: TrigPoly) -> TrigPoly:

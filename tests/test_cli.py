@@ -145,6 +145,15 @@ class TestRadiusCommand:
         second = (tmp_path / "r.csv").read_bytes()
         assert hashlib.sha256(second).hexdigest() == digest
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_threshold_must_be_finite_and_positive(self, value, capsys):
+        assert main(["radius", "--alpha", "1", "--order", "12",
+                     "--threshold", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold must be finite and > 0")
+        assert err.count("\n") == 1
+        assert not os.path.exists("radius.csv")
+
     def test_manifest_for_other_command_rejected(self, capsys):
         assert main(["series", "--order", "0", "--output", "s.json"]) == 0
         assert main(["radius", "--from-manifest", "s.json.manifest.json"]) == 2
@@ -187,6 +196,38 @@ class TestOrbitCommand:
         err = capsys.readouterr().err
         assert "exceeds the estimated convergence radius" in err
         assert float(read_metrics("big")["max_gap"]) > 0.1
+
+    @pytest.mark.parametrize("option", ["periods", "tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_positive_options_must_be_finite_and_positive(self, option, value,
+                                                          capsys):
+        assert main(["orbit", "--a", "0.1", "--order", "2", "--no-radius-check",
+                     f"--{option}", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} must be finite and > 0")
+        assert err.count("\n") == 1
+        assert not os.path.exists("orbit_metrics.csv")
+
+    @pytest.mark.parametrize("option", ["a", "phi"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_amplitude_and_phase_must_be_finite(self, option, value, capsys):
+        args = {"a": "0.1", "phi": "0"}
+        args[option] = value
+        assert main(["orbit", "--a", args["a"], "--phi", args["phi"],
+                     "--order", "2", "--no-radius-check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} must be finite")
+        assert err.count("\n") == 1
+        assert not os.path.exists("orbit_metrics.csv")
+
+    @pytest.mark.parametrize("option", ["a", "phi"])
+    def test_negative_amplitude_and_phase_accepted(self, option):
+        args = {"a": "0.1", "phi": "0"}
+        args[option] = "-1"
+        assert main(["orbit", "--a", args["a"], "--phi", args["phi"],
+                     "--order", "2", "--points", "16",
+                     "--no-radius-check"]) == 0
+        assert read_metrics()["n_points"] == "16"
 
     def test_symbolic_alpha_rejected(self, capsys):
         assert main(["orbit", "--alpha", "symbolic", "--a", "0.1",

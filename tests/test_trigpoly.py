@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpvolterra.algebra import QQ, SYMBOLIC, PhaseRing, evaluate_numeric, numeric_ring
+from lpvolterra.algebra import (QQ, SYMBOLIC, PhaseRing, QuadraticRing,
+                                RationalRing, evaluate_numeric, numeric_ring)
 from lpvolterra.trigpoly import (ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, evaluate_at_zero,
                                  exp_tk_vector, first_harmonic_absorbable,
@@ -15,7 +16,8 @@ from lpvolterra.trigpoly import (ResonantForcingError, TrigPoly,
                                  homogeneous_combination, k_apply,
                                  max_harmonic, particular_solution, residual,
                                  solve_linear, to_triples, tp_add, tp_diff,
-                                 tp_mul, tp_mul_el, tp_scale, tp_term, tp_zero)
+                                 tp_dot, tp_mul, tp_mul_el, tp_neg, tp_scale,
+                                 tp_term, tp_zero)
 
 R = SYMBOLIC
 
@@ -241,3 +243,89 @@ def test_particular_solution_solves_system(forcing_xi):
     r = residual(forcing, w)
     assert r.xi == tp_zero(R) and r.eta == tp_zero(R)
     assert max_harmonic(w.xi) <= max(max_harmonic(forcing_xi), 0)
+
+
+# the phase-free rings tp_dot serves: rational roots (alpha = 1, 9/4),
+# quadratic fields (alpha = 2, 5/3, 2/9) and the symbolic Laurent ring
+DOT_RINGS = [numeric_ring(a) for a in (1, QQ(9, 4), 2, QQ(5, 3), QQ(2, 9))] + [R]
+
+
+# drawn without filters, which make generation the slow part of the test
+nonzero_rationals = st.builds(
+    QQ,
+    st.integers(min_value=1, max_value=20) | st.integers(min_value=-20, max_value=-1),
+    st.integers(min_value=1, max_value=12))
+
+
+def ring_elements(ring):
+    """Nonzero elements; symbolic ones carry negative s-exponents too."""
+    if isinstance(ring, RationalRing):
+        return nonzero_rationals
+    if isinstance(ring, QuadraticRing):
+        part = nonzero_rationals | st.just(QQ(0))
+        return (st.tuples(part, nonzero_rationals)
+                | st.tuples(nonzero_rationals, part))
+    return st.dictionaries(st.integers(min_value=-3, max_value=3),
+                           nonzero_rationals, min_size=1, max_size=3)
+
+
+def ring_trig_polys(ring):
+    # cos[0] is the constant term; empty dicts give the zero polynomial
+    el = ring_elements(ring)
+    return st.builds(lambda sin, cos: TrigPoly(ring, sin, cos),
+                     st.dictionaries(st.integers(min_value=1, max_value=6), el,
+                                     max_size=3),
+                     st.dictionaries(st.integers(min_value=0, max_value=6), el,
+                                     max_size=3))
+
+
+def dot_operands(min_size=0):
+    return st.sampled_from(DOT_RINGS).flatmap(lambda ring: st.tuples(
+        st.just(ring),
+        st.lists(st.tuples(ring_trig_polys(ring), ring_trig_polys(ring)),
+                 min_size=min_size, max_size=4)))
+
+
+def reference_dot(ring, ps, qs):
+    total = tp_zero(ring)
+    for p, q in zip(ps, qs):
+        total = tp_add(total, tp_mul(p, q))
+    return total
+
+
+def test_dot_rings_cover_every_phase_free_kind():
+    kinds = [type(ring) for ring in DOT_RINGS]
+    assert kinds.count(RationalRing) == 2 and kinds.count(QuadraticRing) == 3
+    assert R in DOT_RINGS
+
+
+@given(dot_operands())
+@settings(max_examples=100, deadline=None)
+def test_dot_equals_sum_of_products(operands):
+    ring, pairs = operands
+    ps = [p for p, _ in pairs]
+    qs = [q for _, q in pairs]
+    assert tp_dot(ps, qs) == reference_dot(ring, ps, qs)
+
+
+@given(dot_operands(min_size=1))
+@settings(max_examples=30, deadline=None)
+def test_dot_cancels_to_the_empty_polynomial(operands):
+    _ring, pairs = operands
+    ps = [p for p, _ in pairs for _ in (0, 1)]
+    qs = [r for _, q in pairs for r in (q, tp_neg(q))]
+    got = tp_dot(ps, qs)
+    assert got.sin == {} and got.cos == {}
+
+
+def test_dot_edge_cases():
+    assert tp_dot([], []) == tp_zero(R)
+    ring = numeric_ring(2)
+    p = tp_term(ring, "cos", 0, ring.from_fraction(QQ(3)))
+    q = tp_term(ring, "sin", 4, ring.s(1))
+    assert tp_dot([p, tp_zero(ring)], [q, q]) == tp_mul(p, q)
+    with pytest.raises(ValueError, match="equal length"):
+        tp_dot([p], [])
+    P = PhaseRing(ring)
+    with pytest.raises(ValueError, match="phase-free"):
+        tp_dot([tp_zero(P)], [tp_zero(P)])

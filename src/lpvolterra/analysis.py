@@ -11,10 +11,12 @@ they stabilize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import mpmath
+import numpy as np
 
 from .algebra import QQ, SYMBOLIC, alpha_polynomial
 from .engine import GAUGE_SIMPLIFIED_XI, PerturbationSeries
@@ -27,6 +29,12 @@ class DegenerateApproximantError(ArithmeticError):
 
 class NoStableRootError(ArithmeticError):
     """No singularity candidate persisted across approximant orders."""
+
+
+# what a failed radius estimate raises: degenerate or unstable fits and
+# divisions by zero (ArithmeticError), bad series or orders (ValueError),
+# and root iterations that did not converge
+ESTIMATE_ERRORS = (ArithmeticError, ValueError, mpmath.libmp.NoConvergence)
 
 
 # ---------------------------------------------------------------------------
@@ -106,28 +114,53 @@ def poly_eval_mp(p, z):
 # ---------------------------------------------------------------------------
 # exact linear algebra: Gauss-Jordan over rationals
 
+def _primitive(row):
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _integer_row(row):
+    """The row scaled by the lcm of its denominators, divided by the gcd
+    of the resulting integers."""
+    qs = [QQ(v) for v in row]
+    den = math.lcm(*(int(q.denominator) for q in qs))
+    return _primitive([int(q.numerator) * (den // int(q.denominator)) for q in qs])
+
+
 def rational_rref(rows):
-    """In-place reduced row echelon form; returns pivot column list."""
+    """In-place reduced row echelon form; returns pivot column list.
+
+    The elimination runs fraction-free on integer rows: a row is cleared
+    by cross-multiplying it with the pivot row and dividing the result by
+    the gcd of its entries.  Each rational is built once, at the end, as
+    entry / pivot of its row; the reduced form is unique, so this is the
+    same matrix as rational Gauss-Jordan gives."""
     if not rows:
         return []
-    ncols = len(rows[0])
+    work = [_integer_row(row) for row in rows]
+    ncols = len(work[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / QQ(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        work[r], work[pivot] = work[pivot], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and f:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                work[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(work):
             break
+    for i, row in enumerate(work):
+        d = row[pivots[i]] if i < r else 1
+        rows[i] = [QQ(v, d) for v in row]
     return pivots
 
 
@@ -372,33 +405,58 @@ def discriminant(h: QuadHermitePade):
                     poly_scale(poly_mul(list(h.P), list(h.R)), QQ(4)))
 
 
+def _root_key(z):
+    return (abs(z), -z.real, abs(z.imag), z.imag)
+
+
+def _float_seed(hi_to_lo):
+    """Double-precision roots (companion-matrix eigenvalues) of the
+    polynomial, as starting points for the high-precision iteration; None
+    when the coefficients or the roots do not fit in floats."""
+    with np.errstate(all="ignore"):
+        coeffs = np.array([float(v) for v in hi_to_lo])
+        if not np.all(np.isfinite(coeffs)):
+            return None
+        try:
+            seed = np.roots(coeffs)
+        except np.linalg.LinAlgError:
+            return None
+    if len(seed) != len(hi_to_lo) - 1 or not np.all(np.isfinite(seed)):
+        return None
+    return [mpmath.mpc(complex(z)) for z in seed]
+
+
 def _poly_roots_mp(coeffs, dps):
-    """All complex roots of an exact polynomial, as mpc values."""
+    """All complex roots of an exact polynomial, as mpc values sorted by
+    modulus (conjugate pairs: negative imaginary part first).
+
+    Durand-Kerner starts from the double-precision roots, so it needs a
+    few sweeps instead of dozens; precision, step limit and the residual
+    certificate are those of an unseeded start."""
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
         return []
     with mpmath.workdps(dps):
         hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
                     for c in reversed(coeffs)]
-        roots = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * dps)
+        roots = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * dps,
+                                 roots_init=_float_seed(hi_to_lo))
         norm = max(abs(v) for v in hi_to_lo)
         for r in roots:
             res = abs(poly_eval_mp(coeffs, r))
             scale = norm * max(1, abs(r)) ** (len(coeffs) - 1)
             if res > mpmath.mpf(10) ** (-dps // 2) * scale:
                 raise ArithmeticError("root refinement did not converge")
-        return [mpmath.mpc(r) for r in roots]
+        return sorted((mpmath.mpc(r) for r in roots), key=_root_key)
 
 
 def discriminant_roots(h: QuadHermitePade, dps: int = 60):
     """Complex zeros of the discriminant (empty for constant ones)."""
-    return sorted(_poly_roots_mp(discriminant(h), dps),
-                  key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
+    return _poly_roots_mp(discriminant(h), dps)
 
 
 def pade_poles(p: PadeApprox, dps: int = 60):
-    return sorted(_poly_roots_mp(list(p.Q), dps),
-                  key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
+    return _poly_roots_mp(list(p.Q), dps)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +572,9 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
                 families: Sequence[str] = FAMILIES, threshold: float = 5e-2,
                 dps: int = 60, engine_run=None) -> list:
     """One engine run per alpha, then a stable-singularity estimate per
-    family.  Failures are recorded in the row and the scan continues.
+    family.  Failures of the ESTIMATE_ERRORS types are recorded in the
+    row and the scan continues; any other exception is a bug and
+    propagates.
 
     The default spread threshold is looser than stable_singularity's own:
     a scan wants a filled table across parameter values of varying
@@ -547,7 +607,7 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
                     row.spread_hermite_pade = est.stability_spread
             if errors:
                 row.error = "; ".join(errors)
-        except Exception as exc:   # per-alpha isolation by design
+        except ESTIMATE_ERRORS as exc:
             row.error = str(exc)
         rows.append(row)
     return rows

@@ -23,8 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import QQ, format_element
-from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE, default_orders,
-                       radius_scan, series_from_engine, stable_singularity)
+from .analysis import (ESTIMATE_ERRORS, FAMILY_HERMITE_PADE, FAMILY_PADE,
+                       default_orders, radius_scan, series_from_engine,
+                       stable_singularity)
 from .checks import LEVELS as CHECK_LEVELS
 from .checks import iter_checks
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGES, evaluate_solution, run
@@ -149,6 +150,13 @@ def _need_finite(params, key, positive=False):
     return value
 
 
+def _need_digits(params):
+    digits = _need(params, "digits", int)
+    if digits < 1:
+        raise BadArguments(f"digits must be >= 1; got {digits!r}")
+    return digits
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -216,7 +224,7 @@ def cmd_radius(params):
             raise BadArguments(f"unknown family {t!r}; expected pade, hermite-pade")
         families.append(family_names[t])
     threshold = _need_finite(params, "threshold", positive=True)
-    digits = _need(params, "digits", int)
+    digits = _need_digits(params)
     output = _need(params, "output", str)
 
     rows = radius_scan(alphas, order, families=tuple(families), threshold=threshold)
@@ -255,7 +263,7 @@ def _estimate_radius(alpha):
             est = stable_singularity(ps, family, default_orders(family, len(ps)),
                                      threshold=5e-2)
             return est.radius
-        except Exception:
+        except ESTIMATE_ERRORS:
             continue
     return None
 
@@ -274,7 +282,7 @@ def cmd_orbit(params):
     if points < 2:
         raise BadArguments("need at least 2 grid points")
     tolerance = _need_finite(params, "tolerance", positive=True)
-    digits = _need(params, "digits", int)
+    digits = _need_digits(params)
     radius_check = bool(params.get("radius_check", True))
     prefix = _need(params, "output", str)
 

@@ -38,6 +38,8 @@ from lpvolterra.analysis import (
     series_from_engine,
     solve_linear_system,
     stable_singularity,
+    rational_rref,
+    _float_seed,
     _poly_roots_mp,
 )
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, run
@@ -112,6 +114,93 @@ class TestExactLinearAlgebra:
 
     def test_solve_singular_returns_none(self):
         assert solve_linear_system([[QQ(1), QQ(1)], [QQ(2), QQ(2)]], [QQ(1), QQ(2)]) is None
+
+
+def reference_rref(rows):
+    """Gauss-Jordan on Fraction entries: the oracle for rational_rref,
+    which eliminates on integer rows instead."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / Fraction(rows[r][c])
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)),
+)
+
+_SHAPES = {"tall": ((3, 7), (1, 4)), "wide": ((1, 4), (3, 8)),
+           "square": ((1, 6), None)}
+
+
+@st.composite
+def rational_matrices(draw):
+    """Tall, wide and square matrices with zero rows, zero columns, rows
+    that combine earlier rows (rank deficiency), negative entries and
+    large denominators."""
+    shape = draw(st.sampled_from(sorted(_SHAPES)))
+    row_range, col_range = _SHAPES[shape]
+    n_rows = draw(st.integers(*row_range))
+    n_cols = n_rows if col_range is None else draw(st.integers(*col_range))
+    if shape == "tall":
+        n_cols = min(n_cols, n_rows - 1)
+    elif shape == "wide":
+        n_cols = max(n_cols, n_rows + 1)
+    rows = []
+    for i in range(n_rows):
+        kind = draw(st.sampled_from(("free", "free", "zero", "combination")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * n_cols)
+        elif kind == "combination" and i > 0:
+            j = draw(st.integers(0, i - 1))
+            k = draw(st.integers(0, i - 1))
+            a, b = draw(_ENTRIES), draw(_ENTRIES)
+            rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
+        else:
+            rows.append([draw(_ENTRIES) for _ in range(n_cols)])
+    for c in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for row in rows:
+            row[c] = Fraction(0)
+    return [[QQ(v) for v in row] for row in rows]
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(rows):
+    want = [list(row) for row in rows]
+    want_pivots = reference_rref(want)
+    got = [list(row) for row in rows]
+    assert rational_rref(got) == want_pivots
+    assert got == want
+
+
+def test_rref_edge_cases():
+    assert rational_rref([]) == []
+    rows = [[QQ(0), QQ(0)], [QQ(0), QQ(0)]]
+    assert rational_rref(rows) == []
+    assert rows == [[0, 0], [0, 0]]
+    rows = [[QQ(0), QQ(-3, 10 ** 30), QQ(6)], [QQ(0), QQ(1), QQ(0)]]
+    assert rational_rref(rows) == [1, 2]
+    assert rows == [[0, 1, 0], [0, 0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +398,63 @@ class TestRootExtraction:
         vals = sorted(float(r.real) for r in roots)
         assert vals == pytest.approx([-3.0, 2.0])
 
+    @staticmethod
+    def _unseeded(coeffs, dps):
+        """mpmath's own Durand-Kerner start, at the kernel's precision."""
+        with mpmath.workdps(dps):
+            hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                        for c in reversed(coeffs)]
+            roots = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * dps)
+        return sorted(roots, key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
+
+    def _spy(self, monkeypatch):
+        seeds = []
+        polyroots = mpmath.polyroots
+
+        def spy(*args, **kwargs):
+            seeds.append(kwargs.get("roots_init"))
+            return polyroots(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", spy)
+        return seeds
+
+    def test_seeded_cluster_matches_unseeded(self, monkeypatch):
+        eps = QQ(1, 10 ** 14)          # (z-2)(z-2-10^-14)(z+3)
+        coeffs = poly_mul(poly_mul([QQ(-2), QQ(1)], [-(2 + eps), QQ(1)]),
+                          [QQ(3), QQ(1)])
+        want = self._unseeded(coeffs, 60)
+        seeds = self._spy(monkeypatch)
+        got = _poly_roots_mp(coeffs, 60)
+        assert len(seeds) == 1 and len(seeds[0]) == 3
+        assert got == want
+        # coefficients rounded to 60 digits resolve the pair to ~60-14 digits
+        with mpmath.workdps(60):
+            assert abs(got[1] - got[0] - mpmath.mpf(eps.numerator) / eps.denominator) \
+                < mpmath.mpf(10) ** -40
+
+    def test_overflowing_float_seed_falls_back(self, monkeypatch):
+        big = QQ(10 ** 400)            # 10^400 (z-1/3)(z+5/7)(z-4)
+        coeffs = poly_scale(poly_mul(poly_mul([QQ(-1, 3), QQ(1)], [QQ(5, 7), QQ(1)]),
+                                     [QQ(-4), QQ(1)]), big)
+        with mpmath.workdps(60):
+            assert _float_seed([mpmath.mpf(c.numerator) / c.denominator
+                                for c in reversed(coeffs)]) is None
+        want = self._unseeded(coeffs, 60)
+        seeds = self._spy(monkeypatch)
+        assert _poly_roots_mp(coeffs, 60) == want
+        assert seeds == [None]
+
+    def test_float_seed_needs_representable_coefficients(self):
+        with mpmath.workdps(60):
+            big, tiny = mpmath.mpf(10) ** 400, mpmath.mpf(10) ** -400
+            # the leading coefficient alone overflows: numpy would return
+            # all-zero roots of the right length
+            assert _float_seed([big, mpmath.mpf(-3), mpmath.mpf(2)]) is None
+            # it underflows to 0.0: numpy drops it and returns too few roots
+            assert _float_seed([tiny, mpmath.mpf(-3), mpmath.mpf(2)]) is None
+            seed = _float_seed([mpmath.mpf(1), mpmath.mpf(-3), mpmath.mpf(2)])
+            assert sorted(complex(z).real for z in seed) == pytest.approx([1, 2])
+
     def test_constant_discriminant_empty(self):
         h = hermite_pade_fit(series(*SQRT_COEFFS[:3]), 0, 0, 1)
         bare = type(h)(P=(), Q=(QQ(1),), R=(), K=0, L=0, M=0)
@@ -419,13 +565,29 @@ class TestRadiusScan:
     def test_per_alpha_failure_is_isolated(self):
         def boom(alpha):
             if alpha == 2:
-                raise RuntimeError("boom")
+                raise ArithmeticError("boom")
             return run(8, alpha, GAUGE_SIMPLIFIED_XI)
 
         rows = radius_scan([QQ(1), QQ(2)], 8, engine_run=boom)
         assert len(rows) == 2
         assert rows[1].error == "boom"
         assert rows[1].rc_pade is None and rows[1].rc_hermite_pade is None
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError("boom"), ValueError("boom"),
+                                     mpmath.libmp.NoConvergence("boom")])
+    def test_declared_failures_are_recorded(self, exc):
+        def boom(alpha):
+            raise exc
+
+        rows = radius_scan([QQ(1)], 8, engine_run=boom)
+        assert rows[0].error == "boom"
+
+    def test_undeclared_failure_propagates(self):
+        def boom(alpha):
+            raise TypeError("a bug, not a failed estimate")
+
+        with pytest.raises(TypeError):
+            radius_scan([QQ(1)], 8, engine_run=boom)
 
     def test_family_restriction(self):
         rows = radius_scan([QQ(1)], 44, families=(FAMILY_HERMITE_PADE,))

@@ -10,9 +10,12 @@ import shutil
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import lpvolterra
+import lpvolterra.cli
+from lpvolterra.analysis import NoStableRootError
 from lpvolterra.checks import load_golden
 from lpvolterra.cli import (BadArguments, fmt_sig, main, parse_alpha,
                             parse_angle, parse_rational)
@@ -28,6 +31,18 @@ def _workdir(tmp_path, monkeypatch):
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
+
+
+def forbid(monkeypatch, name):
+    """Make lpvolterra.cli.<name> fail the test if the command calls it."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the arguments were checked")
+    monkeypatch.setattr(lpvolterra.cli, name, called)
+
+
+def write_params(path, command, params):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"command": command, "parameters": params}, fh)
 
 
 def read_metrics(prefix="orbit"):
@@ -154,6 +169,23 @@ class TestRadiusCommand:
         assert err.count("\n") == 1
         assert not os.path.exists("radius.csv")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_digits_must_be_positive(self, value, capsys, monkeypatch):
+        forbid(monkeypatch, "radius_scan")
+        assert main(["radius", "--alpha", "1", "--order", "12",
+                     "--digits", value]) == 2
+        assert capsys.readouterr().err == f"error: digits must be >= 1; got {value}\n"
+        assert not os.path.exists("radius.csv")
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_digits_checked_from_manifest(self, value, capsys, monkeypatch):
+        forbid(monkeypatch, "radius_scan")
+        write_params("m.json", "radius",
+                     {"alpha": "1", "order": 12, "families": "pade,hermite-pade",
+                      "threshold": 0.05, "digits": value, "output": "radius.csv"})
+        assert main(["radius", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: digits must be >= 1; got {value}\n"
+
     def test_manifest_for_other_command_rejected(self, capsys):
         assert main(["series", "--order", "0", "--output", "s.json"]) == 0
         assert main(["radius", "--from-manifest", "s.json.manifest.json"]) == 2
@@ -207,6 +239,41 @@ class TestOrbitCommand:
         assert err.startswith(f"error: {option} must be finite and > 0")
         assert err.count("\n") == 1
         assert not os.path.exists("orbit_metrics.csv")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_digits_must_be_positive(self, value, capsys, monkeypatch):
+        forbid(monkeypatch, "run")
+        assert main(["orbit", "--a", "0.1", "--order", "2", "--digits", value]) == 2
+        assert capsys.readouterr().err == f"error: digits must be >= 1; got {value}\n"
+        assert not os.path.exists("orbit_metrics.csv")
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_digits_checked_from_manifest(self, value, capsys, monkeypatch):
+        forbid(monkeypatch, "run")
+        write_params("m.json", "orbit",
+                     {"alpha": "1", "a": 0.1, "phi": 0.0, "order": 2, "periods": 1.0,
+                      "points": 16, "tolerance": 1e-12, "digits": value,
+                      "radius_check": False, "output": "orbit"})
+        assert main(["orbit", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: digits must be >= 1; got {value}\n"
+
+    @pytest.mark.parametrize("exc,propagates", [
+        (NoStableRootError("unstable"), False),
+        (mpmath.libmp.NoConvergence("slow"), False),
+        (TypeError("a bug"), True)])
+    def test_radius_estimate_catches_only_estimate_errors(self, exc, propagates,
+                                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(lpvolterra.cli, "run", lambda *args: None)
+        monkeypatch.setattr(lpvolterra.cli, "series_from_engine", lambda s: (1,) * 45)
+        monkeypatch.setattr(lpvolterra.cli, "stable_singularity", fail)
+        if propagates:
+            with pytest.raises(type(exc)):
+                lpvolterra.cli._estimate_radius(1)
+        else:
+            assert lpvolterra.cli._estimate_radius(1) is None
 
     @pytest.mark.parametrize("option", ["a", "phi"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

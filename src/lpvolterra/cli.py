@@ -14,6 +14,7 @@ reproduces them byte for byte; only the manifest's timestamp moves.
 import argparse
 import csv
 import datetime
+import itertools
 import json
 import math
 import re
@@ -37,6 +38,11 @@ PROG = "lpvolterra"
 # smallest radius scan that can form a two-point chain: [1/1] and [2/2]
 # Pade fits need five series coefficients, i.e. engine order 8
 MIN_RADIUS_ORDER = 8
+
+# the orbit's time span is periods * 2 pi / omega, so an alpha near 0
+# asks for ever more integrator steps (past 2^53 of them the remaining
+# span stops shrinking and the integration never ends); cap their number
+MAX_ORBIT_STEPS = 10**6
 
 
 class BadArguments(ValueError):
@@ -100,6 +106,11 @@ def fmt_sig(value, digits):
     return f"{float(value):.{digits}g}"
 
 
+def fmt_column(values, digits):
+    """``fmt_sig`` of every entry of a float array, lazily."""
+    return map(format, values.tolist(), itertools.repeat(f".{digits}g"))
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -142,6 +153,15 @@ def _need(params, key, kind):
         raise BadArguments(f"bad value for {key}: {params[key]!r}")
 
 
+def _need_int(params, key):
+    # int() would truncate 2.9 to 2, take True as 1 and overflow on inf
+    value = params.get(key)
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise BadArguments(f"bad value for {key}: {value!r}")
+    return _need(params, key, int)
+
+
 def _need_finite(params, key, positive=False):
     value = _need(params, key, float)
     if not math.isfinite(value) or (positive and value <= 0):
@@ -151,7 +171,7 @@ def _need_finite(params, key, positive=False):
 
 
 def _need_digits(params):
-    digits = _need(params, "digits", int)
+    digits = _need_int(params, "digits")
     if digits < 1:
         raise BadArguments(f"digits must be >= 1; got {digits!r}")
     return digits
@@ -161,7 +181,7 @@ def _need_digits(params):
 # series
 
 def cmd_series(params):
-    order = _need(params, "order", int)
+    order = _need_int(params, "order")
     if order < 0:
         raise BadArguments("order must be >= 0")
     alpha = parse_alpha(_need(params, "alpha", str))
@@ -210,7 +230,7 @@ def cmd_radius(params):
     alphas = [parse_alpha(t) for t in alpha_texts]
     if "symbolic" in alphas:
         raise BadArguments("the radius scan needs numeric alpha values")
-    order = _need(params, "order", int)
+    order = _need_int(params, "order")
     if order < MIN_RADIUS_ORDER:
         raise ComputationError(
             f"insufficient coefficients: a radius estimate needs the frequency "
@@ -274,11 +294,11 @@ def cmd_orbit(params):
         raise BadArguments("orbit integration needs a numeric alpha")
     a = _need_finite(params, "a")
     phi = _need_finite(params, "phi")
-    order = _need(params, "order", int)
+    order = _need_int(params, "order")
     if order < 0:
         raise BadArguments("order must be >= 0")
     periods = _need_finite(params, "periods", positive=True)
-    points = _need(params, "points", int)
+    points = _need_int(params, "points")
     if points < 2:
         raise BadArguments("need at least 2 grid points")
     tolerance = _need_finite(params, "tolerance", positive=True)
@@ -289,6 +309,12 @@ def cmd_orbit(params):
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)
     tau = np.linspace(0.0, periods * 2 * math.pi, points)
     xi, eta, omega = evaluate_solution(series, a, phi=phi, tau_grid=tau)
+    t_eval = tau / omega
+    config = IntegratorConfig(tolerance=tolerance, max_time=float(t_eval[-1]))
+    if abs(config.max_time) > MAX_ORBIT_STEPS * config.step:
+        raise BadArguments(
+            f"the orbit spans t = {config.max_time:.4g}, more than "
+            f"{MAX_ORBIT_STEPS} integrator steps; lower periods or raise alpha")
     x0 = 1 + a * float(xi[0])
     y0 = 1 + a * float(eta[0])
     if x0 <= 0 or y0 <= 0:
@@ -311,8 +337,6 @@ def cmd_orbit(params):
                   f"radius {radius:.4g}; the series curve may diverge",
                   file=sys.stderr)
 
-    t_eval = tau / omega
-    config = IntegratorConfig(tolerance=tolerance, max_time=float(t_eval[-1]))
     orbit = integrate(float(alpha), x0, y0, config, t_eval=t_eval)
     gaps = compare_orbit(xi, eta, orbit, a)
 
@@ -320,21 +344,23 @@ def cmd_orbit(params):
     with open(orbit_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "x", "y"])
-        for t, x, y in zip(orbit.times, orbit.x_values, orbit.y_values):
-            writer.writerow([fmt_sig(t, digits), fmt_sig(x, digits), fmt_sig(y, digits)])
+        writer.writerows(zip(fmt_column(orbit.times, digits),
+                             fmt_column(orbit.x_values, digits),
+                             fmt_column(orbit.y_values, digits)))
 
     comparison_path = f"{prefix}_comparison.csv"
     with open(comparison_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["tau", "xi_series", "eta_series", "xi_numeric", "eta_numeric"])
-        for k in range(points):
+        if a:
+            xi_num = (orbit.x_values - 1) / a
+            eta_num = (orbit.y_values - 1) / a
+        else:
             # scaled coordinates are undefined at a = 0; the deviation is zero there
-            xi_num = (float(orbit.x_values[k]) - 1) / a if a else 0.0
-            eta_num = (float(orbit.y_values[k]) - 1) / a if a else 0.0
-            writer.writerow([fmt_sig(tau[k], digits),
-                             fmt_sig(float(xi[k]), digits),
-                             fmt_sig(float(eta[k]), digits),
-                             fmt_sig(xi_num, digits), fmt_sig(eta_num, digits)])
+            xi_num = eta_num = np.zeros(points)
+        writer.writerows(zip(fmt_column(tau, digits), fmt_column(xi, digits),
+                             fmt_column(eta, digits), fmt_column(xi_num, digits),
+                             fmt_column(eta_num, digits)))
 
     metrics_path = f"{prefix}_metrics.csv"
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:

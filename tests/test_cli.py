@@ -1,8 +1,10 @@
 """Command-line surface: argument handling, output files, manifests,
 exit codes.  Everything runs in-process through main(argv)."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,8 +12,12 @@ import shutil
 import subprocess
 import sys
 
+from unittest import mock
+
 import mpmath
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import lpvolterra
 import lpvolterra.cli
@@ -19,6 +25,7 @@ from lpvolterra.analysis import NoStableRootError
 from lpvolterra.checks import load_golden
 from lpvolterra.cli import (BadArguments, fmt_sig, main, parse_alpha,
                             parse_angle, parse_rational)
+from lpvolterra.engine import GAUGES
 
 
 @pytest.fixture(autouse=True)
@@ -296,9 +303,177 @@ class TestOrbitCommand:
                      "--no-radius-check"]) == 0
         assert read_metrics()["n_points"] == "16"
 
+    @pytest.mark.parametrize("alpha,periods", [("1e-30", "1"), ("1", "1e4")])
+    def test_span_beyond_step_cap_rejected(self, alpha, periods, capsys,
+                                           monkeypatch):
+        forbid(monkeypatch, "integrate")
+        assert main(["orbit", "--alpha", alpha, "--a", "0.1", "--order", "2",
+                     "--periods", periods, "--no-radius-check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the orbit spans t = ")
+        assert err.count("\n") == 1
+        assert not os.path.exists("orbit_metrics.csv")
+
     def test_symbolic_alpha_rejected(self, capsys):
         assert main(["orbit", "--alpha", "symbolic", "--a", "0.1",
                      "--order", "2"]) == 2
+
+
+# a valid manifest parameter set per command, and the call that does the
+# command's work (a test forbids it to show that a check came first)
+MANIFEST_PARAMS = {
+    "series": ({"order": 2, "alpha": "1", "gauge": "simplified-xi",
+                "output": "s.json"}, "run"),
+    "radius": ({"alpha": "1", "order": 12, "families": "pade,hermite-pade",
+                "threshold": 0.05, "digits": 10, "output": "radius.csv"},
+               "radius_scan"),
+    "orbit": ({"alpha": "1", "a": 0.1, "phi": 0.0, "order": 2, "periods": 1.0,
+               "points": 16, "tolerance": 1e-12, "digits": 10,
+               "radius_check": False, "output": "orbit"}, "run"),
+}
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("command,key", [
+        ("series", "order"), ("radius", "order"), ("radius", "digits"),
+        ("orbit", "order"), ("orbit", "points"), ("orbit", "digits")])
+    @pytest.mark.parametrize("value,shown", [
+        (2.9, "2.9"), (-1.5, "-1.5"), (True, "True"), (False, "False"),
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+    def test_non_integers_rejected_from_manifest(self, command, key, value,
+                                                 shown, capsys, monkeypatch):
+        params, work = MANIFEST_PARAMS[command]
+        forbid(monkeypatch, work)
+        write_params("m.json", command, dict(params, **{key: value}))
+        assert main([command, "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: {shown}\n"
+
+    def test_integral_float_is_an_integer(self):
+        params, _ = MANIFEST_PARAMS["series"]
+        write_params("m.json", "series", dict(params, order=2.0))
+        assert main(["series", "--from-manifest", "m.json"]) == 0
+        with open("s.json", encoding="utf-8") as fh:
+            assert len(json.load(fh)["orders"]) == 3
+
+
+def reference_orbit_csvs(tau, xi, eta, omega, x0, y0, orbit, gaps, a, digits):
+    """The three orbit CSVs, written row by row through fmt_sig."""
+    texts = []
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["t", "x", "y"])
+    for t, x, y in zip(orbit.times, orbit.x_values, orbit.y_values):
+        writer.writerow([fmt_sig(t, digits), fmt_sig(x, digits), fmt_sig(y, digits)])
+    texts.append(fh.getvalue())
+
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["tau", "xi_series", "eta_series", "xi_numeric", "eta_numeric"])
+    for k in range(len(tau)):
+        xi_num = (float(orbit.x_values[k]) - 1) / a if a else 0.0
+        eta_num = (float(orbit.y_values[k]) - 1) / a if a else 0.0
+        writer.writerow([fmt_sig(tau[k], digits),
+                         fmt_sig(float(xi[k]), digits),
+                         fmt_sig(float(eta[k]), digits),
+                         fmt_sig(xi_num, digits), fmt_sig(eta_num, digits)])
+    texts.append(fh.getvalue())
+
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["metric", "value"])
+    writer.writerow(["omega_series", fmt_sig(omega, digits)])
+    writer.writerow(["x0", fmt_sig(x0, digits)])
+    writer.writerow(["y0", fmt_sig(y0, digits)])
+    writer.writerow(["max_gap", fmt_sig(gaps.max_gap, digits)])
+    writer.writerow(["rms_gap", fmt_sig(gaps.rms_gap, digits)])
+    writer.writerow(["n_points", gaps.n_points])
+    writer.writerow(["conserved_drift", fmt_sig(orbit.conserved_drift, digits)])
+    writer.writerow(["radius_estimate", fmt_sig(None, digits)])
+    texts.append(fh.getvalue())
+    return texts
+
+
+class TestOrbitCsv:
+    @pytest.mark.parametrize("a", ["0", "-0.15", "0.2"])
+    @pytest.mark.parametrize("digits", [1, 4, 17])
+    def test_csvs_match_row_by_row_writer(self, a, digits, monkeypatch):
+        seen = {}
+
+        def recording(name):
+            call = getattr(lpvolterra.cli, name)
+
+            def wrapped(*args, **kwargs):
+                seen[name] = (args, kwargs, call(*args, **kwargs))
+                return seen[name][2]
+            monkeypatch.setattr(lpvolterra.cli, name, wrapped)
+
+        for name in ("evaluate_solution", "integrate", "compare_orbit"):
+            recording(name)
+        assert main(["orbit", "--alpha", "9/4", "--a", a, "--phi", "1",
+                     "--order", "4", "--periods", "1.5", "--points", "64",
+                     "--digits", str(digits), "--no-radius-check"]) == 0
+        _, kwargs, (xi, eta, omega) = seen["evaluate_solution"]
+        (_, x0, y0, _), _, orbit = seen["integrate"]
+        gaps = seen["compare_orbit"][2]
+        expected = reference_orbit_csvs(kwargs["tau_grid"], xi, eta, omega,
+                                        x0, y0, orbit, gaps, float(a), digits)
+        for part, text in zip(("orbit", "comparison", "metrics"), expected):
+            with open(f"orbit_{part}.csv", "rb") as fh:
+                assert fh.read() == text.encode("utf-8")
+        if a == "0":
+            assert {row[3] for row in read_csv("orbit_comparison.csv")[1:]} == {"0"}
+
+
+# manifest values of every kind, each small enough that no draw starts a
+# long run (an alpha near 0 meets the orbit's step cap)
+MANIFEST_VALUES = st.one_of(
+    st.integers(-1, 4),
+    st.floats(-2.5, 2.5).map(lambda v: v + 0.5 if v.is_integer() else v),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.booleans(),
+    st.sampled_from(["1", "1/4", "9/4", "symbolic", "pi/4", "", "x"] + list(GAUGES)),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(0, 4), max_size=2),
+)
+_MISSING = object()
+
+
+def perturbed_params(command):
+    """The command's valid parameters with any of them replaced or
+    dropped; ``output`` stays a plain file name in the working directory."""
+    params, _ = MANIFEST_PARAMS[command]
+    keys = sorted(k for k in params if k != "output")
+    values = {k: MANIFEST_VALUES | st.just(_MISSING) for k in keys}
+    if "points" in values:
+        values["points"] |= st.integers(2, 16)
+    # half the draws change at most two keys, so valid runs are common
+    chosen = st.lists(st.sampled_from(keys), unique=True, max_size=2) \
+        | st.lists(st.sampled_from(keys), unique=True)
+    changes = chosen.flatmap(
+        lambda ks: st.fixed_dictionaries({k: values[k] for k in ks}))
+
+    def apply(change):
+        out = dict(params, **change)
+        return {k: v for k, v in out.items() if v is not _MISSING}
+    return changes.map(apply)
+
+
+class TestExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["series", "orbit"]), data=st.data())
+    def test_any_manifest_exits_0_1_or_2(self, command, data):
+        params = data.draw(perturbed_params(command))
+        write_params("m.json", command, params)
+        # a truthy radius_check would add an order-44 radius estimate to
+        # every draw; its failure modes have their own tests
+        with mock.patch.object(lpvolterra.cli, "_estimate_radius",
+                               return_value=None), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--from-manifest", "m.json"])
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
 
 
 class TestCheckCommand:

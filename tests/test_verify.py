@@ -1,14 +1,20 @@
 """Integrator, frequency measurement, and orbit comparison checks."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, evaluate_solution, run
 from lpvolterra.verify import (
+    _UNDERFLOW,
     IntegratorConfig,
     OrbitSample,
+    _advance,
     compare_orbit,
     first_integral,
     integrate,
@@ -18,6 +24,80 @@ from lpvolterra.verify import (
 
 FIG1_X0 = 1 + 0.1 * math.cos(math.pi / 4)
 FIG1_Y0 = 1 + 0.1 * math.sin(math.pi / 4)
+
+
+# ---------------------------------------------------------------------------
+# reference stepper: the unfused RK4 step doubling, one lv_rhs call per
+# stage and three full RK4 steps per attempt; the fused one must match it
+# bit for bit
+
+
+def reference_rk4(alpha, x, y, h):
+    k1x, k1y = lv_rhs(alpha, x, y)
+    k2x, k2y = lv_rhs(alpha, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+    k3x, k3y = lv_rhs(alpha, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+    k4x, k4y = lv_rhs(alpha, x + h * k3x, y + h * k3y)
+    return (x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6,
+            y + h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6)
+
+
+def reference_advance(alpha, x, y, span, step, tolerance):
+    """Integrate the state across ``span`` (signed), returning (x, y)."""
+    if span == 0:
+        return x, y
+    sign = 1.0 if span > 0 else -1.0
+    remaining = abs(span)
+    h = min(step, remaining)
+    fixed = math.isinf(tolerance)
+    # sub-roundoff leftovers from float cancellation are already "there"
+    while remaining > _UNDERFLOW * max(1.0, abs(span)):
+        h = min(h, remaining)
+        if fixed:
+            x, y = reference_rk4(alpha, x, y, sign * h)
+            remaining -= h
+        else:
+            while True:
+                if h < _UNDERFLOW:
+                    raise ArithmeticError(
+                        "step underflow: local error cannot reach the "
+                        "requested tolerance")
+                x1, y1 = reference_rk4(alpha, x, y, sign * h)
+                xm, ym = reference_rk4(alpha, x, y, sign * h / 2)
+                x2, y2 = reference_rk4(alpha, xm, ym, sign * h / 2)
+                scale = max(1.0, abs(x), abs(y))
+                # the halved-step comparison cannot certify errors below
+                # a few ulps, so floor it there; an uncertifiable
+                # tolerance then surfaces as step underflow
+                err = max(abs(x1 - x2), abs(y1 - y2), 1e-15 * scale)
+                if err <= tolerance * scale:
+                    x, y = x2, y2
+                    remaining -= h
+                    if err < tolerance * scale / 64 and h < step:
+                        h = min(2 * h, step)
+                    break
+                h /= 2
+        if x <= 0 or y <= 0:
+            raise ArithmeticError(
+                "positivity lost during integration (x or y reached 0)")
+    return x, y
+
+
+def reference_integrate(alpha, x0, y0, config, t_eval):
+    """The sampling loop of ``integrate`` on the reference stepper."""
+    times = np.asarray(t_eval, dtype=float)
+    xs = np.empty(len(times))
+    ys = np.empty(len(times))
+    x, y, t = float(x0), float(y0), 0.0
+    v0 = first_integral(alpha, x0, y0)
+    drift = 0.0
+    for i, target in enumerate(times):
+        x, y = reference_advance(alpha, x, y, float(target) - t, config.step,
+                                 config.tolerance)
+        t = float(target)
+        xs[i] = x
+        ys[i] = y
+        drift = max(drift, abs(first_integral(alpha, x, y) - v0))
+    return xs, ys, drift
 
 
 class TestBasics:
@@ -93,6 +173,67 @@ class TestIntegrate:
         cfg = IntegratorConfig(step=10.0, tolerance=math.inf, max_time=40.0)
         with pytest.raises(ArithmeticError, match="positivity"):
             integrate(1.0, 50.0, 1e-4, cfg)
+
+
+class TestFusedStepper:
+    """The fused ``_advance`` equals the reference stepper with ``==``."""
+
+    # explicit examples run first: a mutant that lowers the method's order
+    # would make the generated tight-tolerance draws crawl, not fail
+    @example(alpha=1.5, x=1.3, y=0.8, span=-0.7, step=0.1, tolerance=math.inf)
+    @example(alpha=1.5, x=1.3, y=0.8, span=2.5, step=1.0, tolerance=1e-12)
+    @settings(max_examples=250, deadline=None)
+    @given(alpha=st.floats(0.25, 4.0),
+           x=st.floats(0.4, 2.0),
+           y=st.floats(0.4, 2.0),
+           span=st.one_of(st.floats(-3.0, 3.0), st.floats(-0.01, 0.01)),
+           step=st.sampled_from([1e-2, 0.1, 0.5, 1.0]),
+           tolerance=st.sampled_from([math.inf, 1e-3, 1e-8, 1e-12, 1e-14]))
+    def test_advance_matches_reference(self, alpha, x, y, span, step, tolerance):
+        # spans of +-0.01 against steps of 0.01 and up cover a span shorter
+        # than the step; steps of 0.5 and 1 against tight tolerances force
+        # rejections; an infinite tolerance is fixed-step mode
+        try:
+            expected = reference_advance(alpha, x, y, span, step, tolerance)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                _advance(alpha, x, y, span, step, tolerance)
+        else:
+            assert _advance(alpha, x, y, span, step, tolerance) == expected
+
+    @pytest.mark.parametrize("span", [2.5, -2.5])
+    def test_rejections_are_exercised(self, span, monkeypatch):
+        # a unit step at a 1e-12 tolerance is rejected several times in a
+        # row, so the reference's first attempts take full steps of 1,
+        # 1/2, 1/4, ... (each attempt makes three RK4 calls); further
+        # steps follow the rejections
+        sizes = []
+        unrecorded = reference_rk4
+
+        def recorded(alpha, x, y, h):
+            sizes.append(abs(h))
+            return unrecorded(alpha, x, y, h)
+
+        monkeypatch.setattr(sys.modules[__name__], "reference_rk4", recorded)
+        expected = reference_advance(1.5, 1.3, 0.8, span, 1.0, 1e-12)
+        assert sizes[0:15:3] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        assert _advance(1.5, 1.3, 0.8, span, 1.0, 1e-12) == expected
+
+    def test_unreachable_tolerance_underflows_in_both(self):
+        for advance in (reference_advance, _advance):
+            with pytest.raises(ArithmeticError, match="underflow"):
+                advance(1.0, 1.5, 1.0, 1.0, 1e-2, 1e-30)
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-8, math.inf])
+    def test_integrate_matches_reference(self, tolerance):
+        t_eval = np.linspace(0.0, -3.0, 97) if tolerance == 1e-8 \
+            else np.linspace(0.0, 7.0, 201)
+        config = IntegratorConfig(tolerance=tolerance)
+        orbit = integrate(2.0, 1.25, 0.9, config, t_eval=t_eval)
+        xs, ys, drift = reference_integrate(2.0, 1.25, 0.9, config, t_eval)
+        assert np.array_equal(orbit.x_values, xs)
+        assert np.array_equal(orbit.y_values, ys)
+        assert orbit.conserved_drift == drift
 
 
 class TestMeasureFrequency:

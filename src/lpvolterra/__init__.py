@@ -1,20 +1,18 @@
 """Exact Lindstedt-Poincare series for the Lotka-Volterra oscillator,
 with convergence-radius estimation and numeric cross-validation."""
 
-from .algebra import (QQ, SYMBOLIC, ExactDivisionError, PhaseRing,
-                      QuadraticRing, RationalRing, SymbolicRing,
-                      alpha_polynomial, canonical, evaluate_numeric,
-                      format_element, numeric_ring, parse_element,
-                      rational_sqrt)
-from .trigpoly import (ResonantForcingError, TrigPoly, VectorTrigPoly,
-                       from_triples, particular_solution, residual,
-                       solve_linear, to_triples)
+from .algebra import (QQ, SYMBOLIC, ExactDivisionError, QuadraticRing,
+                      RationalRing, SymbolicRing, alpha_polynomial, canonical,
+                      evaluate_numeric, format_element, numeric_ring,
+                      parse_element, rational_sqrt)
+from .trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
+                       VectorTrigPoly, particular_solution, residual,
+                       to_triples)
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
-                     GAUGE_ZERO_INITIAL, GAUGES, ModelParams, OrderSolution,
-                     PerturbationSeries, ReducedModel,
-                     SecularInconsistencyError, build_forcing,
-                     evaluate_solution, fix_gauge, invert_initial_conditions,
-                     reduce_parameters, remove_secular, run, zeroth_order)
+                     GAUGE_ZERO_INITIAL, GAUGES, OrderSolution,
+                     PerturbationSeries, SecularInconsistencyError,
+                     build_forcing, evaluate_solution, remove_secular, run,
+                     solve_linear_anchored)
 from .analysis import (FAMILIES, FAMILY_HERMITE_PADE, FAMILY_PADE,
                        DegenerateApproximantError, NoStableRootError,
                        PadeApprox, PowerSeries, QuadHermitePade, ScanRow,

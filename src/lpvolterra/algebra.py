@@ -1,24 +1,28 @@
 """Exact coefficient arithmetic for perturbation expansions of the
 Lotka-Volterra cycle.
 
-Every operation in this module is exact.  Three coefficient domains appear:
+Every operation in this module is exact, on ``fractions.Fraction``
+rationals (:func:`QQ` coerces to them).  Two coefficient domains live
+here:
 
 * the symbolic domain: Laurent polynomials in ``s = sqrt(alpha)`` with
   rational coefficients (:class:`SymbolicRing`);
 * numeric domains for a fixed rational ``alpha``: plain rationals when
   ``sqrt(alpha)`` is rational, pairs ``u + v*sqrt(alpha)`` otherwise
-  (:class:`RationalRing`, :class:`QuadraticRing`);
-* any of the above extended by a trigonometric polynomial in the phase
-  angle ``phi`` (:class:`PhaseRing`), needed for solutions pinned to
-  explicit initial conditions.
+  (:class:`RationalRing`, :class:`QuadraticRing`).
 
 Rings share a uniform method protocol (``add``, ``mul``, ``scale``,
 ``div``, ``is_zero``, ...) over plain data elements (dicts, tuples,
 scalars), so the trig-series layer stays generic over the coefficient
-domain.  :func:`format_element` / :func:`parse_element` provide a
-canonical, round-trippable string form and :func:`evaluate_numeric`
-evaluates any element with mpmath at configurable precision (default 50
-significant digits).
+domain.  Solutions pinned to explicit initial conditions extend any of
+these rings by trigonometric polynomials in the phase angle ``phi``;
+that extension (:class:`lpvolterra.trigpoly.PhaseRing`, marked by
+``has_phase``) lives in :mod:`lpvolterra.trigpoly`, and its elements are
+``TrigPoly`` objects with a ``const`` term and ``sin``/``cos`` dicts.
+:func:`format_element` / :func:`parse_element` provide a canonical,
+round-trippable string form and :func:`evaluate_numeric` evaluates any
+element with mpmath at configurable precision (default 50 significant
+digits).
 """
 
 from __future__ import annotations
@@ -28,11 +32,6 @@ from fractions import Fraction
 
 import mpmath
 
-try:  # gmpy2 rationals are several times faster on large operands
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = None
-
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact ring division leaves a remainder."""
@@ -41,38 +40,17 @@ class ExactDivisionError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # rational scalars
 
-if _mpq is not None:
-    _QTYPE = type(_mpq())
-
-    def QQ(num=0, den=None):
-        """Coerce to an exact rational (gmpy2.mpq backend)."""
-        if den is not None:
-            return _mpq(num, den)
-        if isinstance(num, _QTYPE):
-            return num
-        if isinstance(num, (int, str)):
-            return _mpq(num)
-        return _mpq(num.numerator, num.denominator)
-
-else:  # pragma: no cover - exercised only without gmpy2
-    _QTYPE = Fraction
-
-    def QQ(num=0, den=None):
-        """Coerce to an exact rational (fractions.Fraction backend)."""
-        if den is not None:
-            return Fraction(num, den)
-        if isinstance(num, Fraction):
-            return num
-        return Fraction(num)
+def QQ(num=0, den=None):
+    """Coerce to an exact rational."""
+    if den is not None:
+        return Fraction(num, den)
+    if isinstance(num, Fraction):
+        return num
+    return Fraction(num)
 
 
 _Q0 = QQ(0)
 _Q1 = QQ(1)
-_QHALF = QQ(1, 2)
-
-
-def to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def to_mpf(q):
@@ -338,189 +316,6 @@ def numeric_ring(alpha):
 
 
 # ---------------------------------------------------------------------------
-# phase extension: trig polynomials in phi over a base ring
-
-class PhasePoly:
-    """const + sum_k [ sin_k*sin(k*phi) + cos_k*cos(k*phi) ].
-
-    Coefficients live in the base ring of the owning :class:`PhaseRing`.
-    Treated as immutable after construction; dicts hold no zero entries.
-    """
-
-    __slots__ = ("const", "sin", "cos")
-
-    def __init__(self, const, sin=None, cos=None):
-        self.const = const
-        self.sin = sin or {}
-        self.cos = cos or {}
-
-    def __eq__(self, other):
-        if not isinstance(other, PhasePoly):
-            return NotImplemented
-        return (self.const == other.const and self.sin == other.sin
-                and self.cos == other.cos)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"PhasePoly({self.const!r}, sin={self.sin!r}, cos={self.cos!r})"
-
-
-class PhaseRing:
-    """Base ring extended by trigonometric polynomials in the phase phi."""
-
-    has_phase = True
-
-    def __init__(self, base):
-        self.base = base
-        self.is_symbolic = base.is_symbolic
-
-    def zero(self):
-        return PhasePoly(self.base.zero())
-
-    def one(self):
-        return PhasePoly(self.base.one())
-
-    def s(self, k: int = 1):
-        return PhasePoly(self.base.s(k))
-
-    def from_fraction(self, q):
-        return PhasePoly(self.base.from_fraction(q))
-
-    def lift(self, x):
-        """Embed a base-ring element."""
-        return PhasePoly(x)
-
-    def sin_phi(self, k: int = 1):
-        if k == 0:
-            return self.zero()
-        if k < 0:
-            return self.neg(self.sin_phi(-k))
-        return PhasePoly(self.base.zero(), sin={k: self.base.one()})
-
-    def cos_phi(self, k: int = 1):
-        if k == 0:
-            return self.one()
-        return PhasePoly(self.base.zero(), cos={abs(k): self.base.one()})
-
-    def is_zero(self, x) -> bool:
-        return self.base.is_zero(x.const) and not x.sin and not x.cos
-
-    def eq(self, x, y) -> bool:
-        return (self.base.eq(x.const, y.const) and x.sin == y.sin
-                and x.cos == y.cos)
-
-    def _merged(self, xd, yd, op):
-        out = dict(xd)
-        for k, v in yd.items():
-            if k in out:
-                w = op(out[k], v)
-                if self.base.is_zero(w):
-                    del out[k]
-                else:
-                    out[k] = w
-            else:
-                out[k] = op(self.base.zero(), v)
-        return out
-
-    def add(self, x, y):
-        b = self.base
-        return PhasePoly(b.add(x.const, y.const),
-                         self._merged(x.sin, y.sin, b.add),
-                         self._merged(x.cos, y.cos, b.add))
-
-    def neg(self, x):
-        b = self.base
-        return PhasePoly(b.neg(x.const),
-                         {k: b.neg(v) for k, v in x.sin.items()},
-                         {k: b.neg(v) for k, v in x.cos.items()})
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def _acc(self, store, k, v):
-        if k in store:
-            w = self.base.add(store[k], v)
-            if self.base.is_zero(w):
-                del store[k]
-            else:
-                store[k] = w
-        elif not self.base.is_zero(v):
-            store[k] = v
-
-    def mul(self, x, y):
-        b = self.base
-        const = b.mul(x.const, y.const)
-        sin_out: dict = {}
-        cos_out: dict = {}
-
-        def acc_sin(k, v):
-            if k == 0 or b.is_zero(v):
-                return
-            if k < 0:
-                k, v = -k, b.neg(v)
-            self._acc(sin_out, k, v)
-
-        def acc_cos(k, v):
-            nonlocal const
-            if b.is_zero(v):
-                return
-            if k == 0:
-                const = b.add(const, v)
-            else:
-                self._acc(cos_out, abs(k), v)
-
-        if not b.is_zero(x.const):
-            for k, v in y.sin.items():
-                acc_sin(k, b.mul(x.const, v))
-            for k, v in y.cos.items():
-                acc_cos(k, b.mul(x.const, v))
-        if not b.is_zero(y.const):
-            for k, v in x.sin.items():
-                acc_sin(k, b.mul(y.const, v))
-            for k, v in x.cos.items():
-                acc_cos(k, b.mul(y.const, v))
-
-        for j, u in x.sin.items():
-            for k, v in y.sin.items():
-                w = b.scale(b.mul(u, v), _QHALF)
-                acc_cos(j - k, w)          # sin j sin k = [cos(j-k) - cos(j+k)]/2
-                acc_cos(j + k, b.neg(w))
-            for k, v in y.cos.items():
-                w = b.scale(b.mul(u, v), _QHALF)
-                acc_sin(j + k, w)          # sin j cos k = [sin(j+k) + sin(j-k)]/2
-                acc_sin(j - k, w)
-        for j, u in x.cos.items():
-            for k, v in y.sin.items():
-                w = b.scale(b.mul(u, v), _QHALF)
-                acc_sin(j + k, w)          # cos j sin k = [sin(j+k) - sin(j-k)]/2
-                acc_sin(j - k, b.neg(w))
-            for k, v in y.cos.items():
-                w = b.scale(b.mul(u, v), _QHALF)
-                acc_cos(j - k, w)          # cos j cos k = [cos(j-k) + cos(j+k)]/2
-                acc_cos(j + k, w)
-        return PhasePoly(const, sin_out, cos_out)
-
-    def scale(self, x, q):
-        b = self.base
-        q = QQ(q)
-        if not q:
-            return self.zero()
-        return PhasePoly(b.scale(x.const, q),
-                         {k: b.scale(v, q) for k, v in x.sin.items()},
-                         {k: b.scale(v, q) for k, v in x.cos.items()})
-
-    def div(self, x, y):
-        """Division by a phase-free element (each component divides)."""
-        if y.sin or y.cos:
-            raise ExactDivisionError("divisor must be phase-free")
-        b = self.base
-        return PhasePoly(b.div(x.const, y.const),
-                         {k: b.div(v, y.const) for k, v in x.sin.items()},
-                         {k: b.div(v, y.const) for k, v in x.cos.items()})
-
-
-# ---------------------------------------------------------------------------
 # canonical string form
 
 def _sdict_of(ring, x):
@@ -626,12 +421,12 @@ def format_element(ring, x, amp_power: int = 0) -> str:
     (the engine normalizes the amplitude to 1) and is accepted back by
     :func:`parse_element`.
     """
-    if isinstance(ring, PhaseRing):
+    if ring.has_phase:
         base = ring.base
         pieces = []  # (sdict, trig-name or None)
         if not base.is_zero(x.const):
             pieces.append((_sdict_of(base, x.const), None))
-        for k in sorted(set(x.sin) | set(x.cos)):
+        for k in sorted((set(x.sin) | set(x.cos)) - {0}):
             if k in x.sin:
                 pieces.append((_sdict_of(base, x.sin[k]), _trig_name("sin", k)))
             if k in x.cos:
@@ -850,7 +645,7 @@ def evaluate_numeric(ring, x, alpha=None, phi=0, dps: int = 50):
     if ring_alpha is not None and QQ(alpha) != QQ(ring_alpha):
         raise ValueError("alpha disagrees with the ring's fixed alpha")
     with mpmath.workdps(dps):
-        if isinstance(alpha, (int, Fraction, _QTYPE)):
+        if isinstance(alpha, (int, Fraction)):
             a = to_mpf(QQ(alpha))
         else:
             a = mpmath.mpf(alpha)
@@ -865,12 +660,12 @@ def evaluate_numeric(ring, x, alpha=None, phi=0, dps: int = 50):
                 return to_mpf(el[0]) + to_mpf(el[1]) * s
             return to_mpf(el)
 
-        if isinstance(ring, PhaseRing):
+        if ring.has_phase:
             p = mpmath.mpf(phi)
             total = ev(ring.base, x.const)
             total += mpmath.fsum(ev(ring.base, v) * mpmath.sin(k * p)
                                  for k, v in x.sin.items())
             total += mpmath.fsum(ev(ring.base, v) * mpmath.cos(k * p)
-                                 for k, v in x.cos.items())
+                                 for k, v in x.cos.items() if k)
             return total
         return ev(ring, x)

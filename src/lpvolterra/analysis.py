@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .algebra import QQ, SYMBOLIC, alpha_polynomial
+from .algebra import QQ, alpha_polynomial
 from .engine import GAUGE_SIMPLIFIED_XI, PerturbationSeries
 
 

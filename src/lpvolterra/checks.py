@@ -24,9 +24,8 @@ from importlib import resources
 
 import mpmath
 
-from .algebra import (QQ, PhaseRing, SymbolicRing, canonical,
-                      evaluate_numeric, format_element, numeric_ring,
-                      parse_element, to_mpf)
+from .algebra import (QQ, SymbolicRing, canonical, evaluate_numeric,
+                      format_element, numeric_ring, parse_element, to_mpf)
 from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE, PowerSeries,
                        discriminant_roots, hermite_pade_fit, pade_fit,
                        poly_eval_mp, poly_mul, poly_sub, poly_trim,
@@ -35,7 +34,7 @@ from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE, PowerSeries,
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                      GAUGE_ZERO_INITIAL, PerturbationSeries, build_forcing,
                      evaluate_solution, remove_secular, run)
-from .trigpoly import (ResonantForcingError, VectorTrigPoly,
+from .trigpoly import (PhaseRing, ResonantForcingError, VectorTrigPoly,
                        evaluate_at_zero, exp_tk_vector, harmonic,
                        max_harmonic, particular_solution, residual, tp_add,
                        tp_diff, tp_mul, tp_mul_el, tp_term, tp_zero,

@@ -163,6 +163,10 @@ def _need_int(params, key):
 
 
 def _need_finite(params, key, positive=False):
+    # float() would take True as 1.0 and parse the string "0.5"
+    value = params.get(key)
+    if isinstance(value, (bool, str)):
+        raise BadArguments(f"bad value for {key}: {value!r}")
     value = _need(params, key, float)
     if not math.isfinite(value) or (positive and value <= 0):
         bound = "finite and > 0" if positive else "finite"
@@ -303,7 +307,9 @@ def cmd_orbit(params):
         raise BadArguments("need at least 2 grid points")
     tolerance = _need_finite(params, "tolerance", positive=True)
     digits = _need_digits(params)
-    radius_check = bool(params.get("radius_check", True))
+    radius_check = params.get("radius_check", True)
+    if not isinstance(radius_check, bool):
+        raise BadArguments(f"bad value for radius_check: {radius_check!r}")
     prefix = _need(params, "output", str)
 
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)

@@ -16,14 +16,14 @@ the effective expansion parameter is a = eps*A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from .algebra import QQ, SYMBOLIC, PhaseRing, evaluate_numeric, numeric_ring
-from .trigpoly import (TrigPoly, VectorTrigPoly, evaluate_at_zero, harmonic,
-                       max_harmonic, particular_solution, residual,
-                       solve_linear, tp_add, tp_diff, tp_dot, tp_mul,
-                       tp_mul_el, tp_scale, tp_term, tp_zero)
+from .algebra import QQ, SYMBOLIC, evaluate_numeric, numeric_ring
+from .trigpoly import (PhaseRing, TrigPoly, VectorTrigPoly, evaluate_at_zero,
+                       exp_tk_vector, harmonic, max_harmonic,
+                       particular_solution, residual, tp_add, tp_diff, tp_dot,
+                       tp_mul, tp_mul_el, tp_term, tp_zero)
 
 GAUGE_ZERO_INITIAL = "zero-initial"
 GAUGE_SIMPLIFIED_XI = "simplified-xi"
@@ -37,30 +37,6 @@ DEFAULT_ZERO_INITIAL_CAP = 8
 
 class SecularInconsistencyError(ArithmeticError):
     """The two first-harmonic projections demand different omega_n."""
-
-
-class ModelParams(NamedTuple):
-    """Parameters of dx/dt = a x - b x y, dy/dt = c x y - d y."""
-    a: object
-    b: object
-    c: object
-    d: object
-
-
-class ReducedModel(NamedTuple):
-    alpha: object    # Fraction
-    x_scale: object  # reduced x = x_scale * original x
-    y_scale: object  # reduced y = y_scale * original y
-    t_scale: object  # reduced t = t_scale * original t
-
-
-def reduce_parameters(p: ModelParams) -> ReducedModel:
-    """Rescale the four-parameter model onto the one-parameter reduced
-    form; alpha = d/a, x -> (c/d) x, y -> (b/a) y, t -> a t."""
-    a, b, c, d = (QQ(v) for v in p)
-    if a <= 0 or b <= 0 or c <= 0 or d <= 0:
-        raise ValueError("model parameters must be positive")
-    return ReducedModel(alpha=d / a, x_scale=c / d, y_scale=b / a, t_scale=a)
 
 
 @dataclass(frozen=True)
@@ -102,22 +78,6 @@ def _base_ring_for(alpha):
     return numeric_ring(q), q
 
 
-def zeroth_order(A=1, phi=0.0, alpha="symbolic") -> OrderSolution:
-    """xi_0 = A cos(theta), eta_0 = sqrt(alpha) A sin(theta), omega_0 =
-    sqrt(alpha).  The theta = tau + phi representation absorbs phi, so
-    the coefficients never depend on it."""
-    ring, _ = _base_ring_for(alpha)
-    phase = PhaseRing(ring)
-    amp = QQ(A)
-    if not amp:
-        z = tp_zero(ring)
-        return OrderSolution(0, ring.s(1), z, z, (phase.zero(), phase.zero()))
-    xi = tp_term(ring, "cos", 1, ring.from_fraction(amp))
-    eta = tp_term(ring, "sin", 1, ring.scale(ring.s(1), amp))
-    gc = (evaluate_at_zero(xi, phase), evaluate_at_zero(eta, phase))
-    return OrderSolution(0, ring.s(1), xi, eta, gc)
-
-
 def _zeroth_in(coeff_ring, phase_ring) -> OrderSolution:
     xi = tp_term(coeff_ring, "cos", 1, coeff_ring.one())
     eta = tp_term(coeff_ring, "sin", 1, coeff_ring.s(1))
@@ -143,7 +103,8 @@ def build_forcing(n: int, prior: PerturbationSeries) -> ForcingWithUnknown:
     xis = [prior.orders[j].xi for j in range(n)]
     etas = [prior.orders[n - 1 - j].eta for j in range(n)]
     if ring.has_phase:
-        # phase-ring coefficients stay on the dict product
+        # tp_dot needs phase-free coefficients; here each coefficient
+        # product inside tp_mul is a PhaseRing.mul, itself one tp_dot
         conv = tp_zero(ring)
         for x, e in zip(xis, etas):
             conv = tp_add(conv, tp_mul(x, e))
@@ -196,50 +157,9 @@ def remove_secular(n: int, forcing: ForcingWithUnknown):
     return omega_n, resolved
 
 
-def fix_gauge(n: int, particular: VectorTrigPoly, mode: str,
-              phase_ring: Optional[PhaseRing] = None):
-    """Shift a particular solution by the homogeneous family
-
-        c1 (cos th, s sin th) + c2 (-sin th / s, cos th)
-
-    to enforce the gauge, and report (a_n, b_n) = W_n(0) at theta = phi.
-    Returns ((a_n, b_n), adjusted solution)."""
-    ring = particular.xi.ring
-    if phase_ring is None:
-        phase_ring = ring if isinstance(ring, PhaseRing) else PhaseRing(ring)
-    if mode == GAUGE_ZERO_INITIAL:
-        if not isinstance(ring, PhaseRing):
-            raise ValueError("zero-initial gauge needs phase-extended coefficients")
-        w = solve_linear_anchored(particular, ring)
-        return (ring.zero(), ring.zero()), w
-    if mode not in (GAUGE_SIMPLIFIED_XI, GAUGE_SIMPLIFIED_ETA):
-        raise ValueError(f"unknown gauge {mode!r}")
-    s = ring.s(1)
-    inv_s = ring.s(-1)
-    comp = particular.xi if mode == GAUGE_SIMPLIFIED_XI else particular.eta
-    p_s, p_c = harmonic(comp, 1)
-    if mode == GAUGE_SIMPLIFIED_XI:
-        # first harmonic of xi after the shift: (p_s - c2/s) sin + (p_c + c1) cos
-        c1 = ring.neg(p_c)
-        c2 = ring.mul(s, p_s)
-    else:
-        # first harmonic of eta after the shift: (p_s + s c1) sin + (p_c + c2) cos
-        c1 = ring.neg(ring.mul(inv_s, p_s))
-        c2 = ring.neg(p_c)
-    xi = tp_add(particular.xi,
-                tp_add(tp_term(ring, "cos", 1, c1),
-                       tp_term(ring, "sin", 1, ring.neg(ring.mul(c2, inv_s)))))
-    eta = tp_add(particular.eta,
-                 tp_add(tp_term(ring, "sin", 1, ring.mul(c1, s)),
-                        tp_term(ring, "cos", 1, c2)))
-    w = VectorTrigPoly(xi, eta)
-    gc = (evaluate_at_zero(w.xi, phase_ring), evaluate_at_zero(w.eta, phase_ring))
-    return gc, w
-
-
 def solve_linear_anchored(particular: VectorTrigPoly, phase_ring: PhaseRing):
-    """Shift a particular solution so W(0) = (0, 0)."""
-    from .trigpoly import exp_tk_vector
+    """Shift a particular solution so W(0) = (0, 0); the one way a
+    solution is anchored to an initial condition."""
     v1 = phase_ring.neg(evaluate_at_zero(particular.xi, phase_ring))
     v2 = phase_ring.neg(evaluate_at_zero(particular.eta, phase_ring))
     if phase_ring.is_zero(v1) and phase_ring.is_zero(v2):
@@ -302,22 +222,6 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI,
         _check_order(n, gauge, forcing, w)
         series.orders.append(OrderSolution(n, omega_n, w.xi, w.eta, gc))
     return series
-
-
-def invert_initial_conditions(x0, y0, alpha):
-    """Map initial populations to (a, phi) with x(0) = 1 + a cos(phi),
-    y(0) = 1 + sqrt(alpha) a sin(phi).
-
-    Exact for the zero-initial gauge, where the corrections vanish at
-    tau = 0; accurate to O(a^2) in the simplified gauges."""
-    x0, y0, alpha = float(x0), float(y0), float(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    dx = x0 - 1.0
-    dy = (y0 - 1.0) / math.sqrt(alpha)
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("stationary point (1, 1): amplitude 0, phase undefined")
-    return math.hypot(dx, dy), math.atan2(dy, dx)
 
 
 def evaluate_solution(series: PerturbationSeries, a, A=1.0, phi=0.0,

@@ -3,9 +3,15 @@ solver for the first-order correction system
 
     W' = K W + R,    K = (1/sqrt(alpha)) [[0, -1], [alpha, 0]].
 
-Coefficients live in any ring from :mod:`lpvolterra.algebra`.  A TrigPoly
-holds {harmonic: coefficient} maps for sin and cos; cos[0] is the constant
-term.  All values are exact and treated as immutable.
+Coefficients live in any ring from :mod:`lpvolterra.algebra`, or in the
+:class:`PhaseRing` defined here.  A TrigPoly holds {harmonic: coefficient}
+maps for sin and cos; cos[0] is the constant term.  All values are exact
+and treated as immutable.
+
+The same type serves twice.  The zero-initial gauge pins each correction
+to an initial condition, so its coefficients depend on the phase phi:
+a :class:`PhaseRing` element is itself a TrigPoly, in phi over a
+phase-free base ring, multiplied by the integer kernel :func:`tp_dot`.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebra import QQ, PhaseRing, QuadraticRing, SymbolicRing, _sdict_of
+from .algebra import (QQ, ExactDivisionError, QuadraticRing, SymbolicRing,
+                      _sdict_of)
 
 
 class ResonantForcingError(ValueError):
@@ -38,6 +45,11 @@ class TrigPoly:
 
     def __repr__(self):
         return f"TrigPoly(sin={self.sin!r}, cos={self.cos!r})"
+
+    @property
+    def const(self):
+        """The constant term cos[0], the ring's zero when absent."""
+        return self.cos.get(0, self.ring.zero())
 
 
 class VectorTrigPoly(NamedTuple):
@@ -291,30 +303,89 @@ def max_harmonic(p: TrigPoly) -> int:
     return max(hs) if hs else 0
 
 
-def strip_harmonic(p: TrigPoly, j: int) -> TrigPoly:
-    sin = {k: v for k, v in p.sin.items() if k != j}
-    cos = {k: v for k, v in p.cos.items() if k != j}
-    return TrigPoly(p.ring, sin, cos)
+# ---------------------------------------------------------------------------
+# the phase ring: trig polynomials in phi over a phase-free base ring
+
+class PhaseRing:
+    """Base ring extended by trigonometric polynomials in the phase phi.
+
+    Elements are TrigPolys in phi whose coefficients lie in ``base``;
+    sums and scalings are the TrigPoly ones and products go through the
+    integer kernel :func:`tp_dot`.
+    """
+
+    has_phase = True
+
+    def __init__(self, base):
+        self.base = base
+        self.is_symbolic = base.is_symbolic
+
+    def lift(self, x):
+        """Embed a base-ring element as a constant."""
+        return tp_term(self.base, "cos", 0, x)
+
+    def zero(self):
+        return TrigPoly(self.base)
+
+    def one(self):
+        return self.lift(self.base.one())
+
+    def s(self, k: int = 1):
+        return self.lift(self.base.s(k))
+
+    def from_fraction(self, q):
+        return self.lift(self.base.from_fraction(q))
+
+    def sin_phi(self, k: int = 1):
+        if k < 0:
+            return tp_neg(self.sin_phi(-k))
+        return tp_term(self.base, "sin", k, self.base.one()) if k else self.zero()
+
+    def cos_phi(self, k: int = 1):
+        return tp_term(self.base, "cos", abs(k), self.base.one())
+
+    def is_zero(self, x) -> bool:
+        return not x.sin and not x.cos
+
+    def eq(self, x, y) -> bool:
+        return x == y
+
+    add = staticmethod(tp_add)
+    neg = staticmethod(tp_neg)
+    sub = staticmethod(tp_sub)
+    scale = staticmethod(tp_scale)
+
+    def mul(self, x, y):
+        return tp_dot([x], [y])
+
+    def div(self, x, y):
+        """Division by a phase-free element (each coefficient divides)."""
+        if y.sin or y.cos.keys() - {0}:
+            raise ExactDivisionError("divisor must be phase-free")
+        d = y.const
+        b = self.base
+        if b.is_zero(d):
+            raise ZeroDivisionError("division by zero element")
+        return TrigPoly(b, {k: b.div(v, d) for k, v in x.sin.items()},
+                        {k: b.div(v, d) for k, v in x.cos.items()})
 
 
 def evaluate_at_zero(p: TrigPoly, phase_ring: PhaseRing):
-    """Value of p at tau = 0, i.e. theta = phi, as a phase-ring element."""
+    """Value of p at tau = 0, i.e. theta = phi, as a phase-ring element.
+
+    Read at theta = phi, a phase-free p already is that trig polynomial
+    in phi, so it is returned as it is."""
     ring = p.ring
-    if isinstance(ring, PhaseRing):
-        if ring is not phase_ring:
-            raise ValueError("phase ring mismatch")
-        lift = lambda c: c
-    else:
-        if phase_ring.base is not ring:
-            raise ValueError("phase ring does not extend the coefficient ring")
-        lift = phase_ring.lift
-    total = phase_ring.zero()
-    for j, v in p.sin.items():
-        total = phase_ring.add(total, phase_ring.mul(lift(v), phase_ring.sin_phi(j)))
-    for j, v in p.cos.items():
-        term = lift(v) if j == 0 else phase_ring.mul(lift(v), phase_ring.cos_phi(j))
-        total = phase_ring.add(total, term)
-    return total
+    if ring is phase_ring.base:
+        return p
+    if ring is not phase_ring:
+        raise ValueError("phase ring does not match the coefficient ring")
+    P = phase_ring
+    coeffs = list(p.sin.values()) + list(p.cos.values())
+    if not coeffs:
+        return P.zero()
+    waves = [P.sin_phi(j) for j in p.sin] + [P.cos_phi(j) for j in p.cos]
+    return tp_dot(coeffs, waves)
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +484,6 @@ def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTr
                           TrigPoly(ring, eta_sin, eta_cos))
 
 
-def homogeneous_combination(ring, c1, c2) -> VectorTrigPoly:
-    """c1 (cos th, s sin th) + c2 (-sin th / s, cos th): the kernel of
-    d/dtau - K in the theta representation."""
-    s = ring.s(1)
-    inv_s = ring.s(-1)
-    xi = TrigPoly(ring)
-    eta = TrigPoly(ring)
-    xi = tp_add(xi, TrigPoly(ring, sin={1: ring.neg(ring.mul(c2, inv_s))},
-                             cos={1: c1}))
-    eta = tp_add(eta, TrigPoly(ring, sin={1: ring.mul(c1, s)}, cos={1: c2}))
-    # drop zero entries introduced above
-    return VectorTrigPoly(
-        TrigPoly(ring, {k: v for k, v in xi.sin.items() if not ring.is_zero(v)},
-                 {k: v for k, v in xi.cos.items() if not ring.is_zero(v)}),
-        TrigPoly(ring, {k: v for k, v in eta.sin.items() if not ring.is_zero(v)},
-                 {k: v for k, v in eta.cos.items() if not ring.is_zero(v)}),
-    )
-
-
 def exp_tk_vector(phase_ring: PhaseRing, v1, v2) -> VectorTrigPoly:
     """exp(tau K) (v1, v2), written in theta = tau + phi harmonics.
 
@@ -455,31 +507,6 @@ def exp_tk_vector(phase_ring: PhaseRing, v1, v2) -> VectorTrigPoly:
     return VectorTrigPoly(xi, eta)
 
 
-def solve_linear(forcing: VectorTrigPoly, homogeneous=None,
-                 absorb: str = "xi") -> VectorTrigPoly:
-    """Solve W' = K W + R exactly.
-
-    With ``homogeneous=(a, b)`` the solution is anchored to W(0) = (a, b),
-    which requires phase-extended coefficients (cos tau enters); with
-    ``homogeneous=None`` the unanchored representative chosen by
-    ``absorb`` is returned.  Forcing with a non-absorbable first harmonic
-    raises :class:`ResonantForcingError`.
-    """
-    part = particular_solution(forcing, absorb=absorb)
-    if homogeneous is None:
-        return part
-    ring = forcing.xi.ring
-    if not isinstance(ring, PhaseRing):
-        raise ValueError("anchoring W(0) requires a phase-extended ring")
-    a, b = homogeneous
-    v1 = ring.sub(a, evaluate_at_zero(part.xi, ring))
-    v2 = ring.sub(b, evaluate_at_zero(part.eta, ring))
-    if ring.is_zero(v1) and ring.is_zero(v2):
-        return part
-    hom = exp_tk_vector(ring, v1, v2)
-    return VectorTrigPoly(tp_add(part.xi, hom.xi), tp_add(part.eta, hom.eta))
-
-
 def to_triples(p: TrigPoly, amp_power: int = 0) -> list:
     """JSON-ready [harmonic, kind, coefficient-string] triples."""
     from .algebra import format_element
@@ -490,12 +517,3 @@ def to_triples(p: TrigPoly, amp_power: int = 0) -> list:
         if j in p.cos:
             out.append([j, "cos", format_element(p.ring, p.cos[j], amp_power)])
     return out
-
-
-def from_triples(ring, triples) -> TrigPoly:
-    from .algebra import parse_element
-    p = TrigPoly(ring)
-    for j, kind, text in triples:
-        el, _amp = parse_element(ring, text)
-        p = tp_add(p, tp_term(ring, kind, int(j), el))
-    return p

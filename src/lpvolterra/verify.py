@@ -157,6 +157,12 @@ def _advance(alpha, x, y, span, step, tolerance):
     return x, y
 
 
+def _check_reach(reach: float, step: float) -> None:
+    # past 2**52 steps, remaining -= h in _advance stops changing remaining
+    if reach > 2.0 ** 52 * step:
+        raise ValueError(f"a span of {reach:.4g} is more than 2**52 steps of {step}")
+
+
 def integrate(alpha: float, x0: float, y0: float,
               config: Optional[IntegratorConfig] = None,
               t_eval: Optional[Sequence[float]] = None) -> OrbitSample:
@@ -171,6 +177,7 @@ def integrate(alpha: float, x0: float, y0: float,
         span = cfg.max_time
         if span == 0:
             raise ValueError("max_time must be nonzero")
+        _check_reach(abs(span), cfg.step)
         n = max(2, int(round(abs(span) / cfg.step)) + 1)
         times = np.linspace(0.0, span, n)
     else:
@@ -180,6 +187,7 @@ def integrate(alpha: float, x0: float, y0: float,
         if len(times) > 1 and not (np.all(np.diff(times) > 0)
                                    or np.all(np.diff(times) < 0)):
             raise ValueError("t_eval must be strictly monotone")
+        _check_reach(float(np.max(np.abs(times))), cfg.step)
     xs = np.empty(len(times))
     ys = np.empty(len(times))
     x, y, t = float(x0), float(y0), 0.0

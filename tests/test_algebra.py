@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError, PhaseRing,
+from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
                                 QuadraticRing, RationalRing, alpha_polynomial,
                                 canonical, evaluate_numeric, format_element,
                                 numeric_ring, parse_element, rational_sqrt)
+from lpvolterra.trigpoly import PhaseRing
 
 R = SYMBOLIC
 

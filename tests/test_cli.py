@@ -356,6 +356,38 @@ class TestIntegerParameters:
             assert len(json.load(fh)["orders"]) == 3
 
 
+class TestFloatParameters:
+    @pytest.mark.parametrize("command,key", [
+        ("radius", "threshold"), ("orbit", "a"), ("orbit", "phi"),
+        ("orbit", "periods"), ("orbit", "tolerance")])
+    @pytest.mark.parametrize("value,shown", [
+        (True, "True"), (False, "False"), ("0.5", "'0.5'")])
+    def test_non_numbers_rejected_from_manifest(self, command, key, value,
+                                                shown, capsys, monkeypatch):
+        params, work = MANIFEST_PARAMS[command]
+        forbid(monkeypatch, work)
+        write_params("m.json", command, dict(params, **{key: value}))
+        assert main([command, "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: {shown}\n"
+
+    @pytest.mark.parametrize("value,shown", [
+        ("false", "'false'"), ("true", "'true'"), (0, "0"), (1, "1"),
+        (None, "None")])
+    def test_radius_check_must_be_a_boolean(self, value, shown, capsys,
+                                            monkeypatch):
+        params, work = MANIFEST_PARAMS["orbit"]
+        forbid(monkeypatch, work)
+        write_params("m.json", "orbit", dict(params, radius_check=value))
+        assert main(["orbit", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: bad value for radius_check: {shown}\n"
+
+    def test_integers_are_numbers(self):
+        params, _ = MANIFEST_PARAMS["orbit"]
+        write_params("m.json", "orbit", dict(params, a=0, phi=1, periods=1))
+        assert main(["orbit", "--from-manifest", "m.json"]) == 0
+        assert read_metrics()["max_gap"] == "0"
+
+
 def reference_orbit_csvs(tau, xi, eta, omega, x0, y0, orbit, gaps, a, digits):
     """The three orbit CSVs, written row by row through fmt_sig."""
     texts = []

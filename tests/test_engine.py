@@ -11,17 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lpvolterra.algebra import (QQ, PhaseRing, evaluate_numeric,
-                                format_element, numeric_ring, parse_element)
+from lpvolterra.algebra import (QQ, evaluate_numeric, format_element,
+                                numeric_ring, parse_element)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
-                               GAUGE_ZERO_INITIAL, ModelParams,
-                               SecularInconsistencyError, build_forcing,
-                               evaluate_solution, fix_gauge,
-                               invert_initial_conditions, reduce_parameters,
-                               remove_secular, run, zeroth_order)
+                               GAUGE_ZERO_INITIAL, SecularInconsistencyError,
+                               build_forcing, evaluate_solution,
+                               remove_secular, run)
 from lpvolterra.trigpoly import (VectorTrigPoly, evaluate_at_zero, harmonic,
-                                 particular_solution, residual, to_triples,
-                                 tp_term, tp_zero)
+                                 to_triples, tp_term, tp_zero)
 
 W2 = "-(A^2*sqrt(alpha)*(alpha+1))/24"
 W4 = "-(A^4*sqrt(alpha)*(5*alpha^2+34*alpha+29))/6912"
@@ -67,41 +64,13 @@ def zi3():
     return run(3, "symbolic", GAUGE_ZERO_INITIAL)
 
 
-class TestReduction:
-    def test_identity(self):
-        r = reduce_parameters(ModelParams(1, 1, 1, 1))
-        assert r.alpha == 1 and r.x_scale == 1 and r.y_scale == 1 and r.t_scale == 1
-
-    def test_time_scaling(self):
-        r = reduce_parameters(ModelParams(2, 1, 1, 1))
-        assert r.alpha == QQ(1, 2)
-        assert r.t_scale == 2 and r.x_scale == 1 and r.y_scale == QQ(1, 2)
-
-    def test_variable_scaling(self):
-        r = reduce_parameters(ModelParams(1, 3, 2, 4))
-        assert r.alpha == 4 and r.x_scale == QQ(1, 2) and r.y_scale == 3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            reduce_parameters(ModelParams(1, 0, 1, 1))
-
-
 class TestZerothOrder:
     def test_unit_amplitude(self):
-        sol = zeroth_order(A=1, phi=0.0)
+        sol = run(0).orders[0]
         ring = sol.xi.ring
         assert to_triples(sol.xi, 1) == [[1, "cos", "A"]]
         assert to_triples(sol.eta, 1) == [[1, "sin", "A*sqrt(alpha)"]]
         assert ring.eq(sol.omega, ring.s(1))
-
-    def test_stationary(self):
-        sol = zeroth_order(A=0)
-        assert not sol.xi.sin and not sol.xi.cos
-        assert not sol.eta.sin and not sol.eta.cos
-
-    def test_phi_free_coefficients(self):
-        # theta = tau + phi absorbs the phase entirely
-        assert zeroth_order(phi=0.3).xi == zeroth_order(phi=1.7).xi
 
 
 class TestForcing:
@@ -238,29 +207,6 @@ class TestZeroInitialGauge:
         run(3, "symbolic", GAUGE_ZERO_INITIAL, zero_initial_order_cap=3)
 
 
-class TestFixGauge:
-    def test_recovers_simplified_xi_from_other_representative(self, sym8):
-        # order-2 forcing solved with the eta-clean representative, then
-        # re-gauged; must agree with the engine's own xi-clean solution
-        fw = build_forcing(2, sym8)
-        omega2, forcing = remove_secular(2, fw)
-        other = particular_solution(forcing, absorb="eta")
-        (a2, b2), w = fix_gauge(2, other, GAUGE_SIMPLIFIED_XI,
-                                sym8.phase_ring)
-        assert w.xi == sym8.orders[2].xi
-        assert w.eta == sym8.orders[2].eta
-        P = sym8.phase_ring
-        assert P.eq(a2, sym8.orders[2].gauge_constants[0])
-        assert P.eq(b2, sym8.orders[2].gauge_constants[1])
-
-    def test_zero_initial_mode_requires_phase(self, sym8):
-        fw = build_forcing(1, sym8)
-        _, forcing = remove_secular(1, fw)
-        w = particular_solution(forcing)
-        with pytest.raises(ValueError, match="phase"):
-            fix_gauge(1, w, GAUGE_ZERO_INITIAL)
-
-
 class TestNumericAlpha:
     def test_rational_alpha_runs(self):
         ser = run(6, QQ(1, 2), GAUGE_SIMPLIFIED_XI)
@@ -281,27 +227,6 @@ class TestNumericAlpha:
         assert d[4] == Fraction(-17, 1728)
         assert d[6] == Fraction(-707, 414720)
         assert d[8] == Fraction(-299203, 895795200)
-
-
-class TestInversion:
-    def test_reference_orbit_parameters(self):
-        x0 = 1 + 0.1 * math.cos(math.pi / 4)
-        y0 = 1 + 0.1 * math.sin(math.pi / 4)
-        a, phi = invert_initial_conditions(x0, y0, 1)
-        assert a == pytest.approx(0.1, abs=1e-14)
-        assert phi == pytest.approx(math.pi / 4, abs=1e-14)
-
-    def test_axis_point(self):
-        a, phi = invert_initial_conditions(2, 1, 1)
-        assert a == pytest.approx(1.0) and phi == pytest.approx(0.0)
-
-    def test_alpha_scaling(self):
-        a, phi = invert_initial_conditions(1, 1.5, 4)
-        assert a == pytest.approx(0.25) and phi == pytest.approx(math.pi / 2)
-
-    def test_stationary_point_rejected(self):
-        with pytest.raises(ValueError, match="stationary"):
-            invert_initial_conditions(1, 1, 1)
 
 
 class TestEvaluate:

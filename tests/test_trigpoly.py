@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpvolterra.algebra import (QQ, SYMBOLIC, PhaseRing, QuadraticRing,
-                                RationalRing, evaluate_numeric, numeric_ring)
-from lpvolterra.trigpoly import (ResonantForcingError, TrigPoly,
+from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
+                                QuadraticRing, RationalRing, evaluate_numeric,
+                                numeric_ring, parse_element)
+from lpvolterra.engine import solve_linear_anchored
+from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, evaluate_at_zero,
                                  exp_tk_vector, first_harmonic_absorbable,
-                                 from_triples, harmonic,
-                                 homogeneous_combination, k_apply,
-                                 max_harmonic, particular_solution, residual,
-                                 solve_linear, to_triples, tp_add, tp_diff,
-                                 tp_dot, tp_mul, tp_mul_el, tp_neg, tp_scale,
-                                 tp_term, tp_zero)
+                                 harmonic, k_apply, max_harmonic,
+                                 particular_solution, residual, to_triples,
+                                 tp_add, tp_diff, tp_dot, tp_mul, tp_mul_el,
+                                 tp_neg, tp_scale, tp_term, tp_zero)
 
 R = SYMBOLIC
 
@@ -101,7 +101,7 @@ class TestSolver:
         ring = numeric_ring(1)
         P = PhaseRing(ring)
         forcing = VectorTrigPoly(tp_term(P, "sin", 2, P.one()), tp_zero(P))
-        w = solve_linear(forcing, homogeneous=(P.zero(), P.zero()))
+        w = solve_linear_anchored(particular_solution(forcing), P)
         assert P.is_zero(evaluate_at_zero(w.xi, P))
         assert P.is_zero(evaluate_at_zero(w.eta, P))
         r = residual(forcing, w)
@@ -152,11 +152,6 @@ class TestSolver:
         r = residual(VectorTrigPoly(tp_zero(P), tp_zero(P)), h)
         assert r.xi == tp_zero(P) and r.eta == tp_zero(P)
 
-    def test_homogeneous_combination_solves_homogeneous_system(self):
-        h = homogeneous_combination(R, R.from_fraction(QQ(2, 3)), R.s(1))
-        r = residual(VectorTrigPoly(tp_zero(R), tp_zero(R)), h)
-        assert r.xi == tp_zero(R) and r.eta == tp_zero(R)
-
     def test_quadrature_oracle(self):
         # the solved components must satisfy the ODE pointwise at alpha=4
         ring = numeric_ring(4)
@@ -193,8 +188,12 @@ class TestSolver:
 class TestSerialization:
     def test_round_trip(self):
         p = tp_add(tp("sin", 2, 1, 6, spow=1), tp("cos", 2, -1, 3, spow=2))
-        triples = to_triples(p, 2)
-        assert from_triples(R, triples) == p
+        back = tp_zero(R)
+        for j, kind, text in to_triples(p, 2):
+            el, amp = parse_element(R, text)
+            assert amp == 2
+            back = tp_add(back, tp_term(R, kind, j, el))
+        assert back == p
 
     def test_triples_sorted_and_tagged(self):
         p = tp_add(tp("cos", 3, 1), tp("sin", 1, 1))
@@ -329,3 +328,65 @@ def test_dot_edge_cases():
     P = PhaseRing(ring)
     with pytest.raises(ValueError, match="phase-free"):
         tp_dot([tp_zero(P)], [tp_zero(P)])
+
+
+# ---------------------------------------------------------------------------
+# the phase ring: trig polynomials in phi over a phase-free base ring
+
+def reference_at_zero(p, P):
+    """evaluate_at_zero by its definition: sum_j v_j sin(j phi) plus the
+    cos terms, built with the ring operations."""
+    lift = (lambda v: v) if p.ring is P else P.lift
+    total = P.zero()
+    for j, v in p.sin.items():
+        total = P.add(total, P.mul(lift(v), P.sin_phi(j)))
+    for j, v in p.cos.items():
+        total = P.add(total, P.mul(lift(v), P.cos_phi(j)))
+    return total
+
+
+def at_zero_cases(ring):
+    """(p, P) with p over ``ring`` itself or over its phase ring P."""
+    P = PhaseRing(ring)
+    phase_el = ring_trig_polys(ring).filter(lambda e: e.sin or e.cos)
+    phased = st.builds(
+        lambda sin, cos: TrigPoly(P, sin, cos),
+        st.dictionaries(st.integers(min_value=1, max_value=4), phase_el, max_size=3),
+        st.dictionaries(st.integers(min_value=0, max_value=4), phase_el, max_size=3))
+    return st.tuples(ring_trig_polys(ring) | phased, st.just(P))
+
+
+# symbolic, rational-root (alpha = 9/4) and quadratic (alpha = 2) bases
+@given(st.sampled_from([R, numeric_ring(QQ(9, 4)), numeric_ring(2)])
+       .flatmap(at_zero_cases))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_at_zero_matches_definition(case):
+    p, P = case
+    assert evaluate_at_zero(p, P) == reference_at_zero(p, P)
+
+
+def test_evaluate_at_zero_rejects_a_foreign_ring():
+    p = tp_term(R, "cos", 1, R.one())
+    with pytest.raises(ValueError, match="phase ring"):
+        evaluate_at_zero(p, PhaseRing(numeric_ring(2)))
+
+
+def test_phase_division():
+    P = PhaseRing(R)
+    x = P.add(P.one(), P.sin_phi(2))
+    root = P.s(1)
+    assert P.div(P.mul(x, root), root) == x
+    assert P.div(P.sin_phi(1), P.from_fraction(QQ(1, 2))).sin == {1: {0: QQ(2)}}
+    for divisor in (P.cos_phi(1), P.add(P.one(), P.sin_phi(3))):
+        with pytest.raises(ExactDivisionError, match="phase-free"):
+            P.div(x, divisor)
+    for dividend in (x, P.zero()):
+        with pytest.raises(ZeroDivisionError):
+            P.div(dividend, P.zero())
+
+
+def test_phase_element_constant_term():
+    P = PhaseRing(numeric_ring(2))
+    assert P.one().const == (QQ(1), QQ(0))
+    assert P.sin_phi(1).const == P.base.zero()
+    assert P.add(P.s(1), P.cos_phi(2)).const == (QQ(0), QQ(1))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpvolterra import verify
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, evaluate_solution, run
 from lpvolterra.verify import (
     _UNDERFLOW,
@@ -131,6 +132,24 @@ class TestIntegrate:
             integrate(1.0, 1.1, 1.0, t_eval=[0.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="nonzero"):
             integrate(1.0, 1.1, 1.0, IntegratorConfig(max_time=0.0))
+
+    @pytest.mark.parametrize("t_eval,max_time", [
+        ([0.0, 1e20], None), ([0.0, -1e20], None), ([0.0, math.inf], None),
+        (None, 1e20)])
+    def test_span_beyond_float_resolution_rejected(self, t_eval, max_time,
+                                                   monkeypatch):
+        # stepping 1e20 by 0.01 never ends: remaining - h == remaining
+        def forbidden(*args):
+            raise AssertionError("stepping started")
+        monkeypatch.setattr(verify, "_advance", forbidden)
+        cfg = IntegratorConfig(max_time=max_time or 1.0)
+        with pytest.raises(ValueError, match=r"2\*\*52 steps"):
+            integrate(1.0, 1.1, 1.0, cfg, t_eval=t_eval)
+
+    def test_span_at_float_resolution_accepted(self, monkeypatch):
+        monkeypatch.setattr(verify, "_advance", lambda alpha, x, y, *rest: (x, y))
+        orbit = integrate(1.0, 1.1, 1.0, t_eval=[0.0, 2.0 ** 52 * 0.01])
+        assert orbit.x_values.tolist() == [1.1, 1.1]
 
     def test_drift_budget_over_ten_periods(self):
         cfg = IntegratorConfig(max_time=20 * math.pi)

@@ -24,6 +24,6 @@ from .verify import (IntegratorConfig, OrbitComparison, OrbitSample,
                      compare_orbit, first_integral, integrate, lv_rhs,
                      measure_frequency)
 from .checks import (CheckResult, check_names, equation_residuals,
-                     iter_checks, load_golden, run_checks)
+                     iter_checks, load_golden)
 
 __version__ = "0.1.0"

@@ -153,6 +153,16 @@ def _need(params, key, kind):
         raise BadArguments(f"bad value for {key}: {params[key]!r}")
 
 
+def _need_str(params, key, optional=False):
+    # str() would turn null, a list or a number into a file name
+    value = params.get(key)
+    if optional and value is None:
+        return None
+    if key in params and not isinstance(value, str):
+        raise BadArguments(f"bad value for {key}: {value!r}")
+    return _need(params, key, str)
+
+
 def _need_int(params, key):
     # int() would truncate 2.9 to 2, take True as 1 and overflow on inf
     value = params.get(key)
@@ -188,11 +198,11 @@ def cmd_series(params):
     order = _need_int(params, "order")
     if order < 0:
         raise BadArguments("order must be >= 0")
-    alpha = parse_alpha(_need(params, "alpha", str))
-    gauge = _need(params, "gauge", str)
+    alpha = parse_alpha(_need_str(params, "alpha"))
+    gauge = _need_str(params, "gauge")
     if gauge not in GAUGES:
         raise BadArguments(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
-    output = _need(params, "output", str)
+    output = _need_str(params, "output")
 
     kw = {}
     if gauge == "zero-initial":
@@ -228,7 +238,7 @@ def cmd_series(params):
 # radius
 
 def cmd_radius(params):
-    alpha_texts = [t for t in _need(params, "alpha", str).split(",") if t.strip()]
+    alpha_texts = [t for t in _need_str(params, "alpha").split(",") if t.strip()]
     if not alpha_texts:
         raise BadArguments("no alpha values given")
     alphas = [parse_alpha(t) for t in alpha_texts]
@@ -242,14 +252,14 @@ def cmd_radius(params):
             f"({MIN_RADIUS_ORDER // 2 + 1} coefficients); got order {order}")
     family_names = {"pade": FAMILY_PADE, "hermite-pade": FAMILY_HERMITE_PADE}
     families = []
-    for t in _need(params, "families", str).split(","):
+    for t in _need_str(params, "families").split(","):
         t = t.strip()
         if t not in family_names:
             raise BadArguments(f"unknown family {t!r}; expected pade, hermite-pade")
         families.append(family_names[t])
     threshold = _need_finite(params, "threshold", positive=True)
     digits = _need_digits(params)
-    output = _need(params, "output", str)
+    output = _need_str(params, "output")
 
     rows = radius_scan(alphas, order, families=tuple(families), threshold=threshold)
 
@@ -293,7 +303,7 @@ def _estimate_radius(alpha):
 
 
 def cmd_orbit(params):
-    alpha = parse_alpha(_need(params, "alpha", str))
+    alpha = parse_alpha(_need_str(params, "alpha"))
     if alpha == "symbolic":
         raise BadArguments("orbit integration needs a numeric alpha")
     a = _need_finite(params, "a")
@@ -310,7 +320,7 @@ def cmd_orbit(params):
     radius_check = params.get("radius_check", True)
     if not isinstance(radius_check, bool):
         raise BadArguments(f"bad value for radius_check: {radius_check!r}")
-    prefix = _need(params, "output", str)
+    prefix = _need_str(params, "output")
 
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)
     tau = np.linspace(0.0, periods * 2 * math.pi, points)
@@ -392,11 +402,11 @@ def cmd_orbit(params):
 # check
 
 def cmd_check(params):
-    level = _need(params, "level", str)
+    level = _need_str(params, "level")
     if level not in CHECK_LEVELS:
         raise BadArguments(f"unknown level {level!r}; expected one of {CHECK_LEVELS}")
-    golden = params.get("golden") or None
-    output = params.get("output") or None
+    golden = _need_str(params, "golden", optional=True) or None
+    output = _need_str(params, "output", optional=True) or None
 
     lines = []
     failed = 0

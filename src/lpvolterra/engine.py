@@ -6,7 +6,10 @@ predator-prey oscillator
 expanded about the center (1, 1) as x = 1 + eps*xi, y = 1 + eps*eta with
 stretched time tau = omega t.  Each order n yields a trigonometric
 polynomial pair (xi_n, eta_n) and a frequency correction omega_n chosen
-to kill resonant forcing.  All arithmetic is exact.
+to kill resonant forcing.  All arithmetic is exact.  Per order, the
+Cauchy product and the frequency sums sum_j omega_j xi_{n-j} and
+sum_j omega_j eta_{n-j} are one :func:`tp_dot` each, and omega_n comes in
+closed form from the first harmonic of the forcing.
 
 Amplitude convention: the series is computed with A = 1; the scaling
 identity xi(tau, eps, A) = A xi(tau, A eps, 1) recovers general A, so
@@ -17,13 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import QQ, SYMBOLIC, evaluate_numeric, numeric_ring
+# tp_mul is not called here: it stays importable because the benchmark
+# tracer wraps engine.tp_mul by name
 from .trigpoly import (PhaseRing, TrigPoly, VectorTrigPoly, evaluate_at_zero,
                        exp_tk_vector, harmonic, max_harmonic,
                        particular_solution, residual, tp_add, tp_diff, tp_dot,
-                       tp_mul, tp_mul_el, tp_term, tp_zero)
+                       tp_mul, tp_mul_el, tp_sub, tp_term)
 
 GAUGE_ZERO_INITIAL = "zero-initial"
 GAUGE_SIMPLIFIED_XI = "simplified-xi"
@@ -61,15 +66,6 @@ class PerturbationSeries:
     def order(self) -> int:
         return len(self.orders) - 1
 
-    def omega_elements(self):
-        return [o.omega for o in self.orders]
-
-
-class ForcingWithUnknown(NamedTuple):
-    """Forcing R = const + omega_n * unit, linear in the unknown omega_n."""
-    const: VectorTrigPoly
-    unit: VectorTrigPoly
-
 
 def _base_ring_for(alpha):
     if alpha == "symbolic" or alpha is None:
@@ -85,75 +81,58 @@ def _zeroth_in(coeff_ring, phase_ring) -> OrderSolution:
     return OrderSolution(0, coeff_ring.s(1), xi, eta, gc)
 
 
-def build_forcing(n: int, prior: PerturbationSeries) -> ForcingWithUnknown:
-    """Order-n forcing of the first-order system W' = K W + R:
+def build_forcing(n: int, prior: PerturbationSeries) -> VectorTrigPoly:
+    """Known part of the order-n forcing of the first-order system W' = K W + R:
 
-      F_n = -(1/s) [ sum_{j<n} xi_j eta_{n-1-j} + sum_{j=1}^{n} omega_j xi'_{n-j} ]
-      G_n =    s   sum_{j<n} xi_j eta_{n-1-j} - (1/s) sum_{j=1}^{n} omega_j eta'_{n-j}
+      C_n = sum_{j<n} xi_j eta_{n-1-j}
+      F_n = -(1/s) [ C_n + (sum_{j=1}^{n-1} omega_j xi_{n-j})' ]
+      G_n =    s C_n - (1/s) (sum_{j=1}^{n-1} omega_j eta_{n-j})'
 
-    with s = sqrt(alpha).  The j = n terms carry the still-unknown
-    omega_n; they are returned separately as a unit forcing."""
+    with s = sqrt(alpha).  Differentiation is linear, so each frequency sum
+    is one :func:`tp_dot` over constant omega_j / s operands, differentiated
+    once.  The j = n terms carry the still-unknown omega_n;
+    :func:`remove_secular` adds them."""
     if n < 1:
         raise ValueError("forcing is defined for orders n >= 1")
     if len(prior.orders) < n:
         raise ValueError(f"prior series incomplete: need orders 0..{n-1}")
     ring = prior.coeff_ring
     inv_s = ring.s(-1)
-    s = ring.s(1)
-    xis = [prior.orders[j].xi for j in range(n)]
-    etas = [prior.orders[n - 1 - j].eta for j in range(n)]
-    if ring.has_phase:
-        # tp_dot needs phase-free coefficients; here each coefficient
-        # product inside tp_mul is a PhaseRing.mul, itself one tp_dot
-        conv = tp_zero(ring)
-        for x, e in zip(xis, etas):
-            conv = tp_add(conv, tp_mul(x, e))
-    else:
-        conv = tp_dot(xis, etas)
-    F = tp_mul_el(conv, ring.neg(inv_s))
-    G = tp_mul_el(conv, s)
-    for j in range(1, n):
-        wj = prior.orders[j].omega
-        if ring.is_zero(wj):
-            continue
-        coef = ring.neg(ring.mul(inv_s, wj))
-        F = tp_add(F, tp_mul_el(tp_diff(prior.orders[n - j].xi), coef))
-        G = tp_add(G, tp_mul_el(tp_diff(prior.orders[n - j].eta), coef))
-    # omega_n * (-1/s) (xi_0', eta_0') = omega_n * ((1/s) sin, -cos)
-    unit = VectorTrigPoly(tp_term(ring, "sin", 1, inv_s),
-                          tp_term(ring, "cos", 1, ring.neg(ring.one())))
-    return ForcingWithUnknown(VectorTrigPoly(F, G), unit)
+    orders = prior.orders
+    conv = tp_dot([orders[j].xi for j in range(n)],
+                  [orders[n - 1 - j].eta for j in range(n)])
+    js = [j for j in range(1, n) if not ring.is_zero(orders[j].omega)]
+    ws = [tp_term(ring, "cos", 0, ring.mul(inv_s, orders[j].omega)) for j in js]
+    # at n = 1, 2 every omega_j is zero and tp_dot([], []) has ring None;
+    # tp_sub takes its ring from the first operand
+    F = tp_sub(tp_mul_el(conv, ring.neg(inv_s)),
+               tp_diff(tp_dot(ws, [orders[n - j].xi for j in js])))
+    G = tp_sub(tp_mul_el(conv, ring.s(1)),
+               tp_diff(tp_dot(ws, [orders[n - j].eta for j in js])))
+    return VectorTrigPoly(F, G)
 
 
-def remove_secular(n: int, forcing: ForcingWithUnknown):
+def remove_secular(n: int, forcing: VectorTrigPoly):
     """Choose omega_n so the first harmonic of F' - G/s vanishes (the
     resonant part of the equivalent second-order equation), then return
     (omega_n, resolved forcing).
 
-    The unknown enters only the cos projection; the sin projection must
-    vanish on its own, and a nonzero value would mean no single omega_n
-    satisfies both equations."""
-    ring = forcing.const.xi.ring
-    inv_s = ring.s(-1)
-
-    def first_harmonic_of_s(vec: VectorTrigPoly):
-        S = tp_add(tp_diff(vec.xi), tp_mul_el(vec.eta, ring.neg(inv_s)))
-        return harmonic(S, 1)
-
-    c_sin, c_cos = first_harmonic_of_s(forcing.const)
-    u_sin, u_cos = first_harmonic_of_s(forcing.unit)
-    if not ring.is_zero(u_sin):
-        # does not happen for this model's unit forcing
-        raise SecularInconsistencyError("unit forcing leaks into the sin projection")
-    if ring.is_zero(u_cos):
-        raise SecularInconsistencyError("degenerate secular system")
-    omega_n = ring.neg(ring.div(c_cos, u_cos))
-    if not ring.is_zero(c_sin):
+    omega_n enters as omega_n ((1/s) sin theta, -cos theta), whose F' - G/s
+    projection is (sin, cos) = (0, 2/s).  So, with (f_s, f_c) and (g_s, g_c)
+    the first harmonics of F and G, f_c + g_s/s must vanish on its own and
+    omega_n = (s/2)(g_c/s - f_s) = (g_c - s f_s)/2."""
+    F, G = forcing
+    ring = F.ring
+    s = ring.s(1)
+    f_s, f_c = harmonic(F, 1)
+    g_s, g_c = harmonic(G, 1)
+    if not ring.is_zero(ring.add(g_s, ring.mul(s, f_c))):
         raise SecularInconsistencyError(
             f"order {n}: sin projection of the resonant forcing is nonzero")
+    omega_n = ring.scale(ring.sub(g_c, ring.mul(s, f_s)), QQ(1, 2))
     resolved = VectorTrigPoly(
-        tp_add(forcing.const.xi, tp_mul_el(forcing.unit.xi, omega_n)),
-        tp_add(forcing.const.eta, tp_mul_el(forcing.unit.eta, omega_n)))
+        tp_add(F, tp_term(ring, "sin", 1, ring.mul(ring.s(-1), omega_n))),
+        tp_add(G, tp_term(ring, "cos", 1, ring.neg(omega_n))))
     return omega_n, resolved
 
 
@@ -169,19 +148,25 @@ def solve_linear_anchored(particular: VectorTrigPoly, phase_ring: PhaseRing):
                           tp_add(particular.eta, hom.eta))
 
 
+def check_harmonics(n: int, gauge: str, xi: TrigPoly, eta: TrigPoly):
+    """Raise AssertionError unless order n carries no harmonic above n + 1
+    and, in the simplified gauges, only harmonics of the parity of n + 1."""
+    if max(max_harmonic(xi), max_harmonic(eta)) > n + 1:
+        raise AssertionError(f"{gauge}: order {n} contains a harmonic above {n + 1}")
+    if gauge != GAUGE_ZERO_INITIAL:
+        want = (n + 1) % 2
+        for tp in (xi, eta):
+            for j in list(tp.sin) + list(tp.cos):
+                if j % 2 != want:
+                    raise AssertionError(
+                        f"{gauge}: order {n}: harmonic {j} breaks the parity pattern")
+
+
 def _check_order(n: int, gauge: str, forcing: VectorTrigPoly, w: VectorTrigPoly):
-    ring = w.xi.ring
     res = residual(forcing, w)
     if any([res.xi.sin, res.xi.cos, res.eta.sin, res.eta.cos]):
         raise AssertionError(f"order {n}: nonzero residual")
-    if max(max_harmonic(w.xi), max_harmonic(w.eta)) > n + 1:
-        raise AssertionError(f"order {n}: harmonic above n+1")
-    if gauge != GAUGE_ZERO_INITIAL:
-        want = (n + 1) % 2
-        for tp in (w.xi, w.eta):
-            for j in list(tp.sin) + list(tp.cos):
-                if j % 2 != want:
-                    raise AssertionError(f"order {n}: parity-violating harmonic {j}")
+    check_harmonics(n, gauge, w.xi, w.eta)
 
 
 def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI,
@@ -208,8 +193,7 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI,
     series.orders.append(_zeroth_in(coeff, phase))
     absorb = "eta" if gauge == GAUGE_SIMPLIFIED_ETA else "xi"
     for n in range(1, N + 1):
-        fw = build_forcing(n, series)
-        omega_n, forcing = remove_secular(n, fw)
+        omega_n, forcing = remove_secular(n, build_forcing(n, series))
         part = particular_solution(forcing, absorb=absorb)
         if gauge == GAUGE_ZERO_INITIAL:
             gc = (coeff.zero(), coeff.zero())

@@ -12,6 +12,7 @@ The same type serves twice.  The zero-initial gauge pins each correction
 to an initial condition, so its coefficients depend on the phase phi:
 a :class:`PhaseRing` element is itself a TrigPoly, in phi over a
 phase-free base ring, multiplied by the integer kernel :func:`tp_dot`.
+Over the phase ring, tp_dot sums :func:`tp_mul` products instead.
 """
 
 from __future__ import annotations
@@ -190,14 +191,14 @@ def _int_form(p: TrigPoly):
 
 
 def tp_dot(ps, qs) -> TrigPoly:
-    """Exact sum_j ps[j] * qs[j] for a phase-free coefficient ring.
+    """Exact sum_j ps[j] * qs[j]: the :func:`tp_mul` products summed with
+    :func:`tp_add`, which is how it runs over the phase ring.
 
-    Equal to summing :func:`tp_mul` products with :func:`tp_add`, but done
-    fraction-free: every operand is put over one denominator, each pair's
-    integer products are scaled to the common denominator L and summed on
-    plain ints, and one rational num/(2L) is built per output coefficient
-    (the 1/2 of the product-to-sum rules sits in the denominator).  Empty
-    lists give the zero polynomial, whose ring is then None.
+    Over a phase-free ring it is fraction-free: every operand is put over
+    one denominator, each pair's integer products are scaled to the common
+    denominator L and summed on plain ints, and one rational num/(2L) is
+    built per output coefficient (the 1/2 of the product-to-sum rules sits
+    in the denominator).  Empty lists give the zero polynomial, with ring None.
     """
     if len(ps) != len(qs):
         raise ValueError("tp_dot needs operand lists of equal length")
@@ -205,7 +206,10 @@ def tp_dot(ps, qs) -> TrigPoly:
         return TrigPoly(None)
     ring = ps[0].ring
     if ring.has_phase:
-        raise ValueError("tp_dot needs a phase-free ring; use tp_mul")
+        total = TrigPoly(ring)
+        for p, q in zip(ps, qs):
+            total = tp_add(total, tp_mul(p, q))
+        return total
     pairs = [(_int_form(p), _int_form(q)) for p, q in zip(ps, qs)]
     den = math.lcm(*(dp * dq for (dp, _), (dq, _) in pairs))
     # harmonics a +- b land at offset m + (a +- b) and fold back at the end:
@@ -433,6 +437,7 @@ def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTr
     ring = forcing.xi.ring
     s = ring.s(1)
     inv_s = ring.s(-1)
+    z = ring.zero()
     xi_sin: dict = {}
     xi_cos: dict = {}
     eta_sin: dict = {}
@@ -444,39 +449,26 @@ def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTr
         g_s, g_c = harmonic(forcing.eta, j)
         if j == 0:
             # constant block: 0 = K W + R  =>  W = -K^{-1} R
-            xi0 = ring.neg(ring.mul(inv_s, g_c))
-            eta0 = ring.mul(s, f_c)
-            if not ring.is_zero(xi0):
-                xi_cos[0] = xi0
-            if not ring.is_zero(eta0):
-                eta_cos[0] = eta0
-            continue
-        if j == 1:
+            p_s, p_c, q_s, q_c = z, ring.neg(ring.mul(inv_s, g_c)), z, ring.mul(s, f_c)
+        elif j == 1:
             if not first_harmonic_absorbable(forcing):
                 raise ResonantForcingError(
                     "non-absorbable first-harmonic forcing; "
                     "secular removal was skipped")
             if absorb == "xi":
-                q_s, q_c = ring.mul(s, f_s), ring.mul(s, f_c)
-                for k, v in (("s", q_s), ("c", q_c)):
-                    if not ring.is_zero(v):
-                        (eta_sin if k == "s" else eta_cos)[1] = v
+                p_s, p_c, q_s, q_c = z, z, ring.mul(s, f_s), ring.mul(s, f_c)
             elif absorb == "eta":
-                p_s, p_c = f_c, ring.neg(f_s)
-                if not ring.is_zero(p_s):
-                    xi_sin[1] = p_s
-                if not ring.is_zero(p_c):
-                    xi_cos[1] = p_c
+                p_s, p_c, q_s, q_c = f_c, ring.neg(f_s), z, z
             else:
                 raise ValueError("absorb must be 'xi' or 'eta'")
-            continue
-        # generic block, determinant 1 - j^2 != 0
-        inv_det = QQ(1, 1 - j * j)
-        inv_j = QQ(1, j)
-        q_c = ring.scale(ring.add(ring.mul(s, f_c), ring.scale(g_s, QQ(j))), inv_det)
-        p_s = ring.scale(ring.sub(f_c, ring.mul(inv_s, q_c)), inv_j)
-        p_c = ring.scale(ring.sub(ring.scale(f_s, QQ(j)), ring.mul(inv_s, g_c)), inv_det)
-        q_s = ring.scale(ring.add(ring.mul(s, p_c), g_c), inv_j)
+        else:
+            # generic block, determinant 1 - j^2 != 0
+            inv_det = QQ(1, 1 - j * j)
+            inv_j = QQ(1, j)
+            q_c = ring.scale(ring.add(ring.mul(s, f_c), ring.scale(g_s, QQ(j))), inv_det)
+            p_s = ring.scale(ring.sub(f_c, ring.mul(inv_s, q_c)), inv_j)
+            p_c = ring.scale(ring.sub(ring.scale(f_s, QQ(j)), ring.mul(inv_s, g_c)), inv_det)
+            q_s = ring.scale(ring.add(ring.mul(s, p_c), g_c), inv_j)
         for store, val in ((xi_sin, p_s), (xi_cos, p_c), (eta_sin, q_s), (eta_cos, q_c)):
             if not ring.is_zero(val):
                 store[j] = val
@@ -500,11 +492,9 @@ def exp_tk_vector(phase_ring: PhaseRing, v1, v2) -> VectorTrigPoly:
     xi_sin = P.sub(P.mul(v1, sin_p), P.mul(P.mul(v2, inv_s), cos_p))
     eta_sin = P.add(P.mul(P.mul(v1, s), cos_p), P.mul(v2, sin_p))
     eta_cos = P.sub(P.mul(v2, cos_p), P.mul(P.mul(v1, s), sin_p))
-    xi = TrigPoly(P, {1: xi_sin} if not P.is_zero(xi_sin) else {},
-                  {1: xi_cos} if not P.is_zero(xi_cos) else {})
-    eta = TrigPoly(P, {1: eta_sin} if not P.is_zero(eta_sin) else {},
-                   {1: eta_cos} if not P.is_zero(eta_cos) else {})
-    return VectorTrigPoly(xi, eta)
+    return VectorTrigPoly(
+        tp_add(tp_term(P, "sin", 1, xi_sin), tp_term(P, "cos", 1, xi_cos)),
+        tp_add(tp_term(P, "sin", 1, eta_sin), tp_term(P, "cos", 1, eta_cos)))
 
 
 def to_triples(p: TrigPoly, amp_power: int = 0) -> list:

@@ -31,7 +31,7 @@ from lpvolterra.analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
                                  default_orders, discriminant_roots,
                                  hermite_pade_fit, radius_scan,
                                  series_from_engine, stable_singularity)
-from lpvolterra.checks import equation_residuals, run_checks
+from lpvolterra.checks import equation_residuals, iter_checks
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL,
                                evaluate_solution, run)
 from lpvolterra.trigpoly import to_triples
@@ -349,8 +349,8 @@ class TestNumericCrossCheck:
 
 class TestApproximantProperties:
     def test_exact_invariants_on_100_random_series(self):
-        results = run_checks("full", names=["pade-reproduction",
-                                            "hermite-pade-residual"])
+        results = list(iter_checks("full", names=["pade-reproduction",
+                                                  "hermite-pade-residual"]))
         for result in results:
             assert result.passed, f"{result.name}: {result.detail}"
             assert "100" in result.detail

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from lpvolterra.checks import (CheckResult, check_names, equation_residuals,
-                               iter_checks, load_golden, run_checks)
+                               iter_checks, load_golden)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL,
                                OrderSolution, run)
 from lpvolterra.trigpoly import tp_add, tp_term
@@ -75,22 +75,22 @@ class TestGoldenData:
         golden["omega"]["4"] = golden["omega"]["4"].replace("6912", "6913")
         path = tmp_path / "corrupt.json"
         path.write_text(json.dumps(golden), encoding="utf-8")
-        results = run_checks("quick", names=["golden-strings"],
-                             golden_path=str(path))
+        results = list(iter_checks("quick", names=["golden-strings"],
+                                   golden_path=str(path)))
         assert len(results) == 1
         assert results[0].name == "golden-strings"
         assert not results[0].passed
         assert "omega_4" in results[0].detail
 
     def test_unreadable_file_fails_not_raises(self, tmp_path):
-        results = run_checks("quick", names=["golden-strings"],
-                             golden_path=str(tmp_path / "nope.json"))
+        results = list(iter_checks("quick", names=["golden-strings"],
+                                   golden_path=str(tmp_path / "nope.json")))
         assert not results[0].passed
 
 
 class TestSuite:
     def test_quick_suite_all_pass(self):
-        results = run_checks("quick")
+        results = list(iter_checks("quick"))
         failed = [r for r in results if not r.passed]
         assert failed == [], [f"{r.name}: {r.detail}" for r in failed]
         assert [r.name for r in results] == check_names("quick")
@@ -105,11 +105,11 @@ class TestSuite:
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="level"):
-            run_checks("exhaustive")
+            list(iter_checks("exhaustive"))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
-            run_checks("quick", names=["no-such-check"])
+            list(iter_checks("quick", names=["no-such-check"]))
 
     def test_iter_streams_incrementally(self):
         it = iter_checks("quick", names=["ring-axioms"])

@@ -330,6 +330,8 @@ MANIFEST_PARAMS = {
     "orbit": ({"alpha": "1", "a": 0.1, "phi": 0.0, "order": 2, "periods": 1.0,
                "points": 16, "tolerance": 1e-12, "digits": 10,
                "radius_check": False, "output": "orbit"}, "run"),
+    "check": ({"level": "quick", "golden": None, "output": None},
+              "iter_checks"),
 }
 
 
@@ -386,6 +388,48 @@ class TestFloatParameters:
         write_params("m.json", "orbit", dict(params, a=0, phi=1, periods=1))
         assert main(["orbit", "--from-manifest", "m.json"]) == 0
         assert read_metrics()["max_gap"] == "0"
+
+
+class TestStringParameters:
+    @pytest.mark.parametrize("command,key", [
+        ("series", "alpha"), ("series", "gauge"), ("series", "output"),
+        ("radius", "alpha"), ("radius", "families"), ("radius", "output"),
+        ("orbit", "alpha"), ("orbit", "output"), ("check", "level")])
+    @pytest.mark.parametrize("value,shown", [
+        (None, "None"), (["x"], "['x']"), (True, "True"), (9, "9")])
+    def test_non_strings_rejected_from_manifest(self, command, key, value,
+                                                shown, capsys, monkeypatch):
+        params, work = MANIFEST_PARAMS[command]
+        forbid(monkeypatch, work)
+        write_params("m.json", command, dict(params, **{key: value}))
+        assert main([command, "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: {shown}\n"
+        assert sorted(os.listdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("key", ["golden", "output"])
+    @pytest.mark.parametrize("value,shown", [
+        (["x"], "['x']"), (True, "True"), (9, "9"), ({}, "{}")])
+    def test_check_paths_are_strings_or_null(self, key, value, shown, capsys,
+                                             monkeypatch):
+        params, work = MANIFEST_PARAMS["check"]
+        forbid(monkeypatch, work)
+        write_params("m.json", "check", dict(params, **{key: value}))
+        assert main(["check", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: {shown}\n"
+
+    def test_check_paths_may_be_null(self, capsys, monkeypatch):
+        params, _ = MANIFEST_PARAMS["check"]
+        seen = {}
+
+        def no_checks(level, golden_path=None):
+            seen["golden"] = golden_path
+            return iter(())
+        monkeypatch.setattr(lpvolterra.cli, "iter_checks", no_checks)
+        write_params("m.json", "check", params)
+        assert main(["check", "--from-manifest", "m.json"]) == 0
+        assert capsys.readouterr().out == "0 of 0 checks passed\n"
+        assert seen == {"golden": None}
+        assert sorted(os.listdir()) == ["m.json"]
 
 
 def reference_orbit_csvs(tau, xi, eta, omega, x0, y0, orbit, gaps, a, digits):

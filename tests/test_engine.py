@@ -18,7 +18,8 @@ from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                                build_forcing, evaluate_solution,
                                remove_secular, run)
 from lpvolterra.trigpoly import (VectorTrigPoly, evaluate_at_zero, harmonic,
-                                 to_triples, tp_term, tp_zero)
+                                 to_triples, tp_add, tp_diff, tp_mul,
+                                 tp_mul_el, tp_term, tp_zero)
 
 W2 = "-(A^2*sqrt(alpha)*(alpha+1))/24"
 W4 = "-(A^4*sqrt(alpha)*(5*alpha^2+34*alpha+29))/6912"
@@ -75,33 +76,81 @@ class TestZerothOrder:
 
 class TestForcing:
     def test_first_order_parts(self, sym8):
-        fw = build_forcing(1, sym8)
+        F, G = build_forcing(1, sym8)
+        # F = -(1/2) sin 2th, G = (alpha/2) sin 2th; no frequency terms yet
+        assert to_triples(F) == [[2, "sin", "-1/2"]]
+        assert to_triples(G) == [[2, "sin", "alpha/2"]]
+        # the unknown omega_n enters as omega_n * ((1/s) sin th, -cos th)
         ring = sym8.coeff_ring
-        # F constant part: -(1/2) sin 2th; G constant part: (alpha/2) sin 2th
-        assert to_triples(fw.const.xi) == [[2, "sin", "-1/2"]]
-        assert to_triples(fw.const.eta) == [[2, "sin", "alpha/2"]]
-        # unknown enters as omega_n * ((1/s) sin th, -cos th)
-        assert to_triples(fw.unit.xi) == [[1, "sin", "1/sqrt(alpha)"]]
-        assert to_triples(fw.unit.eta) == [[1, "cos", "-1"]]
+        F, G = build_forcing(2, sym8)
+        omega2, resolved = remove_secular(2, VectorTrigPoly(F, G))
+        unit_xi = tp_term(ring, "sin", 1, ring.mul(ring.s(-1), omega2))
+        unit_eta = tp_term(ring, "cos", 1, ring.neg(omega2))
+        assert resolved == (tp_add(F, unit_xi), tp_add(G, unit_eta))
 
     def test_rejects_incomplete_prior(self, sym8):
         with pytest.raises(ValueError, match="incomplete"):
             build_forcing(12, sym8)
 
     def test_omega1_zero(self, sym8):
-        fw = build_forcing(1, sym8)
-        omega1, _ = remove_secular(1, fw)
+        omega1, _ = remove_secular(1, build_forcing(1, sym8))
         assert sym8.coeff_ring.is_zero(omega1)
 
     def test_inconsistent_projections_raise(self):
+        # f_c = 1, g_s = 0: f_c + g_s/s != 0, so no omega_n fits both
         ring = numeric_ring(1)
-        const = VectorTrigPoly(tp_term(ring, "cos", 1, ring.one()),
-                               tp_zero(ring))
-        unit = VectorTrigPoly(tp_term(ring, "sin", 1, ring.s(-1)),
-                              tp_term(ring, "cos", 1, ring.neg(ring.one())))
-        from lpvolterra.engine import ForcingWithUnknown
-        with pytest.raises(SecularInconsistencyError):
-            remove_secular(1, ForcingWithUnknown(const, unit))
+        forcing = VectorTrigPoly(tp_term(ring, "cos", 1, ring.one()),
+                                 tp_zero(ring))
+        with pytest.raises(SecularInconsistencyError, match="order 1"):
+            remove_secular(1, forcing)
+
+
+def reference_order_step(n, prior):
+    """The order step as it ran before the frequency sums moved into
+    tp_dot: a per-j tp_diff / tp_mul_el / tp_add loop for the frequency
+    terms, and omega_n from projecting a unit forcing for the unknown."""
+    ring = prior.coeff_ring
+    inv_s = ring.s(-1)
+    s = ring.s(1)
+    conv = tp_zero(ring)
+    for j in range(n):
+        conv = tp_add(conv, tp_mul(prior.orders[j].xi, prior.orders[n - 1 - j].eta))
+    F = tp_mul_el(conv, ring.neg(inv_s))
+    G = tp_mul_el(conv, s)
+    for j in range(1, n):
+        wj = prior.orders[j].omega
+        if ring.is_zero(wj):
+            continue
+        coef = ring.neg(ring.mul(inv_s, wj))
+        F = tp_add(F, tp_mul_el(tp_diff(prior.orders[n - j].xi), coef))
+        G = tp_add(G, tp_mul_el(tp_diff(prior.orders[n - j].eta), coef))
+    unit = VectorTrigPoly(tp_term(ring, "sin", 1, inv_s),
+                          tp_term(ring, "cos", 1, ring.neg(ring.one())))
+
+    def first_harmonic_of_s(vec):
+        S = tp_add(tp_diff(vec.xi), tp_mul_el(vec.eta, ring.neg(inv_s)))
+        return harmonic(S, 1)
+
+    c_sin, c_cos = first_harmonic_of_s(VectorTrigPoly(F, G))
+    u_sin, u_cos = first_harmonic_of_s(unit)
+    assert ring.is_zero(u_sin) and not ring.is_zero(u_cos)
+    assert ring.is_zero(c_sin)
+    omega_n = ring.neg(ring.div(c_cos, u_cos))
+    return omega_n, VectorTrigPoly(tp_add(F, tp_mul_el(unit.xi, omega_n)),
+                                   tp_add(G, tp_mul_el(unit.eta, omega_n)))
+
+
+class TestOrderStepMatchesReference:
+    @pytest.mark.parametrize("gauge,N", [
+        (GAUGE_SIMPLIFIED_XI, 14), (GAUGE_SIMPLIFIED_ETA, 14),
+        (GAUGE_ZERO_INITIAL, 5)])
+    @pytest.mark.parametrize("alpha", ["symbolic", 1, 2, QQ(9, 4)])
+    def test_every_order_equals_reference(self, alpha, gauge, N):
+        series = run(N, alpha, gauge)
+        for n in range(1, N + 1):
+            got = remove_secular(n, build_forcing(n, series))
+            assert got == reference_order_step(n, series), n
+            assert got[0] == series.orders[n].omega
 
 
 class TestSimplifiedXiGoldens:

@@ -256,8 +256,16 @@ nonzero_rationals = st.builds(
     st.integers(min_value=1, max_value=12))
 
 
+# phase rings over a symbolic, a rational-root and a quadratic base
+PHASE_DOT_RINGS = [PhaseRing(ring) for ring in (R, numeric_ring(QQ(9, 4)),
+                                                numeric_ring(2))]
+
+
 def ring_elements(ring):
     """Nonzero elements; symbolic ones carry negative s-exponents too."""
+    if isinstance(ring, PhaseRing):
+        return ring_trig_polys(ring.base, max_size=2).filter(
+            lambda e: e.sin or e.cos)
     if isinstance(ring, RationalRing):
         return nonzero_rationals
     if isinstance(ring, QuadraticRing):
@@ -268,18 +276,19 @@ def ring_elements(ring):
                            nonzero_rationals, min_size=1, max_size=3)
 
 
-def ring_trig_polys(ring):
+def ring_trig_polys(ring, max_size=3):
     # cos[0] is the constant term; empty dicts give the zero polynomial
     el = ring_elements(ring)
     return st.builds(lambda sin, cos: TrigPoly(ring, sin, cos),
                      st.dictionaries(st.integers(min_value=1, max_value=6), el,
-                                     max_size=3),
+                                     max_size=max_size),
                      st.dictionaries(st.integers(min_value=0, max_value=6), el,
-                                     max_size=3))
+                                     max_size=max_size))
 
 
 def dot_operands(min_size=0):
-    return st.sampled_from(DOT_RINGS).flatmap(lambda ring: st.tuples(
+    rings = DOT_RINGS + PHASE_DOT_RINGS
+    return st.sampled_from(rings).flatmap(lambda ring: st.tuples(
         st.just(ring),
         st.lists(st.tuples(ring_trig_polys(ring), ring_trig_polys(ring)),
                  min_size=min_size, max_size=4)))
@@ -325,9 +334,12 @@ def test_dot_edge_cases():
     assert tp_dot([p, tp_zero(ring)], [q, q]) == tp_mul(p, q)
     with pytest.raises(ValueError, match="equal length"):
         tp_dot([p], [])
+    # over the phase ring it sums tp_mul products and keeps the ring
     P = PhaseRing(ring)
-    with pytest.raises(ValueError, match="phase-free"):
-        tp_dot([tp_zero(P)], [tp_zero(P)])
+    x = tp_add(tp_term(P, "cos", 1, P.sin_phi(1)), tp_term(P, "sin", 2, P.s(1)))
+    assert tp_dot([x, x], [x, tp_zero(P)]) == tp_mul(x, x)
+    assert tp_dot([x], [tp_zero(P)]).ring is P
+    assert tp_dot([tp_zero(P)], [x]) == tp_zero(P)
 
 
 # ---------------------------------------------------------------------------

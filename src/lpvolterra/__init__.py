@@ -1,8 +1,8 @@
 """Exact Lindstedt-Poincare series for the Lotka-Volterra oscillator,
 with convergence-radius estimation and numeric cross-validation."""
 
-from .algebra import (QQ, SYMBOLIC, ExactDivisionError, QuadraticRing,
-                      RationalRing, SymbolicRing, alpha_polynomial, canonical,
+from .algebra import (QQ, SYMBOLIC, ExactDivisionError, NumericRing,
+                      SymbolicRing, alpha_polynomial, canonical,
                       evaluate_numeric, format_element, numeric_ring,
                       parse_element, rational_sqrt)
 from .trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,

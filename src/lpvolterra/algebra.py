@@ -2,23 +2,24 @@
 Lotka-Volterra cycle.
 
 Every operation in this module is exact, on ``fractions.Fraction``
-rationals (:func:`QQ` coerces to them).  Two coefficient domains live
-here:
+rationals (:func:`QQ` coerces to them).  Every phase-free coefficient has
+one form, a dict ``{exponent of s: rational}`` with ``s = sqrt(alpha)``
+and no zero values, in one of two rings:
 
-* the symbolic domain: Laurent polynomials in ``s = sqrt(alpha)`` with
-  rational coefficients (:class:`SymbolicRing`);
-* numeric domains for a fixed rational ``alpha``: plain rationals when
-  ``sqrt(alpha)`` is rational, pairs ``u + v*sqrt(alpha)`` otherwise
-  (:class:`RationalRing`, :class:`QuadraticRing`).
+* the symbolic ring, Laurent polynomials in ``s`` (:class:`SymbolicRing`);
+* the numeric ring for a fixed positive rational ``alpha``
+  (:class:`NumericRing`), whose elements are reduced after every product
+  to exponent 0 when ``sqrt(alpha)`` is rational and to exponents 0 and 1
+  (``u + v*sqrt(alpha)``) otherwise.
 
-Rings share a uniform method protocol (``add``, ``mul``, ``scale``,
-``div``, ``is_zero``, ...) over plain data elements (dicts, tuples,
-scalars), so the trig-series layer stays generic over the coefficient
-domain.  Solutions pinned to explicit initial conditions extend any of
-these rings by trigonometric polynomials in the phase angle ``phi``;
-that extension (:class:`lpvolterra.trigpoly.PhaseRing`, marked by
-``has_phase``) lives in :mod:`lpvolterra.trigpoly`, and its elements are
-``TrigPoly`` objects with a ``const`` term and ``sin``/``cos`` dicts.
+Both share one method protocol (``add``, ``mul``, ``scale``, ``div``,
+``is_zero``, ...), so the trig-series layer, formatting and evaluation
+read every element the same way.  Solutions pinned to explicit initial
+conditions extend either ring by trigonometric polynomials in the phase
+angle ``phi``; that extension (:class:`lpvolterra.trigpoly.PhaseRing`,
+marked by ``has_phase``) lives in :mod:`lpvolterra.trigpoly`, and its
+elements are ``TrigPoly`` objects with a ``const`` term and ``sin``/``cos``
+dicts.
 :func:`format_element` / :func:`parse_element` provide a canonical,
 round-trippable string form and :func:`evaluate_numeric` evaluates any
 element with mpmath at configurable precision (default 50 significant
@@ -83,7 +84,7 @@ class SymbolicRing:
     """
 
     has_phase = False
-    is_symbolic = True
+    alpha = None
 
     def zero(self):
         return {}
@@ -140,6 +141,10 @@ class SymbolicRing:
             return {}
         return {k: v * q for k, v in x.items()}
 
+    def reduce(self, x):
+        """Canonical form of a dict built outside the ring operations."""
+        return x
+
     def div(self, x, y):
         """Exact division; raises ExactDivisionError on a remainder."""
         if not y:
@@ -186,122 +191,51 @@ def alpha_polynomial(x):
 
 
 # ---------------------------------------------------------------------------
-# numeric rings for fixed rational alpha
+# numeric ring for fixed rational alpha
 
-class RationalRing:
-    """Coefficients for fixed alpha whose square root is rational.
+class NumericRing(SymbolicRing):
+    """Q(sqrt(alpha)) for a fixed positive rational alpha, in the symbolic
+    form reduced by s^e = b^(e // m) * s^(e % m).
 
-    Elements are bare rationals; s evaluates to the known root.
+    (m, b) is (1, root) when sqrt(alpha) is rational and (2, alpha)
+    otherwise, so an element keeps only exponent 0, or exponents 0 and 1;
+    zero testing stays exact because 1 and an irrational sqrt(alpha) are
+    linearly independent over Q.
     """
-
-    has_phase = False
-    is_symbolic = False
-
-    def __init__(self, alpha, root):
-        self.alpha = QQ(alpha)
-        self.root = QQ(root)
-
-    def zero(self):
-        return _Q0
-
-    def one(self):
-        return _Q1
-
-    def s(self, k: int = 1):
-        return self.root ** k
-
-    def from_fraction(self, q):
-        return QQ(q)
-
-    def is_zero(self, x) -> bool:
-        return not x
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def scale(self, x, q):
-        return x * QQ(q)
-
-    def div(self, x, y):
-        if not y:
-            raise ZeroDivisionError("division by zero element")
-        return x / y
-
-
-class QuadraticRing:
-    """The field Q(sqrt(alpha)) for fixed rational alpha, irrational root.
-
-    Elements are pairs (u, v) meaning u + v*sqrt(alpha); zero testing is
-    exact because 1 and sqrt(alpha) are linearly independent over Q.
-    """
-
-    has_phase = False
-    is_symbolic = False
 
     def __init__(self, alpha):
         self.alpha = QQ(alpha)
+        root = rational_sqrt(self.alpha)
+        self.m, self.b = (2, self.alpha) if root is None else (1, root)
+        self.kept = frozenset(range(self.m))
 
-    def zero(self):
-        return (_Q0, _Q0)
-
-    def one(self):
-        return (_Q1, _Q0)
+    def reduce(self, x):
+        # most products are already reduced; rebuilding them anyway costs
+        # a small numeric run plus its evaluation about 15% more time
+        if x.keys() <= self.kept:
+            return x
+        out = {}
+        for e, v in x.items():
+            q, r = divmod(e, self.m)
+            w = out.get(r, _Q0) + v * self.b ** q
+            if w:
+                out[r] = w
+            else:
+                out.pop(r, None)
+        return out
 
     def s(self, k: int = 1):
-        if k < 0:
-            return self.inv(self.s(-k))
-        half, odd = divmod(k, 2)
-        a = self.alpha ** half
-        return (_Q0, a) if odd else (a, _Q0)
-
-    def from_fraction(self, q):
-        return (QQ(q), _Q0)
-
-    def is_zero(self, x) -> bool:
-        return not x[0] and not x[1]
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def neg(self, x):
-        return (-x[0], -x[1])
-
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
+        return self.reduce({k: _Q1})
 
     def mul(self, x, y):
-        u1, v1 = x
-        u2, v2 = y
-        return (u1 * u2 + v1 * v2 * self.alpha, u1 * v2 + v1 * u2)
-
-    def scale(self, x, q):
-        q = QQ(q)
-        return (x[0] * q, x[1] * q)
-
-    def inv(self, x):
-        u, v = x
-        n = u * u - v * v * self.alpha
-        if not n:
-            raise ZeroDivisionError("division by zero element")
-        return (u / n, -v / n)
+        return self.reduce(super().mul(x, y))
 
     def div(self, x, y):
-        return self.mul(x, self.inv(y))
+        """x * conj(y) / norm(y), with conj(u + v*s) = u - v*s."""
+        if not y:
+            raise ZeroDivisionError("division by zero element")
+        conj = {e: -v if e else v for e, v in y.items()}
+        return self.scale(self.mul(x, conj), 1 / self.mul(y, conj)[0])
 
 
 def numeric_ring(alpha):
@@ -309,28 +243,11 @@ def numeric_ring(alpha):
     q = QQ(alpha)
     if q <= 0:
         raise ValueError("alpha must be positive")
-    root = rational_sqrt(q)
-    if root is not None:
-        return RationalRing(q, root)
-    return QuadraticRing(q)
+    return NumericRing(q)
 
 
 # ---------------------------------------------------------------------------
 # canonical string form
-
-def _sdict_of(ring, x):
-    """View any phase-free element as an s-exponent dict."""
-    if isinstance(ring, SymbolicRing):
-        return x
-    if isinstance(ring, QuadraticRing):
-        out = {}
-        if x[0]:
-            out[0] = x[0]
-        if x[1]:
-            out[1] = x[1]
-        return out
-    return {0: x} if x else {}
-
 
 def _spow_factors(k: int) -> list[str]:
     """Factor strings for s**k, k >= 0 (s**2 = alpha)."""
@@ -422,15 +339,14 @@ def format_element(ring, x, amp_power: int = 0) -> str:
     :func:`parse_element`.
     """
     if ring.has_phase:
-        base = ring.base
         pieces = []  # (sdict, trig-name or None)
-        if not base.is_zero(x.const):
-            pieces.append((_sdict_of(base, x.const), None))
+        if x.const:
+            pieces.append((x.const, None))
         for k in sorted((set(x.sin) | set(x.cos)) - {0}):
             if k in x.sin:
-                pieces.append((_sdict_of(base, x.sin[k]), _trig_name("sin", k)))
+                pieces.append((x.sin[k], _trig_name("sin", k)))
             if k in x.cos:
-                pieces.append((_sdict_of(base, x.cos[k]), _trig_name("cos", k)))
+                pieces.append((x.cos[k], _trig_name("cos", k)))
         if not pieces:
             return "0"
         if len(pieces) == 1:
@@ -446,7 +362,7 @@ def format_element(ring, x, amp_power: int = 0) -> str:
             body = f"({body})"
         amp = "A" if amp_power == 1 else f"A^{amp_power}"
         return f"{amp}*{body}"
-    return _fmt_sdict(_sdict_of(ring, x), amp_power=amp_power)
+    return _fmt_sdict(x, amp_power=amp_power)
 
 
 class _ParseError(ValueError):
@@ -636,13 +552,12 @@ def evaluate_numeric(ring, x, alpha=None, phi=0, dps: int = 50):
 
     Returns an ``mpmath.mpf`` computed at ``dps`` digits.
     """
-    ring_alpha = getattr(ring, "alpha", None) or getattr(
-        getattr(ring, "base", None), "alpha", None)
+    ring_alpha = (ring.base if ring.has_phase else ring).alpha
     if alpha is None:
         alpha = ring_alpha
     if alpha is None:
         raise ValueError("alpha is required for symbolic elements")
-    if ring_alpha is not None and QQ(alpha) != QQ(ring_alpha):
+    if ring_alpha is not None and QQ(alpha) != ring_alpha:
         raise ValueError("alpha disagrees with the ring's fixed alpha")
     with mpmath.workdps(dps):
         if isinstance(alpha, (int, Fraction)):
@@ -653,19 +568,15 @@ def evaluate_numeric(ring, x, alpha=None, phi=0, dps: int = 50):
             raise ValueError("alpha must be positive")
         s = mpmath.sqrt(a)
 
-        def ev(base, el):
-            if isinstance(base, SymbolicRing):
-                return mpmath.fsum(to_mpf(v) * s ** k for k, v in el.items())
-            if isinstance(base, QuadraticRing):
-                return to_mpf(el[0]) + to_mpf(el[1]) * s
-            return to_mpf(el)
+        def ev(el):
+            return mpmath.fsum(to_mpf(v) * s ** k for k, v in el.items())
 
         if ring.has_phase:
             p = mpmath.mpf(phi)
-            total = ev(ring.base, x.const)
-            total += mpmath.fsum(ev(ring.base, v) * mpmath.sin(k * p)
+            total = ev(x.const)
+            total += mpmath.fsum(ev(v) * mpmath.sin(k * p)
                                  for k, v in x.sin.items())
-            total += mpmath.fsum(ev(ring.base, v) * mpmath.cos(k * p)
+            total += mpmath.fsum(ev(v) * mpmath.cos(k * p)
                                  for k, v in x.cos.items() if k)
             return total
-        return ev(ring, x)
+        return ev(x)

@@ -36,6 +36,9 @@ class NoStableRootError(ArithmeticError):
 # and root iterations that did not converge
 ESTIMATE_ERRORS = (ArithmeticError, ValueError, mpmath.libmp.NoConvergence)
 
+# decimal digits at which every polynomial root is polished and certified
+ROOT_DPS = 60
+
 
 # ---------------------------------------------------------------------------
 # small exact-polynomial kit (coefficient lists, ascending powers)
@@ -234,20 +237,11 @@ def series_from_engine(series: PerturbationSeries, alpha=None) -> PowerSeries:
             raise ArithmeticError(f"odd-order frequency omega_{2*j+1} is nonzero")
         w = series.orders[2 * j].omega
         ratio = ring.div(w, ring.s(1))
-        if series.alpha == "symbolic":
-            poly = alpha_polynomial(ratio)
-            if poly is None:
-                raise ArithmeticError(
-                    f"omega_{2*j}/sqrt(alpha) is not a polynomial in alpha")
-            coeffs.append(sum((c * a_val ** m for m, c in poly.items()), QQ(0)))
-        elif hasattr(ring, "root"):          # rational square root of alpha
-            coeffs.append(QQ(ratio))
-        else:                                # quadratic ring pair (u, v)
-            u, v = ratio
-            if v != 0:
-                raise ArithmeticError(
-                    f"omega_{2*j}/sqrt(alpha) has an irrational part")
-            coeffs.append(QQ(u))
+        poly = alpha_polynomial(ratio)
+        if poly is None:
+            raise ArithmeticError(
+                f"omega_{2*j}/sqrt(alpha) is not a polynomial in alpha")
+        coeffs.append(sum((c * a_val ** m for m, c in poly.items()), QQ(0)))
     if not coeffs or coeffs[0] != 1:
         raise ArithmeticError("normalized series must start with d_0 = 1")
     return PowerSeries(tuple(coeffs), alpha=a_val)
@@ -426,7 +420,7 @@ def _float_seed(hi_to_lo):
     return [mpmath.mpc(complex(z)) for z in seed]
 
 
-def _poly_roots_mp(coeffs, dps):
+def _poly_roots_mp(coeffs):
     """All complex roots of an exact polynomial, as mpc values sorted by
     modulus (conjugate pairs: negative imaginary part first).
 
@@ -436,27 +430,27 @@ def _poly_roots_mp(coeffs, dps):
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
         return []
-    with mpmath.workdps(dps):
+    with mpmath.workdps(ROOT_DPS):
         hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
                     for c in reversed(coeffs)]
-        roots = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * dps,
+        roots = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * ROOT_DPS,
                                  roots_init=_float_seed(hi_to_lo))
         norm = max(abs(v) for v in hi_to_lo)
         for r in roots:
             res = abs(poly_eval_mp(coeffs, r))
             scale = norm * max(1, abs(r)) ** (len(coeffs) - 1)
-            if res > mpmath.mpf(10) ** (-dps // 2) * scale:
+            if res > mpmath.mpf(10) ** (-ROOT_DPS // 2) * scale:
                 raise ArithmeticError("root refinement did not converge")
         return sorted((mpmath.mpc(r) for r in roots), key=_root_key)
 
 
-def discriminant_roots(h: QuadHermitePade, dps: int = 60):
+def discriminant_roots(h: QuadHermitePade):
     """Complex zeros of the discriminant (empty for constant ones)."""
-    return _poly_roots_mp(discriminant(h), dps)
+    return _poly_roots_mp(discriminant(h))
 
 
-def pade_poles(p: PadeApprox, dps: int = 60):
-    return _poly_roots_mp(list(p.Q), dps)
+def pade_poles(p: PadeApprox):
+    return _poly_roots_mp(list(p.Q))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +471,11 @@ class SingularityEstimate:
     trail: tuple   # matched location at each order
 
 
-def _candidate_roots(series: PowerSeries, family: str, m: int, dps: int):
+def _candidate_roots(series: PowerSeries, family: str, m: int):
     if family == FAMILY_PADE:
-        return pade_poles(pade_fit(series, m, m), dps)
+        return pade_poles(pade_fit(series, m, m))
     if family == FAMILY_HERMITE_PADE:
-        return discriminant_roots(hermite_pade_fit(series, m, m, m), dps)
+        return discriminant_roots(hermite_pade_fit(series, m, m, m))
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -492,10 +486,9 @@ def max_diagonal_order(family: str, n_coeffs: int) -> int:
     return (n_coeffs - 2) // 3
 
 
-def default_orders(family: str, n_coeffs: int, depth: int = None):
+def default_orders(family: str, n_coeffs: int):
     top = max_diagonal_order(family, n_coeffs)
-    if depth is None:
-        depth = 5 if family == FAMILY_PADE else 3
+    depth = 5 if family == FAMILY_PADE else 3
     lo = max(1, top - depth + 1)
     if top < 1:
         raise ValueError("insufficient coefficients for any diagonal order")
@@ -503,8 +496,8 @@ def default_orders(family: str, n_coeffs: int, depth: int = None):
 
 
 def stable_singularity(series: PowerSeries, family: str,
-                       order_list: Sequence[int], threshold: float = 1e-2,
-                       dps: int = 60) -> SingularityEstimate:
+                       order_list: Sequence[int],
+                       threshold: float = 1e-2) -> SingularityEstimate:
     """Track singularity candidates across approximant orders and return
     the stable one closest to the origin.
 
@@ -520,7 +513,7 @@ def stable_singularity(series: PowerSeries, family: str,
     used = []
     for m in orders:
         try:
-            roots = _candidate_roots(series, family, m, dps)
+            roots = _candidate_roots(series, family, m)
         except DegenerateApproximantError:
             continue
         if roots:
@@ -570,7 +563,7 @@ class ScanRow:
 
 def radius_scan(alpha_grid: Iterable, max_order: int,
                 families: Sequence[str] = FAMILIES, threshold: float = 5e-2,
-                dps: int = 60, engine_run=None) -> list:
+                engine_run=None) -> list:
     """One engine run per alpha, then a stable-singularity estimate per
     family.  Failures of the ESTIMATE_ERRORS types are recorded in the
     row and the scan continues; any other exception is a bug and
@@ -594,7 +587,7 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
                 try:
                     est = stable_singularity(
                         ps, family, default_orders(family, len(ps)),
-                        threshold=threshold, dps=dps)
+                        threshold=threshold)
                 except (NoStableRootError, ValueError) as exc:
                     msg = str(exc)
                     errors.append(msg if msg.startswith(family) else f"{family}: {msg}")

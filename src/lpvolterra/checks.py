@@ -586,7 +586,7 @@ def _branch_point(ctx):
     for j in range(1, 7):
         coeffs.append(coeffs[-1] * QQ(-4) * (QQ(1, 2) - (j - 1)) / j)
     fit = hermite_pade_fit(PowerSeries(tuple(coeffs)), 0, 0, 1)
-    roots = discriminant_roots(fit, dps=60)
+    roots = discriminant_roots(fit)
     best = min(roots, key=lambda r: abs(complex(r) - 0.25))
     err = abs(complex(best) - 0.25)
     if err > 1e-8:

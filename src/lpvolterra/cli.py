@@ -324,7 +324,15 @@ def cmd_orbit(params):
 
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)
     tau = np.linspace(0.0, periods * 2 * math.pi, points)
-    xi, eta, omega = evaluate_solution(series, a, phi=phi, tau_grid=tau)
+    with np.errstate(all="ignore"):
+        xi, eta, omega = evaluate_solution(series, a, phi=phi, tau_grid=tau)
+    if not (math.isfinite(omega) and omega > 0):
+        raise BadArguments(
+            f"the order-{order} series frequency at a = {a:.4g} is {omega:.4g}, "
+            "but the orbit needs a finite positive frequency; lower a")
+    if not (np.isfinite(xi).all() and np.isfinite(eta).all()):
+        raise BadArguments(
+            f"the order-{order} series curve at a = {a:.4g} is not finite; lower a")
     t_eval = tau / omega
     config = IntegratorConfig(tolerance=tolerance, max_time=float(t_eval[-1]))
     if abs(config.max_time) > MAX_ORBIT_STEPS * config.step:

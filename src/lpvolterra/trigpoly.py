@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebra import (QQ, ExactDivisionError, QuadraticRing, SymbolicRing,
-                      _sdict_of)
+from .algebra import QQ, ExactDivisionError
 
 
 class ResonantForcingError(ValueError):
@@ -180,7 +179,7 @@ def _int_form(p: TrigPoly):
     den = 1
     for kind, store in enumerate((p.sin, p.cos)):
         for j, v in store.items():
-            for e, q in _sdict_of(p.ring, v).items():
+            for e, q in v.items():
                 n, d = int(q.numerator), int(q.denominator)
                 terms.append((e, kind, j, n, d))
                 den = math.lcm(den, d)
@@ -265,20 +264,10 @@ def _from_numerators(ring, store, den) -> dict:
     """{harmonic: ring element} from {harmonic: {s-exponent: numerator}}
     over the common denominator den, with zero elements dropped."""
     out = {}
-    if isinstance(ring, SymbolicRing):
-        for j, nums in sorted(store.items()):
-            out[j] = {e: QQ(n, den) for e, n in nums.items()}
-    elif isinstance(ring, QuadraticRing):
-        # s^2 = alpha = a/b folds exponent 2 into exponent 0
-        a, b = int(ring.alpha.numerator), int(ring.alpha.denominator)
-        for j, nums in sorted(store.items()):
-            u = nums.get(0, 0) * b + nums.get(2, 0) * a
-            v = nums.get(1, 0)
-            if u or v:
-                out[j] = (QQ(u, den * b), QQ(v, den))
-    else:
-        for j, nums in sorted(store.items()):
-            out[j] = QQ(nums[0], den)
+    for j, nums in sorted(store.items()):
+        el = ring.reduce({e: QQ(n, den) for e, n in nums.items()})
+        if el:
+            out[j] = el
     return out
 
 
@@ -322,7 +311,6 @@ class PhaseRing:
 
     def __init__(self, base):
         self.base = base
-        self.is_symbolic = base.is_symbolic
 
     def lift(self, x):
         """Embed a base-ring element as a constant."""

@@ -207,12 +207,13 @@ def integrate(alpha: float, x0: float, y0: float,
 # frequency measurement: mean return time through the section y = y(0)
 
 
-def measure_frequency(orbit: OrbitSample, refine_tolerance: float = 1e-12) -> float:
+def measure_frequency(orbit: OrbitSample) -> float:
     """2*pi over the mean return time through y = y(0) on the rising side.
 
     Sample intervals bracketing a crossing are refined by Newton steps on
-    the exact flow (re-integrated from the bracket's left endpoint), so
-    the result is limited by the integrator, not the output grid."""
+    the exact flow (re-integrated from the bracket's left endpoint at
+    tolerance 1e-12), so the result is limited by the integrator, not the
+    output grid."""
     y0 = float(orbit.y_values[0])
     alpha = orbit.alpha
     times, xs, ys = orbit.times, orbit.x_values, orbit.y_values
@@ -227,7 +228,7 @@ def measure_frequency(orbit: OrbitSample, refine_tolerance: float = 1e-12) -> fl
             frac = (y0 - y_lo) / (float(ys[k + 1]) - y_lo)
             dt = frac * h
             for _ in range(60):
-                xa, ya = _advance(alpha, x_lo, y_lo, dt, h, refine_tolerance)
+                xa, ya = _advance(alpha, x_lo, y_lo, dt, h, 1e-12)
                 _, yd = lv_rhs(alpha, xa, ya)
                 if yd == 0:
                     break

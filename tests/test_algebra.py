@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
-                                QuadraticRing, RationalRing, alpha_polynomial,
-                                canonical, evaluate_numeric, format_element,
-                                numeric_ring, parse_element, rational_sqrt)
+                                alpha_polynomial, canonical, evaluate_numeric,
+                                format_element, numeric_ring, parse_element,
+                                rational_sqrt)
 from lpvolterra.trigpoly import PhaseRing
 
 R = SYMBOLIC
@@ -68,16 +68,16 @@ class TestSymbolicRing:
 class TestNumericRings:
     def test_square_alpha_uses_rationals(self):
         ring = numeric_ring(1)
-        assert isinstance(ring, RationalRing)
-        assert ring.s(1) == QQ(1)
+        assert ring.s(1) == {0: QQ(1)}
         ring4 = numeric_ring(4)
-        assert ring4.s(1) == QQ(2)
-        assert ring4.s(-1) == QQ(1, 2)
+        assert ring4.s(1) == {0: QQ(2)}
+        assert ring4.s(-1) == {0: QQ(1, 2)}
 
     def test_non_square_alpha_uses_quadratic_pairs(self):
         ring = numeric_ring(2)
-        assert isinstance(ring, QuadraticRing)
         s = ring.s(1)
+        assert s == {1: QQ(1)}
+        assert ring.s(3) == {1: QQ(2)} and ring.s(-1) == {1: QQ(1, 2)}
         assert ring.eq(ring.mul(s, s), ring.from_fraction(QQ(2)))
         # 1/sqrt(2) * sqrt(2) = 1
         assert ring.eq(ring.mul(ring.s(-1), s), ring.one())
@@ -268,3 +268,56 @@ def test_phase_eval_homomorphism(sin_d, cos_d):
         vxy = evaluate_numeric(P, P.mul(x, y), alpha=alpha, phi=phi)
         scale = max(1, abs(vx * vy))
         assert abs(vxy - vx * vy) <= mpmath.mpf(10) ** -30 * scale
+
+
+# numeric rings: rational roots (alpha = 1/4, 1, 9/4) and quadratic fields
+# (alpha = 2, 5/3, 2/9), in the reduced s-exponent form
+NUMERIC_ALPHAS = (QQ(1, 4), QQ(1), QQ(9, 4), QQ(2), QQ(5, 3), QQ(2, 9))
+
+
+def numeric_elements(ring):
+    """u + v*sqrt(alpha) built with the ring operations."""
+    return st.builds(lambda u, v: ring.add(ring.from_fraction(u),
+                                           ring.mul(ring.s(1), ring.from_fraction(v))),
+                     rationals, rationals)
+
+
+def numeric_cases():
+    return st.sampled_from(NUMERIC_ALPHAS).map(numeric_ring).flatmap(
+        lambda ring: st.tuples(st.just(ring), numeric_elements(ring),
+                               numeric_elements(ring), numeric_elements(ring)))
+
+
+def is_reduced(ring, x):
+    keys = {0} if rational_sqrt(ring.alpha) is not None else {0, 1}
+    return x.keys() <= keys and all(x.values())
+
+
+@given(numeric_cases())
+@settings(max_examples=80, deadline=None)
+def test_numeric_ring_laws(case):
+    ring, x, y, z = case
+    for el in (x, y, ring.add(x, y), ring.mul(x, y), ring.s(-3), ring.s(5)):
+        assert is_reduced(ring, el)
+    assert ring.eq(ring.mul(x, y), ring.mul(y, x))
+    assert ring.eq(ring.mul(x, ring.add(y, z)),
+                   ring.add(ring.mul(x, y), ring.mul(x, z)))
+    assert ring.eq(ring.mul(ring.mul(x, y), z), ring.mul(x, ring.mul(y, z)))
+    if not ring.is_zero(y):
+        quot = ring.div(ring.mul(x, y), y)
+        assert is_reduced(ring, quot) and ring.eq(quot, x)
+    with mpmath.workdps(50):
+        vx = evaluate_numeric(ring, x)
+        vy = evaluate_numeric(ring, y)
+        vxy = evaluate_numeric(ring, ring.mul(x, y))
+        vsum = evaluate_numeric(ring, ring.add(x, y))
+        scale = max(1, abs(vx), abs(vy), abs(vx * vy))
+        assert abs(vxy - vx * vy) <= mpmath.mpf(10) ** -30 * scale
+        assert abs(vsum - (vx + vy)) <= mpmath.mpf(10) ** -30 * scale
+
+
+def test_numeric_division_by_zero():
+    for alpha in NUMERIC_ALPHAS:
+        ring = numeric_ring(alpha)
+        with pytest.raises(ZeroDivisionError):
+            ring.div(ring.one(), ring.zero())

@@ -392,7 +392,7 @@ class TestHermitePade:
 
 class TestRootExtraction:
     def test_quadratic_roots_sorted_by_modulus(self):
-        roots = _poly_roots_mp([QQ(-6), QQ(1), QQ(1)], 40)   # (z-2)(z+3)
+        roots = _poly_roots_mp([QQ(-6), QQ(1), QQ(1)])   # (z-2)(z+3)
         assert abs(roots[0] - 2) < mpmath.mpf(10) ** -35 or \
             abs(roots[1] - 2) < mpmath.mpf(10) ** -35
         vals = sorted(float(r.real) for r in roots)
@@ -424,7 +424,7 @@ class TestRootExtraction:
                           [QQ(3), QQ(1)])
         want = self._unseeded(coeffs, 60)
         seeds = self._spy(monkeypatch)
-        got = _poly_roots_mp(coeffs, 60)
+        got = _poly_roots_mp(coeffs)
         assert len(seeds) == 1 and len(seeds[0]) == 3
         assert got == want
         # coefficients rounded to 60 digits resolve the pair to ~60-14 digits
@@ -441,7 +441,7 @@ class TestRootExtraction:
                                 for c in reversed(coeffs)]) is None
         want = self._unseeded(coeffs, 60)
         seeds = self._spy(monkeypatch)
-        assert _poly_roots_mp(coeffs, 60) == want
+        assert _poly_roots_mp(coeffs) == want
         assert seeds == [None]
 
     def test_float_seed_needs_representable_coefficients(self):
@@ -461,14 +461,14 @@ class TestRootExtraction:
         assert discriminant_roots(bare) == []
 
     def test_conjugate_pair_ordering(self):
-        roots = _poly_roots_mp([QQ(1), QQ(0), QQ(1)], 40)    # z^2 + 1
+        roots = _poly_roots_mp([QQ(1), QQ(0), QQ(1)])    # z^2 + 1
         roots = sorted(roots, key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
         assert abs(roots[0] + mpmath.mpc(0, 1)) < mpmath.mpf(10) ** -35
         assert abs(roots[1] - mpmath.mpc(0, 1)) < mpmath.mpf(10) ** -35
 
     def test_sqrt_two_to_fifty_digits(self):
         with mpmath.workdps(60):
-            roots = _poly_roots_mp([QQ(-2), QQ(0), QQ(1)], 60)
+            roots = _poly_roots_mp([QQ(-2), QQ(0), QQ(1)])
             target = mpmath.sqrt(2)
             assert min(abs(r - target) for r in roots) < mpmath.mpf(10) ** -50
 
@@ -478,7 +478,7 @@ class TestRootExtraction:
         norm = max(abs(mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator))
                    for v in q)
         with mpmath.workdps(60):
-            for z in pade_poles(fit, 60):
+            for z in pade_poles(fit):
                 bound = mpmath.mpf(10) ** -25 * norm * max(1, abs(z)) ** (len(q) - 1)
                 assert abs(poly_eval_mp(q, z)) <= bound
 
@@ -541,7 +541,7 @@ class TestStableSingularity:
         assert max_diagonal_order(FAMILY_HERMITE_PADE, 23) == 7
         assert default_orders(FAMILY_PADE, 23) == (7, 8, 9, 10, 11)
         assert default_orders(FAMILY_HERMITE_PADE, 23) == (5, 6, 7)
-        assert default_orders(FAMILY_PADE, 5, depth=2) == (1, 2)
+        assert default_orders(FAMILY_PADE, 5) == (1, 2)
         with pytest.raises(ValueError, match="insufficient"):
             default_orders(FAMILY_HERMITE_PADE, 3)
 

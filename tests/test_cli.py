@@ -236,6 +236,28 @@ class TestOrbitCommand:
         assert "exceeds the estimated convergence radius" in err
         assert float(read_metrics("big")["max_gap"]) > 0.1
 
+    @pytest.mark.parametrize("argv,omega", [
+        (["--a", "1e160", "--no-radius-check"], "-inf"),
+        (["--a", "5"], "-1.083")])
+    def test_series_frequency_must_be_finite_and_positive(self, argv, omega,
+                                                          capsys, monkeypatch):
+        forbid(monkeypatch, "_estimate_radius")
+        assert main(["orbit", "--alpha", "1", "--order", "2", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the order-2 series frequency at a = ")
+        assert f" is {omega}, " in err and err.count("\n") == 1
+        assert os.listdir(".") == []
+
+    def test_series_curve_must_be_finite(self, capsys, monkeypatch):
+        forbid(monkeypatch, "_estimate_radius")
+        monkeypatch.setattr(lpvolterra.cli, "evaluate_solution",
+                            lambda series, a, phi, tau_grid: (tau_grid * math.nan,
+                                                              tau_grid, 1.0))
+        assert main(["orbit", "--a", "0.1", "--order", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the order-2 series curve at a = 0.1 is not finite; lower a\n")
+        assert os.listdir(".") == []
+
     @pytest.mark.parametrize("option", ["periods", "tolerance"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_positive_options_must_be_finite_and_positive(self, option, value,

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from lpvolterra.algebra import (QQ, evaluate_numeric, format_element,
-                                numeric_ring, parse_element)
+                                numeric_ring, parse_element, rational_sqrt)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                                GAUGE_ZERO_INITIAL, SecularInconsistencyError,
                                build_forcing, evaluate_solution,
                                remove_secular, run)
-from lpvolterra.trigpoly import (VectorTrigPoly, evaluate_at_zero, harmonic,
-                                 to_triples, tp_add, tp_diff, tp_mul,
-                                 tp_mul_el, tp_term, tp_zero)
+from lpvolterra.trigpoly import (TrigPoly, VectorTrigPoly, evaluate_at_zero,
+                                 harmonic, to_triples, tp_add, tp_diff,
+                                 tp_mul, tp_mul_el, tp_term, tp_zero)
 
 W2 = "-(A^2*sqrt(alpha)*(alpha+1))/24"
 W4 = "-(A^4*sqrt(alpha)*(5*alpha^2+34*alpha+29))/6912"
@@ -272,10 +272,74 @@ class TestNumericAlpha:
         ser = run(8, 1, GAUGE_SIMPLIFIED_XI)
         ring = ser.coeff_ring
         d = {n: ring.div(ser.orders[n].omega, ring.s(1)) for n in (2, 4, 6, 8)}
-        assert d[2] == Fraction(-1, 12)
-        assert d[4] == Fraction(-17, 1728)
-        assert d[6] == Fraction(-707, 414720)
-        assert d[8] == Fraction(-299203, 895795200)
+        assert d[2] == {0: Fraction(-1, 12)}
+        assert d[4] == {0: Fraction(-17, 1728)}
+        assert d[6] == {0: Fraction(-707, 414720)}
+        assert d[8] == {0: Fraction(-299203, 895795200)}
+
+
+def specialise(el, alpha):
+    """A symbolic element sum c s^k at s = sqrt(alpha), folded by hand into
+    {0: u, 1: v} for u + v sqrt(alpha), or into {0: u} when the root is
+    rational; zero parts are dropped."""
+    root = rational_sqrt(alpha)
+    u = v = QQ(0)
+    for k, c in el.items():
+        half, odd = divmod(k, 2)          # s^k = alpha^half s^odd, k < 0 too
+        c = c * alpha ** half
+        if not odd:
+            u += c
+        elif root is None:
+            v += c
+        else:
+            u += c * root
+    return {e: q for e, q in ((0, u), (1, v)) if q}
+
+
+def specialise_tp(p, alpha):
+    """p with every coefficient specialised (phase-ring coefficients
+    recursively) and the harmonics that vanish at alpha dropped."""
+    def store(d):
+        out = {}
+        for j, v in d.items():
+            if isinstance(v, TrigPoly):
+                w = specialise_tp(v, alpha)
+                keep = w.sin or w.cos
+            else:
+                w = specialise(v, alpha)
+                keep = w
+            if keep:
+                out[j] = w
+        return out
+    return TrigPoly(None, store(p.sin), store(p.cos))
+
+
+@pytest.fixture(scope="module")
+def symbolic_runs():
+    return {GAUGE_SIMPLIFIED_XI: run(14, "symbolic", GAUGE_SIMPLIFIED_XI),
+            GAUGE_SIMPLIFIED_ETA: run(14, "symbolic", GAUGE_SIMPLIFIED_ETA),
+            GAUGE_ZERO_INITIAL: run(4, "symbolic", GAUGE_ZERO_INITIAL)}
+
+
+class TestExactSpecialisation:
+    """A numeric-alpha run equals the symbolic run with s -> sqrt(alpha)
+    substituted, exactly, at every order."""
+
+    @pytest.mark.parametrize("gauge", [GAUGE_SIMPLIFIED_XI, GAUGE_SIMPLIFIED_ETA,
+                                       GAUGE_ZERO_INITIAL])
+    @pytest.mark.parametrize("alpha", [QQ(1, 4), QQ(1), QQ(9, 4), QQ(2),
+                                       QQ(5, 3), QQ(2, 9)])
+    def test_every_order_equals_the_substituted_symbolic_run(self, symbolic_runs,
+                                                             gauge, alpha):
+        sym = symbolic_runs[gauge]
+        ser = run(sym.order, alpha, gauge)
+        for want, got in zip(sym.orders, ser.orders):
+            if isinstance(want.omega, TrigPoly):
+                assert got.omega == specialise_tp(want.omega, alpha), want.n
+            else:
+                assert got.omega == specialise(want.omega, alpha), want.n
+            assert got.xi == specialise_tp(want.xi, alpha), want.n
+            assert got.eta == specialise_tp(want.eta, alpha), want.n
 
 
 class TestEvaluate:

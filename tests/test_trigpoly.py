@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
-                                QuadraticRing, RationalRing, evaluate_numeric,
-                                numeric_ring, parse_element)
+                                evaluate_numeric, numeric_ring, parse_element,
+                                rational_sqrt)
 from lpvolterra.engine import solve_linear_anchored
 from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, evaluate_at_zero,
@@ -262,18 +262,18 @@ PHASE_DOT_RINGS = [PhaseRing(ring) for ring in (R, numeric_ring(QQ(9, 4)),
 
 
 def ring_elements(ring):
-    """Nonzero elements; symbolic ones carry negative s-exponents too."""
+    """Nonzero elements; symbolic ones carry negative s-exponents too, and
+    numeric ones only exponent 0 (rational root) or exponents 0 and 1."""
     if isinstance(ring, PhaseRing):
         return ring_trig_polys(ring.base, max_size=2).filter(
             lambda e: e.sin or e.cos)
-    if isinstance(ring, RationalRing):
-        return nonzero_rationals
-    if isinstance(ring, QuadraticRing):
-        part = nonzero_rationals | st.just(QQ(0))
-        return (st.tuples(part, nonzero_rationals)
-                | st.tuples(nonzero_rationals, part))
-    return st.dictionaries(st.integers(min_value=-3, max_value=3),
-                           nonzero_rationals, min_size=1, max_size=3)
+    if ring is R:
+        exponents = st.integers(min_value=-3, max_value=3)
+    elif rational_sqrt(ring.alpha) is None:
+        exponents = st.integers(min_value=0, max_value=1)
+    else:
+        exponents = st.just(0)
+    return st.dictionaries(exponents, nonzero_rationals, min_size=1, max_size=3)
 
 
 def ring_trig_polys(ring, max_size=3):
@@ -302,8 +302,8 @@ def reference_dot(ring, ps, qs):
 
 
 def test_dot_rings_cover_every_phase_free_kind():
-    kinds = [type(ring) for ring in DOT_RINGS]
-    assert kinds.count(RationalRing) == 2 and kinds.count(QuadraticRing) == 3
+    roots = [rational_sqrt(ring.alpha) for ring in DOT_RINGS if ring is not R]
+    assert len(roots) - roots.count(None) == 2 and roots.count(None) == 3
     assert R in DOT_RINGS
 
 
@@ -334,6 +334,12 @@ def test_dot_edge_cases():
     assert tp_dot([p, tp_zero(ring)], [q, q]) == tp_mul(p, q)
     with pytest.raises(ValueError, match="equal length"):
         tp_dot([p], [])
+    # 2 cos 2th + s cos 2th * (-s) = 0 once s^2 = 2 folds into exponent 0
+    twice = tp_term(ring, "cos", 2, ring.from_fraction(QQ(2)))
+    root = tp_term(ring, "cos", 2, ring.s(1))
+    one = tp_term(ring, "cos", 0, ring.one())
+    minus_root = tp_term(ring, "cos", 0, ring.neg(ring.s(1)))
+    assert tp_dot([twice, root], [one, minus_root]) == tp_zero(ring)
     # over the phase ring it sums tp_mul products and keeps the ring
     P = PhaseRing(ring)
     x = tp_add(tp_term(P, "cos", 1, P.sin_phi(1)), tp_term(P, "sin", 2, P.s(1)))
@@ -399,6 +405,6 @@ def test_phase_division():
 
 def test_phase_element_constant_term():
     P = PhaseRing(numeric_ring(2))
-    assert P.one().const == (QQ(1), QQ(0))
+    assert P.one().const == {0: QQ(1)}
     assert P.sin_phi(1).const == P.base.zero()
-    assert P.add(P.s(1), P.cos_phi(2)).const == (QQ(0), QQ(1))
+    assert P.add(P.s(1), P.cos_phi(2)).const == {1: QQ(1)}

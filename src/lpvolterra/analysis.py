@@ -4,6 +4,11 @@ The normalized series is omega/sqrt(alpha) = 1 + sum_j d_j z^j in the
 variable z = a^2; every d_j is an exact rational once alpha is rational.
 Pade approximants P_K/Q_L match the series through z^(K+L); quadratic
 Hermite-Pade triples (P_K, Q_L, R_M) satisfy P f^2 + Q f + R = O(z^(K+L+M+2)).
+Both fits follow one rule: the polynomial that enters the matching
+equations alone and with unit coefficient (P for Pade, R for Hermite-Pade)
+is absent from the equations above its degree, so the other polynomials
+come from the null space of those upper equations only, and the dropped
+one is the truncated convolution of the lower ones.
 Singularity locations come from denominator zeros (Pade) or discriminant
 zeros Q^2 - 4PR (Hermite-Pade), tracked across approximant orders until
 they stabilize.
@@ -48,11 +53,6 @@ def poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_degree(p):
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
 
 
 def poly_mul(p, q):
@@ -186,16 +186,6 @@ def null_space(rows, ncols):
     return basis
 
 
-def solve_linear_system(a_rows, b):
-    """Unique solution of A x = b, or None if A is singular."""
-    n = len(a_rows)
-    aug = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
-    pivots = rational_rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [aug[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # the normalized frequency series
 
@@ -272,14 +262,22 @@ class PadeApprox:
     L: int
 
 
+def _dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec) if a), QQ(0))
+
+
 def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     """[K/L] Pade approximant, exact: P/Q matches the series through
     z^(K+L) with Q(0) = 1.
 
-    The generic path solves the L x L Toeplitz system; a blocked table
-    entry falls back to the homogeneous matching system, whose solutions
-    all represent the same reduced fraction.  A blocked entry that
-    forces Q(0) = 0 is reported for the caller to perturb (K, L)."""
+    P enters f Q - P = O(z^(K+L+1)) with unit coefficient and not at all
+    above z^K, so Q spans the null space of the L equations at z^(K+1) ..
+    z^(K+L), in columns (q_1, ..., q_L, q_0), and P is f Q truncated at
+    z^K.  A regular entry has a one-dimensional null space with q_0 free:
+    q_1..q_L solve the Toeplitz system, and Q keeps all L+1 entries.  A
+    blocked entry has more solutions, which all represent the same
+    fraction; it is reduced by the gcd of P and Q.  An entry that forces
+    Q(0) = 0 is reported for the caller to perturb (K, L)."""
     if K < 0 or L < 0:
         raise ValueError("degrees must be nonnegative")
     c = series.coeffs
@@ -287,51 +285,23 @@ def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     if len(c) < need:
         raise ValueError(f"insufficient coefficients: need {need}, have {len(c)}")
 
-    def c_at(j):
-        return c[j] if 0 <= j < len(c) else QQ(0)
+    def row(j):   # z^j coefficient of f Q, by column
+        return [c[j - i] if i <= j else QQ(0) for i in range(1, L + 1)] + [c[j]]
 
-    q = None
-    if L > 0:
-        rows = [[c_at(K + j - i) for i in range(1, L + 1)] for j in range(1, L + 1)]
-        rhs = [-c_at(K + j) for j in range(1, L + 1)]
-        sol = solve_linear_system(rows, rhs)
-        if sol is not None:
-            q = [QQ(1)] + sol
-    else:
-        q = [QQ(1)]
-    if q is not None:
-        p = [sum((q[i] * c_at(j - i) for i in range(min(j, L) + 1)), QQ(0))
-             for j in range(K + 1)]
-        return PadeApprox(tuple(poly_trim(p) or ()), tuple(q), K, L)
-
-    # blocked entry: null space of the full homogeneous matching system
-    ncols = K + 1 + L + 1
-    rows = []
-    for j in range(K + L + 1):
-        row = [QQ(0)] * ncols
-        if j <= K:
-            row[j] = QQ(-1)
-        for i in range(min(j, L) + 1):
-            row[K + 1 + i] = c_at(j - i)
-        rows.append(row)
-    basis = null_space(rows, ncols)
-    vec = next((v for v in basis if v[K + 1] != 0), None)
-    if vec is None:
+    basis = null_space([row(j) for j in range(K + 1, K + L + 1)], L + 1)
+    vec = basis[-1]   # the only candidate with q_0 != 0: q_0 is the last column
+    if vec[L] == 0:
         raise DegenerateApproximantError(
             f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
-    p = poly_trim(vec[:K + 1])
-    qv = poly_trim(vec[K + 1:])
-    g = poly_gcd(p, qv)
-    if poly_degree(g) > 0:
-        p, _ = poly_divmod(p, g)
-        qv, _ = poly_divmod(qv, g)
-    if not qv or qv[0] == 0:
-        raise DegenerateApproximantError(
-            f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
-    inv = 1 / QQ(qv[0])
-    p = poly_scale(p, inv)
-    qv = poly_scale(qv, inv)
-    return PadeApprox(tuple(p), tuple(qv), K, L)
+    q = [vec[L]] + vec[:L]
+    p = poly_trim([_dot(row(j), vec) for j in range(K + 1)])
+    if len(basis) == 1:
+        return PadeApprox(tuple(p), tuple(q), K, L)
+    g = poly_gcd(p, q)
+    p, _ = poly_divmod(p, g)
+    q, _ = poly_divmod(q, g)
+    inv = 1 / q[0]
+    return PadeApprox(tuple(poly_scale(p, inv)), tuple(poly_scale(q, inv)), K, L)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +320,12 @@ class QuadHermitePade:
 def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermitePade:
     """Exact (P_K, Q_L, R_M) with P f^2 + Q f + R = O(z^(K+L+M+2)).
 
-    The matching system has K+L+M+2 homogeneous equations in K+L+M+3
-    unknowns, so a nontrivial solution always exists; the first nonzero
-    coefficient in (p_0..p_K, q_0..q_L, r_0..r_M) order is scaled to 1.
-    A null space of dimension above one is reported as degenerate."""
+    R enters the matching equations with unit coefficient and not at all
+    above z^M, so (p_0..p_K, q_0..q_L) spans the null space of the K+L+1
+    equations at z^(M+1) .. z^(K+L+M+1), and R = -(P f^2 + Q f) through
+    z^M.  A nontrivial solution always exists; its first nonzero
+    coefficient in (p_0..p_K, q_0..q_L) order is scaled to 1.  A null
+    space of dimension above one is reported as degenerate."""
     if min(K, L, M) < 0:
         raise ValueError("degrees must be nonnegative")
     c = series.coeffs
@@ -362,24 +334,17 @@ def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermite
         raise ValueError(f"insufficient coefficients: need {n_eq}, have {len(c)}")
 
     sq = [QQ(0)] * n_eq   # coefficients of f^2 through z^(n_eq - 1)
-    for i in range(min(len(c), n_eq)):
+    for i in range(n_eq):
         if c[i] == 0:
             continue
-        for j in range(min(len(c), n_eq - i)):
+        for j in range(n_eq - i):
             sq[i + j] += c[i] * c[j]
 
-    ncols = K + L + M + 3
-    rows = []
-    for j in range(n_eq):
-        row = [QQ(0)] * ncols
-        for i in range(min(j, K) + 1):
-            row[i] = sq[j - i]
-        for i in range(min(j, L) + 1):
-            row[K + 1 + i] = c[j - i]
-        if j <= M:
-            row[K + 1 + L + 1 + j] = QQ(1)
-        rows.append(row)
-    basis = null_space(rows, ncols)
+    def row(j):   # z^j coefficient of P f^2 + Q f, by column
+        return ([sq[j - i] if i <= j else QQ(0) for i in range(K + 1)]
+                + [c[j - i] if i <= j else QQ(0) for i in range(L + 1)])
+
+    basis = null_space([row(j) for j in range(M + 1, n_eq)], K + L + 2)
     if len(basis) != 1:
         raise DegenerateApproximantError(
             f"f[{K},{L},{M}] matching system has a {len(basis)}-dimensional "
@@ -387,10 +352,10 @@ def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermite
     vec = basis[0]
     lead = next(v for v in vec if v != 0)
     vec = [v / lead for v in vec]
-    return QuadHermitePade(tuple(poly_trim(vec[:K + 1]) or ()),
-                           tuple(poly_trim(vec[K + 1:K + L + 2]) or ()),
-                           tuple(poly_trim(vec[K + L + 2:]) or ()),
-                           K, L, M)
+    r = [-_dot(row(j), vec) for j in range(M + 1)]
+    return QuadHermitePade(tuple(poly_trim(vec[:K + 1])),
+                           tuple(poly_trim(vec[K + 1:])),
+                           tuple(poly_trim(r)), K, L, M)
 
 
 def discriminant(h: QuadHermitePade):
@@ -566,8 +531,9 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
                 engine_run=None) -> list:
     """One engine run per alpha, then a stable-singularity estimate per
     family.  Failures of the ESTIMATE_ERRORS types are recorded in the
-    row and the scan continues; any other exception is a bug and
-    propagates.
+    row, prefixed by the family when a family's estimate fails, and the
+    scan continues with the next family or alpha; any other exception is
+    a bug and propagates.
 
     The default spread threshold is looser than stable_singularity's own:
     a scan wants a filled table across parameter values of varying
@@ -588,7 +554,7 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
                     est = stable_singularity(
                         ps, family, default_orders(family, len(ps)),
                         threshold=threshold)
-                except (NoStableRootError, ValueError) as exc:
+                except ESTIMATE_ERRORS as exc:
                     msg = str(exc)
                     errors.append(msg if msg.startswith(family) else f"{family}: {msg}")
                     continue

@@ -26,9 +26,10 @@ import mpmath
 
 from .algebra import (QQ, SymbolicRing, canonical, evaluate_numeric,
                       format_element, numeric_ring, parse_element, to_mpf)
-from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE, PowerSeries,
-                       discriminant_roots, hermite_pade_fit, pade_fit,
-                       poly_eval_mp, poly_mul, poly_sub, poly_trim,
+from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
+                       DegenerateApproximantError, PowerSeries,
+                       _poly_roots_mp, discriminant_roots, hermite_pade_fit,
+                       pade_fit, poly_eval_mp, poly_mul, poly_sub, poly_trim,
                        rational_function_series, series_from_engine,
                        stable_singularity)
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
@@ -565,7 +566,7 @@ def _hermite_pade_residual(ctx):
         f = [QQ(1)] + [_rand_q(rng, 5) for _ in range(n - 1)]
         try:
             fit = hermite_pade_fit(PowerSeries(tuple(f)), K, L, M)
-        except Exception:
+        except DegenerateApproximantError:
             continue  # degenerate draw; take another
         f2 = poly_mul(f, f)
         res = [QQ(0)] * n
@@ -609,8 +610,7 @@ def _root_residuals(ctx):
                 continue
             norm = max(abs(to_mpf(c)) for c in poly)
             deg = len(poly) - 1
-            roots = mpmath.polyroots([to_mpf(c) for c in reversed(poly)],
-                                     maxsteps=200, extraprec=240)
+            roots = _poly_roots_mp(poly)
             for r in roots:
                 bound = mpmath.mpf("1e-25") * norm * max(1, abs(r)) ** deg
                 if abs(poly_eval_mp(poly, r)) > bound:

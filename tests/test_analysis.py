@@ -12,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpvolterra import analysis
 from lpvolterra.algebra import QQ
 from lpvolterra.analysis import (
     FAMILY_HERMITE_PADE,
     FAMILY_PADE,
     DegenerateApproximantError,
     NoStableRootError,
+    PadeApprox,
     PowerSeries,
+    QuadHermitePade,
     default_orders,
     discriminant,
     discriminant_roots,
@@ -33,10 +36,10 @@ from lpvolterra.analysis import (
     poly_mul,
     poly_scale,
     poly_sub,
+    poly_trim,
     radius_scan,
     rational_function_series,
     series_from_engine,
-    solve_linear_system,
     stable_singularity,
     rational_rref,
     _float_seed,
@@ -64,8 +67,13 @@ RC_HP_44 = 3.4640026616661515
 
 
 @pytest.fixture(scope="module")
-def ps44():
-    return series_from_engine(run(44, QQ(1), GAUGE_SIMPLIFIED_XI))
+def run44():
+    return run(44, QQ(1), GAUGE_SIMPLIFIED_XI)
+
+
+@pytest.fixture(scope="module")
+def ps44(run44):
+    return series_from_engine(run44)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +115,6 @@ class TestExactLinearAlgebra:
     def test_null_space_of_zero_matrix(self):
         basis = null_space([[QQ(0), QQ(0)]], 2)
         assert len(basis) == 2
-
-    def test_solve_unique(self):
-        sol = solve_linear_system([[QQ(2), QQ(0)], [QQ(1), QQ(1)]], [QQ(4), QQ(5)])
-        assert sol == [QQ(2), QQ(3)]
-
-    def test_solve_singular_returns_none(self):
-        assert solve_linear_system([[QQ(1), QQ(1)], [QQ(2), QQ(2)]], [QQ(1), QQ(2)]) is None
 
 
 def reference_rref(rows):
@@ -204,6 +205,145 @@ def test_rref_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# oracle fits: the full homogeneous matching systems, with every unknown
+# of P, Q and R as a column, eliminated by the Fraction Gauss-Jordan above
+
+
+def reference_null_space(rows, ncols):
+    work = [[Fraction(v) for v in row] for row in rows]
+    pivots = reference_rref(work)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -work[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_pade(coeffs, K, L):
+    """The [K/L] fit from the (K+L+1) x (K+L+2) system P - f Q = O(z^(K+L+1)).
+
+    A unique solution is scaled to Q(0) = 1 and keeps all L+1 entries of
+    Q; a blocked entry is reduced by the gcd of P and Q."""
+    ncols = K + L + 2
+    rows = []
+    for j in range(K + L + 1):
+        row = [Fraction(0)] * ncols
+        if j <= K:
+            row[j] = Fraction(-1)
+        for i in range(min(j, L) + 1):
+            row[K + 1 + i] = coeffs[j - i]
+        rows.append(row)
+    basis = reference_null_space(rows, ncols)
+    vec = next((v for v in basis if v[K + 1] != 0), None)
+    if vec is None:
+        raise DegenerateApproximantError(
+            f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
+    vec = [v / vec[K + 1] for v in vec]
+    p, q = poly_trim(vec[:K + 1]), vec[K + 1:]
+    if len(basis) > 1:
+        g = poly_gcd(p, q)
+        p, q = poly_divmod(p, g)[0], poly_divmod(q, g)[0]
+        p, q = poly_scale(p, 1 / q[0]), poly_scale(q, 1 / q[0])
+    return PadeApprox(tuple(p), tuple(q), K, L)
+
+
+def reference_hermite_pade(coeffs, K, L, M):
+    """The (K, L, M) fit from the (K+L+M+2) x (K+L+M+3) system
+    P f^2 + Q f + R = O(z^(K+L+M+2)), first nonzero coefficient 1."""
+    n_eq = K + L + M + 2
+    f = list(coeffs[:n_eq])
+    sq = [sum((f[i] * f[j - i] for i in range(j + 1)), Fraction(0))
+          for j in range(n_eq)]
+    ncols = K + L + M + 3
+    rows = []
+    for j in range(n_eq):
+        row = [Fraction(0)] * ncols
+        for i in range(min(j, K) + 1):
+            row[i] = sq[j - i]
+        for i in range(min(j, L) + 1):
+            row[K + 1 + i] = f[j - i]
+        if j <= M:
+            row[K + L + 2 + j] = Fraction(1)
+        rows.append(row)
+    basis = reference_null_space(rows, ncols)
+    if len(basis) != 1:
+        raise DegenerateApproximantError(
+            f"f[{K},{L},{M}] matching system has a {len(basis)}-dimensional "
+            "null space")
+    lead = next(v for v in basis[0] if v != 0)
+    vec = [v / lead for v in basis[0]]
+    return QuadHermitePade(tuple(poly_trim(vec[:K + 1])),
+                           tuple(poly_trim(vec[K + 1:K + L + 2])),
+                           tuple(poly_trim(vec[K + L + 2:])), K, L, M)
+
+
+def _outcome(fit, *args):
+    """The fit, or the message of a degenerate entry."""
+    try:
+        return fit(*args)
+    except DegenerateApproximantError as exc:
+        return str(exc)
+
+
+def assert_fits_match_oracle(coeffs, pade_degrees, hp_degrees):
+    ps = PowerSeries(tuple(coeffs))
+    for K, L in pade_degrees:
+        assert _outcome(pade_fit, ps, K, L) == \
+            _outcome(reference_pade, coeffs, K, L), (K, L)
+    for K, L, M in hp_degrees:
+        assert _outcome(hermite_pade_fit, ps, K, L, M) == \
+            _outcome(reference_hermite_pade, coeffs, K, L, M), (K, L, M)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_diagonal_fits_match_oracle_at_order44(alpha, ps44):
+    ps = ps44 if alpha == 1 else series_from_engine(
+        run(44, QQ(alpha), GAUGE_SIMPLIFIED_XI))
+    pade_top = max_diagonal_order(FAMILY_PADE, len(ps))
+    hp_top = max_diagonal_order(FAMILY_HERMITE_PADE, len(ps))
+    assert (pade_top, hp_top) == (11, 7)
+    assert_fits_match_oracle(ps.coeffs,
+                             [(m, m) for m in range(1, pade_top + 1)],
+                             [(m, m, m) for m in range(1, hp_top + 1)])
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(p=st.lists(_SMALL, min_size=1, max_size=3),
+       q=st.lists(_SMALL, min_size=0, max_size=2),
+       extra=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       bump=st.one_of(st.none(), st.tuples(st.integers(0, 9), _SMALL)),
+       hp=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+@settings(max_examples=80, deadline=None)
+def test_low_degree_fits_match_oracle(p, q, extra, bump, hp):
+    """Low-degree rational functions fitted with spare degrees: every
+    Pade entry is blocked, and a bumped coefficient can force Q(0) = 0
+    or make the entry regular again."""
+    p_true = [QQ(v) for v in p]
+    q_true = [QQ(1)] + [QQ(v) for v in q]
+    K, L = len(p_true) - 1 + extra[0], len(q_true) - 1 + extra[1]
+    n = max(K + L + 1, sum(hp) + 2)
+    coeffs = rational_function_series(p_true, q_true, n)
+    if bump is not None and bump[0] < n:
+        coeffs[bump[0]] += bump[1]
+    assert_fits_match_oracle(coeffs, [(K, L)], [hp])
+
+
+def test_oracle_covers_blocked_and_degenerate_entries():
+    assert_fits_match_oracle([QQ(1)] * 5, [(2, 2)], [(1, 1, 1)])
+    assert_fits_match_oracle([QQ(1), QQ(0), QQ(1)], [(1, 1)], [(0, 0, 0)])
+    with pytest.raises(DegenerateApproximantError, match="blocked"):
+        reference_pade([QQ(1), QQ(0), QQ(1)], 1, 1)
+    assert reference_pade([QQ(1)] * 5, 2, 2) == PadeApprox((QQ(1),), (QQ(1), QQ(-1)), 2, 2)
+    with pytest.raises(DegenerateApproximantError, match="2-dimensional"):
+        reference_hermite_pade([QQ(1)] * 5, 1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -271,8 +411,8 @@ class TestPadeFit:
             pade_fit(geometric(3), 2, 2)
 
     def test_blocked_entry_recovers_reduced_fraction(self):
-        # Toeplitz system of the geometric [2/2] is singular; the
-        # homogeneous fallback must land on 1/(1-z) after gcd reduction
+        # the geometric [2/2] q-system has a two-dimensional null space;
+        # gcd reduction must land on 1/(1-z)
         fit = pade_fit(geometric(5), 2, 2)
         assert fit.P == (QQ(1),)
         assert fit.Q == (QQ(1), QQ(-1))
@@ -588,6 +728,23 @@ class TestRadiusScan:
 
         with pytest.raises(TypeError):
             radius_scan([QQ(1)], 8, engine_run=boom)
+
+    @pytest.mark.parametrize("roots, failed, kept, radius", [
+        ("pade_poles", FAMILY_PADE, "rc_hermite_pade", RC_HP_44),
+        ("discriminant_roots", FAMILY_HERMITE_PADE, "rc_pade", RC_PADE_44),
+    ], ids=["pade-fails", "hermite-pade-fails"])
+    @pytest.mark.parametrize("exc", [ArithmeticError("root refinement did not converge"),
+                                     mpmath.libmp.NoConvergence("no convergence")],
+                             ids=["ArithmeticError", "NoConvergence"])
+    def test_root_failure_keeps_the_other_family(self, monkeypatch, run44,
+                                                 roots, failed, kept, radius, exc):
+        def fail(fit):
+            raise exc
+
+        monkeypatch.setattr(analysis, roots, fail)
+        row = radius_scan([QQ(1)], 44, engine_run=lambda alpha: run44)[0]
+        assert getattr(row, kept) == pytest.approx(radius, abs=1e-9)
+        assert row.error == f"{failed}: {exc}"
 
     def test_family_restriction(self):
         rows = radius_scan([QQ(1)], 44, families=(FAMILY_HERMITE_PADE,))

@@ -20,15 +20,19 @@ angle ``phi``; that extension (:class:`lpvolterra.trigpoly.PhaseRing`,
 marked by ``has_phase``) lives in :mod:`lpvolterra.trigpoly`, and its
 elements are ``TrigPoly`` objects with a ``const`` term and ``sin``/``cos``
 dicts.
-:func:`format_element` / :func:`parse_element` provide a canonical,
-round-trippable string form and :func:`evaluate_numeric` evaluates any
-element with mpmath at configurable precision (default 50 significant
-digits).
+:func:`format_element` writes the canonical string of an element, and
+:func:`parse_element` reads it back through the standard library's ``ast``
+(``^`` is a power, with the usual precedence: ``-x^2`` is ``-(x^2)``); the
+text is matched against a whitelist of nodes and never evaluated.
+:func:`evaluate_numeric` evaluates any element with mpmath at configurable
+precision (default 50 significant digits).
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -369,161 +373,104 @@ class _ParseError(ValueError):
     pass
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", int(text[i:j])))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif c in "+-*/^()":
-            tokens.append((c, c))
-            i += 1
-        else:
-            raise _ParseError(f"unexpected character {c!r}")
-    tokens.append(("end", None))
-    return tokens
+# '**' and '//' are not element syntax; a digit followed by a letter would
+# read as a hex, octal, binary, float or complex literal
+_MALFORMED = re.compile(r"\*\*|//|\d[A-Za-z]|[^\sA-Za-z0-9+\-*/^()]")
+_LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
 
 
-class _Parser:
-    """Recursive-descent parser for the canonical element strings."""
+def _integer(node):
+    """Value of an integer literal node, or None."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    return None
 
-    def __init__(self, ring, tokens):
-        self.ring = ring
-        self.toks = tokens
-        self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos]
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else None
 
-    def next(self, expect=None):
-        tok = self.toks[self.pos]
-        if expect is not None and tok[0] != expect:
-            raise _ParseError(f"expected {expect!r}, got {tok[0]!r}")
-        self.pos += 1
-        return tok
 
-    # values carry the element together with the formal amplitude power
-    def expr(self):
-        neg = False
-        if self.peek()[0] in "+-":
-            neg = self.next()[0] == "-"
-        el, amp = self.term()
-        if neg:
-            el = self.ring.neg(el)
-        total, total_amp = el, amp
-        while self.peek()[0] in "+-":
-            op = self.next()[0]
-            el, amp = self.term()
-            if op == "-":
-                el = self.ring.neg(el)
-            if self.ring.is_zero(total):
-                total_amp = amp
-            elif not self.ring.is_zero(el) and amp != total_amp:
+def _walk(ring, node):
+    """(element, amplitude power) of an element-string syntax tree."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, amp = _walk(ring, node.left)
+        exp = node.right
+        negative = isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub)
+        k = _integer(exp.operand if negative else exp)
+        if k is None:
+            raise _ParseError("exponents must be integers")
+        el, op = ring.one(), (ring.div if negative else ring.mul)
+        for _ in range(k):
+            el = op(el, base)
+        return el, -amp * k if negative else amp * k
+    if isinstance(node, ast.BinOp):
+        (x, xamp), (y, yamp) = _walk(ring, node.left), _walk(ring, node.right)
+        if isinstance(node.op, ast.Mult):
+            return ring.mul(x, y), xamp + yamp
+        if isinstance(node.op, ast.Div):
+            if yamp:
+                raise _ParseError("cannot divide by an amplitude factor")
+            return ring.div(x, y), xamp
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            if isinstance(node.op, ast.Sub):
+                y = ring.neg(y)
+            if ring.is_zero(x):
+                xamp = yamp
+            elif not ring.is_zero(y) and yamp != xamp:
                 raise _ParseError("mixed amplitude powers in a sum")
-            total = self.ring.add(total, el)
-        return total, total_amp
-
-    def term(self):
-        el, amp = self.power()
-        while self.peek()[0] in "*/":
-            op = self.next()[0]
-            rhs, ramp = self.power()
-            if op == "*":
-                el = self.ring.mul(el, rhs)
-                amp += ramp
-            else:
-                if ramp:
-                    raise _ParseError("cannot divide by an amplitude factor")
-                el = self.ring.div(el, rhs)
-        return el, amp
-
-    def power(self):
-        el, amp = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            neg = False
-            if self.peek()[0] == "-":
-                self.next()
-                neg = True
-            k = self.next("num")[1]
-            if neg:
-                base = el
-                el = self.ring.one()
-                for _ in range(k):
-                    el = self.ring.div(el, base)
-                amp = -amp * k
-            else:
-                base = el
-                el = self.ring.one()
-                for _ in range(k):
-                    el = self.ring.mul(el, base)
-                amp *= k
-        return el, amp
-
-    def atom(self):
-        kind, val = self.next()
-        ring = self.ring
-        if kind == "num":
-            return ring.from_fraction(QQ(val)), 0
-        if kind == "(":
-            el, amp = self.expr()
-            self.next(")")
-            return el, amp
-        if kind == "-":
-            el, amp = self.atom()
-            return ring.neg(el), amp
-        if kind != "name":
-            raise _ParseError(f"unexpected token {val!r}")
-        if val == "alpha":
-            return ring.s(2), 0
-        if val == "A":
-            return ring.one(), 1
-        if val == "sqrt":
-            self.next("(")
-            name = self.next("name")[1]
-            if name != "alpha":
+            return ring.add(x, y), xamp
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        el, amp = _walk(ring, node.operand)
+        return (ring.neg(el) if isinstance(node.op, ast.USub) else el), amp
+    if _integer(node) is not None:
+        return ring.from_fraction(QQ(node.value)), 0
+    if _name(node) in ("alpha", "A"):
+        return (ring.s(2), 0) if node.id == "alpha" else (ring.one(), 1)
+    if isinstance(node, ast.Call) and len(node.args) == 1:
+        name, (arg,) = _name(node.func), node.args
+        if name == "sqrt":
+            if _name(arg) != "alpha":
                 raise _ParseError("only sqrt(alpha) is supported")
-            self.next(")")
             return ring.s(1), 0
-        if val in ("sin", "cos"):
-            if not getattr(ring, "has_phase", False):
-                raise _ParseError(f"{val}(phi) needs a phase-extended ring")
-            self.next("(")
-            k = 1
-            if self.peek()[0] == "num":
-                k = self.next()[1]
-                self.next("*")
-            name = self.next("name")[1]
-            if name != "phi":
-                raise _ParseError("trig arguments must be multiples of phi")
-            self.next(")")
-            return (ring.sin_phi(k) if val == "sin" else ring.cos_phi(k)), 0
-        raise _ParseError(f"unknown symbol {val!r}")
+        if name in ("sin", "cos"):
+            if not ring.has_phase:
+                raise _ParseError(f"{name}(phi) needs a phase-extended ring")
+            k = 1 if _name(arg) == "phi" else None
+            if (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
+                    and _name(arg.right) == "phi"):
+                k = _integer(arg.left)
+            if k is None:
+                raise _ParseError("trig arguments must be phi or k*phi")
+            return (ring.sin_phi(k) if name == "sin" else ring.cos_phi(k)), 0
+    raise _ParseError(f"unsupported syntax {type(node).__name__}")
 
 
 def parse_element(ring, text: str):
-    """Parse a canonical element string.
+    """Parse an element string.
 
     Returns ``(element, amp_power)``; plain elements come back with
-    ``amp_power == 0``.  Inverse of :func:`format_element` and tolerant of
-    whitespace and non-canonical but well-formed layouts.
+    ``amp_power == 0``.  Inverse of :func:`format_element`, and tolerant of
+    whitespace, newlines, leading zeros and non-canonical layouts.
+
+    The text is parsed by the standard library's ``ast`` (with ``^`` read as
+    ``**``, so the usual precedence holds: ``-x^2`` is ``-(x^2)`` and
+    ``2*-x^2`` is ``-2*x^2``) and never evaluated.  Accepted are integer
+    literals, ``alpha``, ``A``, ``sqrt(alpha)``, ``sin``/``cos`` of ``phi``
+    or ``k*phi`` (phase rings only), ``+ - * /``, unary ``+``/``-`` and
+    ``^`` with an integer or negated-integer exponent.  The amplitude factor
+    ``A`` may not divide, every nonzero term of a sum carries the same power
+    of ``A``, and the total power may not be negative.  Other text raises a
+    ``ValueError``; a division the ring cannot do raises its ``ArithmeticError``.
     """
-    parser = _Parser(ring, _tokenize(text))
-    el, amp = parser.expr()
-    parser.next("end")
+    if _MALFORMED.search(text):
+        raise _ParseError(f"malformed element string {text!r}")
+    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    # ast construction and the walk both recurse once per term of a sum, so
+    # a sum of about a thousand terms raises RecursionError
+    try:
+        el, amp = _walk(ring, ast.parse(source, mode="eval").body)
+    except (SyntaxError, RecursionError) as exc:
+        raise _ParseError(f"cannot parse element string: {exc}") from exc
     if amp < 0:
         raise _ParseError("negative amplitude power")
     return el, amp

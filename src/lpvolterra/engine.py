@@ -240,29 +240,22 @@ def evaluate_solution(series: PerturbationSeries, a, A=1.0, phi=0.0,
     def coeff_value(el):
         return float(evaluate_numeric(ring, el, alpha=alpha_val, phi=phi, dps=50))
 
-    sin_acc: dict = {}
-    cos_acc: dict = {}
+    # {kind: {(component, harmonic): partial sum}}; each array adds its sin
+    # terms, then its cos terms, each in order of first appearance
+    acc: dict = {"sin": {}, "cos": {}}
     omega = 0.0
     ap = 1.0
     for n in range(N + 1):
         sol = series.orders[n]
         omega += coeff_value(sol.omega) * ap
-        for j, v in sol.xi.sin.items():
-            sin_acc[("xi", j)] = sin_acc.get(("xi", j), 0.0) + coeff_value(v) * ap
-        for j, v in sol.xi.cos.items():
-            cos_acc[("xi", j)] = cos_acc.get(("xi", j), 0.0) + coeff_value(v) * ap
-        for j, v in sol.eta.sin.items():
-            sin_acc[("eta", j)] = sin_acc.get(("eta", j), 0.0) + coeff_value(v) * ap
-        for j, v in sol.eta.cos.items():
-            cos_acc[("eta", j)] = cos_acc.get(("eta", j), 0.0) + coeff_value(v) * ap
+        for comp in ("xi", "eta"):
+            for kind, sums in acc.items():
+                for j, v in getattr(getattr(sol, comp), kind).items():
+                    sums[comp, j] = sums.get((comp, j), 0.0) + coeff_value(v) * ap
         ap *= a
     theta = tau + phi
-    xi = np.zeros_like(tau)
-    eta = np.zeros_like(tau)
-    for (comp, j), c in sin_acc.items():
-        target = xi if comp == "xi" else eta
-        target += c * np.sin(j * theta)
-    for (comp, j), c in cos_acc.items():
-        target = xi if comp == "xi" else eta
-        target += c * np.cos(j * theta) if j else np.full_like(tau, c)
-    return A * xi, A * eta, omega
+    out = {"xi": np.zeros_like(tau), "eta": np.zeros_like(tau)}
+    for kind, sums in acc.items():
+        for (comp, j), c in sums.items():
+            out[comp] += c * getattr(np, kind)(j * theta)
+    return A * out["xi"], A * out["eta"], omega

@@ -163,6 +163,44 @@ class TestCanonicalStrings:
             parse_element(R, "A^2*alpha+A^3*alpha")
 
 
+class TestPrecedence:
+    """Unary minus binds looser than ^, as in the usual precedence."""
+
+    @pytest.mark.parametrize("text, want, amp", [
+        ("2*-alpha^2", {4: QQ(-2)}, 0),
+        ("1+-alpha^2", {0: QQ(1), 4: QQ(-1)}, 0),
+        ("+-alpha^2", {4: QQ(-1)}, 0),
+        ("alpha- -2^2", {2: QQ(1), 0: QQ(4)}, 0),
+        ("A*-A^2", {0: QQ(-1)}, 3),
+    ])
+    def test_unary_minus_after_an_operator(self, text, want, amp):
+        assert parse_element(R, text) == (want, amp)
+
+    def test_unary_minus_in_a_phase_ring(self):
+        P = PhaseRing(R)
+        el, amp = parse_element(P, "sin(phi)*-cos(2*phi)^2")
+        c = P.cos_phi(2)
+        assert amp == 0
+        assert P.eq(el, P.neg(P.mul(P.sin_phi(1), P.mul(c, c))))
+
+    def test_leading_zeros(self):
+        assert parse_element(R, "007*alpha^02-00") == ({4: QQ(7)}, 0)
+        P = PhaseRing(R)
+        assert P.eq(parse_element(P, "sin(03*phi)")[0], P.sin_phi(3))
+
+
+MALFORMED = ["alpha**2", "alpha//2", "0x10", "1e5", "1.5", "sin(phi*2)",
+             "sqrt(A)", "alpha^2^2", "alpha^x", "alpha.real", "[alpha]",
+             "alpha if A else 1", '__import__("os")', "", " ", "2alpha",
+             "1)+(2", "alpha^+2", "True", "A^-1", "alpha/A"]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_strings_raise(text):
+    with pytest.raises(ValueError):
+        parse_element(PhaseRing(R), text)
+
+
 class TestNumericEvaluation:
     def test_polynomial_at_alpha_one(self):
         el, _ = parse_element(R, "alpha+7")
@@ -321,3 +359,120 @@ def test_numeric_division_by_zero():
         ring = numeric_ring(alpha)
         with pytest.raises(ZeroDivisionError):
             ring.div(ring.one(), ring.zero())
+
+
+# ---------------------------------------------------------------------------
+# parser oracle: random expression trees, rendered as text and built by ring
+# operations
+
+def leaves(phase):
+    options = [st.tuples(st.just("int"), st.integers(0, 12), st.integers(0, 2)),
+               st.sampled_from([("alpha",), ("A",), ("sqrt",)])]
+    if phase:
+        options.append(st.tuples(st.sampled_from(["sin", "cos"]), st.integers(0, 3)))
+    return st.one_of(options)
+
+
+def trees(phase):
+    def extend(sub):
+        # a negated power is drawn often, also right of an operator, where
+        # -x^k must still read -(x^k)
+        power = st.tuples(st.just("^"), sub, st.integers(-3, 3))
+        negated = st.tuples(st.just("neg"), st.one_of(sub, power))
+        binary = st.tuples(st.sampled_from("+-*/"), sub, st.one_of(sub, negated))
+        return st.one_of(negated, power, binary)
+    return st.recursive(leaves(phase), extend, max_leaves=10)
+
+
+def build(ring, tree):
+    """(element, amplitude power) of a tree, by ring operations."""
+    kind = tree[0]
+    if kind == "int":
+        return ring.from_fraction(QQ(tree[1])), 0
+    if kind == "alpha":
+        return ring.s(2), 0
+    if kind == "A":
+        return ring.one(), 1
+    if kind == "sqrt":
+        return ring.s(1), 0
+    if kind in ("sin", "cos"):
+        return (ring.sin_phi if kind == "sin" else ring.cos_phi)(tree[1]), 0
+    x, p = build(ring, tree[1])
+    if kind == "neg":
+        return ring.neg(x), p
+    if kind == "^":
+        k = tree[2]
+        power = ring.one()
+        for _ in range(abs(k)):
+            power = ring.mul(power, x)
+        return (power if k >= 0 else ring.div(ring.one(), power)), p * k
+    y, q = build(ring, tree[2])
+    if kind == "*":
+        return ring.mul(x, y), p + q
+    if kind == "/":
+        if q:
+            raise ValueError("division by A")
+        return ring.div(x, y), p
+    if kind == "-":
+        y = ring.neg(y)
+    if not ring.is_zero(x) and not ring.is_zero(y) and p != q:
+        raise ValueError("mixed amplitude powers")
+    return ring.add(x, y), (q if ring.is_zero(x) else p)
+
+
+# operator precedence: the lowest that may stand unparenthesised in a slot
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def render(tree, rng):
+    """Tokens of a tree, parenthesised where precedence needs it and at
+    random elsewhere."""
+    def operand(sub, lowest):
+        toks = render(sub, rng)
+        if PRECEDENCE.get(sub[0], 5) < lowest or rng.random() < 0.2:
+            toks = ["(", *toks, ")"]
+        return toks
+
+    kind = tree[0]
+    if kind == "int":
+        return ["0" * tree[2] + str(tree[1])]
+    if kind in ("alpha", "A"):
+        return [kind]
+    if kind == "sqrt":
+        return ["sqrt", "(", "alpha", ")"]
+    if kind in ("sin", "cos"):
+        if tree[1] == 1 and rng.random() < 0.5:
+            return [kind, "(", "phi", ")"]
+        return [kind, "(", str(tree[1]), "*", "phi", ")"]
+    if kind == "neg":
+        return ["-", *operand(tree[1], 3)]
+    if kind == "^":
+        k = tree[2]
+        return [*operand(tree[1], 5), "^", *(["-", str(-k)] if k < 0 else [str(k)])]
+    lowest = PRECEDENCE[kind]
+    return [*operand(tree[1], lowest), kind, *operand(tree[2], lowest + 1)]
+
+
+ORACLE_RINGS = {"symbolic": R, "alpha=2": numeric_ring(2),
+                "alpha=9/4": numeric_ring(QQ(9, 4)), "phase": PhaseRing(R)}
+
+
+@given(st.sampled_from(sorted(ORACLE_RINGS)).flatmap(
+           lambda name: st.tuples(st.just(name), trees(name == "phase"))),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_ring_operations(case, rng):
+    name, tree = case
+    ring = ORACLE_RINGS[name]
+    text = "".join(tok + rng.choice(["", "", " ", "\n", "\t", " \n "])
+                   for tok in render(tree, rng))
+    try:
+        want, amp = build(ring, tree)
+        if amp < 0:
+            raise ValueError("negative amplitude power")
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)):
+            parse_element(ring, text)
+        return
+    el, got_amp = parse_element(ring, text)
+    assert ring.eq(el, want) and got_amp == amp, text

@@ -378,6 +378,9 @@ class _ParseError(ValueError):
 _MALFORMED = re.compile(r"\*\*|//|\d[A-Za-z]|[^\sA-Za-z0-9+\-*/^()]")
 _LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
 
+# x^k costs |k| ring products; canonical strings stay far below (A^101 at order 100)
+MAX_EXPONENT = 1000
+
 
 def _integer(node):
     """Value of an integer literal node, or None."""
@@ -393,12 +396,14 @@ def _name(node):
 def _walk(ring, node):
     """(element, amplitude power) of an element-string syntax tree."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        base, amp = _walk(ring, node.left)
         exp = node.right
         negative = isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub)
         k = _integer(exp.operand if negative else exp)
         if k is None:
             raise _ParseError("exponents must be integers")
+        if k > MAX_EXPONENT:
+            raise _ParseError(f"|exponent| {k} is above the bound {MAX_EXPONENT}")
+        base, amp = _walk(ring, node.left)
         el, op = ring.one(), (ring.div if negative else ring.mul)
         for _ in range(k):
             el = op(el, base)
@@ -457,9 +462,10 @@ def parse_element(ring, text: str):
     ``2*-x^2`` is ``-2*x^2``) and never evaluated.  Accepted are integer
     literals, ``alpha``, ``A``, ``sqrt(alpha)``, ``sin``/``cos`` of ``phi``
     or ``k*phi`` (phase rings only), ``+ - * /``, unary ``+``/``-`` and
-    ``^`` with an integer or negated-integer exponent.  The amplitude factor
-    ``A`` may not divide, every nonzero term of a sum carries the same power
-    of ``A``, and the total power may not be negative.  Other text raises a
+    ``^`` with an integer or negated-integer exponent, at most
+    :data:`MAX_EXPONENT` in absolute value.  The amplitude factor ``A`` may
+    not divide, every nonzero term of a sum carries the same power of
+    ``A``, and the total power may not be negative.  Other text raises a
     ``ValueError``; a division the ring cannot do raises its ``ArithmeticError``.
     """
     if _MALFORMED.search(text):

@@ -41,7 +41,8 @@ MIN_RADIUS_ORDER = 8
 
 # the orbit's time span is periods * 2 pi / omega, so an alpha near 0
 # asks for ever more integrator steps (past 2^53 of them the remaining
-# span stops shrinking and the integration never ends); cap their number
+# span stops shrinking and the integration never ends); cap their number,
+# and the number of output grid points with it
 MAX_ORBIT_STEPS = 10**6
 
 
@@ -204,11 +205,7 @@ def cmd_series(params):
         raise BadArguments(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
     output = _need_str(params, "output")
 
-    kw = {}
-    if gauge == "zero-initial":
-        # the CLI treats an explicit order as consent to go past the default cap
-        kw["zero_initial_order_cap"] = order
-    series = run(order, alpha, gauge, **kw)
+    series = run(order, alpha, gauge)
     ring = series.coeff_ring
 
     doc = {"alpha": params["alpha"] if alpha == "symbolic" else str(alpha),
@@ -315,6 +312,9 @@ def cmd_orbit(params):
     points = _need_int(params, "points")
     if points < 2:
         raise BadArguments("need at least 2 grid points")
+    if points > MAX_ORBIT_STEPS:
+        # np.linspace below would fail with a MemoryError, not a bad-input exit
+        raise BadArguments(f"points must be <= {MAX_ORBIT_STEPS}; got {points}")
     tolerance = _need_finite(params, "tolerance", positive=True)
     digits = _need_digits(params)
     radius_check = params.get("radius_check", True)

@@ -35,10 +35,6 @@ GAUGE_SIMPLIFIED_XI = "simplified-xi"
 GAUGE_SIMPLIFIED_ETA = "simplified-eta"
 GAUGES = (GAUGE_ZERO_INITIAL, GAUGE_SIMPLIFIED_XI, GAUGE_SIMPLIFIED_ETA)
 
-# zero-initial solutions carry phase-polynomial coefficients whose size
-# grows quickly with the order; the cap is a guard rail, not a hard limit
-DEFAULT_ZERO_INITIAL_CAP = 8
-
 
 class SecularInconsistencyError(ArithmeticError):
     """The two first-harmonic projections demand different omega_n."""
@@ -50,7 +46,11 @@ class OrderSolution:
     omega: object                 # coefficient-ring element
     xi: TrigPoly
     eta: TrigPoly
-    gauge_constants: tuple        # (a_n, b_n) as phase-ring elements
+
+    @property
+    def gauge_constants(self) -> tuple:
+        """(xi_n(0), eta_n(0)) as phase-ring elements."""
+        return evaluate_at_zero(self.xi), evaluate_at_zero(self.eta)
 
 
 @dataclass
@@ -58,13 +58,16 @@ class PerturbationSeries:
     alpha: object                 # Fraction or the string "symbolic"
     gauge: str
     orders: list
-    base_ring: object
-    phase_ring: PhaseRing
-    coeff_ring: object            # base_ring, or phase_ring for zero-initial
+    coeff_ring: object            # phase-free, or a PhaseRing for zero-initial
 
     @property
     def order(self) -> int:
         return len(self.orders) - 1
+
+    @property
+    def phase_ring(self) -> PhaseRing:
+        ring = self.coeff_ring
+        return ring if ring.has_phase else PhaseRing(ring)
 
 
 def _base_ring_for(alpha):
@@ -74,11 +77,10 @@ def _base_ring_for(alpha):
     return numeric_ring(q), q
 
 
-def _zeroth_in(coeff_ring, phase_ring) -> OrderSolution:
-    xi = tp_term(coeff_ring, "cos", 1, coeff_ring.one())
-    eta = tp_term(coeff_ring, "sin", 1, coeff_ring.s(1))
-    gc = (evaluate_at_zero(xi, phase_ring), evaluate_at_zero(eta, phase_ring))
-    return OrderSolution(0, coeff_ring.s(1), xi, eta, gc)
+def _zeroth_in(ring) -> OrderSolution:
+    xi = tp_term(ring, "cos", 1, ring.one())
+    eta = tp_term(ring, "sin", 1, ring.s(1))
+    return OrderSolution(0, ring.s(1), xi, eta)
 
 
 def build_forcing(n: int, prior: PerturbationSeries) -> VectorTrigPoly:
@@ -136,14 +138,16 @@ def remove_secular(n: int, forcing: VectorTrigPoly):
     return omega_n, resolved
 
 
-def solve_linear_anchored(particular: VectorTrigPoly, phase_ring: PhaseRing):
+def solve_linear_anchored(particular: VectorTrigPoly):
     """Shift a particular solution so W(0) = (0, 0); the one way a
-    solution is anchored to an initial condition."""
-    v1 = phase_ring.neg(evaluate_at_zero(particular.xi, phase_ring))
-    v2 = phase_ring.neg(evaluate_at_zero(particular.eta, phase_ring))
-    if phase_ring.is_zero(v1) and phase_ring.is_zero(v2):
+    solution is anchored to an initial condition.  ``particular`` has
+    phase-ring coefficients, since the homogeneous shift mixes phi in."""
+    P = particular.xi.ring
+    v1 = P.neg(evaluate_at_zero(particular.xi))
+    v2 = P.neg(evaluate_at_zero(particular.eta))
+    if P.is_zero(v1) and P.is_zero(v2):
         return particular
-    hom = exp_tk_vector(phase_ring, v1, v2)
+    hom = exp_tk_vector(P, v1, v2)
     return VectorTrigPoly(tp_add(particular.xi, hom.xi),
                           tp_add(particular.eta, hom.eta))
 
@@ -169,42 +173,32 @@ def _check_order(n: int, gauge: str, forcing: VectorTrigPoly, w: VectorTrigPoly)
     check_harmonics(n, gauge, w.xi, w.eta)
 
 
-def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI,
-        zero_initial_order_cap: int = DEFAULT_ZERO_INITIAL_CAP) -> PerturbationSeries:
+def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI) -> PerturbationSeries:
     """Compute the perturbation series through order N (A = 1).
 
     ``alpha`` is ``"symbolic"`` or a positive rational.  The zero-initial
-    gauge is capped at ``zero_initial_order_cap`` because its phase-ring
-    coefficients grow fast; pass a larger cap explicitly to go higher.
+    gauge works over the phase ring, whose coefficients grow fast with the
+    order.  Every stored order has passed :func:`_check_order`.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if gauge not in GAUGES:
         raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
-    if gauge == GAUGE_ZERO_INITIAL and N > zero_initial_order_cap:
-        raise ValueError(
-            f"zero-initial gauge capped at order {zero_initial_order_cap}; "
-            "raise zero_initial_order_cap to override")
     base, alpha_tag = _base_ring_for(alpha)
-    phase = PhaseRing(base)
-    coeff = phase if gauge == GAUGE_ZERO_INITIAL else base
+    coeff = PhaseRing(base) if gauge == GAUGE_ZERO_INITIAL else base
     series = PerturbationSeries(alpha=alpha_tag, gauge=gauge, orders=[],
-                                base_ring=base, phase_ring=phase, coeff_ring=coeff)
-    series.orders.append(_zeroth_in(coeff, phase))
+                                coeff_ring=coeff)
+    series.orders.append(_zeroth_in(coeff))
     absorb = "eta" if gauge == GAUGE_SIMPLIFIED_ETA else "xi"
     for n in range(1, N + 1):
         omega_n, forcing = remove_secular(n, build_forcing(n, series))
-        part = particular_solution(forcing, absorb=absorb)
+        # the absorb choice zeroes the first harmonic of xi_n (simplified-xi)
+        # or eta_n (simplified-eta); zero-initial anchors W_n(0) = 0 instead
+        w = particular_solution(forcing, absorb=absorb)
         if gauge == GAUGE_ZERO_INITIAL:
-            gc = (coeff.zero(), coeff.zero())
-            w = solve_linear_anchored(part, coeff)
-        else:
-            # the absorb choice already zeroes the first harmonic of xi_n
-            # (simplified-xi) or eta_n (simplified-eta)
-            w = part
-            gc = (evaluate_at_zero(w.xi, phase), evaluate_at_zero(w.eta, phase))
+            w = solve_linear_anchored(w)
         _check_order(n, gauge, forcing, w)
-        series.orders.append(OrderSolution(n, omega_n, w.xi, w.eta, gc))
+        series.orders.append(OrderSolution(n, omega_n, w.xi, w.eta))
     return series
 
 

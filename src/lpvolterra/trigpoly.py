@@ -362,17 +362,14 @@ class PhaseRing:
                         {k: b.div(v, d) for k, v in x.cos.items()})
 
 
-def evaluate_at_zero(p: TrigPoly, phase_ring: PhaseRing):
+def evaluate_at_zero(p: TrigPoly):
     """Value of p at tau = 0, i.e. theta = phi, as a phase-ring element.
 
     Read at theta = phi, a phase-free p already is that trig polynomial
     in phi, so it is returned as it is."""
-    ring = p.ring
-    if ring is phase_ring.base:
+    P = p.ring
+    if not P.has_phase:
         return p
-    if ring is not phase_ring:
-        raise ValueError("phase ring does not match the coefficient ring")
-    P = phase_ring
     coeffs = list(p.sin.values()) + list(p.cos.values())
     if not coeffs:
         return P.zero()

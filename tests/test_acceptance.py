@@ -213,8 +213,7 @@ class TestResidualProperty:
         assert elapsed < 600
 
     def test_zero_initial_gauge(self):
-        (series, elapsed) = timed(run, 10, "symbolic", GAUGE_ZERO_INITIAL,
-                                  zero_initial_order_cap=10)
+        (series, elapsed) = timed(run, 10, "symbolic", GAUGE_ZERO_INITIAL)
         assert equation_residuals(series) == []
         assert elapsed < 600
 

@@ -189,6 +189,19 @@ class TestPrecedence:
         assert P.eq(parse_element(P, "sin(03*phi)")[0], P.sin_phi(3))
 
 
+class TestExponentBound:
+    """x^k costs |k| ring products, so |k| is bounded before any is made."""
+
+    @pytest.mark.parametrize("text", ["(alpha+1)^2000", "alpha^1000000",
+                                      "alpha^-1001", "A^1001"])
+    def test_large_exponent_rejected(self, text):
+        with pytest.raises(ValueError, match="above the bound 1000"):
+            parse_element(R, text)
+
+    def test_bound_itself_parses(self):
+        assert parse_element(R, "alpha^1000") == ({2000: QQ(1)}, 0)
+
+
 MALFORMED = ["alpha**2", "alpha//2", "0x10", "1e5", "1.5", "sin(phi*2)",
              "sqrt(A)", "alpha^2^2", "alpha^x", "alpha.real", "[alpha]",
              "alpha if A else 1", '__import__("os")', "", " ", "2alpha",

@@ -36,8 +36,7 @@ class TestEquationResiduals:
         ring = series.coeff_ring
         sol = series.orders[2]
         dirty = tp_add(sol.xi, tp_term(ring, "cos", 2, ring.one()))
-        series.orders[2] = OrderSolution(2, sol.omega, dirty, sol.eta,
-                                         sol.gauge_constants)
+        series.orders[2] = OrderSolution(2, sol.omega, dirty, sol.eta)
         failures = equation_residuals(series)
         assert (2, "x") in failures
         assert (2, "y") in failures
@@ -47,7 +46,7 @@ class TestEquationResiduals:
         ring = series.coeff_ring
         sol = series.orders[2]
         series.orders[2] = OrderSolution(2, ring.add(sol.omega, ring.one()),
-                                         sol.xi, sol.eta, sol.gauge_constants)
+                                         sol.xi, sol.eta)
         assert equation_residuals(series) != []
 
 
@@ -58,14 +57,7 @@ class TestGoldenData:
         assert "xi1" in golden["solutions"]
         assert set(golden["frequency_ratios"]) == {"1", "2", "3", "4"}
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "alt.json"
-        path.write_text(json.dumps({"omega": {}}), encoding="utf-8")
-        monkeypatch.setenv("LPV_GOLDEN_PATH", str(path))
-        assert load_golden() == {"omega": {}}
-
-    def test_explicit_path_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LPV_GOLDEN_PATH", str(tmp_path / "missing.json"))
+    def test_explicit_path_wins(self, tmp_path):
         path = tmp_path / "explicit.json"
         path.write_text(json.dumps({"ok": 1}), encoding="utf-8")
         assert load_golden(str(path)) == {"ok": 1}

@@ -336,6 +336,21 @@ class TestOrbitCommand:
         assert err.count("\n") == 1
         assert not os.path.exists("orbit_metrics.csv")
 
+    def test_points_beyond_step_cap_rejected(self, capsys, monkeypatch):
+        forbid(monkeypatch, "run")
+        points = lpvolterra.cli.MAX_ORBIT_STEPS + 1
+        want = f"error: points must be <= {points - 1}; got {points}\n"
+        assert main(["orbit", "--a", "0.1", "--order", "2",
+                     "--points", str(points)]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", "orbit",
+                     {"alpha": "1", "a": 0.1, "phi": 0.0, "order": 2, "periods": 1.0,
+                      "points": points, "tolerance": 1e-12, "digits": 10,
+                      "radius_check": False, "output": "orbit"})
+        assert main(["orbit", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert not os.path.exists("orbit_metrics.csv")
+
     def test_symbolic_alpha_rejected(self, capsys):
         assert main(["orbit", "--alpha", "symbolic", "--a", "0.1",
                      "--order", "2"]) == 2

@@ -207,16 +207,31 @@ class TestSimplifiedEta:
         assert (format_element(ring, ser.orders[4].omega, 4)
                 == "-(A^4*sqrt(alpha)*(29*alpha^2+34*alpha+5))/6912")
 
+    def test_gauge_constants(self):
+        ser = run(2, "symbolic", GAUGE_SIMPLIFIED_ETA)
+        got = [format_element(ser.phase_ring, c, n + 1)
+               for n in (1, 2) for c in ser.orders[n].gauge_constants]
+        assert got == [
+            A1, B1,
+            "A^3*((sqrt(alpha)*sin(phi))/12+((alpha-1)*cos(phi))/24"
+            "+(sqrt(alpha)*sin(3*phi))/8-((alpha-3)*cos(3*phi))/32)",
+            "A^3*(-(sqrt(alpha)*(3*alpha-1)*sin(3*phi))/32-(alpha*cos(3*phi))/8)"]
+
 
 class TestZeroInitialGauge:
     def test_anchoring(self, zi3):
         P = zi3.coeff_ring
         for n in (1, 2, 3):
             sol = zi3.orders[n]
-            assert P.is_zero(evaluate_at_zero(sol.xi, P))
-            assert P.is_zero(evaluate_at_zero(sol.eta, P))
+            assert P.is_zero(evaluate_at_zero(sol.xi))
+            assert P.is_zero(evaluate_at_zero(sol.eta))
             assert P.is_zero(sol.gauge_constants[0])
             assert P.is_zero(sol.gauge_constants[1])
+
+    def test_zeroth_gauge_constants(self, zi3):
+        got = [format_element(zi3.phase_ring, c, 1)
+               for c in zi3.orders[0].gauge_constants]
+        assert got == ["A*cos(phi)", "A*sqrt(alpha)*sin(phi)"]
 
     def test_omega3_golden(self, zi3):
         P = zi3.coeff_ring
@@ -249,11 +264,6 @@ class TestZeroInitialGauge:
             got = poly.sin.get(j) if kind == "sin" else poly.cos.get(j)
             el, amp = parse_element(P, text)
             assert got is not None and amp == 2 and P.eq(got, el), (comp, kind, j)
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            run(9, "symbolic", GAUGE_ZERO_INITIAL)
-        run(3, "symbolic", GAUGE_ZERO_INITIAL, zero_initial_order_cap=3)
 
 
 class TestNumericAlpha:

@@ -493,33 +493,38 @@ def canonical(ring, text_or_element, amp_power: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
+def ring_alpha(ring, alpha=None):
+    """The rational alpha at which to evaluate elements of ``ring``:
+    required for the symbolic ring, equal to a fixed ring's own alpha
+    (the default), and positive.  A phase ring answers for its base."""
+    fixed = (ring.base if ring.has_phase else ring).alpha
+    if alpha is None:
+        if fixed is None:
+            raise ValueError("alpha required for the symbolic ring")
+        return fixed
+    q = QQ(alpha)
+    if fixed is not None and q != fixed:
+        raise ValueError("alpha disagrees with the ring's fixed alpha")
+    if q <= 0:
+        raise ValueError("alpha must be positive")
+    return q
+
+
 def evaluate_numeric(ring, x, alpha=None, phi=0, dps: int = 50):
     """Evaluate an element at numeric alpha (and phi) with mpmath.
 
     Parameters
     ----------
     ring : ring owning ``x``
-    alpha : positive value; defaults to the ring's own alpha when fixed.
+    alpha : exact rational value, checked by :func:`ring_alpha`.
     phi : phase angle in radians (used by phase-extended elements).
     dps : decimal digits of working precision.
 
     Returns an ``mpmath.mpf`` computed at ``dps`` digits.
     """
-    ring_alpha = (ring.base if ring.has_phase else ring).alpha
-    if alpha is None:
-        alpha = ring_alpha
-    if alpha is None:
-        raise ValueError("alpha is required for symbolic elements")
-    if ring_alpha is not None and QQ(alpha) != ring_alpha:
-        raise ValueError("alpha disagrees with the ring's fixed alpha")
+    alpha = ring_alpha(ring, alpha)
     with mpmath.workdps(dps):
-        if isinstance(alpha, (int, Fraction)):
-            a = to_mpf(QQ(alpha))
-        else:
-            a = mpmath.mpf(alpha)
-        if a <= 0:
-            raise ValueError("alpha must be positive")
-        s = mpmath.sqrt(a)
+        s = mpmath.sqrt(to_mpf(alpha))
 
         def ev(el):
             return mpmath.fsum(to_mpf(v) * s ** k for k, v in el.items())

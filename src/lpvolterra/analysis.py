@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .algebra import QQ, alpha_polynomial
+from .algebra import QQ, alpha_polynomial, ring_alpha
 from .engine import GAUGE_SIMPLIFIED_XI, PerturbationSeries
 
 
@@ -201,7 +201,8 @@ class PowerSeries:
 
 
 def series_from_engine(series: PerturbationSeries, alpha=None) -> PowerSeries:
-    """Extract d_j = omega_{2j} / sqrt(alpha) as exact rationals.
+    """Extract d_j = omega_{2j} / sqrt(alpha) as exact rationals, at the
+    alpha :func:`ring_alpha` checks (required for a symbolic series).
 
     Every even-order frequency correction carries a single overall
     sqrt(alpha) factor; anything else is flagged, as is a nonzero
@@ -211,16 +212,7 @@ def series_from_engine(series: PerturbationSeries, alpha=None) -> PowerSeries:
         raise ValueError("frequency series requires a phase-free gauge")
     ring = series.coeff_ring
     n_max = series.order
-    if series.alpha == "symbolic":
-        if alpha is None:
-            raise ValueError("alpha required for a symbolic series")
-        a_val = QQ(alpha)
-        if a_val <= 0:
-            raise ValueError("alpha must be positive")
-    else:
-        a_val = series.alpha
-        if alpha is not None and QQ(alpha) != a_val:
-            raise ValueError("alpha disagrees with the series")
+    a_val = ring_alpha(ring, alpha)
     coeffs = []
     for j in range(0, n_max // 2 + 1):
         if 2 * j + 1 <= n_max and not ring.is_zero(series.orders[2 * j + 1].omega):

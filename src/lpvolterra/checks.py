@@ -141,12 +141,12 @@ def _check(name, levels=LEVELS):
 class _Context:
     """Per-invocation cache so checks can share engine runs."""
 
-    def __init__(self, level, golden_path=None):
+    def __init__(self, level, golden=None):
         self.level = level
         self.cap = 6 if level == "quick" else 10
         self.odd_cap = 7 if level == "quick" else 45
         self.samples = 20 if level == "quick" else 100
-        self.golden_path = golden_path
+        self.golden = golden
         self._runs = {}
 
     def series(self, N, alpha="symbolic", gauge=GAUGE_SIMPLIFIED_XI):
@@ -161,15 +161,16 @@ def check_names(level=None):
             if level is None or level in levels]
 
 
-def iter_checks(level="quick", names=None, golden_path=None):
-    """Yield CheckResult records as each check finishes."""
+def iter_checks(level="quick", names=None, golden=None):
+    """Yield CheckResult records as each check finishes.  ``golden`` is
+    parsed reference data for golden-strings; None reads the packaged copy."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
     if names is not None:
         bad = sorted(set(names) - set(check_names()))
         if bad:
             raise ValueError(f"unknown check names: {', '.join(bad)}")
-    ctx = _Context(level, golden_path)
+    ctx = _Context(level, golden)
     for name, levels, fn in _REGISTRY:
         if level not in levels:
             continue
@@ -449,7 +450,7 @@ def _gauge_conditions(ctx):
 
 @_check("golden-strings")
 def _golden_strings(ctx):
-    golden = load_golden(ctx.golden_path)
+    golden = load_golden() if ctx.golden is None else ctx.golden
     series = ctx.series(8)
     ring = series.coeff_ring
     pring = series.phase_ring

@@ -24,11 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import QQ, format_element
-from .analysis import (ESTIMATE_ERRORS, FAMILY_HERMITE_PADE, FAMILY_PADE,
-                       default_orders, radius_scan, series_from_engine,
-                       stable_singularity)
+from .analysis import (ESTIMATE_ERRORS, FAMILIES, FAMILY_HERMITE_PADE,
+                       FAMILY_PADE, default_orders, radius_scan,
+                       series_from_engine, stable_singularity)
 from .checks import LEVELS as CHECK_LEVELS
-from .checks import iter_checks
+from .checks import iter_checks, load_golden
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGES, evaluate_solution, run
 from .trigpoly import to_triples
 from .verify import IntegratorConfig, compare_orbit, integrate
@@ -45,12 +45,11 @@ MIN_RADIUS_ORDER = 8
 # and the number of output grid points with it
 MAX_ORBIT_STEPS = 10**6
 
+# the largest precision format() accepts; past it the CSV writers fail
+MAX_DIGITS = 2**31 - 1
+
 
 class BadArguments(ValueError):
-    pass
-
-
-class ComputationError(RuntimeError):
     pass
 
 
@@ -145,65 +144,48 @@ def load_manifest_params(path, command):
     return params
 
 
-def _need(params, key, kind):
-    if key not in params:
-        raise BadArguments(f"missing parameter: {key}")
-    try:
-        return kind(params[key])
-    except (TypeError, ValueError):
-        raise BadArguments(f"bad value for {key}: {params[key]!r}")
+# the JSON types each kind of parameter takes; _need keeps bool apart from int
+_JSON_TYPES = {str: str, bool: bool, int: (int, float), float: (int, float)}
 
 
-def _need_str(params, key, optional=False):
-    # str() would turn null, a list or a number into a file name
+def _need(params, key, kind, optional=False, positive=False, low=None, high=None):
+    """Read parameter ``key`` as ``kind``: str, bool, int or float.
+
+    Nothing is coerced across JSON types: an int takes an integral float
+    but no string, and a float takes an int.  A float must be finite (and
+    > 0 if ``positive``); ``low`` and ``high`` are inclusive bounds.  An
+    ``optional`` parameter that is missing or null reads as None.
+    """
     value = params.get(key)
     if optional and value is None:
         return None
-    if key in params and not isinstance(value, str):
+    if key not in params:
+        raise BadArguments(f"missing parameter: {key}")
+    if (not isinstance(value, _JSON_TYPES[kind])
+            or isinstance(value, bool) != (kind is bool)
+            or kind is int and isinstance(value, float) and not value.is_integer()):
         raise BadArguments(f"bad value for {key}: {value!r}")
-    return _need(params, key, str)
-
-
-def _need_int(params, key):
-    # int() would truncate 2.9 to 2, take True as 1 and overflow on inf
-    value = params.get(key)
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise BadArguments(f"bad value for {key}: {value!r}")
-    return _need(params, key, int)
-
-
-def _need_finite(params, key, positive=False):
-    # float() would take True as 1.0 and parse the string "0.5"
-    value = params.get(key)
-    if isinstance(value, (bool, str)):
-        raise BadArguments(f"bad value for {key}: {value!r}")
-    value = _need(params, key, float)
-    if not math.isfinite(value) or (positive and value <= 0):
+    value = kind(value)
+    if kind is float and not (math.isfinite(value) and (value > 0 or not positive)):
         bound = "finite and > 0" if positive else "finite"
         raise BadArguments(f"{key} must be {bound}; got {value!r}")
+    if low is not None and value < low:
+        raise BadArguments(f"{key} must be >= {low}; got {value!r}")
+    if high is not None and value > high:
+        raise BadArguments(f"{key} must be <= {high}; got {value!r}")
     return value
-
-
-def _need_digits(params):
-    digits = _need_int(params, "digits")
-    if digits < 1:
-        raise BadArguments(f"digits must be >= 1; got {digits!r}")
-    return digits
 
 
 # ---------------------------------------------------------------------------
 # series
 
 def cmd_series(params):
-    order = _need_int(params, "order")
-    if order < 0:
-        raise BadArguments("order must be >= 0")
-    alpha = parse_alpha(_need_str(params, "alpha"))
-    gauge = _need_str(params, "gauge")
+    order = _need(params, "order", int, low=0)
+    alpha = parse_alpha(_need(params, "alpha", str))
+    gauge = _need(params, "gauge", str)
     if gauge not in GAUGES:
         raise BadArguments(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
-    output = _need_str(params, "output")
+    output = _need(params, "output", str)
 
     series = run(order, alpha, gauge)
     ring = series.coeff_ring
@@ -235,30 +217,27 @@ def cmd_series(params):
 # radius
 
 def cmd_radius(params):
-    alpha_texts = [t for t in _need_str(params, "alpha").split(",") if t.strip()]
+    alpha_texts = [t for t in _need(params, "alpha", str).split(",") if t.strip()]
     if not alpha_texts:
         raise BadArguments("no alpha values given")
     alphas = [parse_alpha(t) for t in alpha_texts]
     if "symbolic" in alphas:
         raise BadArguments("the radius scan needs numeric alpha values")
-    order = _need_int(params, "order")
+    order = _need(params, "order", int)
     if order < MIN_RADIUS_ORDER:
-        raise ComputationError(
+        raise ValueError(
             f"insufficient coefficients: a radius estimate needs the frequency "
             f"series through order {MIN_RADIUS_ORDER} "
             f"({MIN_RADIUS_ORDER // 2 + 1} coefficients); got order {order}")
-    family_names = {"pade": FAMILY_PADE, "hermite-pade": FAMILY_HERMITE_PADE}
-    families = []
-    for t in _need_str(params, "families").split(","):
-        t = t.strip()
-        if t not in family_names:
-            raise BadArguments(f"unknown family {t!r}; expected pade, hermite-pade")
-        families.append(family_names[t])
-    threshold = _need_finite(params, "threshold", positive=True)
-    digits = _need_digits(params)
-    output = _need_str(params, "output")
+    families = tuple(t.strip() for t in _need(params, "families", str).split(","))
+    for t in families:
+        if t not in FAMILIES:
+            raise BadArguments(f"unknown family {t!r}; expected {', '.join(FAMILIES)}")
+    threshold = _need(params, "threshold", float, positive=True)
+    digits = _need(params, "digits", int, low=1, high=MAX_DIGITS)
+    output = _need(params, "output", str)
 
-    rows = radius_scan(alphas, order, families=tuple(families), threshold=threshold)
+    rows = radius_scan(alphas, order, families=families, threshold=threshold)
 
     succeeded = 0
     with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -300,27 +279,20 @@ def _estimate_radius(alpha):
 
 
 def cmd_orbit(params):
-    alpha = parse_alpha(_need_str(params, "alpha"))
+    alpha = parse_alpha(_need(params, "alpha", str))
     if alpha == "symbolic":
         raise BadArguments("orbit integration needs a numeric alpha")
-    a = _need_finite(params, "a")
-    phi = _need_finite(params, "phi")
-    order = _need_int(params, "order")
-    if order < 0:
-        raise BadArguments("order must be >= 0")
-    periods = _need_finite(params, "periods", positive=True)
-    points = _need_int(params, "points")
-    if points < 2:
-        raise BadArguments("need at least 2 grid points")
-    if points > MAX_ORBIT_STEPS:
-        # np.linspace below would fail with a MemoryError, not a bad-input exit
-        raise BadArguments(f"points must be <= {MAX_ORBIT_STEPS}; got {points}")
-    tolerance = _need_finite(params, "tolerance", positive=True)
-    digits = _need_digits(params)
-    radius_check = params.get("radius_check", True)
-    if not isinstance(radius_check, bool):
-        raise BadArguments(f"bad value for radius_check: {radius_check!r}")
-    prefix = _need_str(params, "output")
+    a = _need(params, "a", float)
+    phi = _need(params, "phi", float)
+    order = _need(params, "order", int, low=0)
+    periods = _need(params, "periods", float, positive=True)
+    # past the high bound np.linspace below would fail with a MemoryError
+    points = _need(params, "points", int, low=2, high=MAX_ORBIT_STEPS)
+    tolerance = _need(params, "tolerance", float, positive=True)
+    digits = _need(params, "digits", int, low=1, high=MAX_DIGITS)
+    # a manifest without the key runs the check, as the flag's absence does
+    radius_check = _need({"radius_check": True, **params}, "radius_check", bool)
+    prefix = _need(params, "output", str)
 
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)
     tau = np.linspace(0.0, periods * 2 * math.pi, points)
@@ -410,16 +382,22 @@ def cmd_orbit(params):
 # check
 
 def cmd_check(params):
-    level = _need_str(params, "level")
+    level = _need(params, "level", str)
     if level not in CHECK_LEVELS:
         raise BadArguments(f"unknown level {level!r}; expected one of {CHECK_LEVELS}")
-    golden = _need_str(params, "golden", optional=True) or None
-    output = _need_str(params, "output", optional=True) or None
+    golden_path = _need(params, "golden", str, optional=True)
+    output = _need(params, "output", str, optional=True)
+    golden = None
+    if golden_path:
+        try:
+            golden = load_golden(golden_path)
+        except (OSError, ValueError) as exc:
+            raise BadArguments(f"cannot read golden file {golden_path}: {exc}")
 
     lines = []
     failed = 0
     total = 0
-    for result in iter_checks(level, golden_path=golden):
+    for result in iter_checks(level, golden=golden):
         total += 1
         status = "PASS" if result.passed else "FAIL"
         if not result.passed:
@@ -477,7 +455,7 @@ def build_parser():
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--digits", type=int, default=10)
-    p.add_argument("--no-radius-check", action="store_true",
+    p.add_argument("--no-radius-check", dest="radius_check", action="store_false",
                    help="skip the internal convergence-radius estimate")
     p.add_argument("--output", default="orbit", help="output file prefix")
     p.add_argument("--from-manifest", metavar="PATH")
@@ -491,29 +469,24 @@ def build_parser():
     return parser
 
 
+# the flags a command cannot run without
+REQUIRED = {"series": ("order",), "radius": ("alpha", "order"), "orbit": ("a", "order")}
+
+
 def _collect_params(args):
-    """Resolve argparse output into the JSON-safe parameter set."""
+    """Resolve argparse output into the JSON-safe parameter set: every
+    argument of the subcommand but ``--from-manifest``."""
     if args.from_manifest:
         return load_manifest_params(args.from_manifest, args.command)
-    if args.command == "series":
-        if args.order is None:
-            raise BadArguments("series needs --order")
-        return {"order": args.order, "alpha": args.alpha, "gauge": args.gauge,
-                "output": args.output}
-    if args.command == "radius":
-        if args.alpha is None or args.order is None:
-            raise BadArguments("radius needs --alpha and --order")
-        return {"alpha": args.alpha, "order": args.order, "families": args.families,
-                "threshold": args.threshold, "digits": args.digits,
-                "output": args.output}
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "from_manifest")}
+    required = REQUIRED.get(args.command, ())
+    if any(params[k] is None for k in required):
+        flags = " and ".join(f"--{k}" for k in required)
+        raise BadArguments(f"{args.command} needs {flags}")
     if args.command == "orbit":
-        if args.a is None or args.order is None:
-            raise BadArguments("orbit needs --a and --order")
-        return {"alpha": args.alpha, "a": args.a, "phi": parse_angle(args.phi),
-                "order": args.order, "periods": args.periods, "points": args.points,
-                "tolerance": args.tolerance, "digits": args.digits,
-                "radius_check": not args.no_radius_check, "output": args.output}
-    return {"level": args.level, "golden": args.golden, "output": args.output}
+        params["phi"] = parse_angle(params["phi"])
+    return params
 
 
 _DISPATCH = {"series": cmd_series, "radius": cmd_radius,
@@ -529,9 +502,6 @@ def main(argv=None):
     except BadArguments as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,10 @@ Cauchy product and the frequency sums sum_j omega_j xi_{n-j} and
 sum_j omega_j eta_{n-j} are one :func:`tp_dot` each, and omega_n comes in
 closed form from the first harmonic of the forcing.
 
-Amplitude convention: the series is computed with A = 1; the scaling
-identity xi(tau, eps, A) = A xi(tau, A eps, 1) recovers general A, so
-the effective expansion parameter is a = eps*A.
+Amplitude convention: the series is computed with A = 1.  The scaling
+identity xi(tau, eps, A) = A xi(tau, A eps, 1) recovers general A: the
+expansion parameter is a = eps*A, and xi and eta scale by A while omega
+does not.
 """
 
 from __future__ import annotations
@@ -202,15 +203,14 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI) -> Perturbat
     return series
 
 
-def evaluate_solution(series: PerturbationSeries, a, A=1.0, phi=0.0,
-                      tau_grid=None, alpha=None, order: Optional[int] = None):
-    """Numeric partial sums of the series at expansion parameter a = eps*A.
+def evaluate_solution(series: PerturbationSeries, a, phi=0.0, tau_grid=None,
+                      alpha=None, order: Optional[int] = None):
+    """Numeric partial sums of the series at expansion parameter a.
 
     Returns (xi, eta, omega): xi, eta sampled on tau_grid (numpy arrays),
-    omega a float.  The stored series uses A = 1; the amplitude identity
-    xi(tau, eps, A) = A xi(tau, A eps, 1) supplies general A, so xi and
-    eta are A * (partial sum in a) while omega is the partial sum in a
-    alone.  ``alpha`` must be given for a symbolic-alpha series.
+    omega a float, each the partial sum in a through ``order`` (default
+    the whole series).  ``alpha`` goes to :func:`evaluate_numeric`, so it
+    is required for a symbolic-alpha series and must match a numeric one.
     """
     import numpy as np
 
@@ -218,21 +218,12 @@ def evaluate_solution(series: PerturbationSeries, a, A=1.0, phi=0.0,
         tau_grid = np.linspace(0.0, 2.0 * math.pi, 257)
     tau = np.asarray(tau_grid, dtype=float)
     ring = series.coeff_ring
-    if series.alpha == "symbolic":
-        if alpha is None:
-            raise ValueError("alpha required to evaluate a symbolic series")
-        alpha_val = QQ(alpha)
-    else:
-        if alpha is not None and QQ(alpha) != series.alpha:
-            raise ValueError("alpha disagrees with the series")
-        alpha_val = None  # fixed by the ring
     N = series.order if order is None else min(order, series.order)
     a = float(a)
-    A = float(A)
     phi = float(phi)
 
     def coeff_value(el):
-        return float(evaluate_numeric(ring, el, alpha=alpha_val, phi=phi, dps=50))
+        return float(evaluate_numeric(ring, el, alpha=alpha, phi=phi, dps=50))
 
     # {kind: {(component, harmonic): partial sum}}; each array adds its sin
     # terms, then its cos terms, each in order of first appearance
@@ -252,4 +243,4 @@ def evaluate_solution(series: PerturbationSeries, a, A=1.0, phi=0.0,
     for kind, sums in acc.items():
         for (comp, j), c in sums.items():
             out[comp] += c * getattr(np, kind)(j * theta)
-    return A * out["xi"], A * out["eta"], omega
+    return out["xi"], out["eta"], omega

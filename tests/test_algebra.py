@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
                                 alpha_polynomial, canonical, evaluate_numeric,
                                 format_element, numeric_ring, parse_element,
-                                rational_sqrt)
+                                rational_sqrt, ring_alpha)
 from lpvolterra.trigpoly import PhaseRing
 
 R = SYMBOLIC
@@ -233,6 +233,20 @@ class TestNumericEvaluation:
         with mpmath.workdps(60):
             v = evaluate_numeric(P, el, alpha=QQ(7, 3), phi=mpmath.pi / 6, dps=60)
             assert abs(v - 1) < mpmath.mpf(10) ** -55
+
+    def test_ring_alpha_rule(self):
+        fixed = numeric_ring(QQ(9, 4))
+        assert ring_alpha(fixed) == QQ(9, 4)
+        assert ring_alpha(PhaseRing(fixed), "9/4") == QQ(9, 4)
+        assert ring_alpha(R, 0.5) == QQ(1, 2)
+        assert ring_alpha(PhaseRing(R), 3) == 3
+        with pytest.raises(ValueError, match="alpha required"):
+            ring_alpha(PhaseRing(R))
+        with pytest.raises(ValueError, match="disagrees"):
+            ring_alpha(PhaseRing(fixed), 2)
+        for bad in (0, -1, QQ(-1, 4)):
+            with pytest.raises(ValueError, match="positive"):
+                ring_alpha(R, bad)
 
     def test_fixed_ring_alpha_consistency(self):
         ring = numeric_ring(2)

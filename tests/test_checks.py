@@ -62,21 +62,20 @@ class TestGoldenData:
         path.write_text(json.dumps({"ok": 1}), encoding="utf-8")
         assert load_golden(str(path)) == {"ok": 1}
 
-    def test_corruption_fails_named_check(self, tmp_path):
+    def test_corruption_fails_named_check(self):
         golden = load_golden()
         golden["omega"]["4"] = golden["omega"]["4"].replace("6912", "6913")
-        path = tmp_path / "corrupt.json"
-        path.write_text(json.dumps(golden), encoding="utf-8")
         results = list(iter_checks("quick", names=["golden-strings"],
-                                   golden_path=str(path)))
+                                   golden=golden))
         assert len(results) == 1
         assert results[0].name == "golden-strings"
         assert not results[0].passed
         assert "omega_4" in results[0].detail
 
-    def test_unreadable_file_fails_not_raises(self, tmp_path):
+    @pytest.mark.parametrize("golden", [{}, [], {"omega": None}])
+    def test_malformed_data_fails_not_raises(self, golden):
         results = list(iter_checks("quick", names=["golden-strings"],
-                                   golden_path=str(tmp_path / "nope.json")))
+                                   golden=golden))
         assert not results[0].passed
 
 

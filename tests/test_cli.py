@@ -378,7 +378,8 @@ class TestIntegerParameters:
         ("orbit", "order"), ("orbit", "points"), ("orbit", "digits")])
     @pytest.mark.parametrize("value,shown", [
         (2.9, "2.9"), (-1.5, "-1.5"), (True, "True"), (False, "False"),
-        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        ("8", "'8'"), ("1_0", "'1_0'")])
     def test_non_integers_rejected_from_manifest(self, command, key, value,
                                                  shown, capsys, monkeypatch):
         params, work = MANIFEST_PARAMS[command]
@@ -386,6 +387,26 @@ class TestIntegerParameters:
         write_params("m.json", command, dict(params, **{key: value}))
         assert main([command, "--from-manifest", "m.json"]) == 2
         assert capsys.readouterr().err == f"error: bad value for {key}: {shown}\n"
+
+    @pytest.mark.parametrize("command,argv", [
+        ("radius", ["--alpha", "1", "--order", "12"]),
+        ("orbit", ["--a", "0.1", "--order", "2"])])
+    def test_digits_beyond_format_precision_rejected(self, command, argv,
+                                                     capsys, monkeypatch):
+        params, work = MANIFEST_PARAMS[command]
+        forbid(monkeypatch, work)
+        want = "error: digits must be <= 2147483647; got 2147483648\n"
+        assert main([command, *argv, "--digits", str(2**31)]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", command, dict(params, digits=2**31))
+        assert main([command, "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == ["m.json"]
+
+    def test_digits_bound_is_the_format_limit(self):
+        assert format(0.1, f".{lpvolterra.cli.MAX_DIGITS}g") == format(0.1, ".60g")
+        with pytest.raises(ValueError, match="precision too big"):
+            format(0.1, f".{lpvolterra.cli.MAX_DIGITS + 1}g")
 
     def test_integral_float_is_an_integer(self):
         params, _ = MANIFEST_PARAMS["series"]
@@ -458,8 +479,8 @@ class TestStringParameters:
         params, _ = MANIFEST_PARAMS["check"]
         seen = {}
 
-        def no_checks(level, golden_path=None):
-            seen["golden"] = golden_path
+        def no_checks(level, golden=None):
+            seen["golden"] = golden
             return iter(())
         monkeypatch.setattr(lpvolterra.cli, "iter_checks", no_checks)
         write_params("m.json", "check", params)
@@ -589,6 +610,29 @@ class TestExitCodes:
         assert code in (0, 1, 2)
 
 
+class TestManifestKeys:
+    @pytest.mark.parametrize("command,argv,manifest", [
+        ("series", ["--order", "0"], "series.json.manifest.json"),
+        ("radius", ["--alpha", "1", "--order", "8"], "radius.csv.manifest.json"),
+        ("orbit", ["--a", "0", "--order", "0", "--points", "2",
+                   "--no-radius-check"], "orbit.manifest.json"),
+        ("check", ["--output", "report.txt"], "report.txt.manifest.json")])
+    def test_argv_manifest_holds_exactly_the_parameters(self, command, argv,
+                                                        manifest, monkeypatch):
+        # the parameter set is vars(args) less two keys, so a new flag
+        # shows up here before it can leak into manifests
+        monkeypatch.setattr(lpvolterra.cli, "iter_checks",
+                            lambda level, golden=None: iter(()))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main([command, *argv])
+        with open(manifest, encoding="utf-8") as fh:
+            params = json.load(fh)["parameters"]
+        assert sorted(params) == sorted(MANIFEST_PARAMS[command][0])
+        if command == "orbit":
+            assert params["radius_check"] is False
+
+
 class TestCheckCommand:
     def test_quick_level_passes(self, capsys):
         assert main(["check", "--level", "quick"]) == 0
@@ -606,6 +650,26 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL golden-strings" in out
         assert "omega_4" in out
+
+    @pytest.mark.parametrize("name,content", [
+        ("missing.json", None), ("broken.json", b"{not json"),
+        ("binary.json", b"\xff\xfe"), ("folder", "dir")])
+    def test_unreadable_golden_rejected_before_checks(self, name, content,
+                                                      capsys, monkeypatch):
+        forbid(monkeypatch, "iter_checks")
+        if content == "dir":
+            os.mkdir(name)
+        elif content is not None:
+            with open(name, "wb") as fh:
+                fh.write(content)
+        want = f"error: cannot read golden file {name}: "
+        assert main(["check", "--golden", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(want) and err.count("\n") == 1
+        params, _ = MANIFEST_PARAMS["check"]
+        write_params("m.json", "check", dict(params, golden=name))
+        assert main(["check", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == err
 
     def test_report_file(self, tmp_path, capsys):
         assert main(["check", "--level", "quick", "--output", "report.txt"]) == 0

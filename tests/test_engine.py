@@ -355,8 +355,8 @@ class TestExactSpecialisation:
 class TestEvaluate:
     def test_zero_parameter_gives_circle(self, sym8):
         tau = np.linspace(0, 2 * math.pi, 33)
-        xi, eta, omega = evaluate_solution(sym8, a=0.0, A=1.0,
-                                           phi=0.3, tau_grid=tau, alpha=1)
+        xi, eta, omega = evaluate_solution(sym8, a=0.0, phi=0.3,
+                                           tau_grid=tau, alpha=1)
         assert np.allclose(xi, np.cos(tau + 0.3), atol=1e-14)
         assert np.allclose(eta, np.sin(tau + 0.3), atol=1e-14)
         assert omega == pytest.approx(1.0)
@@ -371,19 +371,13 @@ class TestEvaluate:
                                         tau_grid=np.array([0.0]))
         assert omega == pytest.approx(float(want), rel=1e-14)
 
-    def test_amplitude_identity(self, sym8):
-        tau = np.linspace(0, 5, 57)
-        xi1, eta1, om1 = evaluate_solution(sym8, a=0.1, A=1.0, phi=0.2,
-                                           tau_grid=tau, alpha=2)
-        xi2, eta2, om2 = evaluate_solution(sym8, a=0.1, A=2.0, phi=0.2,
-                                           tau_grid=tau, alpha=2)
-        assert np.allclose(xi2, 2 * xi1, atol=1e-14)
-        assert np.allclose(eta2, 2 * eta1, atol=1e-14)
-        assert om1 == om2
-
     def test_symbolic_series_needs_alpha(self, sym8):
         with pytest.raises(ValueError, match="alpha"):
             evaluate_solution(sym8, a=0.1)
+
+    def test_numeric_series_rejects_another_alpha(self):
+        with pytest.raises(ValueError, match="disagrees"):
+            evaluate_solution(run(2, QQ(2)), a=0.1, alpha=3)
 
     def test_truncation_order(self, sym8):
         tau = np.array([0.7])

@@ -12,8 +12,8 @@ radius through approximants instead.
 import math
 
 from lpvolterra import GAUGE_SIMPLIFIED_XI, QQ, format_element, run
-from lpvolterra.analysis import (FAMILY_HERMITE_PADE, default_orders,
-                                 series_from_engine, stable_singularity)
+from lpvolterra.analysis import (FAMILY_HERMITE_PADE, series_from_engine,
+                                 stable_singularity)
 
 SYMBOLIC_ORDER = 8
 NUMERIC_ORDER = 44
@@ -36,9 +36,7 @@ def main():
         root = abs(d) ** (-1.0 / j) if d else math.inf
         print(f"  {j:>2}  {d:>13.4e}  {'+' if d > 0 else '-':>4}  {root:>12.4f}")
 
-    est = stable_singularity(ps, FAMILY_HERMITE_PADE,
-                             default_orders(FAMILY_HERMITE_PADE, len(ps)),
-                             threshold=5e-2)
+    est = stable_singularity(ps, FAMILY_HERMITE_PADE, threshold=5e-2)
     print(f"\nthe root test above is still far from converged; the stable")
     print(f"branch-point estimate from the same coefficients gives")
     print(f"  z_s = {est.location:.6f}   |z_s| = {est.radius:.6f}")

@@ -17,7 +17,7 @@ they stabilize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import mpmath
@@ -250,8 +250,6 @@ def rational_function_series(P, Q, n):
 class PadeApprox:
     P: tuple
     Q: tuple   # Q[0] = 1
-    K: int
-    L: int
 
 
 def _dot(row, vec):
@@ -288,12 +286,12 @@ def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     q = [vec[L]] + vec[:L]
     p = poly_trim([_dot(row(j), vec) for j in range(K + 1)])
     if len(basis) == 1:
-        return PadeApprox(tuple(p), tuple(q), K, L)
+        return PadeApprox(tuple(p), tuple(q))
     g = poly_gcd(p, q)
     p, _ = poly_divmod(p, g)
     q, _ = poly_divmod(q, g)
     inv = 1 / q[0]
-    return PadeApprox(tuple(poly_scale(p, inv)), tuple(poly_scale(q, inv)), K, L)
+    return PadeApprox(tuple(poly_scale(p, inv)), tuple(poly_scale(q, inv)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +302,6 @@ class QuadHermitePade:
     P: tuple
     Q: tuple
     R: tuple
-    K: int
-    L: int
-    M: int
 
 
 def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermitePade:
@@ -347,7 +342,7 @@ def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermite
     r = [-_dot(row(j), vec) for j in range(M + 1)]
     return QuadHermitePade(tuple(poly_trim(vec[:K + 1])),
                            tuple(poly_trim(vec[K + 1:])),
-                           tuple(poly_trim(r)), K, L, M)
+                           tuple(poly_trim(r)))
 
 
 def discriminant(h: QuadHermitePade):
@@ -423,7 +418,6 @@ class SingularityEstimate:
     location: complex
     radius: float
     stability_spread: float
-    family: str
     orders: tuple
     trail: tuple   # matched location at each order
 
@@ -436,33 +430,35 @@ def _candidate_roots(series: PowerSeries, family: str, m: int):
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def max_diagonal_order(family: str, n_coeffs: int) -> int:
-    """Largest diagonal order the available coefficients support."""
-    if family == FAMILY_PADE:
-        return (n_coeffs - 1) // 2
-    return (n_coeffs - 2) // 3
-
-
 def default_orders(family: str, n_coeffs: int):
-    top = max_diagonal_order(family, n_coeffs)
-    depth = 5 if family == FAMILY_PADE else 3
-    lo = max(1, top - depth + 1)
+    """The top diagonal orders n_coeffs coefficients support: the last
+    five for Pade, the last three for Hermite-Pade."""
+    if family == FAMILY_PADE:
+        top, depth = (n_coeffs - 1) // 2, 5
+    elif family == FAMILY_HERMITE_PADE:
+        top, depth = (n_coeffs - 2) // 3, 3
+    else:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if top < 1:
         raise ValueError("insufficient coefficients for any diagonal order")
-    return tuple(range(lo, top + 1))
+    return tuple(range(max(1, top - depth + 1), top + 1))
 
 
 def stable_singularity(series: PowerSeries, family: str,
-                       order_list: Sequence[int],
+                       order_list: Optional[Sequence[int]] = None,
                        threshold: float = 1e-2) -> SingularityEstimate:
     """Track singularity candidates across approximant orders and return
     the stable one closest to the origin.
 
+    The orders default to :func:`default_orders` for the series length.
     Roots of consecutive orders are matched by nearest neighbor; a chain
     is stable when its maximum pairwise distance, relative to the final
     location, is at most ``threshold``.  The reported location comes
-    from the highest order.  Orders whose fit is degenerate are skipped
-    (at least two must survive)."""
+    from the highest order, and ``trail`` holds the chain's root at each
+    order used.  Orders whose fit is degenerate are skipped (at least
+    two must survive)."""
+    if order_list is None:
+        order_list = default_orders(family, len(series))
     orders = sorted(set(int(m) for m in order_list))
     if len(orders) < 2:
         raise ValueError("need at least two approximant orders")
@@ -499,63 +495,56 @@ def stable_singularity(series: PowerSeries, family: str,
             f"{family}: no root chain stayed within spread {threshold}")
     _, loc, spread, chain = best
     return SingularityEstimate(location=complex(loc), radius=float(abs(loc)),
-                               stability_spread=spread, family=family,
-                               orders=tuple(used),
+                               stability_spread=spread, orders=tuple(used),
                                trail=tuple(complex(z) for z in chain))
 
 
 # ---------------------------------------------------------------------------
 # the r_c(alpha) scan
 
+# the spread threshold of radius scans, looser than stable_singularity's
+# own default (radius_scan says why)
+SCAN_THRESHOLD = 5e-2
+
+
 @dataclass
 class ScanRow:
     alpha: object
-    order: int
-    rc_pade: Optional[float] = None
-    spread_pade: Optional[float] = None
-    rc_hermite_pade: Optional[float] = None
-    spread_hermite_pade: Optional[float] = None
+    estimates: dict = field(default_factory=dict)   # {family: SingularityEstimate}
     error: Optional[str] = None
 
 
 def radius_scan(alpha_grid: Iterable, max_order: int,
-                families: Sequence[str] = FAMILIES, threshold: float = 5e-2,
-                engine_run=None) -> list:
-    """One engine run per alpha, then a stable-singularity estimate per
-    family.  Failures of the ESTIMATE_ERRORS types are recorded in the
-    row, prefixed by the family when a family's estimate fails, and the
-    scan continues with the next family or alpha; any other exception is
-    a bug and propagates.
+                families: Sequence[str] = FAMILIES,
+                threshold: float = SCAN_THRESHOLD, engine_run=None) -> list:
+    """One engine run per alpha, then a stable-singularity estimate, at
+    the default orders, per family.  A row keeps the whole estimate of
+    each family that succeeded, chain trail included.  Failures of the
+    ESTIMATE_ERRORS types are recorded in the row, prefixed by the family
+    when a family's estimate fails, and the scan continues with the next
+    family or alpha; any other exception is a bug and propagates.
 
-    The default spread threshold is looser than stable_singularity's own:
-    a scan wants a filled table across parameter values of varying
-    convergence quality, and the spread columns expose how trustworthy
-    each entry is.  At order 44 the Pade chains still drift by a few
+    The scan threshold is looser than stable_singularity's own: a scan
+    wants a filled table across parameter values of varying convergence
+    quality, and the spread columns expose how trustworthy each entry
+    is.  At order 44 the Pade chains still drift by a few
     percent per order, so the strict default would blank most rows."""
     from . import engine
     runner = engine_run or (lambda a: engine.run(max_order, a, GAUGE_SIMPLIFIED_XI))
     rows = []
     for alpha in alpha_grid:
-        row = ScanRow(alpha=QQ(alpha), order=max_order)
+        row = ScanRow(alpha=QQ(alpha))
         try:
             ser = runner(QQ(alpha))
             ps = series_from_engine(ser)
             errors = []
             for family in families:
                 try:
-                    est = stable_singularity(
-                        ps, family, default_orders(family, len(ps)),
-                        threshold=threshold)
+                    row.estimates[family] = stable_singularity(
+                        ps, family, threshold=threshold)
                 except ESTIMATE_ERRORS as exc:
                     msg = str(exc)
                     errors.append(msg if msg.startswith(family) else f"{family}: {msg}")
-                    continue
-                if family == FAMILY_PADE:
-                    row.rc_pade = est.radius
-                    row.spread_pade = est.stability_spread
-                else:
-                    row.rc_hermite_pade = est.radius
-                    row.spread_hermite_pade = est.stability_spread
             if errors:
                 row.error = "; ".join(errors)
         except ESTIMATE_ERRORS as exc:

@@ -265,8 +265,6 @@ def _string_roundtrip(ctx):
     rng = random.Random(0xF0F0)
     count = 0
     for label, ring, draw in _sample_rings(rng):
-        if label in ("rational-root", "quadratic"):
-            continue  # numeric rings carry no string serialization contract
         for amp in (0, 3):
             for _ in range(15):
                 el = draw()

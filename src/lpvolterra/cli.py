@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import QQ, format_element
 from .analysis import (ESTIMATE_ERRORS, FAMILIES, FAMILY_HERMITE_PADE,
-                       FAMILY_PADE, default_orders, radius_scan,
+                       FAMILY_PADE, SCAN_THRESHOLD, radius_scan,
                        series_from_engine, stable_singularity)
 from .checks import LEVELS as CHECK_LEVELS
 from .checks import iter_checks, load_golden
@@ -133,7 +133,7 @@ def load_manifest_params(path, command):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or a huge int
         raise BadArguments(f"cannot read manifest {path}: {exc}")
     if doc.get("command") != command:
         raise BadArguments(
@@ -163,7 +163,9 @@ def _need(params, key, kind, optional=False, positive=False, low=None, high=None
         raise BadArguments(f"missing parameter: {key}")
     if (not isinstance(value, _JSON_TYPES[kind])
             or isinstance(value, bool) != (kind is bool)
-            or kind is int and isinstance(value, float) and not value.is_integer()):
+            or kind is int and isinstance(value, float) and not value.is_integer()
+            or kind is float and isinstance(value, int)
+            and abs(value) > sys.float_info.max):
         raise BadArguments(f"bad value for {key}: {value!r}")
     value = kind(value)
     if kind is float and not (math.isfinite(value) and (value > 0 or not positive)):
@@ -223,6 +225,9 @@ def cmd_radius(params):
     alphas = [parse_alpha(t) for t in alpha_texts]
     if "symbolic" in alphas:
         raise BadArguments("the radius scan needs numeric alpha values")
+    for text, value in zip(alpha_texts, alphas):   # the CSV writes alpha as a float
+        if value > sys.float_info.max or float(value) == 0:
+            raise BadArguments(f"alpha {text.strip()} is outside the float range")
     order = _need(params, "order", int)
     if order < MIN_RADIUS_ORDER:
         raise ValueError(
@@ -245,13 +250,11 @@ def cmd_radius(params):
         writer.writerow(["alpha", "order", "rc_pade", "rc_hermite_pade",
                          "spread_pade", "spread_hp"])
         for row in rows:
-            writer.writerow([fmt_sig(row.alpha, digits), row.order,
-                             fmt_sig(row.rc_pade, digits),
-                             fmt_sig(row.rc_hermite_pade, digits),
-                             fmt_sig(row.spread_pade, digits),
-                             fmt_sig(row.spread_hermite_pade, digits)])
-            if row.rc_pade is not None or row.rc_hermite_pade is not None:
-                succeeded += 1
+            ests = [row.estimates.get(family) for family in FAMILIES]
+            writer.writerow([fmt_sig(row.alpha, digits), order,
+                             *(fmt_sig(e and e.radius, digits) for e in ests),
+                             *(fmt_sig(e and e.stability_spread, digits) for e in ests)])
+            succeeded += bool(row.estimates)
             if row.error:
                 print(f"alpha {row.alpha}: {row.error}", file=sys.stderr)
     write_manifest("radius", params, [output], output + ".manifest.json")
@@ -270,9 +273,7 @@ def _estimate_radius(alpha):
     ps = series_from_engine(series)
     for family in (FAMILY_HERMITE_PADE, FAMILY_PADE):
         try:
-            est = stable_singularity(ps, family, default_orders(family, len(ps)),
-                                     threshold=5e-2)
-            return est.radius
+            return stable_singularity(ps, family, threshold=SCAN_THRESHOLD).radius
         except ESTIMATE_ERRORS:
             continue
     return None
@@ -440,7 +441,7 @@ def build_parser():
     p.add_argument("--alpha", help="comma-separated positive rationals")
     p.add_argument("--order", type=int, help="series order fed to the approximants")
     p.add_argument("--families", default="pade,hermite-pade")
-    p.add_argument("--threshold", type=float, default=5e-2,
+    p.add_argument("--threshold", type=float, default=SCAN_THRESHOLD,
                    help="stability spread threshold (default 0.05)")
     p.add_argument("--digits", type=int, default=10)
     p.add_argument("--output", default="radius.csv")

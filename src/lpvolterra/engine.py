@@ -56,7 +56,6 @@ class OrderSolution:
 
 @dataclass
 class PerturbationSeries:
-    alpha: object                 # Fraction or the string "symbolic"
     gauge: str
     orders: list
     coeff_ring: object            # phase-free, or a PhaseRing for zero-initial
@@ -69,13 +68,6 @@ class PerturbationSeries:
     def phase_ring(self) -> PhaseRing:
         ring = self.coeff_ring
         return ring if ring.has_phase else PhaseRing(ring)
-
-
-def _base_ring_for(alpha):
-    if alpha == "symbolic" or alpha is None:
-        return SYMBOLIC, "symbolic"
-    q = QQ(alpha)
-    return numeric_ring(q), q
 
 
 def _zeroth_in(ring) -> OrderSolution:
@@ -185,10 +177,9 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI) -> Perturbat
         raise ValueError("N must be >= 0")
     if gauge not in GAUGES:
         raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
-    base, alpha_tag = _base_ring_for(alpha)
+    base = SYMBOLIC if alpha in ("symbolic", None) else numeric_ring(QQ(alpha))
     coeff = PhaseRing(base) if gauge == GAUGE_ZERO_INITIAL else base
-    series = PerturbationSeries(alpha=alpha_tag, gauge=gauge, orders=[],
-                                coeff_ring=coeff)
+    series = PerturbationSeries(gauge=gauge, orders=[], coeff_ring=coeff)
     series.orders.append(_zeroth_in(coeff))
     absorb = "eta" if gauge == GAUGE_SIMPLIFIED_ETA else "xi"
     for n in range(1, N + 1):

@@ -301,10 +301,11 @@ class TestRadiusMonotonicity:
         grid = [QQ(1, 4), QQ(1, 2), QQ(1), QQ(2), QQ(4)]
         rows = radius_scan(grid, 44)
         assert [row.alpha for row in rows] == grid
-        branch = [row.rc_hermite_pade for row in rows]
-        assert all(r is not None for r in branch)
+        assert all(FAMILY_HERMITE_PADE in row.estimates for row in rows)
+        branch = [row.estimates[FAMILY_HERMITE_PADE].radius for row in rows]
         assert all(a > b for a, b in zip(branch, branch[1:])), branch
-        poles = [row.rc_pade for row in rows if row.rc_pade is not None]
+        poles = [row.estimates[FAMILY_PADE].radius for row in rows
+                 if FAMILY_PADE in row.estimates]
         assert len(poles) >= 4
         assert all(a > b for a, b in zip(poles, poles[1:])), poles
 

@@ -5,6 +5,7 @@ that the radius machinery is expected to reproduce; small closed-form
 cases (geometric, exponential, sqrt) cover each code path exactly.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -22,11 +23,12 @@ from lpvolterra.analysis import (
     PadeApprox,
     PowerSeries,
     QuadHermitePade,
+    ScanRow,
+    SingularityEstimate,
     default_orders,
     discriminant,
     discriminant_roots,
     hermite_pade_fit,
-    max_diagonal_order,
     null_space,
     pade_fit,
     pade_poles,
@@ -247,7 +249,7 @@ def reference_pade(coeffs, K, L):
         g = poly_gcd(p, q)
         p, q = poly_divmod(p, g)[0], poly_divmod(q, g)[0]
         p, q = poly_scale(p, 1 / q[0]), poly_scale(q, 1 / q[0])
-    return PadeApprox(tuple(p), tuple(q), K, L)
+    return PadeApprox(tuple(p), tuple(q))
 
 
 def reference_hermite_pade(coeffs, K, L, M):
@@ -277,7 +279,7 @@ def reference_hermite_pade(coeffs, K, L, M):
     vec = [v / lead for v in basis[0]]
     return QuadHermitePade(tuple(poly_trim(vec[:K + 1])),
                            tuple(poly_trim(vec[K + 1:K + L + 2])),
-                           tuple(poly_trim(vec[K + L + 2:])), K, L, M)
+                           tuple(poly_trim(vec[K + L + 2:])))
 
 
 def _outcome(fit, *args):
@@ -302,8 +304,8 @@ def assert_fits_match_oracle(coeffs, pade_degrees, hp_degrees):
 def test_diagonal_fits_match_oracle_at_order44(alpha, ps44):
     ps = ps44 if alpha == 1 else series_from_engine(
         run(44, QQ(alpha), GAUGE_SIMPLIFIED_XI))
-    pade_top = max_diagonal_order(FAMILY_PADE, len(ps))
-    hp_top = max_diagonal_order(FAMILY_HERMITE_PADE, len(ps))
+    pade_top = default_orders(FAMILY_PADE, len(ps))[-1]
+    hp_top = default_orders(FAMILY_HERMITE_PADE, len(ps))[-1]
     assert (pade_top, hp_top) == (11, 7)
     assert_fits_match_oracle(ps.coeffs,
                              [(m, m) for m in range(1, pade_top + 1)],
@@ -338,7 +340,7 @@ def test_oracle_covers_blocked_and_degenerate_entries():
     assert_fits_match_oracle([QQ(1), QQ(0), QQ(1)], [(1, 1)], [(0, 0, 0)])
     with pytest.raises(DegenerateApproximantError, match="blocked"):
         reference_pade([QQ(1), QQ(0), QQ(1)], 1, 1)
-    assert reference_pade([QQ(1)] * 5, 2, 2) == PadeApprox((QQ(1),), (QQ(1), QQ(-1)), 2, 2)
+    assert reference_pade([QQ(1)] * 5, 2, 2) == PadeApprox((QQ(1),), (QQ(1), QQ(-1)))
     with pytest.raises(DegenerateApproximantError, match="2-dimensional"):
         reference_hermite_pade([QQ(1)] * 5, 1, 1, 1)
 
@@ -597,7 +599,7 @@ class TestRootExtraction:
 
     def test_constant_discriminant_empty(self):
         h = hermite_pade_fit(series(*SQRT_COEFFS[:3]), 0, 0, 1)
-        bare = type(h)(P=(), Q=(QQ(1),), R=(), K=0, L=0, M=0)
+        bare = type(h)(P=(), Q=(QQ(1),), R=())
         assert discriminant_roots(bare) == []
 
     def test_conjugate_pair_ordering(self):
@@ -637,7 +639,6 @@ class TestStableSingularity:
         est = stable_singularity(geometric(9), FAMILY_PADE, (1, 2, 3))
         assert est.radius == pytest.approx(1.0, abs=1e-12)
         assert est.stability_spread == pytest.approx(0.0, abs=1e-12)
-        assert est.family == FAMILY_PADE
         assert est.orders == (1, 2, 3)
         assert len(est.trail) == 3
 
@@ -676,14 +677,32 @@ class TestStableSingularity:
             stable_singularity(ps44, FAMILY_PADE,
                                default_orders(FAMILY_PADE, len(ps44)))
 
+    @pytest.mark.parametrize("family, radius", [(FAMILY_PADE, RC_PADE_44),
+                                                (FAMILY_HERMITE_PADE, RC_HP_44)])
+    def test_orders_default_to_the_top_diagonals(self, ps44, family, radius):
+        est = stable_singularity(ps44, family, threshold=5e-2)
+        assert est.orders == default_orders(family, len(ps44))
+        assert est.radius == pytest.approx(radius, abs=1e-9)
+
+    def test_result_fields(self):
+        assert [f.name for f in fields(SingularityEstimate)] == \
+            ["location", "radius", "stability_spread", "orders", "trail"]
+        assert [f.name for f in fields(ScanRow)] == ["alpha", "estimates", "error"]
+
     def test_order_helpers(self):
-        assert max_diagonal_order(FAMILY_PADE, 23) == 11
-        assert max_diagonal_order(FAMILY_HERMITE_PADE, 23) == 7
+        assert default_orders(FAMILY_PADE, 23)[-1] == 11
+        assert default_orders(FAMILY_HERMITE_PADE, 23)[-1] == 7
         assert default_orders(FAMILY_PADE, 23) == (7, 8, 9, 10, 11)
         assert default_orders(FAMILY_HERMITE_PADE, 23) == (5, 6, 7)
         assert default_orders(FAMILY_PADE, 5) == (1, 2)
         with pytest.raises(ValueError, match="insufficient"):
             default_orders(FAMILY_HERMITE_PADE, 3)
+
+    def test_default_orders_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'cubic'"):
+            default_orders("cubic", 20)
+        with pytest.raises(ValueError, match="unknown family 'cubic'"):
+            stable_singularity(geometric(20), "cubic")
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +717,9 @@ class TestRadiusScan:
         assert len(rows) == 1
         row = rows[0]
         assert row.error is None
-        assert row.order == 44
-        for rc in (row.rc_pade, row.rc_hermite_pade):
-            assert rc == pytest.approx(3.46, rel=5e-2)
+        assert row.estimates[FAMILY_PADE].orders == (7, 8, 9, 10, 11)   # order 44
+        for family in (FAMILY_PADE, FAMILY_HERMITE_PADE):
+            assert row.estimates[family].radius == pytest.approx(3.46, rel=5e-2)
 
     def test_per_alpha_failure_is_isolated(self):
         def boom(alpha):
@@ -711,7 +730,7 @@ class TestRadiusScan:
         rows = radius_scan([QQ(1), QQ(2)], 8, engine_run=boom)
         assert len(rows) == 2
         assert rows[1].error == "boom"
-        assert rows[1].rc_pade is None and rows[1].rc_hermite_pade is None
+        assert rows[1].estimates == {}
 
     @pytest.mark.parametrize("exc", [ZeroDivisionError("boom"), ValueError("boom"),
                                      mpmath.libmp.NoConvergence("boom")])
@@ -730,8 +749,8 @@ class TestRadiusScan:
             radius_scan([QQ(1)], 8, engine_run=boom)
 
     @pytest.mark.parametrize("roots, failed, kept, radius", [
-        ("pade_poles", FAMILY_PADE, "rc_hermite_pade", RC_HP_44),
-        ("discriminant_roots", FAMILY_HERMITE_PADE, "rc_pade", RC_PADE_44),
+        ("pade_poles", FAMILY_PADE, FAMILY_HERMITE_PADE, RC_HP_44),
+        ("discriminant_roots", FAMILY_HERMITE_PADE, FAMILY_PADE, RC_PADE_44),
     ], ids=["pade-fails", "hermite-pade-fails"])
     @pytest.mark.parametrize("exc", [ArithmeticError("root refinement did not converge"),
                                      mpmath.libmp.NoConvergence("no convergence")],
@@ -743,10 +762,12 @@ class TestRadiusScan:
 
         monkeypatch.setattr(analysis, roots, fail)
         row = radius_scan([QQ(1)], 44, engine_run=lambda alpha: run44)[0]
-        assert getattr(row, kept) == pytest.approx(radius, abs=1e-9)
+        assert set(row.estimates) == {kept}
+        assert row.estimates[kept].radius == pytest.approx(radius, abs=1e-9)
         assert row.error == f"{failed}: {exc}"
 
     def test_family_restriction(self):
         rows = radius_scan([QQ(1)], 44, families=(FAMILY_HERMITE_PADE,))
-        assert rows[0].rc_pade is None
-        assert rows[0].rc_hermite_pade == pytest.approx(RC_HP_44, abs=1e-9)
+        assert FAMILY_PADE not in rows[0].estimates
+        assert rows[0].estimates[FAMILY_HERMITE_PADE].radius == \
+            pytest.approx(RC_HP_44, abs=1e-9)

@@ -122,6 +122,12 @@ class TestSeriesCommand:
         out = capsys.readouterr().out
         assert "omega_3 = " in out
 
+    def test_alpha_past_the_float_range(self, capsys):
+        # series writes exact strings, so any positive rational is fine
+        assert main(["series", "--order", "2", "--alpha", "1e400"]) == 0
+        with open("series.json", encoding="utf-8") as fh:
+            assert json.load(fh)["alpha"] == str(10**400)
+
     def test_numeric_alpha(self, capsys):
         assert main(["series", "--order", "2", "--alpha", "9/4"]) == 0
         out = capsys.readouterr().out
@@ -143,6 +149,28 @@ class TestRadiusCommand:
         assert float(rows[1][3]) == pytest.approx(3.4640026617, abs=1e-9)
         # both families land within 5% of each other here
         assert abs(float(rows[1][2]) - float(rows[1][3])) < 0.05 * float(rows[1][3])
+
+    def test_order44_scan_is_byte_identical(self, capsys):
+        assert main(["radius", "--alpha", "1/2,1,2", "--order", "44"]) == 0
+        assert capsys.readouterr().err == ""
+        with open("radius.csv", encoding="utf-8", newline="") as fh:
+            assert fh.read() == (
+                "alpha,order,rc_pade,rc_hermite_pade,spread_pade,spread_hp\n"
+                "0.5,44,3.868763633,3.797006947,0.04867425725,0.02192984522\n"
+                "1,44,3.537254234,3.464002662,0.03997972715,0.01953851336\n"
+                "2,44,2.708410266,2.635363113,0.04086875839,0.002896582345\n")
+
+    @pytest.mark.parametrize("alpha", ["1e400", "1e-400"])
+    def test_alpha_outside_float_range_rejected(self, alpha, capsys, monkeypatch):
+        # the CSV writes alpha as a float: 1e400 overflows, 1e-400 reads 0
+        forbid(monkeypatch, "radius_scan")
+        want = f"error: alpha {alpha} is outside the float range\n"
+        assert main(["radius", "--alpha", f"1, {alpha}", "--order", "8"]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", "radius", dict(MANIFEST_PARAMS["radius"][0], alpha=alpha))
+        assert main(["radius", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == ["m.json"]
 
     def test_too_low_order_fails_cleanly(self, capsys):
         assert main(["radius", "--alpha", "1", "--order", "0"]) == 1
@@ -440,6 +468,32 @@ class TestFloatParameters:
         write_params("m.json", "orbit", dict(params, radius_check=value))
         assert main(["orbit", "--from-manifest", "m.json"]) == 2
         assert capsys.readouterr().err == f"error: bad value for radius_check: {shown}\n"
+
+    @pytest.mark.parametrize("command,key", [
+        ("radius", "threshold"), ("orbit", "a"), ("orbit", "phi"),
+        ("orbit", "periods"), ("orbit", "tolerance")])
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_integers_past_the_float_range_rejected(self, command, key, value,
+                                                    capsys, monkeypatch):
+        params, work = MANIFEST_PARAMS[command]
+        forbid(monkeypatch, work)
+        write_params("m.json", command, dict(params, **{key: value}))
+        assert main([command, "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: {value}\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter reads integers of any length")
+    def test_integer_literal_past_the_digit_limit_rejected(self, capsys,
+                                                           monkeypatch):
+        params, work = MANIFEST_PARAMS["orbit"]
+        forbid(monkeypatch, work)
+        text = json.dumps({"command": "orbit", "parameters": dict(params, a=7)})
+        with open("m.json", "w", encoding="utf-8") as fh:
+            fh.write(text.replace('"a": 7', '"a": ' + "1" * 5000))
+        assert main(["orbit", "--from-manifest", "m.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read manifest m.json: Exceeds the limit")
+        assert err.count("\n") == 1
 
     def test_integers_are_numbers(self):
         params, _ = MANIFEST_PARAMS["orbit"]

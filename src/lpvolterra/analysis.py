@@ -4,11 +4,11 @@ The normalized series is omega/sqrt(alpha) = 1 + sum_j d_j z^j in the
 variable z = a^2; every d_j is an exact rational once alpha is rational.
 Pade approximants P_K/Q_L match the series through z^(K+L); quadratic
 Hermite-Pade triples (P_K, Q_L, R_M) satisfy P f^2 + Q f + R = O(z^(K+L+M+2)).
-Both fits follow one rule: the polynomial that enters the matching
-equations alone and with unit coefficient (P for Pade, R for Hermite-Pade)
-is absent from the equations above its degree, so the other polynomials
-come from the null space of those upper equations only, and the dropped
-one is the truncated convolution of the lower ones.
+Both fits solve one matching system, A_0 + A_1 f + ... + A_k f^k = O(z^n)
+(k = 1 for Pade, k = 2 for Hermite-Pade), by one rule: A_0 enters alone
+and with unit coefficient, so it is absent from the equations above its
+degree; A_1 .. A_k come from the null space of those upper equations
+only, and A_0 is the truncated convolution of the others.
 Singularity locations come from denominator zeros (Pade) or discriminant
 zeros Q^2 - 4PR (Hermite-Pade), tracked across approximant orders until
 they stabilize.
@@ -169,10 +169,7 @@ def rational_rref(rows):
 
 def null_space(rows, ncols):
     """Basis of the null space of the (dense, rational) matrix."""
-    work = [list(row) for row in rows if any(v != 0 for v in row)]
-    if not work:
-        return [[QQ(1) if i == j else QQ(0) for i in range(ncols)]
-                for j in range(ncols)]
+    work = list(rows)
     pivots = rational_rref(work)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -244,58 +241,13 @@ def rational_function_series(P, Q, n):
 
 
 # ---------------------------------------------------------------------------
-# Pade
+# Pade and quadratic Hermite-Pade: one matching system
 
 @dataclass(frozen=True)
 class PadeApprox:
     P: tuple
     Q: tuple   # Q[0] = 1
 
-
-def _dot(row, vec):
-    return sum((a * b for a, b in zip(row, vec) if a), QQ(0))
-
-
-def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
-    """[K/L] Pade approximant, exact: P/Q matches the series through
-    z^(K+L) with Q(0) = 1.
-
-    P enters f Q - P = O(z^(K+L+1)) with unit coefficient and not at all
-    above z^K, so Q spans the null space of the L equations at z^(K+1) ..
-    z^(K+L), in columns (q_1, ..., q_L, q_0), and P is f Q truncated at
-    z^K.  A regular entry has a one-dimensional null space with q_0 free:
-    q_1..q_L solve the Toeplitz system, and Q keeps all L+1 entries.  A
-    blocked entry has more solutions, which all represent the same
-    fraction; it is reduced by the gcd of P and Q.  An entry that forces
-    Q(0) = 0 is reported for the caller to perturb (K, L)."""
-    if K < 0 or L < 0:
-        raise ValueError("degrees must be nonnegative")
-    c = series.coeffs
-    need = K + L + 1
-    if len(c) < need:
-        raise ValueError(f"insufficient coefficients: need {need}, have {len(c)}")
-
-    def row(j):   # z^j coefficient of f Q, by column
-        return [c[j - i] if i <= j else QQ(0) for i in range(1, L + 1)] + [c[j]]
-
-    basis = null_space([row(j) for j in range(K + 1, K + L + 1)], L + 1)
-    vec = basis[-1]   # the only candidate with q_0 != 0: q_0 is the last column
-    if vec[L] == 0:
-        raise DegenerateApproximantError(
-            f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
-    q = [vec[L]] + vec[:L]
-    p = poly_trim([_dot(row(j), vec) for j in range(K + 1)])
-    if len(basis) == 1:
-        return PadeApprox(tuple(p), tuple(q))
-    g = poly_gcd(p, q)
-    p, _ = poly_divmod(p, g)
-    q, _ = poly_divmod(q, g)
-    inv = 1 / q[0]
-    return PadeApprox(tuple(poly_scale(p, inv)), tuple(poly_scale(q, inv)))
-
-
-# ---------------------------------------------------------------------------
-# quadratic Hermite-Pade
 
 @dataclass(frozen=True)
 class QuadHermitePade:
@@ -304,41 +256,76 @@ class QuadHermitePade:
     R: tuple
 
 
+def _dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec) if a), QQ(0))
+
+
+def _matching_system(series: PowerSeries, degrees):
+    """A_0 + A_1 f + ... + A_k f^k = O(z^n) with deg A_e = degrees[e] and
+    n = sum(degrees) + k, reduced by the rule of the module docstring.
+
+    Returns the null-space basis of the equations at z^(deg A_0 + 1) ..
+    z^(n-1), in columns (A_k, ..., A_1), each in ascending powers, and
+    row(j), the z^j coefficient of A_k f^k + ... + A_1 f by column, so
+    that A_0 has -row(j) . vec at z^j for j <= deg A_0."""
+    if min(degrees) < 0:
+        raise ValueError("degrees must be nonnegative")
+    c = series.coeffs
+    n = sum(degrees) + len(degrees) - 1
+    if len(c) < n:
+        raise ValueError(f"insufficient coefficients: need {n}, have {len(c)}")
+    powers = [list(c[:n])]   # f, f^2, ..., f^k through z^(n-1)
+    for _ in degrees[2:]:
+        power = poly_mul(powers[-1], powers[0])[:n]
+        powers.append(power + [QQ(0)] * (n - len(power)))
+    blocks = list(zip(degrees[:0:-1], reversed(powers)))   # (deg A_e, f^e), e = k .. 1
+
+    def row(j):
+        return [fe[j - i] if i <= j else QQ(0) for d, fe in blocks for i in range(d + 1)]
+
+    ncols = sum(d + 1 for d in degrees[1:])
+    return null_space([row(j) for j in range(degrees[0] + 1, n)], ncols), row
+
+
+def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
+    """[K/L] Pade approximant, exact: P/Q matches the series through
+    z^(K+L) with Q(0) = 1.
+
+    The matching system f Q - P = O(z^(K+L+1)), with A_0 = -P, gives Q in
+    columns (q_0, ..., q_L) and P as f Q truncated at z^K.  A regular
+    entry has a one-dimensional null space, scaled to q_0 = 1, and Q
+    keeps all L+1 entries.  A blocked entry has more solutions, which all
+    represent the same fraction; the first with q_0 != 0 is reduced by
+    the gcd of P and Q.  An entry that forces Q(0) = 0 is reported for
+    the caller to perturb (K, L)."""
+    basis, row = _matching_system(series, (K, L))
+    vec = next((v for v in basis if v[0] != 0), None)
+    if vec is None:
+        raise DegenerateApproximantError(
+            f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
+    q = [v / vec[0] for v in vec]
+    p = poly_trim([_dot(row(j), q) for j in range(K + 1)])
+    if len(basis) == 1:
+        return PadeApprox(tuple(p), tuple(q))
+    g = poly_gcd(p, q)
+    p, q = poly_divmod(p, g)[0], poly_divmod(q, g)[0]
+    return PadeApprox(tuple(poly_scale(p, 1 / q[0])), tuple(poly_scale(q, 1 / q[0])))
+
+
 def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermitePade:
     """Exact (P_K, Q_L, R_M) with P f^2 + Q f + R = O(z^(K+L+M+2)).
 
-    R enters the matching equations with unit coefficient and not at all
-    above z^M, so (p_0..p_K, q_0..q_L) spans the null space of the K+L+1
-    equations at z^(M+1) .. z^(K+L+M+1), and R = -(P f^2 + Q f) through
-    z^M.  A nontrivial solution always exists; its first nonzero
-    coefficient in (p_0..p_K, q_0..q_L) order is scaled to 1.  A null
-    space of dimension above one is reported as degenerate."""
-    if min(K, L, M) < 0:
-        raise ValueError("degrees must be nonnegative")
-    c = series.coeffs
-    n_eq = K + L + M + 2
-    if len(c) < n_eq:
-        raise ValueError(f"insufficient coefficients: need {n_eq}, have {len(c)}")
-
-    sq = [QQ(0)] * n_eq   # coefficients of f^2 through z^(n_eq - 1)
-    for i in range(n_eq):
-        if c[i] == 0:
-            continue
-        for j in range(n_eq - i):
-            sq[i + j] += c[i] * c[j]
-
-    def row(j):   # z^j coefficient of P f^2 + Q f, by column
-        return ([sq[j - i] if i <= j else QQ(0) for i in range(K + 1)]
-                + [c[j - i] if i <= j else QQ(0) for i in range(L + 1)])
-
-    basis = null_space([row(j) for j in range(M + 1, n_eq)], K + L + 2)
+    The matching system with A_0 = R gives (p_0..p_K, q_0..q_L) and
+    R = -(P f^2 + Q f) through z^M.  A nontrivial solution always exists;
+    its first nonzero coefficient in (p_0..p_K, q_0..q_L) order is scaled
+    to 1.  A null space of dimension above one is reported as degenerate."""
+    basis, row = _matching_system(series, (M, L, K))
     if len(basis) != 1:
         raise DegenerateApproximantError(
             f"f[{K},{L},{M}] matching system has a {len(basis)}-dimensional "
             "null space")
-    vec = basis[0]
-    lead = next(v for v in vec if v != 0)
-    vec = [v / lead for v in vec]
+    lead = next(v for v in basis[0] if v != 0)
+    vec = [v / lead for v in basis[0]]
     r = [-_dot(row(j), vec) for j in range(M + 1)]
     return QuadHermitePade(tuple(poly_trim(vec[:K + 1])),
                            tuple(poly_trim(vec[K + 1:])),

@@ -36,8 +36,8 @@ from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                      run)
 from .trigpoly import (PhaseRing, ResonantForcingError, VectorTrigPoly,
                        evaluate_at_zero, exp_tk_vector, harmonic,
-                       particular_solution, residual, tp_add, tp_diff, tp_mul,
-                       tp_mul_el, tp_term, tp_zero, to_triples)
+                       particular_solution, residual, tp_add, tp_diff, tp_dot,
+                       tp_mul, tp_mul_el, tp_term, tp_zero, to_triples)
 from .verify import IntegratorConfig, integrate, measure_frequency
 
 LEVELS = ("quick", "full")
@@ -378,23 +378,28 @@ def _fourier_orthogonality(ctx):
         for _ in range(2):
             p = _rand_forcing(rng, ring, draw, harmonics=(0, 1, 2, 3)).xi
             q = _rand_forcing(rng, ring, draw, harmonics=(0, 1, 2, 3)).eta
-            prod = tp_mul(p, q)
+            # the dict-based oracle and the integer kernel build_forcing uses
+            prods = (tp_mul(p, q), tp_dot([p], [q]))
             pf, qf = _float_harmonics(p), _float_harmonics(q)
             fn = lambda th: pf(th) * qf(th)
             for j in range(0, 7):
-                a_j, b_j = harmonic(prod, j)
                 proj_a = mpmath.quad(lambda th: fn(th) * mpmath.sin(j * th),
                                      [0, mpmath.pi, 2 * mpmath.pi]) / mpmath.pi
                 proj_b = mpmath.quad(lambda th: fn(th) * mpmath.cos(j * th),
                                      [0, mpmath.pi, 2 * mpmath.pi]) / mpmath.pi
                 if j == 0:
                     proj_b /= 2
-                worst = max(worst,
-                            abs(float(evaluate_numeric(ring, a_j)) - float(proj_a)),
-                            abs(float(evaluate_numeric(ring, b_j)) - float(proj_b)))
-    if worst > 1e-12:
-        raise AssertionError(f"Fourier projection disagrees by {worst:.2e}")
-    return f"products match integrated projections to {worst:.1e}"
+                for prod in prods:
+                    a_j, b_j = harmonic(prod, j)
+                    worst = max(worst,
+                                abs(float(evaluate_numeric(ring, a_j)) - float(proj_a)),
+                                abs(float(evaluate_numeric(ring, b_j)) - float(proj_b)))
+            if worst > 1e-12:
+                raise AssertionError(f"Fourier projection disagrees by {worst:.2e}")
+            if prods[0] != prods[1]:
+                raise AssertionError("tp_dot and tp_mul products differ")
+    return ("tp_mul and tp_dot products agree exactly and match integrated "
+            f"projections to {worst:.1e}")
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ def parse_alpha(text):
     return value
 
 
+def _check_float_range(text, alpha):
+    """The radius CSV and the orbit integrator use alpha as a float."""
+    if alpha > sys.float_info.max or float(alpha) == 0:
+        raise BadArguments(f"alpha {text.strip()} is outside the float range")
+
+
 _PI_LITERAL = re.compile(r"([+-]?)(\d+(?:\.\d*)?)?\*?pi(?:/(\d+(?:\.\d*)?))?")
 
 
@@ -225,9 +231,8 @@ def cmd_radius(params):
     alphas = [parse_alpha(t) for t in alpha_texts]
     if "symbolic" in alphas:
         raise BadArguments("the radius scan needs numeric alpha values")
-    for text, value in zip(alpha_texts, alphas):   # the CSV writes alpha as a float
-        if value > sys.float_info.max or float(value) == 0:
-            raise BadArguments(f"alpha {text.strip()} is outside the float range")
+    for text, value in zip(alpha_texts, alphas):
+        _check_float_range(text, value)
     order = _need(params, "order", int)
     if order < MIN_RADIUS_ORDER:
         raise ValueError(
@@ -283,6 +288,7 @@ def cmd_orbit(params):
     alpha = parse_alpha(_need(params, "alpha", str))
     if alpha == "symbolic":
         raise BadArguments("orbit integration needs a numeric alpha")
+    _check_float_range(params["alpha"], alpha)
     a = _need(params, "a", float)
     phi = _need(params, "phi", float)
     order = _need(params, "order", int, low=0)

@@ -224,6 +224,26 @@ def reference_null_space(rows, ncols):
     return basis
 
 
+@st.composite
+def null_space_cases(draw):
+    """(rows, ncols): a rational_matrices() draw, a matrix of zero rows,
+    or no rows at all."""
+    kind = draw(st.sampled_from(("matrix", "zero", "empty")))
+    if kind == "matrix":
+        rows = draw(rational_matrices())
+        return rows, len(rows[0])
+    ncols = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(1, 4)) if kind == "zero" else 0
+    return [[QQ(0)] * ncols for _ in range(n_rows)], ncols
+
+
+@given(null_space_cases())
+@settings(max_examples=200, deadline=None)
+def test_null_space_matches_fraction_gauss_jordan(case):
+    rows, ncols = case
+    assert null_space(rows, ncols) == reference_null_space(rows, ncols)
+
+
 def reference_pade(coeffs, K, L):
     """The [K/L] fit from the (K+L+1) x (K+L+2) system P - f Q = O(z^(K+L+1)).
 

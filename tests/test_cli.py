@@ -383,6 +383,19 @@ class TestOrbitCommand:
         assert main(["orbit", "--alpha", "symbolic", "--a", "0.1",
                      "--order", "2"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["1e400", "1e-400"])
+    def test_alpha_outside_float_range_rejected(self, alpha, capsys, monkeypatch):
+        # the integrator runs on a float alpha: 1e400 overflows, 1e-400 reads 0
+        forbid(monkeypatch, "run")
+        want = f"error: alpha {alpha} is outside the float range\n"
+        assert main(["orbit", "--alpha", alpha, "--a", "0.1", "--order", "2",
+                     "--no-radius-check"]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", "orbit", dict(MANIFEST_PARAMS["orbit"][0], alpha=alpha))
+        assert main(["orbit", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == ["m.json"]
+
 
 # a valid manifest parameter set per command, and the call that does the
 # command's work (a test forbids it to show that a check came first)

@@ -11,7 +11,9 @@ degree; A_1 .. A_k come from the null space of those upper equations
 only, and A_0 is the truncated convolution of the others.
 Singularity locations come from denominator zeros (Pade) or discriminant
 zeros Q^2 - 4PR (Hermite-Pade), tracked across approximant orders until
-they stabilize.
+they stabilize.  The zeros come from a fixed-point integer Durand-Kerner
+kernel that repeats mpmath.polyroots step for step, so it returns the
+same roots, and each root must pass a residual certificate.
 """
 
 from __future__ import annotations
@@ -55,16 +57,24 @@ def poly_trim(p):
     return p
 
 
+def _over_lcm(row):
+    """(ints, den) with row = ints / den, den the lcm of the denominators."""
+    qs = [QQ(v) for v in row]
+    den = math.lcm(*(int(q.denominator) for q in qs))
+    return [int(q.numerator) * (den // int(q.denominator)) for q in qs], den
+
+
 def poly_mul(p, q):
+    """Fraction-free: each operand over its lcm denominator, convolved as ints."""
     if not p or not q:
         return []
-    out = [QQ(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
+    (ip, dp), (iq, dq) = _over_lcm(p), _over_lcm(q)
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(ip):
+        if a:
+            for j, b in enumerate(iq):
+                out[i + j] += a * b
+    return poly_trim([QQ(n, dp * dq) for n in out])
 
 
 def poly_sub(p, q):
@@ -107,27 +117,12 @@ def poly_gcd(p, q):
     return poly_scale(a, 1 / QQ(a[-1]))  # monic
 
 
-def poly_eval_mp(p, z):
-    total = mpmath.mpc(0)
-    for c in reversed(p):
-        total = total * z + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra: Gauss-Jordan over rationals
 
 def _primitive(row):
     g = math.gcd(*row)
     return [v // g for v in row] if g > 1 else row
-
-
-def _integer_row(row):
-    """The row scaled by the lcm of its denominators, divided by the gcd
-    of the resulting integers."""
-    qs = [QQ(v) for v in row]
-    den = math.lcm(*(int(q.denominator) for q in qs))
-    return _primitive([int(q.numerator) * (den // int(q.denominator)) for q in qs])
 
 
 def rational_rref(rows):
@@ -140,7 +135,7 @@ def rational_rref(rows):
     same matrix as rational Gauss-Jordan gives."""
     if not rows:
         return []
-    work = [_integer_row(row) for row in rows]
+    work = [_primitive(_over_lcm(row)[0]) for row in rows]
     ncols = len(work[0])
     pivots = []
     r = 0
@@ -359,28 +354,77 @@ def _float_seed(hi_to_lo):
     return [mpmath.mpc(complex(z)) for z in seed]
 
 
+def _durand_kerner(hi_to_lo, starts):
+    """mpmath 1.3's polyroots(maxsteps=200, extraprec=4 ROOT_DPS) step for
+    step on fixed-point ints (re, im) scaled by 2^bits, bits the precision
+    polyroots works at, from exact monic coefficients.  Sweeps update the
+    roots in place, in order, skipping only a factor p - r_j that is exactly
+    zero (never an update), until every step is below eps; the roots come
+    back unsorted, cleaned as polyroots cleans them, at the working precision."""
+    bits = mpmath.mp.prec + 4 * ROOT_DPS
+    tol = 1 << (4 * ROOT_DPS + 1)      # eps = 2^(1 - prec), scaled
+    exact = lambda v: QQ(*mpmath.libmp.to_rational(mpmath.mpf(v)._mpf_))  # noqa: E731
+    coeffs = [round(exact(c) / exact(hi_to_lo[0]) * 2 ** bits) for c in hi_to_lo[1:]]
+    roots = [(round(exact(z.real) * 2 ** bits), round(exact(z.imag) * 2 ** bits))
+             for z in starts]
+    small = [False] * len(roots)
+    for _ in range(200):
+        if all(small):
+            break
+        for i, (pr, pi) in enumerate(roots):
+            fr, fi = 1 << bits, 0                # f(p) by Horner
+            for c in coeffs:
+                fr, fi = c + ((fr * pr - fi * pi) >> bits), (fr * pi + fi * pr) >> bits
+            dr, di, shift = 1, 0, 0              # prod (p - r_j) = (dr + i di) / 2^shift
+            for j, (rr, ri) in enumerate(roots):
+                ar, ai = pr - rr, pi - ri
+                if j == i or not (ar or ai):
+                    continue
+                dr, di, shift = dr * ar - di * ai, dr * ai + di * ar, shift + bits
+                excess = min(max(dr.bit_length(), di.bit_length()) - bits - 32, shift)
+                if excess > 0:
+                    dr, di, shift = dr >> excess, di >> excess, shift - excess
+            den = dr * dr + di * di
+            xr = ((fr * dr + fi * di) << shift) // den
+            xi = ((fi * dr - fr * di) << shift) // den
+            roots[i] = (pr - xr, pi - xi)
+            small[i] = xr * xr + xi * xi < tol * tol
+    if not all(small):
+        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+    out = []
+    for rr, ri in roots:
+        if rr * rr + ri * ri < tol * tol:
+            rr = ri = 0
+        elif abs(ri) < tol:
+            ri = 0
+        elif abs(rr) < tol:
+            rr = 0
+        out.append(mpmath.mpc(mpmath.mpf((rr, -bits)), mpmath.mpf((ri, -bits))))
+    return out
+
+
 def _poly_roots_mp(coeffs):
     """All complex roots of an exact polynomial, as mpc values sorted by
     modulus (conjugate pairs: negative imaginary part first).
 
-    Durand-Kerner starts from the double-precision roots, so it needs a
-    few sweeps instead of dozens; precision, step limit and the residual
-    certificate are those of an unseeded start."""
+    :func:`_durand_kerner`, which returns mpmath.polyroots' roots from the
+    same starts, starts from the double-precision roots (a few sweeps, not
+    dozens), else from polyroots' own (0.4+0.9i)^n.  Each root must pass
+    the certificate |f(r)| <= 10^(-ROOT_DPS/2) norm max(1, |r|)^deg."""
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
         return []
     with mpmath.workdps(ROOT_DPS):
         hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
                     for c in reversed(coeffs)]
-        roots = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * ROOT_DPS,
-                                 roots_init=_float_seed(hi_to_lo))
+        starts = _float_seed(hi_to_lo) or [(0.4 + 0.9j) ** n for n in range(len(coeffs) - 1)]
+        roots = _durand_kerner(hi_to_lo, starts)
         norm = max(abs(v) for v in hi_to_lo)
         for r in roots:
-            res = abs(poly_eval_mp(coeffs, r))
             scale = norm * max(1, abs(r)) ** (len(coeffs) - 1)
-            if res > mpmath.mpf(10) ** (-ROOT_DPS // 2) * scale:
+            if abs(mpmath.polyval(hi_to_lo, r)) > mpmath.mpf(10) ** (-ROOT_DPS // 2) * scale:
                 raise ArithmeticError("root refinement did not converge")
-        return sorted((mpmath.mpc(r) for r in roots), key=_root_key)
+        return sorted(roots, key=_root_key)
 
 
 def discriminant_roots(h: QuadHermitePade):

@@ -26,9 +26,10 @@ import mpmath
 from .algebra import (QQ, SymbolicRing, canonical, evaluate_numeric,
                       format_element, numeric_ring, parse_element, to_mpf)
 from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
-                       DegenerateApproximantError, PowerSeries,
-                       _poly_roots_mp, discriminant_roots, hermite_pade_fit,
-                       pade_fit, poly_eval_mp, poly_mul, poly_sub, poly_trim,
+                       ROOT_DPS, DegenerateApproximantError, PowerSeries,
+                       _durand_kerner, _float_seed, _poly_roots_mp, _root_key,
+                       discriminant_roots, hermite_pade_fit,
+                       pade_fit, poly_mul, poly_sub, poly_trim,
                        rational_function_series, series_from_engine,
                        stable_singularity)
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
@@ -564,30 +565,45 @@ def _branch_point(ctx):
 
 @_check("root-residuals")
 def _root_residuals(ctx):
+    # oracle: mpmath.polyroots from the same starts; equal starts test the zero-factor rule
     rng = random.Random(0x0075)
     ps = series_from_engine(ctx.series(8, alpha=QQ(1)))
-    polys = [list(pade_fit(ps, 2, 2).Q)]
+    near_double = poly_mul(poly_mul([QQ(16) + QQ(1, 10 ** 40), QQ(8), QQ(1)],
+                                    [QQ(-21), QQ(4), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
+    polys = [list(pade_fit(ps, 2, 2).Q), near_double]
     for _ in range(5):
         polys.append(_rand_poly(rng, 6, lead_one=True))
-    certified = 0
+    certified = agreed = 0
     with mpmath.workdps(60):
         for poly in polys:
             poly = poly_trim(poly)
             if len(poly) <= 1:
                 continue
-            norm = max(abs(to_mpf(c)) for c in poly)
-            deg = len(poly) - 1
+            hi_to_lo = [to_mpf(c) for c in reversed(poly)]
+            norm = max(abs(v) for v in hi_to_lo)
             roots = _poly_roots_mp(poly)
+            runs = [(roots, _float_seed(hi_to_lo))]
+            if poly == near_double:
+                starts = [mpmath.mpc(z) for z in (-7, 3, -4 + 0.5j, -4 + 0.5j, 1j, -1j)]
+                runs.append((sorted(_durand_kerner(hi_to_lo, starts), key=_root_key), starts))
+            for got, starts in runs:
+                want = sorted(mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * ROOT_DPS,
+                                               roots_init=starts), key=_root_key)
+                if len(got) != len(want) or any(
+                        abs(g - w) > abs(w) * mpmath.mpf("1e-40") for g, w in zip(got, want)):
+                    raise AssertionError("a root differs from mpmath.polyroots")
+                agreed += len(got)
             for r in roots:
-                bound = mpmath.mpf("1e-25") * norm * max(1, abs(r)) ** deg
-                if abs(poly_eval_mp(poly, r)) > bound:
+                bound = mpmath.mpf("1e-25") * norm * max(1, abs(r)) ** (len(poly) - 1)
+                if abs(mpmath.polyval(hi_to_lo, r)) > bound:
                     raise AssertionError("root residual exceeds the certification bound")
                 if abs(mpmath.im(r)) > norm * mpmath.mpf("1e-40"):
                     gap = min(abs(mpmath.conj(r) - other) for other in roots)
                     if gap > abs(r) * mpmath.mpf("1e-20"):
                         raise AssertionError("complex root without its conjugate partner")
                 certified += 1
-    return f"{certified} roots certified, conjugate pairs intact"
+    return (f"{certified} roots certified, {agreed} equal to mpmath.polyroots "
+            "within 1e-40, conjugate pairs intact")
 
 
 @_check("family-agreement", levels=("full",))

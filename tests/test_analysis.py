@@ -33,7 +33,6 @@ from lpvolterra.analysis import (
     pade_fit,
     pade_poles,
     poly_divmod,
-    poly_eval_mp,
     poly_gcd,
     poly_mul,
     poly_scale,
@@ -44,8 +43,10 @@ from lpvolterra.analysis import (
     series_from_engine,
     stable_singularity,
     rational_rref,
+    _durand_kerner,
     _float_seed,
     _poly_roots_mp,
+    _root_key,
 )
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, run
 
@@ -101,11 +102,17 @@ class TestPolyKit:
         g = poly_gcd(a, b)
         assert g == [QQ(1), QQ(1)]
 
-    def test_eval_matches_horner(self):
-        p = [QQ(1), QQ(-3), QQ(2)]
-        with mpmath.workdps(30):
-            v = poly_eval_mp(p, mpmath.mpf(2))
-            assert abs(v - (1 - 6 + 8)) < mpmath.mpf(10) ** -25
+    @given(st.lists(st.fractions(max_denominator=30), max_size=6),
+           st.lists(st.fractions(max_denominator=30), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_mul_matches_schoolbook_fractions(self, p, q):
+        want = [Fraction(0)] * max(0, len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                want[i + j] += a * b
+        while want and want[-1] == 0:
+            want.pop()
+        assert poly_mul(p, q) == want
 
 
 class TestExactLinearAlgebra:
@@ -570,15 +577,15 @@ class TestRootExtraction:
         return sorted(roots, key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
 
     def _spy(self, monkeypatch):
-        seeds = []
-        polyroots = mpmath.polyroots
+        starts = []
+        kernel = analysis._durand_kerner
 
-        def spy(*args, **kwargs):
-            seeds.append(kwargs.get("roots_init"))
-            return polyroots(*args, **kwargs)
+        def spy(hi_to_lo, seeds):
+            starts.append(seeds)
+            return kernel(hi_to_lo, seeds)
 
-        monkeypatch.setattr(mpmath, "polyroots", spy)
-        return seeds
+        monkeypatch.setattr(analysis, "_durand_kerner", spy)
+        return starts
 
     def test_seeded_cluster_matches_unseeded(self, monkeypatch):
         eps = QQ(1, 10 ** 14)          # (z-2)(z-2-10^-14)(z+3)
@@ -604,7 +611,81 @@ class TestRootExtraction:
         want = self._unseeded(coeffs, 60)
         seeds = self._spy(monkeypatch)
         assert _poly_roots_mp(coeffs) == want
-        assert seeds == [None]
+        # mpmath.polyroots' own start points
+        assert seeds == [[(0.4 + 0.9j) ** n for n in range(3)]]
+
+    @staticmethod
+    def _both(coeffs, starts=None):
+        """(kernel, mpmath.polyroots) roots from the same starts, at the
+        kernel's precision; the float seeds when starts is None."""
+        with mpmath.workdps(60):
+            hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                        for c in reversed(coeffs)]
+            if starts is None:
+                starts = _float_seed(hi_to_lo)
+            want = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=240,
+                                    roots_init=starts)
+            got = _durand_kerner(hi_to_lo, starts)
+            return sorted(got, key=_root_key), sorted(want, key=_root_key)
+
+    @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                    min_size=1, max_size=10, unique=True),
+           st.lists(st.tuples(st.integers(0, 9), st.integers(1, 20)), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_equals_polyroots_on_rational_roots(self, roots, pairs):
+        """Distinct rational roots, some in pairs down to 10^-20 apart."""
+        roots = list(roots)
+        for i, k in pairs:
+            twin = roots[i % len(roots)] + QQ(1, 10 ** k)
+            if twin not in roots:
+                roots.append(twin)
+        if len(roots) < 2:
+            roots.append(QQ(21))
+        coeffs = [QQ(1)]
+        for r in roots:
+            coeffs = poly_mul(coeffs, [-r, QQ(1)])
+        got, want = self._both(coeffs)
+        assert got == want
+
+    def test_duplicated_starts_match_polyroots(self):
+        # (z-1)(z-2)(z+3)(z^2+1) from three equal starts: each zero
+        # factor is skipped, and the iteration still separates them
+        coeffs = poly_mul(poly_mul(poly_mul([QQ(-1), QQ(1)], [QQ(-2), QQ(1)]),
+                                   [QQ(3), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
+        starts = [mpmath.mpc(z) for z in (0.5j, 0.5j, 0.5j, 1.5, -2.5)]
+        got, want = self._both(coeffs, starts)
+        assert got == want
+        assert len({(z.real, z.imag) for z in got}) == 5
+
+    def test_real_seeds_resolve_a_near_double_pair(self):
+        # ((z+4)^2 + 10^-24)(z-3)(z+7)(z^2+1): numpy's seeds for the pair
+        # are two distinct reals near -4
+        coeffs = poly_mul(poly_mul(poly_mul([QQ(16) + QQ(1, 10 ** 24), QQ(8), QQ(1)],
+                                            [QQ(-3), QQ(1)]), [QQ(7), QQ(1)]),
+                          [QQ(1), QQ(0), QQ(1)])
+        with mpmath.workdps(60):
+            seeds = _float_seed([mpmath.mpf(c.numerator) / c.denominator
+                                 for c in reversed(coeffs)])
+            near = [z for z in seeds if abs(z + 4) < 1e-3]
+            assert len(near) == 2 and all(z.imag == 0 for z in near)
+            roots = _poly_roots_mp(coeffs)
+            pair = [z for z in roots if abs(z + 4) < 1e-3]
+            assert len(pair) == 2
+            for z, sign in zip(pair, (-1, 1)):
+                assert abs(z - mpmath.mpc(-4, sign * mpmath.mpf(10) ** -12)) \
+                    < mpmath.mpf(10) ** -45
+
+    def test_fixture_polynomials_match_polyroots(self, ps44):
+        """Every Pade denominator and discriminant at the default orders
+        of the order-44 series."""
+        polys = [list(pade_fit(ps44, m, m).Q)
+                 for m in default_orders(FAMILY_PADE, len(ps44))]
+        for m in default_orders(FAMILY_HERMITE_PADE, len(ps44)):
+            polys.append(discriminant(hermite_pade_fit(ps44, m, m, m)))
+        for q in polys:
+            got, want = self._both(poly_trim(q))
+            assert got == want
+            assert _poly_roots_mp(q) == got
 
     def test_float_seed_needs_representable_coefficients(self):
         with mpmath.workdps(60):
@@ -642,7 +723,8 @@ class TestRootExtraction:
         with mpmath.workdps(60):
             for z in pade_poles(fit):
                 bound = mpmath.mpf(10) ** -25 * norm * max(1, abs(z)) ** (len(q) - 1)
-                assert abs(poly_eval_mp(q, z)) <= bound
+                assert abs(mpmath.polyval([mpmath.mpf(v.numerator) / v.denominator
+                                           for v in reversed(q)], z)) <= bound
 
     def test_geometric_pole_exact(self):
         fit = pade_fit(geometric(5), 2, 2)

@@ -118,47 +118,45 @@ def poly_gcd(p, q):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: Gauss-Jordan over rationals
-
-def _primitive(row):
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
+# exact linear algebra: fraction-free (Bareiss) echelon form over the integers
 
 def rational_rref(rows):
     """In-place reduced row echelon form; returns pivot column list.
 
-    The elimination runs fraction-free on integer rows: a row is cleared
-    by cross-multiplying it with the pivot row and dividing the result by
-    the gcd of its entries.  Each rational is built once, at the end, as
-    entry / pivot of its row; the reduced form is unique, so this is the
-    same matrix as rational Gauss-Jordan gives."""
+    Bareiss's fraction-free elimination on the rows over their lcm
+    denominators: a row below the pivot p becomes (p x - f y) / d, d the
+    previous pivot, always an exact division, and rows above the pivot are
+    never touched.  The last pivot d is the determinant of the pivot block,
+    so by Cramer's rule d times the reduced form is integral: each non-pivot
+    column is back-substituted on integers at that scale, and each entry is
+    built once as v / d.  The reduced form is unique, so this is the matrix
+    rational Gauss-Jordan gives."""
     if not rows:
         return []
-    work = [_primitive(_over_lcm(row)[0]) for row in rows]
+    work = [_over_lcm(row)[0] for row in rows]
     ncols = len(work[0])
-    pivots = []
-    r = 0
+    pivots, d = [], 1
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if i != r and f:
-                g = math.gcd(p, f)
-                a, b = p // g, f // g
-                work[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        prow, p = work[r], work[r][c]
+        for i in range(r + 1, len(work)):      # zero left of column c
+            f = work[i][c]
+            work[i][c:] = [(p * x - f * y) // d for x, y in zip(work[i][c:], prow[c:])]
         pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    for i, row in enumerate(work):
-        d = row[pivots[i]] if i < r else 1
-        rows[i] = [QQ(v, d) for v in row]
+        d = p
+    scaled = [[0] * ncols for _ in work]   # d times the reduced form
+    for k, c in enumerate(pivots):
+        scaled[k][c] = d
+    for j in (j for j in range(ncols) if j not in pivots):
+        top = sum(c < j for c in pivots)     # the rows whose pivot precedes column j
+        for k in reversed(range(top)):
+            v = d * work[k][j] - sum(work[k][pivots[l]] * scaled[l][j] for l in range(k + 1, top))
+            scaled[k][j] = v // work[k][pivots[k]]
+    rows[:] = [[QQ(v, d) for v in row] for row in scaled]
     return pivots
 
 

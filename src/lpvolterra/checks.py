@@ -452,6 +452,18 @@ def _gauge_conditions(ctx):
     return f"all three gauge conditions hold exactly through order {cap}"
 
 
+@_check("phase-shift")
+def _phase_shift(ctx):
+    # theta = tau + phi: a phase phi and a grid shifted by phi give one curve
+    series = ctx.series(8, alpha=QQ(2))
+    phi, t = 0.7, 2.3
+    shifted = evaluate_solution(series, 0.1, phi=phi, tau_grid=[0.0, t])
+    moved = evaluate_solution(series, 0.1, phi=0.0, tau_grid=[phi, t + phi])
+    if not all((u == v).all() for u, v in zip(shifted[:2], moved[:2])):
+        raise AssertionError("the curve at phase phi is not the curve at tau + phi")
+    return "the order-8 curve at phase phi equals the curve at tau + phi exactly"
+
+
 @_check("golden-strings")
 def _golden_strings(ctx):
     golden = load_golden() if ctx.golden is None else ctx.golden
@@ -612,12 +624,19 @@ def _family_agreement(ctx):
     ps = series_from_engine(series)
     est_p = stable_singularity(ps, FAMILY_PADE, (13, 14, 15), threshold=1e-2)
     est_h = stable_singularity(ps, FAMILY_HERMITE_PADE, (9, 10), threshold=1e-2)
+    for est in (est_p, est_h):
+        # the spread is the whole trail's maximum pairwise distance
+        spread = max(abs(a - b) for a in est.trail for b in est.trail) / abs(est.location)
+        if not math.isclose(spread, est.stability_spread, rel_tol=1e-9):
+            raise AssertionError(f"spread {est.stability_spread:.6g} at orders {est.orders} "
+                                 f"is not its trail's {spread:.6g}")
     gap = abs(est_p.radius - est_h.radius) / min(est_p.radius, est_h.radius)
     if gap > 0.02:
         raise AssertionError(
             f"families disagree by {gap:.2%}: {est_p.radius:.6f} vs {est_h.radius:.6f}")
     return (f"order-62 estimates {est_p.radius:.6f} (pole chain) and "
-            f"{est_h.radius:.6f} (branch chain) agree within {gap:.2%}")
+            f"{est_h.radius:.6f} (branch chain) agree within {gap:.2%}, "
+            "each spread that of its trail")
 
 
 # ---------------------------------------------------------------------------

@@ -233,12 +233,7 @@ def cmd_radius(params):
         raise BadArguments("the radius scan needs numeric alpha values")
     for text, value in zip(alpha_texts, alphas):
         _check_float_range(text, value)
-    order = _need(params, "order", int)
-    if order < MIN_RADIUS_ORDER:
-        raise ValueError(
-            f"insufficient coefficients: a radius estimate needs the frequency "
-            f"series through order {MIN_RADIUS_ORDER} "
-            f"({MIN_RADIUS_ORDER // 2 + 1} coefficients); got order {order}")
+    order = _need(params, "order", int, low=MIN_RADIUS_ORDER)
     families = tuple(t.strip() for t in _need(params, "families", str).split(","))
     for t in families:
         if t not in FAMILIES:
@@ -293,6 +288,9 @@ def cmd_orbit(params):
     phi = _need(params, "phi", float)
     order = _need(params, "order", int, low=0)
     periods = _need(params, "periods", float, positive=True)
+    span = periods * 2 * math.pi
+    if math.isinf(span):
+        raise BadArguments(f"periods * 2 pi overflows a float; got periods = {periods!r}")
     # past the high bound np.linspace below would fail with a MemoryError
     points = _need(params, "points", int, low=2, high=MAX_ORBIT_STEPS)
     tolerance = _need(params, "tolerance", float, positive=True)
@@ -302,7 +300,7 @@ def cmd_orbit(params):
     prefix = _need(params, "output", str)
 
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)
-    tau = np.linspace(0.0, periods * 2 * math.pi, points)
+    tau = np.linspace(0.0, span, points)
     with np.errstate(all="ignore"):
         xi, eta, omega = evaluate_solution(series, a, phi=phi, tau_grid=tau)
     if not (math.isfinite(omega) and omega > 0):

@@ -5,12 +5,13 @@ that the radius machinery is expected to reproduce; small closed-form
 cases (geometric, exponential, sqrt) cover each code path exactly.
 """
 
+import math
 from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpvolterra import analysis
@@ -193,7 +194,25 @@ def rational_matrices(draw):
     return [[QQ(v) for v in row] for row in rows]
 
 
+def _q_rows(rows):
+    return [[QQ(v) for v in row] for row in rows]
+
+
+# column 1 is skipped before the last pivot, and every pivot of the
+# fraction-free elimination is negative (-2, -14, -70)
+SKIPPED_PIVOT_COLUMN = _q_rows([[-2, 4, 1, 3], [4, -8, 5, 1],
+                                [Fraction(1, 3), Fraction(-2, 3), 1, Fraction(7, 3)]])
+# rank 2 in five rows: the three rows below the rank must come back zero
+TALL_RANK_DEFICIENT = _q_rows([[1, 2, 3], [2, -1, Fraction(1, 2)], [3, 1, Fraction(7, 2)],
+                               [-4, 7, Fraction(9, 2)], [0, 0, 0]])
+# four free columns: 0, 3, 4 and 5
+WIDE_MANY_FREE = _q_rows([[0, 3, -1, 2, 0, 5], [0, 6, 1, Fraction(1, 7), 4, -2]])
+
+
 @given(rational_matrices())
+@example(SKIPPED_PIVOT_COLUMN)
+@example(TALL_RANK_DEFICIENT)
+@example(WIDE_MANY_FREE)
 @settings(max_examples=200, deadline=None)
 def test_rref_matches_fraction_gauss_jordan(rows):
     want = [list(row) for row in rows]
@@ -201,6 +220,24 @@ def test_rref_matches_fraction_gauss_jordan(rows):
     got = [list(row) for row in rows]
     assert rational_rref(got) == want_pivots
     assert got == want
+
+
+def test_each_fit_eliminates_once_through_rational_rref(monkeypatch):
+    # the benchmark tracer times the fits' eliminations by wrapping
+    # analysis.rational_rref by name: an elimination inlined into the fits
+    # or renamed fails here instead of reading zero there
+    calls = []
+
+    def counting(rows, real=analysis.rational_rref):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(analysis, "rational_rref", counting)
+    exp = series(*(Fraction(1, math.factorial(j)) for j in range(8)))
+    pade_fit(exp, 3, 3)
+    assert len(calls) == 1
+    hermite_pade_fit(exp, 2, 2, 2)
+    assert len(calls) == 2
 
 
 def test_rref_edge_cases():
@@ -245,6 +282,9 @@ def null_space_cases(draw):
 
 
 @given(null_space_cases())
+@example((SKIPPED_PIVOT_COLUMN, 4))
+@example((TALL_RANK_DEFICIENT, 3))
+@example((WIDE_MANY_FREE, 6))
 @settings(max_examples=200, deadline=None)
 def test_null_space_matches_fraction_gauss_jordan(case):
     rows, ncols = case

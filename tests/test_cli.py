@@ -172,9 +172,17 @@ class TestRadiusCommand:
         assert capsys.readouterr().err == want
         assert sorted(os.listdir()) == ["m.json"]
 
-    def test_too_low_order_fails_cleanly(self, capsys):
-        assert main(["radius", "--alpha", "1", "--order", "0"]) == 1
-        assert "insufficient coefficients" in capsys.readouterr().err
+    @pytest.mark.parametrize("order", [-1, 0, 1, 7])
+    def test_too_low_order_fails_cleanly(self, order, capsys, monkeypatch):
+        # below MIN_RADIUS_ORDER no two-point chain can form: bad input
+        forbid(monkeypatch, "radius_scan")
+        want = f"error: order must be >= 8; got {order}\n"
+        assert main(["radius", "--alpha", "1", "--order", str(order)]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", "radius", dict(MANIFEST_PARAMS["radius"][0], order=order))
+        assert main(["radius", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == ["m.json"]
 
     def test_unstable_family_leaves_field_empty(self, capsys):
         # at alpha = 1/4 the plain-ratio family does not settle at this order
@@ -363,6 +371,19 @@ class TestOrbitCommand:
         assert err.startswith("error: the orbit spans t = ")
         assert err.count("\n") == 1
         assert not os.path.exists("orbit_metrics.csv")
+
+    @pytest.mark.parametrize("a", ["0.1", "0"])
+    def test_periods_whose_span_overflows_rejected(self, a, capsys, monkeypatch):
+        # periods * 2 pi is inf: the fault is periods, not the amplitude
+        forbid(monkeypatch, "run")
+        want = "error: periods * 2 pi overflows a float; got periods = 1e+308\n"
+        assert main(["orbit", "--a", a, "--order", "2", "--periods", "1e308"]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", "orbit",
+                     dict(MANIFEST_PARAMS["orbit"][0], a=float(a), periods=1e308))
+        assert main(["orbit", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == ["m.json"]
 
     def test_points_beyond_step_cap_rejected(self, capsys, monkeypatch):
         forbid(monkeypatch, "run")

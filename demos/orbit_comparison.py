@@ -24,10 +24,11 @@ PHASE = math.pi / 4
 POINTS = 513
 
 
-def gap_for_order(series, order):
+def gap_for_order(order):
+    series = run(order, QQ(ALPHA), GAUGE_SIMPLIFIED_XI)
     tau = np.linspace(0.0, 2 * math.pi, POINTS)
     xi, eta, omega = evaluate_solution(series, AMPLITUDE, phi=PHASE,
-                                       tau_grid=tau, order=order)
+                                       tau_grid=tau)
     x0 = 1 + AMPLITUDE * float(xi[0])
     y0 = 1 + AMPLITUDE * float(eta[0])
     t_eval = tau / omega
@@ -38,14 +39,13 @@ def gap_for_order(series, order):
 
 
 def main():
-    series = run(2, QQ(ALPHA), GAUGE_SIMPLIFIED_XI)
     print(f"alpha = {ALPHA}, a = {AMPLITUDE}, phi = pi/4, one period\n")
     for order in (0, 1, 2):
-        omega, orbit, gaps = gap_for_order(series, order)
+        omega, orbit, gaps = gap_for_order(order)
         print(f"order {order}: omega = {omega:.10f}   "
               f"max gap = {gaps.max_gap:.3e}   rms = {gaps.rms_gap:.3e}")
 
-    omega, orbit, _ = gap_for_order(series, 2)
+    omega, orbit, _ = gap_for_order(2)
     long_orbit = integrate(float(ALPHA), orbit.x_values[0], orbit.y_values[0],
                            IntegratorConfig(max_time=16 * math.pi / omega))
     measured = measure_frequency(long_orbit)

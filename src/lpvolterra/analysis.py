@@ -90,33 +90,6 @@ def poly_scale(p, c):
     return poly_trim([a * c for a in p])
 
 
-def poly_divmod(p, q):
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [QQ(0)] * max(0, len(rem) - len(q) + 1)
-    inv_lead = 1 / QQ(q[-1])
-    for k in range(len(rem) - len(q), -1, -1):
-        c = rem[k + len(q) - 1] * inv_lead
-        if c == 0:
-            continue
-        quot[k] = c
-        for i, b in enumerate(q):
-            rem[k + i] -= c * b
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_gcd(p, q):
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    return poly_scale(a, 1 / QQ(a[-1]))  # monic
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra: fraction-free (Bareiss) echelon form over the integers
 
@@ -282,27 +255,27 @@ def _matching_system(series: PowerSeries, degrees):
 
 def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     """[K/L] Pade approximant, exact: P/Q matches the series through
-    z^(K+L) with Q(0) = 1.
+    z^(K+L) with Q(0) = 1, in lowest terms.
 
     The matching system f Q - P = O(z^(K+L+1)), with A_0 = -P, gives Q in
-    columns (q_0, ..., q_L) and P as f Q truncated at z^K.  A regular
-    entry has a one-dimensional null space, scaled to q_0 = 1, and Q
-    keeps all L+1 entries.  A blocked entry has more solutions, which all
-    represent the same fraction; the first with q_0 != 0 is reduced by
-    the gcd of P and Q.  An entry that forces Q(0) = 0 is reported for
-    the caller to perturb (K, L)."""
+    columns (q_0, ..., q_L) and P as f Q truncated at z^K.  Every entry
+    is read from the first null vector, the one built for the smallest
+    free column: the pivots are leftmost, so it has the least-degree Q of
+    any solution.  Every solution is g (P', Q') with P'/Q' the reduced
+    fraction, and (P', Q') is itself a solution when g(0) != 0, so the
+    least-degree solution is (P', Q') up to scale, coprime.  If it has
+    q_0 = 0, so does every solution: the entry forces Q(0) = 0 and is
+    reported for the caller to perturb (K, L).  Otherwise it is scaled
+    to q_0 = 1; a regular entry (a one-dimensional null space) keeps all
+    L+1 entries of Q, a blocked one drops Q's trailing zeros."""
     basis, row = _matching_system(series, (K, L))
-    vec = next((v for v in basis if v[0] != 0), None)
-    if vec is None:
+    vec = basis[0]
+    if vec[0] == 0:
         raise DegenerateApproximantError(
             f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
     q = [v / vec[0] for v in vec]
     p = poly_trim([_dot(row(j), q) for j in range(K + 1)])
-    if len(basis) == 1:
-        return PadeApprox(tuple(p), tuple(q))
-    g = poly_gcd(p, q)
-    p, q = poly_divmod(p, g)[0], poly_divmod(q, g)[0]
-    return PadeApprox(tuple(poly_scale(p, 1 / q[0])), tuple(poly_scale(q, 1 / q[0])))
+    return PadeApprox(tuple(p), tuple(poly_trim(q) if len(basis) > 1 else q))
 
 
 def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermitePade:
@@ -545,7 +518,7 @@ class ScanRow:
 
 def radius_scan(alpha_grid: Iterable, max_order: int,
                 families: Sequence[str] = FAMILIES,
-                threshold: float = SCAN_THRESHOLD, engine_run=None) -> list:
+                threshold: float = SCAN_THRESHOLD) -> list:
     """One engine run per alpha, then a stable-singularity estimate, at
     the default orders, per family.  A row keeps the whole estimate of
     each family that succeeded, chain trail included.  Failures of the
@@ -559,12 +532,11 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     is.  At order 44 the Pade chains still drift by a few
     percent per order, so the strict default would blank most rows."""
     from . import engine
-    runner = engine_run or (lambda a: engine.run(max_order, a, GAUGE_SIMPLIFIED_XI))
     rows = []
     for alpha in alpha_grid:
         row = ScanRow(alpha=QQ(alpha))
         try:
-            ser = runner(QQ(alpha))
+            ser = engine.run(max_order, QQ(alpha), GAUGE_SIMPLIFIED_XI)
             ps = series_from_engine(ser)
             errors = []
             for family in families:

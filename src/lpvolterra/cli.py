@@ -235,9 +235,11 @@ def cmd_radius(params):
         _check_float_range(text, value)
     order = _need(params, "order", int, low=MIN_RADIUS_ORDER)
     families = tuple(t.strip() for t in _need(params, "families", str).split(","))
-    for t in families:
+    for i, t in enumerate(families):
         if t not in FAMILIES:
             raise BadArguments(f"unknown family {t!r}; expected {', '.join(FAMILIES)}")
+        if t in families[:i]:
+            raise BadArguments(f"family {t!r} given twice")
     threshold = _need(params, "threshold", float, positive=True)
     digits = _need(params, "digits", int, low=1, high=MAX_DIGITS)
     output = _need(params, "output", str)
@@ -307,15 +309,17 @@ def cmd_orbit(params):
         raise BadArguments(
             f"the order-{order} series frequency at a = {a:.4g} is {omega:.4g}, "
             "but the orbit needs a finite positive frequency; lower a")
-    if not (np.isfinite(xi).all() and np.isfinite(eta).all()):
-        raise BadArguments(
-            f"the order-{order} series curve at a = {a:.4g} is not finite; lower a")
+    # the step cap needs only omega and the span; checked first, a span
+    # whose harmonics j * theta overflow is blamed on periods, not on a
     t_eval = tau / omega
     config = IntegratorConfig(tolerance=tolerance, max_time=float(t_eval[-1]))
     if abs(config.max_time) > MAX_ORBIT_STEPS * config.step:
         raise BadArguments(
             f"the orbit spans t = {config.max_time:.4g}, more than "
             f"{MAX_ORBIT_STEPS} integrator steps; lower periods or raise alpha")
+    if not (np.isfinite(xi).all() and np.isfinite(eta).all()):
+        raise BadArguments(
+            f"the order-{order} series curve at a = {a:.4g} is not finite; lower a")
     x0 = 1 + a * float(xi[0])
     y0 = 1 + a * float(eta[0])
     if x0 <= 0 or y0 <= 0:

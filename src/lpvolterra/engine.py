@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import QQ, SYMBOLIC, evaluate_numeric, numeric_ring
 # tp_mul is not called here: it stays importable because the benchmark
@@ -195,13 +194,13 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI) -> Perturbat
 
 
 def evaluate_solution(series: PerturbationSeries, a, phi=0.0, tau_grid=None,
-                      alpha=None, order: Optional[int] = None):
+                      alpha=None):
     """Numeric partial sums of the series at expansion parameter a.
 
     Returns (xi, eta, omega): xi, eta sampled on tau_grid (numpy arrays),
-    omega a float, each the partial sum in a through ``order`` (default
-    the whole series).  ``alpha`` goes to :func:`evaluate_numeric`, so it
-    is required for a symbolic-alpha series and must match a numeric one.
+    omega a float, each the partial sum in a over every order of the
+    series.  ``alpha`` goes to :func:`evaluate_numeric`, so it is required
+    for a symbolic-alpha series and must match a numeric one.
     """
     import numpy as np
 
@@ -209,7 +208,6 @@ def evaluate_solution(series: PerturbationSeries, a, phi=0.0, tau_grid=None,
         tau_grid = np.linspace(0.0, 2.0 * math.pi, 257)
     tau = np.asarray(tau_grid, dtype=float)
     ring = series.coeff_ring
-    N = series.order if order is None else min(order, series.order)
     a = float(a)
     phi = float(phi)
 
@@ -221,8 +219,7 @@ def evaluate_solution(series: PerturbationSeries, a, phi=0.0, tau_grid=None,
     acc: dict = {"sin": {}, "cos": {}}
     omega = 0.0
     ap = 1.0
-    for n in range(N + 1):
-        sol = series.orders[n]
+    for sol in series.orders:
         omega += coeff_value(sol.omega) * ap
         for comp in ("xi", "eta"):
             for kind, sums in acc.items():

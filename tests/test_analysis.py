@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpvolterra import analysis
+from lpvolterra import analysis, engine
 from lpvolterra.algebra import QQ
 from lpvolterra.analysis import (
     FAMILY_HERMITE_PADE,
@@ -33,8 +33,6 @@ from lpvolterra.analysis import (
     null_space,
     pade_fit,
     pade_poles,
-    poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -89,19 +87,6 @@ class TestPolyKit:
 
     def test_sub_trims(self):
         assert poly_sub([QQ(1), QQ(2)], [QQ(1), QQ(2)]) == []
-
-    def test_divmod_roundtrip(self):
-        p = [QQ(3), QQ(0), QQ(-2), QQ(1), QQ(5)]
-        d = [QQ(1), QQ(2), QQ(1)]
-        q, r = poly_divmod(p, d)
-        assert poly_sub(p, poly_mul(q, d)) == r
-        assert len(r) < len(d)
-
-    def test_gcd_is_monic(self):
-        a = poly_mul([QQ(2), QQ(2)], [QQ(1), QQ(0), QQ(1)])   # 2(1+z)(1+z^2)
-        b = poly_mul([QQ(3), QQ(3)], [QQ(2), QQ(1)])           # 3(1+z)(2+z)
-        g = poly_gcd(a, b)
-        assert g == [QQ(1), QQ(1)]
 
     @given(st.lists(st.fractions(max_denominator=30), max_size=6),
            st.lists(st.fractions(max_denominator=30), max_size=6))
@@ -291,6 +276,32 @@ def test_null_space_matches_fraction_gauss_jordan(case):
     assert null_space(rows, ncols) == reference_null_space(rows, ncols)
 
 
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _divmod(p, d):
+    """Quotient and remainder of Fraction polynomials, ascending powers."""
+    p, d = _trim(p), _trim(d)
+    quot = [Fraction(0)] * max(0, len(p) - len(d) + 1)
+    for k in reversed(range(len(quot))):
+        quot[k] = p[k + len(d) - 1] / d[-1]
+        for i, b in enumerate(d):
+            p[k + i] -= quot[k] * b
+    return _trim(quot), _trim(p)
+
+
+def _gcd(a, b):
+    """Monic gcd of Fraction polynomials by Euclid's algorithm."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
 def reference_pade(coeffs, K, L):
     """The [K/L] fit from the (K+L+1) x (K+L+2) system P - f Q = O(z^(K+L+1)).
 
@@ -311,11 +322,11 @@ def reference_pade(coeffs, K, L):
         raise DegenerateApproximantError(
             f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
     vec = [v / vec[K + 1] for v in vec]
-    p, q = poly_trim(vec[:K + 1]), vec[K + 1:]
+    p, q = _trim(vec[:K + 1]), vec[K + 1:]
     if len(basis) > 1:
-        g = poly_gcd(p, q)
-        p, q = poly_divmod(p, g)[0], poly_divmod(q, g)[0]
-        p, q = poly_scale(p, 1 / q[0]), poly_scale(q, 1 / q[0])
+        g = _gcd(p, q)
+        p, q = _divmod(p, g)[0], _divmod(q, g)[0]
+        p, q = [c / q[0] for c in p], [c / q[0] for c in q]
     return PadeApprox(tuple(p), tuple(q))
 
 
@@ -387,6 +398,10 @@ _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
        extra=st.tuples(st.integers(1, 2), st.integers(1, 2)),
        bump=st.one_of(st.none(), st.tuples(st.integers(0, 9), _SMALL)),
        hp=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+# blocked entries with a 3-dimensional null space: seven 1s at [3/3]
+# reduce to 1/(1 - z), and 1, 2, ..., 8 at [3/4] to 1/(1 - z)^2
+@example(p=[1], q=[-1], extra=(3, 2), bump=None, hp=(1, 1, 1))
+@example(p=[1], q=[-2, 1], extra=(3, 2), bump=None, hp=(1, 1, 1))
 @settings(max_examples=80, deadline=None)
 def test_low_degree_fits_match_oracle(p, q, extra, bump, hp):
     """Low-degree rational functions fitted with spare degrees: every
@@ -408,6 +423,10 @@ def test_oracle_covers_blocked_and_degenerate_entries():
     with pytest.raises(DegenerateApproximantError, match="blocked"):
         reference_pade([QQ(1), QQ(0), QQ(1)], 1, 1)
     assert reference_pade([QQ(1)] * 5, 2, 2) == PadeApprox((QQ(1),), (QQ(1), QQ(-1)))
+    # a regular entry keeps all L+1 entries of Q, trailing zeros included
+    assert_fits_match_oracle([QQ(1), QQ(1), QQ(0)], [(1, 1)], [])
+    assert reference_pade([QQ(1), QQ(1), QQ(0)], 1, 1) == \
+        PadeApprox((QQ(1), QQ(1)), (QQ(1), QQ(0)))
     with pytest.raises(DegenerateApproximantError, match="2-dimensional"):
         reference_hermite_pade([QQ(1)] * 5, 1, 1, 1)
 
@@ -863,32 +882,35 @@ class TestRadiusScan:
         for family in (FAMILY_PADE, FAMILY_HERMITE_PADE):
             assert row.estimates[family].radius == pytest.approx(3.46, rel=5e-2)
 
-    def test_per_alpha_failure_is_isolated(self):
-        def boom(alpha):
+    def test_per_alpha_failure_is_isolated(self, monkeypatch):
+        def boom(order, alpha, gauge):
             if alpha == 2:
                 raise ArithmeticError("boom")
-            return run(8, alpha, GAUGE_SIMPLIFIED_XI)
+            return run(order, alpha, gauge)
 
-        rows = radius_scan([QQ(1), QQ(2)], 8, engine_run=boom)
+        monkeypatch.setattr(engine, "run", boom)
+        rows = radius_scan([QQ(1), QQ(2)], 8)
         assert len(rows) == 2
         assert rows[1].error == "boom"
         assert rows[1].estimates == {}
 
     @pytest.mark.parametrize("exc", [ZeroDivisionError("boom"), ValueError("boom"),
                                      mpmath.libmp.NoConvergence("boom")])
-    def test_declared_failures_are_recorded(self, exc):
-        def boom(alpha):
+    def test_declared_failures_are_recorded(self, exc, monkeypatch):
+        def boom(order, alpha, gauge):
             raise exc
 
-        rows = radius_scan([QQ(1)], 8, engine_run=boom)
+        monkeypatch.setattr(engine, "run", boom)
+        rows = radius_scan([QQ(1)], 8)
         assert rows[0].error == "boom"
 
-    def test_undeclared_failure_propagates(self):
-        def boom(alpha):
+    def test_undeclared_failure_propagates(self, monkeypatch):
+        def boom(order, alpha, gauge):
             raise TypeError("a bug, not a failed estimate")
 
+        monkeypatch.setattr(engine, "run", boom)
         with pytest.raises(TypeError):
-            radius_scan([QQ(1)], 8, engine_run=boom)
+            radius_scan([QQ(1)], 8)
 
     @pytest.mark.parametrize("roots, failed, kept, radius", [
         ("pade_poles", FAMILY_PADE, FAMILY_HERMITE_PADE, RC_HP_44),
@@ -903,7 +925,8 @@ class TestRadiusScan:
             raise exc
 
         monkeypatch.setattr(analysis, roots, fail)
-        row = radius_scan([QQ(1)], 44, engine_run=lambda alpha: run44)[0]
+        monkeypatch.setattr(engine, "run", lambda order, alpha, gauge: run44)
+        row = radius_scan([QQ(1)], 44)[0]
         assert set(row.estimates) == {kept}
         assert row.estimates[kept].radius == pytest.approx(radius, abs=1e-9)
         assert row.error == f"{failed}: {exc}"

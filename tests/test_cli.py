@@ -184,6 +184,20 @@ class TestRadiusCommand:
         assert capsys.readouterr().err == want
         assert sorted(os.listdir()) == ["m.json"]
 
+    @pytest.mark.parametrize("families", ["pade,pade",
+                                          "hermite-pade,pade, hermite-pade"])
+    def test_family_given_twice_rejected(self, families, capsys, monkeypatch):
+        forbid(monkeypatch, "radius_scan")
+        want = f"error: family {families.split(',')[0]!r} given twice\n"
+        assert main(["radius", "--alpha", "1", "--order", "12",
+                     "--families", families]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", "radius",
+                     dict(MANIFEST_PARAMS["radius"][0], families=families))
+        assert main(["radius", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == ["m.json"]
+
     def test_unstable_family_leaves_field_empty(self, capsys):
         # at alpha = 1/4 the plain-ratio family does not settle at this order
         assert main(["radius", "--alpha", "1/4", "--order", "44"]) == 0
@@ -384,6 +398,19 @@ class TestOrbitCommand:
         assert main(["orbit", "--from-manifest", "m.json"]) == 2
         assert capsys.readouterr().err == want
         assert sorted(os.listdir()) == ["m.json"]
+
+    def test_periods_whose_harmonics_overflow_rejected(self, capsys, monkeypatch):
+        # periods * 2 pi is finite but j * theta overflows for harmonics
+        # j >= 2: the step cap names periods before the curve blames a
+        forbid(monkeypatch, "integrate")
+        assert main(["orbit", "--a", "0.1", "--order", "2",
+                     "--periods", "2.8e307", "--no-radius-check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the orbit spans t = ")
+        assert err.endswith(f"more than {lpvolterra.cli.MAX_ORBIT_STEPS} integrator "
+                            "steps; lower periods or raise alpha\n")
+        assert err.count("\n") == 1
+        assert os.listdir() == []
 
     def test_points_beyond_step_cap_rejected(self, capsys, monkeypatch):
         forbid(monkeypatch, "run")

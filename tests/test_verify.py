@@ -314,13 +314,12 @@ class TestCompareOrbit:
 
     def test_second_order_beats_zeroth_order(self):
         # the published phase-plane comparison: alpha=1, a=0.1, phi=pi/4
-        series = run(4, 1, GAUGE_SIMPLIFIED_XI)
         a, phi = 0.1, math.pi / 4
         tau = np.linspace(0.0, 2 * math.pi, 400)
         gaps = {}
         for order in (0, 2):
-            xi, eta, omega = evaluate_solution(series, a, phi=phi,
-                                               tau_grid=tau, order=order)
+            xi, eta, omega = evaluate_solution(run(order, 1, GAUGE_SIMPLIFIED_XI),
+                                               a, phi=phi, tau_grid=tau)
             x0, y0 = 1 + a * float(xi[0]), 1 + a * float(eta[0])
             orbit = integrate(1.0, x0, y0, t_eval=tau / omega)
             gaps[order] = compare_orbit(xi, eta, orbit, a)

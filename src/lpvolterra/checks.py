@@ -399,8 +399,24 @@ def _fourier_orthogonality(ctx):
                 raise AssertionError(f"Fourier projection disagrees by {worst:.2e}")
             if prods[0] != prods[1]:
                 raise AssertionError("tp_dot and tp_mul products differ")
+    # the phase-ring kernel against summed tp_mul products, on operands
+    # with sin and cos in theta and in phi
+    pairs = 0
+    for base in (SymbolicRing(), numeric_ring(QQ(2))):
+        pring = PhaseRing(base)
+        draw = lambda: _rand_phase(rng, pring)
+        for _ in range(3):
+            ps, qs = zip(*(_rand_forcing(rng, pring, draw, harmonics=(0, 1, 2, 3))
+                           for _ in range(2)))
+            want = tp_zero(pring)
+            for p, q in zip(ps, qs):
+                want = tp_add(want, tp_mul(p, q))
+            if tp_dot(ps, qs) != want:
+                raise AssertionError("phase-ring tp_dot differs from summed tp_mul products")
+            pairs += len(ps)
     return ("tp_mul and tp_dot products agree exactly and match integrated "
-            f"projections to {worst:.1e}")
+            f"projections to {worst:.1e}; phase-ring tp_dot equals summed "
+            f"tp_mul products on {pairs} operand pairs")
 
 
 # ---------------------------------------------------------------------------

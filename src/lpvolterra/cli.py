@@ -65,7 +65,11 @@ def tool_version():
 # argument parsing helpers
 
 def parse_rational(text):
+    # Fraction takes digit-group underscores ("1_0") from Python 3.11 on
+    # and refuses them before; refuse them on every Python
     try:
+        if "_" in text:
+            raise ValueError(text)
         return QQ(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError):
         raise BadArguments(f"not a rational number: {text!r}")
@@ -231,8 +235,10 @@ def cmd_radius(params):
     alphas = [parse_alpha(t) for t in alpha_texts]
     if "symbolic" in alphas:
         raise BadArguments("the radius scan needs numeric alpha values")
-    for text, value in zip(alpha_texts, alphas):
+    for i, (text, value) in enumerate(zip(alpha_texts, alphas)):
         _check_float_range(text, value)
+        if value in alphas[:i]:
+            raise BadArguments(f"alpha {value} given twice")
     order = _need(params, "order", int, low=MIN_RADIUS_ORDER)
     families = tuple(t.strip() for t in _need(params, "families", str).split(","))
     for i, t in enumerate(families):

@@ -11,8 +11,11 @@ and treated as immutable.
 The same type serves twice.  The zero-initial gauge pins each correction
 to an initial condition, so its coefficients depend on the phase phi:
 a :class:`PhaseRing` element is itself a TrigPoly, in phi over a
-phase-free base ring, multiplied by the integer kernel :func:`tp_dot`.
-Over the phase ring, tp_dot sums :func:`tp_mul` products instead.
+phase-free base ring.  Products go through one fraction-free kernel,
+:func:`tp_dot`, over both kinds of ring: in theta alone, or in theta and
+phi at once over the phase ring.  It keeps each operand's integer form on
+the operand, so every TrigPoly is encoded at most once.  :func:`tp_mul`
+is the plain dict product that the self-checks use as an oracle.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ class ResonantForcingError(ValueError):
 
 
 class TrigPoly:
-    __slots__ = ("ring", "sin", "cos")
+    __slots__ = ("ring", "sin", "cos", "_enc")
 
     def __init__(self, ring, sin=None, cos=None):
         self.ring = ring
         self.sin = sin or {}
         self.cos = cos or {}
+        self._enc = None          # integer form, set by the first tp_dot
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
@@ -133,7 +137,8 @@ def tp_mul_el(p: TrigPoly, el) -> TrigPoly:
 
 
 def tp_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    """Exact product via product-to-sum reduction."""
+    """Exact product via product-to-sum reduction on ring elements: the
+    dict oracle that the self-checks hold :func:`tp_dot` against."""
     ring = p.ring
     half = QQ(1, 2)
     sin_out: dict = {}
@@ -173,8 +178,9 @@ def tp_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
 
 
 def _int_form(p: TrigPoly):
-    """p over one denominator d: (d, {s-exponent: (sin, cos)}), where sin
-    and cos list the (harmonic, integer numerator) pairs that are nonzero."""
+    """p over one denominator d: (d, top, {s-exponent: (sin, cos)}), where
+    top is p's highest harmonic and sin and cos list the (harmonic,
+    integer numerator) pairs that are nonzero."""
     terms = []
     den = 1
     for kind, store in enumerate((p.sin, p.cos)):
@@ -186,36 +192,66 @@ def _int_form(p: TrigPoly):
     enc: dict = {}
     for e, kind, j, n, d in terms:
         enc.setdefault(e, ([], []))[kind].append((j, n * (den // d)))
-    return den, enc
+    return den, max_harmonic(p), enc
+
+
+def _phase_form(p: TrigPoly):
+    """p over the phase ring, over one denominator d: (d, (theta top, phi
+    top), {s-exponent: groups}).  Group 2 * theta kind + phi kind (kind 0
+    is sin, 1 is cos) lists the nonzero (theta harmonic, phi harmonic,
+    integer numerator) triples."""
+    terms = []
+    den = 1
+    phi_top = 0
+    for t_kind, store in enumerate((p.sin, p.cos)):
+        for a, x in store.items():
+            phi_top = max(phi_top, max_harmonic(x))
+            for f_kind, inner in enumerate((x.sin, x.cos)):
+                for c, v in inner.items():
+                    for e, q in v.items():
+                        n, d = int(q.numerator), int(q.denominator)
+                        terms.append((e, 2 * t_kind + f_kind, a, c, n, d))
+                        den = math.lcm(den, d)
+    enc: dict = {}
+    for e, group, a, c, n, d in terms:
+        enc.setdefault(e, ([], [], [], []))[group].append((a, c, n * (den // d)))
+    return den, (max_harmonic(p), phi_top), enc
+
+
+def _encoded(p: TrigPoly, encode):
+    """p's integer form: built by ``encode`` on first use, then kept on p
+    (a TrigPoly is immutable, so the form never goes stale)."""
+    if p._enc is None:
+        p._enc = encode(p)
+    return p._enc
 
 
 def tp_dot(ps, qs) -> TrigPoly:
-    """Exact sum_j ps[j] * qs[j]: the :func:`tp_mul` products summed with
-    :func:`tp_add`, which is how it runs over the phase ring.
+    """Exact sum_j ps[j] * qs[j], fraction-free over every ring.
 
-    Over a phase-free ring it is fraction-free: every operand is put over
-    one denominator, each pair's integer products are scaled to the common
-    denominator L and summed on plain ints, and one rational num/(2L) is
-    built per output coefficient (the 1/2 of the product-to-sum rules sits
-    in the denominator).  Empty lists give the zero polynomial, with ring None.
+    Every operand is encoded once over one denominator (the form is kept
+    on the operand for later calls), each pair's integer products are
+    scaled to the common denominator L and summed on plain ints, and one
+    rational is built per output coefficient.  Over a phase-free ring the
+    1/2 of the product-to-sum rules gives num/(2L); over the phase ring
+    the rules apply in theta and in phi at once (:func:`_phase_dot`), so
+    num/(4L).  Empty lists give the zero polynomial, with ring None.
     """
     if len(ps) != len(qs):
         raise ValueError("tp_dot needs operand lists of equal length")
     if not ps:
         return TrigPoly(None)
     ring = ps[0].ring
+    encode = _phase_form if ring.has_phase else _int_form
+    pairs = [(_encoded(p, encode), _encoded(q, encode)) for p, q in zip(ps, qs)]
+    den = math.lcm(*(dp * dq for (dp, _, _), (dq, _, _) in pairs))
     if ring.has_phase:
-        total = TrigPoly(ring)
-        for p, q in zip(ps, qs):
-            total = tp_add(total, tp_mul(p, q))
-        return total
-    pairs = [(_int_form(p), _int_form(q)) for p, q in zip(ps, qs)]
-    den = math.lcm(*(dp * dq for (dp, _), (dq, _) in pairs))
+        return _phase_dot(ring, pairs, den)
     # harmonics a +- b land at offset m + (a +- b) and fold back at the end:
     # cos(-k) = cos(k), sin(-k) = -sin(k)
-    m = max(max_harmonic(p) + max_harmonic(q) for p, q in zip(ps, qs))
+    m = max(tp + tq for (_, tp, _), (_, tq, _) in pairs)
     acc: dict = {}
-    for (dp, p_enc), (dq, q_enc) in pairs:
+    for (dp, _, p_enc), (dq, _, q_enc) in pairs:
         k = den // (dp * dq)
         for ep, (p_sin, p_cos) in p_enc.items():
             p_sin = [(a, u * k) for a, u in p_sin]
@@ -258,6 +294,88 @@ def tp_dot(ps, qs) -> TrigPoly:
                 cos_num.setdefault(j, {})[e] = c
     return TrigPoly(ring, _from_numerators(ring, sin_num, 2 * den),
                     _from_numerators(ring, cos_num, 2 * den))
+
+
+# product-to-sum signs of the a - b and a + b harmonics, by the kinds
+# 2 * kind(a) + kind(b) of the factors (kind 0 is sin, 1 is cos):
+# sin sin -> cos, [+ -]; sin cos -> sin, [+ +]; cos sin -> sin, [- +];
+# cos cos -> cos, [+ +]
+_SIGNS = ((1, -1), (1, 1), (-1, 1), (1, 1))
+# by the factors' groups 2 * theta kind + phi kind: the product's theta and
+# phi kinds, and whether each slot (a - b, c - d), (a - b, c + d),
+# (a + b, c - d), (a + b, c + d) takes a negative sign
+_PHASE_RULES = [[(int(gp // 2 == gq // 2), int(gp % 2 == gq % 2),
+                  [t * f < 0 for t in _SIGNS[2 * (gp // 2) + gq // 2]
+                   for f in _SIGNS[2 * (gp % 2) + gq % 2]])
+                 for gq in range(4)] for gp in range(4)]
+
+
+def _phase_dot(ring, pairs, den) -> TrigPoly:
+    """tp_dot over the phase ring from the :func:`_phase_form` pairs.
+
+    A term u (theta a, phi c) times v (theta b, phi d) lands in the four
+    slots (a -+ b, c -+ d) of its product's kinds, signed by the theta and
+    phi rules together.  Slot (h, g) sits at (M + h) * W + K + g of a
+    dense accumulator (M, K bound the products' theta and phi harmonics,
+    W = 2K + 1), so with A = (M + a) W + K + c and B = b W + d, B' = b W - d
+    the slots are A - B, A - B', A + B', A + B.  Positive and negative
+    contributions go to separate lists; negative harmonics fold back at
+    the end."""
+    M = max(tp[0] + tq[0] for (_, tp, _), (_, tq, _) in pairs)
+    K = max(tp[1] + tq[1] for (_, tp, _), (_, tq, _) in pairs)
+    W = 2 * K + 1
+    size = (2 * M + 1) * W
+    acc: dict = {}       # {(s-exponent, theta kind, phi kind): (pos, neg)}
+    for (dp, _, p_enc), (dq, _, q_enc) in pairs:
+        k = den // (dp * dq)
+        p_idx = {e: [[((M + a) * W + K + c, u * k) for a, c, u in g] for g in gs]
+                 for e, gs in p_enc.items()}
+        q_idx = {e: [[(b * W + d, b * W - d, v) for b, d, v in g] for g in gs]
+                 for e, gs in q_enc.items()}
+        for ep, p_groups in p_idx.items():
+            for eq, q_groups in q_idx.items():
+                for gp, p_terms in enumerate(p_groups):
+                    for gq, q_terms in enumerate(q_groups):
+                        if not (p_terms and q_terms):
+                            continue
+                        t_kind, f_kind, negative = _PHASE_RULES[gp][gq]
+                        key = (ep + eq, t_kind, f_kind)
+                        if key not in acc:
+                            acc[key] = ([0] * size, [0] * size)
+                        mm, mp, pm, pp = (acc[key][n] for n in negative)
+                        for A, u in p_terms:
+                            for B, B_, v in q_terms:
+                                w = u * v
+                                mm[A - B] += w
+                                mp[A - B_] += w
+                                pm[A + B_] += w
+                                pp[A + B] += w
+    # {theta kind: {theta harmonic: {phi kind: {phi harmonic: {s-exponent:
+    # numerator over 4 * den}}}}}
+    nums: dict = {0: {}, 1: {}}
+    for (e, t_kind, f_kind), (pos, neg) in sorted(acc.items()):
+        grid = [x - y for x, y in zip(pos, neg)]
+        t_sign = 1 if t_kind else -1
+        f_sign = 1 if f_kind else -1
+        for j in range(1 - t_kind, M + 1):
+            row = grid[(M + j) * W:(M + j + 1) * W]
+            if j:
+                mirror = grid[(M - j) * W:(M - j + 1) * W]
+                row = [x + t_sign * y for x, y in zip(row, mirror)]
+            for c in range(1 - f_kind, K + 1):
+                n = row[K + c] + f_sign * row[K - c] if c else row[K]
+                if n:
+                    (nums[t_kind].setdefault(j, ({}, {}))[f_kind]
+                     .setdefault(c, {})[e]) = n
+    base = ring.base
+    out = ({}, {})
+    for t_kind, store in nums.items():
+        for j, (sin_num, cos_num) in sorted(store.items()):
+            el = TrigPoly(base, _from_numerators(base, sin_num, 4 * den),
+                          _from_numerators(base, cos_num, 4 * den))
+            if el.sin or el.cos:
+                out[t_kind][j] = el
+    return TrigPoly(ring, *out)
 
 
 def _from_numerators(ring, store, den) -> dict:

@@ -65,6 +65,19 @@ class TestParsers:
     def test_alpha_symbolic_passthrough(self):
         assert parse_alpha("symbolic") == "symbolic"
 
+    @pytest.mark.parametrize("text", ["1_0", "1_0/3", "1.5_0", "1e1_0"])
+    @pytest.mark.parametrize("command,argv", [
+        ("series", ["--order", "2"]),
+        ("radius", ["--order", "12"]),
+        ("orbit", ["--a", "0.1", "--order", "2", "--no-radius-check"])])
+    def test_rational_refuses_underscores(self, text, command, argv, capsys,
+                                          monkeypatch):
+        # Fraction reads "1_0" as 10 on Python 3.11 and refuses it on 3.10
+        forbid(monkeypatch, MANIFEST_PARAMS[command][1])
+        assert main([command, "--alpha", text, *argv]) == 2
+        assert capsys.readouterr().err == f"error: not a rational number: {text!r}\n"
+        assert os.listdir() == []
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(BadArguments):
             parse_alpha("0")
@@ -194,6 +207,19 @@ class TestRadiusCommand:
         assert capsys.readouterr().err == want
         write_params("m.json", "radius",
                      dict(MANIFEST_PARAMS["radius"][0], families=families))
+        assert main(["radius", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("alphas,shown", [("1,2/2", "1"),
+                                              ("9/4, 2, 2.25", "9/4")])
+    def test_alpha_given_twice_rejected(self, alphas, shown, capsys, monkeypatch):
+        # equal values, however written, would repeat the scan's work and row
+        forbid(monkeypatch, "radius_scan")
+        want = f"error: alpha {shown} given twice\n"
+        assert main(["radius", "--alpha", alphas, "--order", "12"]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", "radius", dict(MANIFEST_PARAMS["radius"][0], alpha=alphas))
         assert main(["radius", "--from-manifest", "m.json"]) == 2
         assert capsys.readouterr().err == want
         assert sorted(os.listdir()) == ["m.json"]

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpvolterra.trigpoly as trigpoly
 from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
                                 evaluate_numeric, numeric_ring, parse_element,
                                 rational_sqrt)
-from lpvolterra.engine import solve_linear_anchored
+from lpvolterra.engine import run, solve_linear_anchored
 from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, evaluate_at_zero,
                                  exp_tk_vector, first_harmonic_absorbable,
@@ -340,12 +341,60 @@ def test_dot_edge_cases():
     one = tp_term(ring, "cos", 0, ring.one())
     minus_root = tp_term(ring, "cos", 0, ring.neg(ring.s(1)))
     assert tp_dot([twice, root], [one, minus_root]) == tp_zero(ring)
-    # over the phase ring it sums tp_mul products and keeps the ring
+    # over the phase ring it equals the sum of tp_mul products and keeps the ring
     P = PhaseRing(ring)
     x = tp_add(tp_term(P, "cos", 1, P.sin_phi(1)), tp_term(P, "sin", 2, P.s(1)))
     assert tp_dot([x, x], [x, tp_zero(P)]) == tp_mul(x, x)
     assert tp_dot([x], [tp_zero(P)]).ring is P
     assert tp_dot([tp_zero(P)], [x]) == tp_zero(P)
+
+
+def phase_dot_cases():
+    """(P, ps, qs, cancel): operands over a phase ring, with sin and cos
+    in theta and in phi, picked from a small pool so that one object can
+    stand in several places of a call."""
+    def pick(P, pool, picks, cancel):
+        ps = [pool[i % len(pool)] for i, _ in picks]
+        qs = [pool[j % len(pool)] for _, j in picks]
+        return P, ps, qs, cancel
+
+    index = st.integers(min_value=0, max_value=3)
+    return st.sampled_from(PHASE_DOT_RINGS).flatmap(lambda P: st.builds(
+        pick, st.just(P),
+        st.lists(ring_trig_polys(P), min_size=1, max_size=4),
+        st.lists(st.tuples(index, index), min_size=1, max_size=5),
+        st.booleans()))
+
+
+@given(phase_dot_cases())
+@settings(max_examples=60, deadline=None)
+def test_phase_dot_equals_sum_of_products(case):
+    P, ps, qs, cancel = case
+    if cancel:
+        # every product again, negated: the sum cancels to zero
+        ps, qs = ps + ps, qs + [tp_neg(q) for q in qs]
+    want = reference_dot(P, ps, qs)
+    got = tp_dot(ps, qs)
+    assert got == want and got.ring is P
+    if cancel:
+        assert got.sin == {} and got.cos == {}
+    # the same objects again, now read from their kept integer forms
+    assert tp_dot(qs, ps) == want
+
+
+def test_no_operand_is_encoded_twice(monkeypatch):
+    encoded = []          # holds every encoded object, so ids stay unique
+    for name in ("_int_form", "_phase_form"):
+        def counting(p, encode=getattr(trigpoly, name)):
+            encoded.append(p)
+            return encode(p)
+        monkeypatch.setattr(trigpoly, name, counting)
+    for args in ((20, 2), (8, "symbolic", "zero-initial")):
+        encoded.clear()
+        run(*args)
+        assert encoded
+        assert len({id(p) for p in encoded}) == len(encoded), args
+    assert any(p.ring.has_phase for p in encoded)
 
 
 # ---------------------------------------------------------------------------

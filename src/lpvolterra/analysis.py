@@ -331,12 +331,19 @@ def _durand_kerner(hi_to_lo, starts):
     polyroots works at, from exact monic coefficients.  Sweeps update the
     roots in place, in order, skipping only a factor p - r_j that is exactly
     zero (never an update), until every step is below eps; the roots come
-    back unsorted, cleaned as polyroots cleans them, at the working precision."""
+    back unsorted, cleaned as polyroots cleans them, at the working precision.
+
+    The ints hold w = z / 2^k, k <= 0 the least that puts every nonzero
+    start at modulus 1/2 or more, so roots and coefficients far below 1 keep
+    the relative precision that polyroots' floats keep (k = 0 leaves the
+    steps polyroots' own; 2^k scales exactly in binary)."""
     bits = mpmath.mp.prec + 4 * ROOT_DPS
     tol = 1 << (4 * ROOT_DPS + 1)      # eps = 2^(1 - prec), scaled
+    k = min(0, math.frexp(min((abs(complex(z)) for z in starts if z), default=1.0))[1])
     exact = lambda v: QQ(*mpmath.libmp.to_rational(mpmath.mpf(v)._mpf_))  # noqa: E731
-    coeffs = [round(exact(c) / exact(hi_to_lo[0]) * 2 ** bits) for c in hi_to_lo[1:]]
-    roots = [(round(exact(z.real) * 2 ** bits), round(exact(z.imag) * 2 ** bits))
+    coeffs = [round(exact(c) / exact(hi_to_lo[0]) * 2 ** (bits - k * i))
+              for i, c in enumerate(hi_to_lo[1:], 1)]
+    roots = [(round(exact(z.real) * 2 ** (bits - k)), round(exact(z.imag) * 2 ** (bits - k)))
              for z in starts]
     small = [False] * len(roots)
     for _ in range(200):
@@ -370,7 +377,7 @@ def _durand_kerner(hi_to_lo, starts):
             ri = 0
         elif abs(rr) < tol:
             rr = 0
-        out.append(mpmath.mpc(mpmath.mpf((rr, -bits)), mpmath.mpf((ri, -bits))))
+        out.append(mpmath.mpc(mpmath.mpf((rr, k - bits)), mpmath.mpf((ri, k - bits))))
     return out
 
 
@@ -379,9 +386,10 @@ def _poly_roots_mp(coeffs):
     modulus (conjugate pairs: negative imaginary part first).
 
     :func:`_durand_kerner`, which returns mpmath.polyroots' roots from the
-    same starts, starts from the double-precision roots (a few sweeps, not
-    dozens), else from polyroots' own (0.4+0.9i)^n.  Each root must pass
-    the certificate |f(r)| <= 10^(-ROOT_DPS/2) norm max(1, |r|)^deg."""
+    same starts (closer ones for roots far below 1), starts from the
+    double-precision roots (a few sweeps, not dozens), else from polyroots'
+    own (0.4+0.9i)^n.  Each root must pass the certificate
+    |f(r)| <= 10^(-ROOT_DPS/2) norm max(1, |r|)^deg."""
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
         return []

@@ -202,7 +202,7 @@ def cmd_series(params):
     series = run(order, alpha, gauge)
     ring = series.coeff_ring
 
-    doc = {"alpha": params["alpha"] if alpha == "symbolic" else str(alpha),
+    doc = {"alpha": str(alpha),
            "gauge": gauge,
            "orders": []}
     for sol in series.orders:

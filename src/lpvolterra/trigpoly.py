@@ -12,8 +12,9 @@ The same type serves twice.  The zero-initial gauge pins each correction
 to an initial condition, so its coefficients depend on the phase phi:
 a :class:`PhaseRing` element is itself a TrigPoly, in phi over a
 phase-free base ring.  Products go through one fraction-free kernel,
-:func:`tp_dot`, over both kinds of ring: in theta alone, or in theta and
-phi at once over the phase ring.  It keeps each operand's integer form on
+:func:`tp_dot`, over both kinds of ring: a phase-ring operand is written
+in angle sums a theta + c phi, each packed as one harmonic, so the same
+product-to-sum loop serves both.  It keeps each operand's integer form on
 the operand, so every TrigPoly is encoded at most once.  :func:`tp_mul`
 is the plain dict product that the self-checks use as an oracle.
 """
@@ -177,31 +178,26 @@ def tp_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     return TrigPoly(ring, sin_out, cos_out)
 
 
-def _int_form(p: TrigPoly):
-    """p over one denominator d: (d, top, {s-exponent: (sin, cos)}), where
-    top is p's highest harmonic and sin and cos list the (harmonic,
-    integer numerator) pairs that are nonzero."""
+def _form(p: TrigPoly):
+    """p over one denominator d: (d, (theta top, phi top), {s-exponent:
+    (sin, cos)}), where sin and cos list the nonzero (a, c, integer
+    numerator) terms of sin and cos(a theta + c phi), with a > 0, or a = 0
+    and c >= 0.  A phase-free p has c = 0 throughout.  Over the phase ring
+    each term sin|cos(a theta) sin|cos(c phi) splits into the angle sums
+    (a, c) and (a, -c), both over 2d."""
     terms = []
     den = 1
-    for kind, store in enumerate((p.sin, p.cos)):
-        for j, v in store.items():
-            for e, q in v.items():
-                n, d = int(q.numerator), int(q.denominator)
-                terms.append((e, kind, j, n, d))
-                den = math.lcm(den, d)
     enc: dict = {}
-    for e, kind, j, n, d in terms:
-        enc.setdefault(e, ([], []))[kind].append((j, n * (den // d)))
-    return den, max_harmonic(p), enc
-
-
-def _phase_form(p: TrigPoly):
-    """p over the phase ring, over one denominator d: (d, (theta top, phi
-    top), {s-exponent: groups}).  Group 2 * theta kind + phi kind (kind 0
-    is sin, 1 is cos) lists the nonzero (theta harmonic, phi harmonic,
-    integer numerator) triples."""
-    terms = []
-    den = 1
+    if not p.ring.has_phase:
+        for kind, store in enumerate((p.sin, p.cos)):
+            for j, v in store.items():
+                for e, q in v.items():
+                    n, d = int(q.numerator), int(q.denominator)
+                    terms.append((e, kind, j, n, d))
+                    den = math.lcm(den, d)
+        for e, kind, j, n, d in terms:
+            enc.setdefault(e, ([], []))[kind].append((j, 0, n * (den // d)))
+        return den, (max_harmonic(p), 0), enc
     phi_top = 0
     for t_kind, store in enumerate((p.sin, p.cos)):
         for a, x in store.items():
@@ -210,19 +206,33 @@ def _phase_form(p: TrigPoly):
                 for c, v in inner.items():
                     for e, q in v.items():
                         n, d = int(q.numerator), int(q.denominator)
-                        terms.append((e, 2 * t_kind + f_kind, a, c, n, d))
+                        terms.append((e, t_kind, f_kind, a, c, n, d))
                         den = math.lcm(den, d)
-    enc: dict = {}
-    for e, group, a, c, n, d in terms:
-        enc.setdefault(e, ([], [], [], []))[group].append((a, c, n * (den // d)))
-    return den, (max_harmonic(p), phi_top), enc
+    sums: dict = {}       # {(s-exponent, kind, a, c): numerator over 2 den}
+    for e, t_kind, f_kind, a, c, n, d in terms:
+        n *= den // d
+        kind = int(t_kind == f_kind)     # kind 0 is sin, 1 is cos
+        # sin a sin c = [cos(a-c) - cos(a+c)]/2, sin a cos c = [sin(a+c) +
+        # sin(a-c)]/2, cos a sin c = [sin(a+c) - sin(a-c)]/2, cos a cos c =
+        # [cos(a-c) + cos(a+c)]/2
+        plus = -n if t_kind == f_kind == 0 else n
+        minus = -n if t_kind > f_kind else n
+        neg_c = -c
+        if a == 0:                       # cos(-x) = cos x, sin(-x) = -sin x
+            neg_c, minus = c, (minus if kind else -minus)
+        for key, u in (((e, kind, a, c), plus), ((e, kind, a, neg_c), minus)):
+            sums[key] = sums.get(key, 0) + u
+    for (e, kind, a, c), n in sums.items():
+        if n:
+            enc.setdefault(e, ([], []))[kind].append((a, c, n))
+    return 2 * den, (max_harmonic(p), phi_top), enc
 
 
-def _encoded(p: TrigPoly, encode):
-    """p's integer form: built by ``encode`` on first use, then kept on p
-    (a TrigPoly is immutable, so the form never goes stale)."""
+def _encoded(p: TrigPoly):
+    """p's integer form: built by :func:`_form` on first use, then kept on
+    p (a TrigPoly is immutable, so the form never goes stale)."""
     if p._enc is None:
-        p._enc = encode(p)
+        p._enc = _form(p)
     return p._enc
 
 
@@ -232,53 +242,59 @@ def tp_dot(ps, qs) -> TrigPoly:
     Every operand is encoded once over one denominator (the form is kept
     on the operand for later calls), each pair's integer products are
     scaled to the common denominator L and summed on plain ints, and one
-    rational is built per output coefficient.  Over a phase-free ring the
-    1/2 of the product-to-sum rules gives num/(2L); over the phase ring
-    the rules apply in theta and in phi at once (:func:`_phase_dot`), so
-    num/(4L).  Empty lists give the zero polynomial, with ring None.
+    rational is built per output coefficient, num/(2L) from the 1/2 of
+    the product-to-sum rules.  Over the phase ring the operands are
+    written in angle sums a theta + c phi, packed as the single harmonic
+    a W + c, so the same loop multiplies them; the output is read back
+    into products of theta and phi waves.  Empty lists give the zero
+    polynomial, with ring None.
     """
     if len(ps) != len(qs):
         raise ValueError("tp_dot needs operand lists of equal length")
     if not ps:
         return TrigPoly(None)
     ring = ps[0].ring
-    encode = _phase_form if ring.has_phase else _int_form
-    pairs = [(_encoded(p, encode), _encoded(q, encode)) for p, q in zip(ps, qs)]
+    pairs = [(_encoded(p), _encoded(q)) for p, q in zip(ps, qs)]
     den = math.lcm(*(dp * dq for (dp, _, _), (dq, _, _) in pairs))
-    if ring.has_phase:
-        return _phase_dot(ring, pairs, den)
-    # harmonics a +- b land at offset m + (a +- b) and fold back at the end:
-    # cos(-k) = cos(k), sin(-k) = -sin(k)
-    m = max(tp + tq for (_, tp, _), (_, tq, _) in pairs)
+    # the phi harmonics of every product lie in [-K, K], so h = a W + c
+    # packs an angle sum uniquely, and angle sums add as harmonics do;
+    # harmonics h +- g land at offset m + (h +- g) and fold back at the
+    # end: cos(-x) = cos(x), sin(-x) = -sin(x)
+    K = max(tp[1] + tq[1] for (_, tp, _), (_, tq, _) in pairs)
+    W = 2 * K + 1
+    m = max(tp[0] + tq[0] for (_, tp, _), (_, tq, _) in pairs) * W + K
     acc: dict = {}
     for (dp, _, p_enc), (dq, _, q_enc) in pairs:
         k = den // (dp * dq)
+        q_enc = {e: ([(b * W + d, v) for b, d, v in q_sin],
+                     [(b * W + d, v) for b, d, v in q_cos])
+                 for e, (q_sin, q_cos) in q_enc.items()}
         for ep, (p_sin, p_cos) in p_enc.items():
-            p_sin = [(a, u * k) for a, u in p_sin]
-            p_cos = [(a, u * k) for a, u in p_cos]
+            p_sin = [(m + a * W + c, u * k) for a, c, u in p_sin]
+            p_cos = [(m + a * W + c, u * k) for a, c, u in p_cos]
             for eq, (q_sin, q_cos) in q_enc.items():
                 e = ep + eq
                 if e not in acc:
                     acc[e] = ([0] * (2 * m + 1), [0] * (2 * m + 1))
                 sin, cos = acc[e]
-                for a, u in p_sin:
-                    for b, v in q_sin:   # sin a sin b = [cos(a-b) - cos(a+b)]/2
+                for h, u in p_sin:
+                    for g, v in q_sin:   # sin a sin b = [cos(a-b) - cos(a+b)]/2
                         w = u * v
-                        cos[m + a - b] += w
-                        cos[m + a + b] -= w
-                    for b, v in q_cos:   # sin a cos b = [sin(a+b) + sin(a-b)]/2
+                        cos[h - g] += w
+                        cos[h + g] -= w
+                    for g, v in q_cos:   # sin a cos b = [sin(a+b) + sin(a-b)]/2
                         w = u * v
-                        sin[m + a + b] += w
-                        sin[m + a - b] += w
-                for a, u in p_cos:
-                    for b, v in q_sin:   # cos a sin b = [sin(a+b) - sin(a-b)]/2
+                        sin[h + g] += w
+                        sin[h - g] += w
+                for h, u in p_cos:
+                    for g, v in q_sin:   # cos a sin b = [sin(a+b) - sin(a-b)]/2
                         w = u * v
-                        sin[m + a + b] += w
-                        sin[m + a - b] -= w
-                    for b, v in q_cos:   # cos a cos b = [cos(a-b) + cos(a+b)]/2
+                        sin[h + g] += w
+                        sin[h - g] -= w
+                    for g, v in q_cos:   # cos a cos b = [cos(a-b) + cos(a+b)]/2
                         w = u * v
-                        cos[m + a - b] += w
-                        cos[m + a + b] += w
+                        cos[h - g] += w
+                        cos[h + g] += w
     # {harmonic: {s-exponent: numerator over 2 * den}}
     sin_num: dict = {}
     cos_num: dict = {}
@@ -292,89 +308,37 @@ def tp_dot(ps, qs) -> TrigPoly:
             c = cos[m + j] + cos[m - j]
             if c:
                 cos_num.setdefault(j, {})[e] = c
-    return TrigPoly(ring, _from_numerators(ring, sin_num, 2 * den),
-                    _from_numerators(ring, cos_num, 2 * den))
-
-
-# product-to-sum signs of the a - b and a + b harmonics, by the kinds
-# 2 * kind(a) + kind(b) of the factors (kind 0 is sin, 1 is cos):
-# sin sin -> cos, [+ -]; sin cos -> sin, [+ +]; cos sin -> sin, [- +];
-# cos cos -> cos, [+ +]
-_SIGNS = ((1, -1), (1, 1), (-1, 1), (1, 1))
-# by the factors' groups 2 * theta kind + phi kind: the product's theta and
-# phi kinds, and whether each slot (a - b, c - d), (a - b, c + d),
-# (a + b, c - d), (a + b, c + d) takes a negative sign
-_PHASE_RULES = [[(int(gp // 2 == gq // 2), int(gp % 2 == gq % 2),
-                  [t * f < 0 for t in _SIGNS[2 * (gp // 2) + gq // 2]
-                   for f in _SIGNS[2 * (gp % 2) + gq % 2]])
-                 for gq in range(4)] for gp in range(4)]
-
-
-def _phase_dot(ring, pairs, den) -> TrigPoly:
-    """tp_dot over the phase ring from the :func:`_phase_form` pairs.
-
-    A term u (theta a, phi c) times v (theta b, phi d) lands in the four
-    slots (a -+ b, c -+ d) of its product's kinds, signed by the theta and
-    phi rules together.  Slot (h, g) sits at (M + h) * W + K + g of a
-    dense accumulator (M, K bound the products' theta and phi harmonics,
-    W = 2K + 1), so with A = (M + a) W + K + c and B = b W + d, B' = b W - d
-    the slots are A - B, A - B', A + B', A + B.  Positive and negative
-    contributions go to separate lists; negative harmonics fold back at
-    the end."""
-    M = max(tp[0] + tq[0] for (_, tp, _), (_, tq, _) in pairs)
-    K = max(tp[1] + tq[1] for (_, tp, _), (_, tq, _) in pairs)
-    W = 2 * K + 1
-    size = (2 * M + 1) * W
-    acc: dict = {}       # {(s-exponent, theta kind, phi kind): (pos, neg)}
-    for (dp, _, p_enc), (dq, _, q_enc) in pairs:
-        k = den // (dp * dq)
-        p_idx = {e: [[((M + a) * W + K + c, u * k) for a, c, u in g] for g in gs]
-                 for e, gs in p_enc.items()}
-        q_idx = {e: [[(b * W + d, b * W - d, v) for b, d, v in g] for g in gs]
-                 for e, gs in q_enc.items()}
-        for ep, p_groups in p_idx.items():
-            for eq, q_groups in q_idx.items():
-                for gp, p_terms in enumerate(p_groups):
-                    for gq, q_terms in enumerate(q_groups):
-                        if not (p_terms and q_terms):
-                            continue
-                        t_kind, f_kind, negative = _PHASE_RULES[gp][gq]
-                        key = (ep + eq, t_kind, f_kind)
-                        if key not in acc:
-                            acc[key] = ([0] * size, [0] * size)
-                        mm, mp, pm, pp = (acc[key][n] for n in negative)
-                        for A, u in p_terms:
-                            for B, B_, v in q_terms:
-                                w = u * v
-                                mm[A - B] += w
-                                mp[A - B_] += w
-                                pm[A + B_] += w
-                                pp[A + B] += w
-    # {theta kind: {theta harmonic: {phi kind: {phi harmonic: {s-exponent:
-    # numerator over 4 * den}}}}}
-    nums: dict = {0: {}, 1: {}}
-    for (e, t_kind, f_kind), (pos, neg) in sorted(acc.items()):
-        grid = [x - y for x, y in zip(pos, neg)]
-        t_sign = 1 if t_kind else -1
-        f_sign = 1 if f_kind else -1
-        for j in range(1 - t_kind, M + 1):
-            row = grid[(M + j) * W:(M + j + 1) * W]
-            if j:
-                mirror = grid[(M - j) * W:(M - j + 1) * W]
-                row = [x + t_sign * y for x, y in zip(row, mirror)]
-            for c in range(1 - f_kind, K + 1):
-                n = row[K + c] + f_sign * row[K - c] if c else row[K]
-                if n:
-                    (nums[t_kind].setdefault(j, ({}, {}))[f_kind]
-                     .setdefault(c, {})[e]) = n
+    if not ring.has_phase:
+        return TrigPoly(ring, _from_numerators(ring, sin_num, 2 * den),
+                        _from_numerators(ring, cos_num, 2 * den))
+    # angle sums back to products: cos(a th + c phi) = cos a cos c - sin a
+    # sin c and sin(a th + c phi) = sin a cos c + cos a sin c, with c < 0
+    # folded by sin(-x) = -sin x, and sin 0 = 0 dropping a = 0 or c = 0
+    nums = ({}, {})   # by theta kind: {a: by phi kind: {|c|: {s-exponent: n}}}
+    for kind, store in enumerate((sin_num, cos_num)):
+        for h, by_e in store.items():
+            a, c = divmod(h + K, W)
+            c -= K
+            sign = -1 if c < 0 else 1
+            for t_kind, f_kind, s in ((kind, 1, 1),
+                                      (1 - kind, 0, -sign if kind else sign)):
+                if (t_kind == 0 and a == 0) or (f_kind == 0 and c == 0):
+                    continue
+                row = (nums[t_kind].setdefault(a, ({}, {}))[f_kind]
+                       .setdefault(abs(c), {}))
+                for e, n in by_e.items():
+                    row[e] = row.get(e, 0) + s * n
     base = ring.base
     out = ({}, {})
-    for t_kind, store in nums.items():
-        for j, (sin_num, cos_num) in sorted(store.items()):
-            el = TrigPoly(base, _from_numerators(base, sin_num, 4 * den),
-                          _from_numerators(base, cos_num, 4 * den))
+    for t_kind, store in enumerate(nums):
+        for a, phi in sorted(store.items()):
+            # the angle sums (a, c) and (a, -c) can cancel: drop the zeros
+            sin, cos = ({c: {e: n for e, n in sorted(row.items()) if n}
+                         for c, row in f.items()} for f in phi)
+            el = TrigPoly(base, _from_numerators(base, sin, 2 * den),
+                          _from_numerators(base, cos, 2 * den))
             if el.sin or el.cos:
-                out[t_kind][j] = el
+                out[t_kind][a] = el
     return TrigPoly(ring, *out)
 
 

@@ -734,6 +734,19 @@ class TestRootExtraction:
                 assert abs(z - mpmath.mpc(-4, sign * mpmath.mpf(10) ** -12)) \
                     < mpmath.mpf(10) ** -45
 
+    def test_tiny_roots_keep_relative_precision(self):
+        # (z^2 + 10^-100)(z - 3): on a fixed grain of 2^-443 the roots
+        # +-10^-50 i kept ~35 digits; mpmath.polyroots, whose step bound is
+        # absolute, is itself off by 2.9e-35, so the exact roots are the oracle
+        coeffs = poly_mul([QQ(1, 10 ** 100), QQ(0), QQ(1)], [QQ(-3), QQ(1)])
+        with mpmath.workdps(60):
+            tiny = mpmath.mpf(10) ** -50
+            want = [mpmath.mpc(0, -tiny), mpmath.mpc(0, tiny), mpmath.mpc(3)]
+            got = _poly_roots_mp(coeffs)
+            assert len(got) == 3
+            assert all(abs(g - w) <= abs(w) * mpmath.mpf("1e-40")
+                       for g, w in zip(got, want))
+
     def test_fixture_polynomials_match_polyroots(self, ps44):
         """Every Pade denominator and discriminant at the default orders
         of the order-44 series."""

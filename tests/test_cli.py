@@ -141,6 +141,14 @@ class TestSeriesCommand:
         with open("series.json", encoding="utf-8") as fh:
             assert json.load(fh)["alpha"] == str(10**400)
 
+    @pytest.mark.parametrize("text, written", [(" Symbolic ", "symbolic"),
+                                               ("SYMBOLIC", "symbolic"),
+                                               ("4/2", "2")])
+    def test_alpha_written_canonically(self, capsys, text, written):
+        assert main(["series", "--order", "2", "--alpha", text]) == 0
+        with open("series.json", encoding="utf-8") as fh:
+            assert json.load(fh)["alpha"] == written
+
     def test_numeric_alpha(self, capsys):
         assert main(["series", "--order", "2", "--alpha", "9/4"]) == 0
         out = capsys.readouterr().out

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpvolterra.trigpoly as trigpoly
@@ -366,7 +366,33 @@ def phase_dot_cases():
         st.booleans()))
 
 
+def phase_dot_examples():
+    """Fixed cases for the kernel's folds: theta harmonic 0 with sin(c phi),
+    phi harmonic 0, and angle sums (a, c) and (a, -c) that cancel, in one
+    operand (cos th cos phi + sin th sin phi = cos(th - phi)) and in a
+    product (the sin th sin phi of cos th cos phi)."""
+    P = PHASE_DOT_RINGS[1]
+    one = TrigPoly(P, cos={0: P.one()})
+    at_zero = TrigPoly(P, cos={0: tp_add(P.sin_phi(2), P.cos_phi(1))})
+    mixed = TrigPoly(P, sin={1: P.sin_phi(1)},
+                     cos={0: P.sin_phi(3), 2: P.cos_phi(2)})
+    flat = TrigPoly(P, sin={2: P.one()},
+                    cos={0: P.s(1), 1: P.from_fraction(QQ(1, 3))})
+    cos_cos = TrigPoly(P, cos={1: P.cos_phi(1)})
+    sin_sin = TrigPoly(P, sin={2: P.sin_phi(1)})
+    difference = TrigPoly(P, sin={1: P.sin_phi(1)}, cos={1: P.cos_phi(1)})
+    return ((P, [at_zero, mixed], [mixed, at_zero], False),
+            (P, [flat, flat], [mixed, flat], False),
+            (P, [cos_cos, sin_sin, difference], [one, one, mixed], False))
+
+
+AT_ZERO_CASE, FLAT_CASE, CANCELLING_CASE = phase_dot_examples()
+
+
 @given(phase_dot_cases())
+@example(AT_ZERO_CASE)
+@example(FLAT_CASE)
+@example(CANCELLING_CASE)
 @settings(max_examples=60, deadline=None)
 def test_phase_dot_equals_sum_of_products(case):
     P, ps, qs, cancel = case
@@ -378,17 +404,23 @@ def test_phase_dot_equals_sum_of_products(case):
     assert got == want and got.ring is P
     if cancel:
         assert got.sin == {} and got.cos == {}
+    # every kept form is canonical: nonzero numerators, theta harmonic
+    # a > 0, or a = 0 and phi harmonic c >= 0
+    for p in ps + qs:
+        _, _, enc = p._enc
+        assert all(n and (a > 0 or (a == 0 and c >= 0)) for kinds in enc.values()
+                   for terms in kinds for a, c, n in terms)
     # the same objects again, now read from their kept integer forms
     assert tp_dot(qs, ps) == want
 
 
 def test_no_operand_is_encoded_twice(monkeypatch):
     encoded = []          # holds every encoded object, so ids stay unique
-    for name in ("_int_form", "_phase_form"):
-        def counting(p, encode=getattr(trigpoly, name)):
-            encoded.append(p)
-            return encode(p)
-        monkeypatch.setattr(trigpoly, name, counting)
+
+    def counting(p, encode=trigpoly._form):
+        encoded.append(p)
+        return encode(p)
+    monkeypatch.setattr(trigpoly, "_form", counting)
     for args in ((20, 2), (8, "symbolic", "zero-initial")):
         encoded.clear()
         run(*args)

@@ -14,12 +14,16 @@ and no zero values, in one of two rings:
 
 Both share one method protocol (``add``, ``mul``, ``scale``, ``div``,
 ``is_zero``, ...), so the trig-series layer, formatting and evaluation
-read every element the same way.  Solutions pinned to explicit initial
-conditions extend either ring by trigonometric polynomials in the phase
-angle ``phi``; that extension (:class:`lpvolterra.trigpoly.PhaseRing`,
-marked by ``has_phase``) lives in :mod:`lpvolterra.trigpoly`, and its
-elements are ``TrigPoly`` objects with a ``const`` term and ``sin``/``cos``
-dicts.
+read every element the same way.  The integer kernels of the
+trig-series layer work on integer numerators ``{exponent of s: n}``
+over one denominator; ``folding`` gives the integer weights that fold
+them onto the kept exponents (``s^2 = alpha`` in a numeric ring), so a
+zero test needs no rational and a coefficient needs one per kept
+exponent.  Solutions pinned to explicit initial conditions extend either
+ring by trigonometric polynomials in the phase angle ``phi``; that
+extension (:class:`lpvolterra.trigpoly.PhaseRing`, marked by
+``has_phase``) lives in :mod:`lpvolterra.trigpoly`, and its elements are
+``TrigPoly`` objects with a ``const`` term and ``sin``/``cos`` dicts.
 :func:`format_element` writes the canonical string of an element, and
 :func:`parse_element` reads it back through the standard library's ``ast``
 (``^`` is a power, with the usual precedence: ``-x^2`` is ``-(x^2)``); the
@@ -145,9 +149,12 @@ class SymbolicRing:
             return {}
         return {k: v * q for k, v in x.items()}
 
-    def reduce(self, x):
-        """Canonical form of a dict built outside the ring operations."""
-        return x
+    def folding(self, lo, hi):
+        """(rule, f, g) with s^e = (f/g) w s^r for every e in [lo, hi],
+        where (r, w) = rule[e] and w, f, g are integers: integer
+        numerators fold onto the exponents the ring keeps before any
+        rational is built.  The symbolic ring keeps every exponent."""
+        return {e: (e, 1) for e in range(lo, hi + 1)}, 1, 1
 
     def div(self, x, y):
         """Exact division; raises ExactDivisionError on a remainder."""
@@ -212,6 +219,7 @@ class NumericRing(SymbolicRing):
         root = rational_sqrt(self.alpha)
         self.m, self.b = (2, self.alpha) if root is None else (1, root)
         self.kept = frozenset(range(self.m))
+        self._spans: dict = {}
 
     def reduce(self, x):
         # most products are already reduced; rebuilding them anyway costs
@@ -227,6 +235,22 @@ class NumericRing(SymbolicRing):
             else:
                 out.pop(r, None)
         return out
+
+    def folding(self, lo, hi):
+        # s^e = b^k s^r with (k, r) = divmod(e, m); over k in [klo, khi] and
+        # b = p/q, b^k = (p^klo / q^khi) p^(k - klo) q^(khi - k), an integer
+        # weight; the few exponent spans of a run recur, so each is kept
+        got = self._spans.get((lo, hi))
+        if got is None:
+            m = self.m
+            p, q = self.b.numerator, self.b.denominator
+            klo, khi = lo // m, hi // m
+            rule = {e: (e % m, p ** (e // m - klo) * q ** (khi - e // m))
+                    for e in range(lo, hi + 1)}
+            got = (rule, p ** max(klo, 0) * q ** max(-khi, 0),
+                   q ** max(khi, 0) * p ** max(-klo, 0))
+            self._spans[lo, hi] = got
+        return got
 
     def s(self, k: int = 1):
         return self.reduce({k: _Q1})

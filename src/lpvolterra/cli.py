@@ -14,6 +14,7 @@ reproduces them byte for byte; only the manifest's timestamp moves.
 import argparse
 import csv
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -53,7 +54,10 @@ class BadArguments(ValueError):
     pass
 
 
+@functools.cache
 def tool_version():
+    # importlib.metadata scans the installed distributions on every call;
+    # the parser's --version and the manifest share one lookup
     try:
         from importlib.metadata import version
         return version("lpvolterra")

@@ -6,10 +6,19 @@ predator-prey oscillator
 expanded about the center (1, 1) as x = 1 + eps*xi, y = 1 + eps*eta with
 stretched time tau = omega t.  Each order n yields a trigonometric
 polynomial pair (xi_n, eta_n) and a frequency correction omega_n chosen
-to kill resonant forcing.  All arithmetic is exact.  Per order, the
-Cauchy product and the frequency sums sum_j omega_j xi_{n-j} and
-sum_j omega_j eta_{n-j} are one :func:`tp_dot` each, and omega_n comes in
-closed form from the first harmonic of the forcing.
+to kill resonant forcing.  All arithmetic is exact.
+
+Each order step runs on the integer forms of :mod:`lpvolterra.trigpoly`
+(integer numerators over one denominator), so it takes no gcd until it
+builds the order's rationals.  The Cauchy product and the frequency sums
+sum_j omega_j xi_{n-j} and sum_j omega_j eta_{n-j} are one
+:func:`dot_form` each; the forcing is assembled from them with integer
+scalings, shifts of the s-exponent and a derivative, and is never built
+as rationals.  omega_n comes in closed form from the first harmonic of
+the forcing, the harmonic solve builds one rational per coefficient of
+(xi_n, eta_n), and the self-check W' - K W - R = 0 folds the integer
+residual to zero.  Every stored order is encoded once, for the products
+of later orders and its own self-check.
 
 Amplitude convention: the series is computed with A = 1.  The scaling
 identity xi(tau, eps, A) = A xi(tau, A eps, 1) recovers general A: the
@@ -21,14 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import QQ, SYMBOLIC, evaluate_numeric, numeric_ring
 # tp_mul is not called here: it stays importable because the benchmark
 # tracer wraps engine.tp_mul by name
-from .trigpoly import (PhaseRing, TrigPoly, VectorTrigPoly, evaluate_at_zero,
-                       exp_tk_vector, harmonic, max_harmonic,
-                       particular_solution, residual, tp_add, tp_diff, tp_dot,
-                       tp_mul, tp_mul_el, tp_sub, tp_term)
+from .trigpoly import (PhaseRing, TrigPoly, VectorTrigPoly, combine,
+                       derivative, dot_form, evaluate_at_zero, exp_tk_vector,
+                       int_form, max_harmonic, particular_solution, resonance,
+                       tp_add, tp_mul, tp_term, vanishes)
 
 GAUGE_ZERO_INITIAL = "zero-initial"
 GAUGE_SIMPLIFIED_XI = "simplified-xi"
@@ -51,6 +61,13 @@ class OrderSolution:
     def gauge_constants(self) -> tuple:
         """(xi_n(0), eta_n(0)) as phase-ring elements."""
         return evaluate_at_zero(self.xi), evaluate_at_zero(self.eta)
+
+    @cached_property
+    def _frequency_operand(self) -> TrigPoly:
+        """omega_n / s as a constant TrigPoly: the operand of the frequency
+        sums of every later order, built once so it is encoded once."""
+        ring = self.xi.ring
+        return tp_term(ring, "cos", 0, ring.mul(ring.s(-1), self.omega))
 
 
 @dataclass
@@ -83,27 +100,27 @@ def build_forcing(n: int, prior: PerturbationSeries) -> VectorTrigPoly:
       G_n =    s C_n - (1/s) (sum_{j=1}^{n-1} omega_j eta_{n-j})'
 
     with s = sqrt(alpha).  Differentiation is linear, so each frequency sum
-    is one :func:`tp_dot` over constant omega_j / s operands, differentiated
-    once.  The j = n terms carry the still-unknown omega_n;
+    is one :func:`dot_form` over constant omega_j / s operands,
+    differentiated once.  F and G are returned over one denominator as
+    TrigPolys of their integer forms, which build no rational unless their
+    dicts are read.  The j = n terms carry the still-unknown omega_n;
     :func:`remove_secular` adds them."""
     if n < 1:
         raise ValueError("forcing is defined for orders n >= 1")
     if len(prior.orders) < n:
         raise ValueError(f"prior series incomplete: need orders 0..{n-1}")
     ring = prior.coeff_ring
-    inv_s = ring.s(-1)
     orders = prior.orders
-    conv = tp_dot([orders[j].xi for j in range(n)],
-                  [orders[n - 1 - j].eta for j in range(n)])
+    conv = dot_form([orders[j].xi for j in range(n)],
+                    [orders[n - 1 - j].eta for j in range(n)])
     js = [j for j in range(1, n) if not ring.is_zero(orders[j].omega)]
-    ws = [tp_term(ring, "cos", 0, ring.mul(inv_s, orders[j].omega)) for j in js]
-    # at n = 1, 2 every omega_j is zero and tp_dot([], []) has ring None;
-    # tp_sub takes its ring from the first operand
-    F = tp_sub(tp_mul_el(conv, ring.neg(inv_s)),
-               tp_diff(tp_dot(ws, [orders[n - j].xi for j in js])))
-    G = tp_sub(tp_mul_el(conv, ring.s(1)),
-               tp_diff(tp_dot(ws, [orders[n - j].eta for j in js])))
-    return VectorTrigPoly(F, G)
+    ws = [orders[j]._frequency_operand for j in js]
+    sum_xi = derivative(dot_form(ws, [orders[n - j].xi for j in js]))
+    sum_eta = derivative(dot_form(ws, [orders[n - j].eta for j in js]))
+    den = math.lcm(conv.den, sum_xi.den, sum_eta.den)
+    F = combine(den, [(conv, -1, -1), (sum_xi, -1, 0)])
+    G = combine(den, [(conv, 1, 1), (sum_eta, -1, 0)])
+    return VectorTrigPoly(TrigPoly(ring, enc=F), TrigPoly(ring, enc=G))
 
 
 def remove_secular(n: int, forcing: VectorTrigPoly):
@@ -111,22 +128,28 @@ def remove_secular(n: int, forcing: VectorTrigPoly):
     resonant part of the equivalent second-order equation), then return
     (omega_n, resolved forcing).
 
-    omega_n enters as omega_n ((1/s) sin theta, -cos theta), whose F' - G/s
-    projection is (sin, cos) = (0, 2/s).  So, with (f_s, f_c) and (g_s, g_c)
-    the first harmonics of F and G, f_c + g_s/s must vanish on its own and
-    omega_n = (s/2)(g_c/s - f_s) = (g_c - s f_s)/2."""
+    omega_n enters as omega_n ((1/s) sin theta, -cos theta).  With H the
+    first harmonic of G - s F' (:func:`resonance`), whose sin and cos
+    parts are g_s + s f_c and g_c - s f_s for the first harmonics (f_s,
+    f_c) and (g_s, g_c) of F and G, the sin part must vanish on its own
+    and omega_n = (g_c - s f_s)/2.  Then omega_n cos theta = H/2 and
+    omega_n sin theta = -(H/2)', so the resolved forcing is
+    (F - (1/s)(H/2)', G - H/2), on integer forms over twice F's
+    denominator; only omega_n is built as rationals."""
     F, G = forcing
     ring = F.ring
-    s = ring.s(1)
-    f_s, f_c = harmonic(F, 1)
-    g_s, g_c = harmonic(G, 1)
-    if not ring.is_zero(ring.add(g_s, ring.mul(s, f_c))):
+    f, g = int_form(F), int_form(G)
+    h = resonance(f, g)
+    half = h._replace(den=2 * h.den)
+    H = TrigPoly(ring, enc=half)
+    if H.sin:
         raise SecularInconsistencyError(
             f"order {n}: sin projection of the resonant forcing is nonzero")
-    omega_n = ring.scale(ring.sub(g_c, ring.mul(s, f_s)), QQ(1, 2))
+    omega_n = H.cos.get(1, ring.zero())
     resolved = VectorTrigPoly(
-        tp_add(F, tp_term(ring, "sin", 1, ring.mul(ring.s(-1), omega_n))),
-        tp_add(G, tp_term(ring, "cos", 1, ring.neg(omega_n))))
+        TrigPoly(ring, enc=combine(half.den, [(f, 1, 0),
+                                               (derivative(half), -1, -1)])),
+        TrigPoly(ring, enc=combine(half.den, [(g, 1, 0), (half, -1, 0)])))
     return omega_n, resolved
 
 
@@ -159,9 +182,19 @@ def check_harmonics(n: int, gauge: str, xi: TrigPoly, eta: TrigPoly):
 
 
 def _check_order(n: int, gauge: str, forcing: VectorTrigPoly, w: VectorTrigPoly):
-    res = residual(forcing, w)
-    if any([res.xi.sin, res.xi.cos, res.eta.sin, res.eta.cos]):
-        raise AssertionError(f"order {n}: nonzero residual")
+    """Raise AssertionError unless W = w solves W' = K W + R for the
+    forcing R exactly, and its harmonics pass :func:`check_harmonics`.
+
+    The residual xi' + eta/s - F and eta' - s xi - G is formed on integer
+    forms and folded to zero.  w's form is encoded from its rationals, so
+    the check reads the stored coefficients, not the solve's numerators."""
+    ring = forcing.xi.ring
+    xi, eta, f, g = (int_form(p) for p in (w.xi, w.eta, *forcing))
+    den = math.lcm(xi.den, eta.den, f.den, g.den)
+    for res in ([(derivative(xi), 1, 0), (eta, 1, -1), (f, -1, 0)],
+                [(derivative(eta), 1, 0), (xi, -1, 1), (g, -1, 0)]):
+        if not vanishes(ring, combine(den, res)):
+            raise AssertionError(f"order {n}: nonzero residual")
     check_harmonics(n, gauge, w.xi, w.eta)
 
 

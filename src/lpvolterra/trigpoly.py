@@ -11,12 +11,23 @@ and treated as immutable.
 The same type serves twice.  The zero-initial gauge pins each correction
 to an initial condition, so its coefficients depend on the phase phi:
 a :class:`PhaseRing` element is itself a TrigPoly, in phi over a
-phase-free base ring.  Products go through one fraction-free kernel,
-:func:`tp_dot`, over both kinds of ring: a phase-ring operand is written
-in angle sums a theta + c phi, each packed as one harmonic, so the same
-product-to-sum loop serves both.  It keeps each operand's integer form on
-the operand, so every TrigPoly is encoded at most once.  :func:`tp_mul`
-is the plain dict product that the self-checks use as an oracle.
+phase-free base ring.
+
+Beside its dicts, a TrigPoly has an integer form, :class:`IntForm`:
+integer numerators over one denominator, keyed by s-exponent and by
+angle sum a theta + c phi, so one form serves both kinds of ring (a
+phase-free TrigPoly has c = 0 throughout).  Each form is built from the
+other on first use and then kept, so every TrigPoly is encoded at most
+once.  Products go through one fraction-free kernel, :func:`dot_form`
+(:func:`tp_dot` wraps it), which packs each angle sum as one harmonic.
+The order step of :mod:`lpvolterra.engine` stays on integer forms too:
+:func:`combine` and :func:`derivative` assemble forcings,
+:func:`particular_solution` solves harmonic by harmonic with integer
+scalings and shifts of the s-exponent only, and :func:`vanishes` tests a
+residual for zero.  Rationals are built once per coefficient of a
+returned solution, after folding s^2 = alpha on the numerators.
+:func:`tp_mul` and :func:`residual` are the plain dict product and
+residual that the self-checks and tests use as oracles.
 """
 
 from __future__ import annotations
@@ -33,13 +44,27 @@ class ResonantForcingError(ValueError):
 
 
 class TrigPoly:
+    """sum_j sin[j] sin(j theta) + cos[j] cos(j theta) over ``ring``,
+    held as dicts, as an :class:`IntForm`, or both: a TrigPoly built from
+    one builds the other on first use and keeps it."""
+
     __slots__ = ("ring", "sin", "cos", "_enc")
 
-    def __init__(self, ring, sin=None, cos=None):
+    def __init__(self, ring, sin=None, cos=None, enc=None):
         self.ring = ring
-        self.sin = sin or {}
-        self.cos = cos or {}
-        self._enc = None          # integer form, set by the first tp_dot
+        self._enc = enc           # the IntForm, built on first use if None
+        if enc is None:
+            self.sin = sin or {}
+            self.cos = cos or {}
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: a TrigPoly built from its integer
+        # form builds its dicts on first use
+        if name not in ("sin", "cos") or self._enc is None:
+            raise AttributeError(name)
+        den = self._enc.den
+        self.sin, self.cos = _unpack(self.ring, self._enc.terms, lambda a: den)
+        return getattr(self, name)
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
@@ -178,181 +203,6 @@ def tp_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     return TrigPoly(ring, sin_out, cos_out)
 
 
-def _form(p: TrigPoly):
-    """p over one denominator d: (d, (theta top, phi top), {s-exponent:
-    (sin, cos)}), where sin and cos list the nonzero (a, c, integer
-    numerator) terms of sin and cos(a theta + c phi), with a > 0, or a = 0
-    and c >= 0.  A phase-free p has c = 0 throughout.  Over the phase ring
-    each term sin|cos(a theta) sin|cos(c phi) splits into the angle sums
-    (a, c) and (a, -c), both over 2d."""
-    terms = []
-    den = 1
-    enc: dict = {}
-    if not p.ring.has_phase:
-        for kind, store in enumerate((p.sin, p.cos)):
-            for j, v in store.items():
-                for e, q in v.items():
-                    n, d = int(q.numerator), int(q.denominator)
-                    terms.append((e, kind, j, n, d))
-                    den = math.lcm(den, d)
-        for e, kind, j, n, d in terms:
-            enc.setdefault(e, ([], []))[kind].append((j, 0, n * (den // d)))
-        return den, (max_harmonic(p), 0), enc
-    phi_top = 0
-    for t_kind, store in enumerate((p.sin, p.cos)):
-        for a, x in store.items():
-            phi_top = max(phi_top, max_harmonic(x))
-            for f_kind, inner in enumerate((x.sin, x.cos)):
-                for c, v in inner.items():
-                    for e, q in v.items():
-                        n, d = int(q.numerator), int(q.denominator)
-                        terms.append((e, t_kind, f_kind, a, c, n, d))
-                        den = math.lcm(den, d)
-    sums: dict = {}       # {(s-exponent, kind, a, c): numerator over 2 den}
-    for e, t_kind, f_kind, a, c, n, d in terms:
-        n *= den // d
-        kind = int(t_kind == f_kind)     # kind 0 is sin, 1 is cos
-        # sin a sin c = [cos(a-c) - cos(a+c)]/2, sin a cos c = [sin(a+c) +
-        # sin(a-c)]/2, cos a sin c = [sin(a+c) - sin(a-c)]/2, cos a cos c =
-        # [cos(a-c) + cos(a+c)]/2
-        plus = -n if t_kind == f_kind == 0 else n
-        minus = -n if t_kind > f_kind else n
-        neg_c = -c
-        if a == 0:                       # cos(-x) = cos x, sin(-x) = -sin x
-            neg_c, minus = c, (minus if kind else -minus)
-        for key, u in (((e, kind, a, c), plus), ((e, kind, a, neg_c), minus)):
-            sums[key] = sums.get(key, 0) + u
-    for (e, kind, a, c), n in sums.items():
-        if n:
-            enc.setdefault(e, ([], []))[kind].append((a, c, n))
-    return 2 * den, (max_harmonic(p), phi_top), enc
-
-
-def _encoded(p: TrigPoly):
-    """p's integer form: built by :func:`_form` on first use, then kept on
-    p (a TrigPoly is immutable, so the form never goes stale)."""
-    if p._enc is None:
-        p._enc = _form(p)
-    return p._enc
-
-
-def tp_dot(ps, qs) -> TrigPoly:
-    """Exact sum_j ps[j] * qs[j], fraction-free over every ring.
-
-    Every operand is encoded once over one denominator (the form is kept
-    on the operand for later calls), each pair's integer products are
-    scaled to the common denominator L and summed on plain ints, and one
-    rational is built per output coefficient, num/(2L) from the 1/2 of
-    the product-to-sum rules.  Over the phase ring the operands are
-    written in angle sums a theta + c phi, packed as the single harmonic
-    a W + c, so the same loop multiplies them; the output is read back
-    into products of theta and phi waves.  Empty lists give the zero
-    polynomial, with ring None.
-    """
-    if len(ps) != len(qs):
-        raise ValueError("tp_dot needs operand lists of equal length")
-    if not ps:
-        return TrigPoly(None)
-    ring = ps[0].ring
-    pairs = [(_encoded(p), _encoded(q)) for p, q in zip(ps, qs)]
-    den = math.lcm(*(dp * dq for (dp, _, _), (dq, _, _) in pairs))
-    # the phi harmonics of every product lie in [-K, K], so h = a W + c
-    # packs an angle sum uniquely, and angle sums add as harmonics do;
-    # harmonics h +- g land at offset m + (h +- g) and fold back at the
-    # end: cos(-x) = cos(x), sin(-x) = -sin(x)
-    K = max(tp[1] + tq[1] for (_, tp, _), (_, tq, _) in pairs)
-    W = 2 * K + 1
-    m = max(tp[0] + tq[0] for (_, tp, _), (_, tq, _) in pairs) * W + K
-    acc: dict = {}
-    for (dp, _, p_enc), (dq, _, q_enc) in pairs:
-        k = den // (dp * dq)
-        q_enc = {e: ([(b * W + d, v) for b, d, v in q_sin],
-                     [(b * W + d, v) for b, d, v in q_cos])
-                 for e, (q_sin, q_cos) in q_enc.items()}
-        for ep, (p_sin, p_cos) in p_enc.items():
-            p_sin = [(m + a * W + c, u * k) for a, c, u in p_sin]
-            p_cos = [(m + a * W + c, u * k) for a, c, u in p_cos]
-            for eq, (q_sin, q_cos) in q_enc.items():
-                e = ep + eq
-                if e not in acc:
-                    acc[e] = ([0] * (2 * m + 1), [0] * (2 * m + 1))
-                sin, cos = acc[e]
-                for h, u in p_sin:
-                    for g, v in q_sin:   # sin a sin b = [cos(a-b) - cos(a+b)]/2
-                        w = u * v
-                        cos[h - g] += w
-                        cos[h + g] -= w
-                    for g, v in q_cos:   # sin a cos b = [sin(a+b) + sin(a-b)]/2
-                        w = u * v
-                        sin[h + g] += w
-                        sin[h - g] += w
-                for h, u in p_cos:
-                    for g, v in q_sin:   # cos a sin b = [sin(a+b) - sin(a-b)]/2
-                        w = u * v
-                        sin[h + g] += w
-                        sin[h - g] -= w
-                    for g, v in q_cos:   # cos a cos b = [cos(a-b) + cos(a+b)]/2
-                        w = u * v
-                        cos[h - g] += w
-                        cos[h + g] += w
-    # {harmonic: {s-exponent: numerator over 2 * den}}
-    sin_num: dict = {}
-    cos_num: dict = {}
-    for e, (sin, cos) in sorted(acc.items()):
-        if cos[m]:
-            cos_num.setdefault(0, {})[e] = cos[m]
-        for j in range(1, m + 1):
-            s = sin[m + j] - sin[m - j]
-            if s:
-                sin_num.setdefault(j, {})[e] = s
-            c = cos[m + j] + cos[m - j]
-            if c:
-                cos_num.setdefault(j, {})[e] = c
-    if not ring.has_phase:
-        return TrigPoly(ring, _from_numerators(ring, sin_num, 2 * den),
-                        _from_numerators(ring, cos_num, 2 * den))
-    # angle sums back to products: cos(a th + c phi) = cos a cos c - sin a
-    # sin c and sin(a th + c phi) = sin a cos c + cos a sin c, with c < 0
-    # folded by sin(-x) = -sin x, and sin 0 = 0 dropping a = 0 or c = 0
-    nums = ({}, {})   # by theta kind: {a: by phi kind: {|c|: {s-exponent: n}}}
-    for kind, store in enumerate((sin_num, cos_num)):
-        for h, by_e in store.items():
-            a, c = divmod(h + K, W)
-            c -= K
-            sign = -1 if c < 0 else 1
-            for t_kind, f_kind, s in ((kind, 1, 1),
-                                      (1 - kind, 0, -sign if kind else sign)):
-                if (t_kind == 0 and a == 0) or (f_kind == 0 and c == 0):
-                    continue
-                row = (nums[t_kind].setdefault(a, ({}, {}))[f_kind]
-                       .setdefault(abs(c), {}))
-                for e, n in by_e.items():
-                    row[e] = row.get(e, 0) + s * n
-    base = ring.base
-    out = ({}, {})
-    for t_kind, store in enumerate(nums):
-        for a, phi in sorted(store.items()):
-            # the angle sums (a, c) and (a, -c) can cancel: drop the zeros
-            sin, cos = ({c: {e: n for e, n in sorted(row.items()) if n}
-                         for c, row in f.items()} for f in phi)
-            el = TrigPoly(base, _from_numerators(base, sin, 2 * den),
-                          _from_numerators(base, cos, 2 * den))
-            if el.sin or el.cos:
-                out[t_kind][a] = el
-    return TrigPoly(ring, *out)
-
-
-def _from_numerators(ring, store, den) -> dict:
-    """{harmonic: ring element} from {harmonic: {s-exponent: numerator}}
-    over the common denominator den, with zero elements dropped."""
-    out = {}
-    for j, nums in sorted(store.items()):
-        el = ring.reduce({e: QQ(n, den) for e, n in nums.items()})
-        if el:
-            out[j] = el
-    return out
-
-
 def tp_diff(p: TrigPoly) -> TrigPoly:
     """d/dtau (theta-shift leaves harmonics intact)."""
     ring = p.ring
@@ -376,6 +226,250 @@ def harmonic(p: TrigPoly, j: int):
 def max_harmonic(p: TrigPoly) -> int:
     hs = list(p.sin) + list(p.cos)
     return max(hs) if hs else 0
+
+
+# ---------------------------------------------------------------------------
+# integer forms: numerators over one denominator, keyed by angle sums
+
+class IntForm(NamedTuple):
+    """A TrigPoly as integers: for e, (sin, cos) in terms.items(), each
+    (a, c): n of sin (of cos) adds n s^e / den sin(a theta + c phi) (cos).
+
+    Angle sums are canonical, a > 0, or a = 0 and c >= 0 (and no sin at
+    (0, 0)), so distinct keys are independent waves; a phase-free
+    TrigPoly has c = 0 throughout.  ``tops`` bounds (a, |c|).  Exponents
+    are not folded: a numeric ring folds s^2 = alpha only when it builds
+    rationals or tests for zero."""
+    den: int
+    tops: tuple
+    terms: dict
+
+
+def _form(p: TrigPoly) -> IntForm:
+    """p over the lcm of its denominators.  Over the phase ring each term
+    sin|cos(a theta) sin|cos(c phi) splits into the angle sums (a, c) and
+    (a, -c), both over twice that lcm."""
+    raw = []
+    den = 1
+    if not p.ring.has_phase:
+        for kind, store in enumerate((p.sin, p.cos)):
+            for j, v in store.items():
+                for e, q in v.items():
+                    n, d = int(q.numerator), int(q.denominator)
+                    raw.append((e, kind, j, n, d))
+                    den = math.lcm(den, d)
+        terms: dict = {}
+        for e, kind, j, n, d in raw:
+            terms.setdefault(e, ({}, {}))[kind][(j, 0)] = n * (den // d)
+        return IntForm(den, (max_harmonic(p), 0), terms)
+    phi_top = 0
+    for t_kind, store in enumerate((p.sin, p.cos)):
+        for a, x in store.items():
+            phi_top = max(phi_top, max_harmonic(x))
+            for f_kind, inner in enumerate((x.sin, x.cos)):
+                for c, v in inner.items():
+                    for e, q in v.items():
+                        n, d = int(q.numerator), int(q.denominator)
+                        raw.append((e, t_kind, f_kind, a, c, n, d))
+                        den = math.lcm(den, d)
+    sums: dict = {}       # {s-exponent: (sin, cos)}, numerators over 2 den
+    for e, t_kind, f_kind, a, c, n, d in raw:
+        n *= den // d
+        kind = int(t_kind == f_kind)     # kind 0 is sin, 1 is cos
+        # sin a sin c = [cos(a-c) - cos(a+c)]/2, sin a cos c = [sin(a+c) +
+        # sin(a-c)]/2, cos a sin c = [sin(a+c) - sin(a-c)]/2, cos a cos c =
+        # [cos(a-c) + cos(a+c)]/2
+        plus = -n if t_kind == f_kind == 0 else n
+        minus = -n if t_kind > f_kind else n
+        neg_c = -c
+        if a == 0:                       # cos(-x) = cos x, sin(-x) = -sin x
+            neg_c, minus = c, (minus if kind else -minus)
+        store = sums.setdefault(e, ({}, {}))[kind]
+        for key, u in (((a, c), plus), ((a, neg_c), minus)):
+            store[key] = store.get(key, 0) + u
+    # the angle sums (a, c) and (a, -c) of different terms can cancel
+    terms = {}
+    for e, pair in sums.items():
+        pair = tuple({key: n for key, n in store.items() if n} for store in pair)
+        if pair[0] or pair[1]:
+            terms[e] = pair
+    return IntForm(2 * den, (max_harmonic(p), phi_top), terms)
+
+
+def int_form(p: TrigPoly) -> IntForm:
+    """p's integer form: built by :func:`_form` on first use, then kept on
+    p (a TrigPoly is immutable, so the form never goes stale)."""
+    if p._enc is None:
+        p._enc = _form(p)
+    return p._enc
+
+
+def _folded(ring, terms):
+    """(rows, f, g): the numerators of :class:`IntForm` terms over a
+    phase-free ``ring``, folded onto the exponents the ring keeps (see
+    ``folding`` in :mod:`lpvolterra.algebra`) and summed per wave, as
+    rows {(kind, a, c): {kept exponent: n}} worth f/g times as much."""
+    rows: dict = {}
+    if not terms:
+        return rows, 1, 1
+    rule, f, g = ring.folding(min(terms), max(terms))
+    for e, pair in terms.items():
+        r, w = rule[e]
+        for kind, store in enumerate(pair):
+            for key, n in store.items():
+                row = rows.setdefault((kind, *key), {})
+                row[r] = row.get(r, 0) + w * n
+    return rows, f, g
+
+
+def _unpack(ring, terms, den_of):
+    """The (sin, cos) dicts of the TrigPoly whose :class:`IntForm` terms
+    are ``terms``, over the denominator den_of(a) at theta harmonic a.
+
+    The numerators are folded (:func:`_folded`) and each angle sum is
+    split into products of theta and phi waves, all on integers; then one
+    rational is built per kept exponent of each coefficient.  Harmonics
+    come out in ascending order, and zero coefficients are dropped."""
+    phase = ring.has_phase
+    base = ring.base if phase else ring
+    folded, f, g = _folded(base, terms)
+    # cos(a th + c phi) = cos a cos c - sin a sin c and sin(a th + c phi) =
+    # sin a cos c + cos a sin c, with c < 0 folded by sin(-x) = -sin x, and
+    # sin 0 = 0 dropping a = 0 or c = 0
+    rows: dict = {}       # {(theta kind, a, phi kind, |c|): {kept exponent: n}}
+    for (kind, a, c), row in folded.items():
+        sign = (-1 if kind else 1) * (-1 if c < 0 else 1)
+        for t_kind, f_kind, s in ((kind, 1, 1), (1 - kind, 0, sign)):
+            if (t_kind == 0 and a == 0) or (f_kind == 0 and c == 0):
+                continue
+            acc = rows.setdefault((t_kind, a, f_kind, abs(c)), {})
+            for r, n in row.items():
+                acc[r] = acc.get(r, 0) + s * n
+    coeffs: dict = {}     # {(theta kind, a): ({c: phi sin}, {c: phi cos})}
+    for (t_kind, a, f_kind, c), row in sorted(rows.items()):
+        d = den_of(a) * g
+        el = {r: QQ(n * f, d) for r, n in sorted(row.items()) if n}
+        if el:
+            coeffs.setdefault((t_kind, a), ({}, {}))[f_kind][c] = el
+    out: tuple = ({}, {})
+    for (t_kind, a), phi in coeffs.items():
+        out[t_kind][a] = TrigPoly(base, *phi) if phase else phi[1][0]
+    return out
+
+
+def dot_form(ps, qs) -> IntForm:
+    """Integer form of sum_j ps[j] * qs[j], fraction-free over every ring.
+
+    Each pair's integer products are scaled to the common denominator L
+    of the operand pairs and summed on plain ints, over 2L from the 1/2
+    of the product-to-sum rules.  The angle sums a theta + c phi of the
+    operands are packed as the single harmonic a W + c, so one loop
+    multiplies phase-free and phase-ring operands alike.  Empty lists give
+    the zero form."""
+    if len(ps) != len(qs):
+        raise ValueError("tp_dot needs operand lists of equal length")
+    if not ps:
+        return IntForm(1, (0, 0), {})
+    pairs = [(int_form(p), int_form(q)) for p, q in zip(ps, qs)]
+    den = math.lcm(*(fp.den * fq.den for fp, fq in pairs))
+    # the phi harmonics of every product lie in [-K, K], so h = a W + c
+    # packs an angle sum uniquely, and angle sums add as harmonics do;
+    # harmonics h +- g land at offset m + (h +- g) and fold back at the
+    # end: cos(-x) = cos(x), sin(-x) = -sin(x)
+    K = max(fp.tops[1] + fq.tops[1] for fp, fq in pairs)
+    W = 2 * K + 1
+    top = max(fp.tops[0] + fq.tops[0] for fp, fq in pairs)
+    m = top * W + K
+    acc: dict = {}
+    for (dp, _, p_terms), (dq, _, q_terms) in pairs:
+        k = den // (dp * dq)
+        q_terms = {e: ([(b * W + d, v) for (b, d), v in q_sin.items()],
+                       [(b * W + d, v) for (b, d), v in q_cos.items()])
+                   for e, (q_sin, q_cos) in q_terms.items()}
+        for ep, (p_sin, p_cos) in p_terms.items():
+            p_sin = [(m + a * W + c, u * k) for (a, c), u in p_sin.items()]
+            p_cos = [(m + a * W + c, u * k) for (a, c), u in p_cos.items()]
+            for eq, (q_sin, q_cos) in q_terms.items():
+                e = ep + eq
+                if e not in acc:
+                    acc[e] = ([0] * (2 * m + 1), [0] * (2 * m + 1))
+                sin, cos = acc[e]
+                for h, u in p_sin:
+                    for g, v in q_sin:   # sin a sin b = [cos(a-b) - cos(a+b)]/2
+                        w = u * v
+                        cos[h - g] += w
+                        cos[h + g] -= w
+                    for g, v in q_cos:   # sin a cos b = [sin(a+b) + sin(a-b)]/2
+                        w = u * v
+                        sin[h + g] += w
+                        sin[h - g] += w
+                for h, u in p_cos:
+                    for g, v in q_sin:   # cos a sin b = [sin(a+b) - sin(a-b)]/2
+                        w = u * v
+                        sin[h + g] += w
+                        sin[h - g] -= w
+                    for g, v in q_cos:   # cos a cos b = [cos(a-b) + cos(a+b)]/2
+                        w = u * v
+                        cos[h - g] += w
+                        cos[h + g] += w
+    terms = {}
+    for e, (sin, cos) in sorted(acc.items()):
+        sin_out: dict = {}
+        cos_out: dict = {}
+        if cos[m]:
+            cos_out[0, 0] = cos[m]
+        for j in range(1, m + 1):
+            s = sin[m + j] - sin[m - j]
+            c = cos[m + j] + cos[m - j]
+            if s or c:
+                a, r = divmod(j + K, W)
+                if s:
+                    sin_out[a, r - K] = s
+                if c:
+                    cos_out[a, r - K] = c
+        if sin_out or cos_out:
+            terms[e] = (sin_out, cos_out)
+    return IntForm(2 * den, (top, K), terms)
+
+
+def tp_dot(ps, qs) -> TrigPoly:
+    """Exact sum_j ps[j] * qs[j]: the TrigPoly of :func:`dot_form`, whose
+    rationals are built on first use, one per coefficient.  Empty lists
+    give the zero polynomial, with ring None."""
+    form = dot_form(ps, qs)
+    return TrigPoly(ps[0].ring, enc=form) if ps else TrigPoly(None)
+
+
+def combine(den, parts) -> IntForm:
+    """sum k s^shift x over the (x, k, shift) of ``parts``, an integer k
+    scaling the integer form x; the result is over ``den``, a common
+    multiple of every x.den."""
+    terms: dict = {}
+    top = phi_top = 0
+    for x, k, shift in parts:
+        k *= den // x.den
+        top, phi_top = max(top, x.tops[0]), max(phi_top, x.tops[1])
+        for e, pair in x.terms.items():
+            for store, acc in zip(pair, terms.setdefault(e + shift, ({}, {}))):
+                for key, n in store.items():
+                    acc[key] = acc.get(key, 0) + k * n
+    return IntForm(den, (top, phi_top), terms)
+
+
+def derivative(x: IntForm) -> IntForm:
+    """d/dtau of an integer form: theta = tau + phi, so each angle sum
+    (a, c) turns sin into a cos and cos into -a sin."""
+    return x._replace(terms={
+        e: ({key: -key[0] * n for key, n in cos.items() if key[0]},
+            {key: key[0] * n for key, n in sin.items() if key[0]})
+        for e, (sin, cos) in x.terms.items()})
+
+
+def vanishes(ring, x: IntForm) -> bool:
+    """True when the integer form x is zero over ``ring``: its folded
+    numerators (:func:`_folded`) are all zero, with no rational built."""
+    rows = _folded(ring.base if ring.has_phase else ring, x.terms)[0]
+    return not any(n for row in rows.values() for n in row.values())
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +565,9 @@ def k_apply(v: VectorTrigPoly) -> VectorTrigPoly:
 
 
 def residual(forcing: VectorTrigPoly, w: VectorTrigPoly) -> VectorTrigPoly:
-    """W' - K W - R; identically zero for an exact solution."""
+    """W' - K W - R on the dicts; identically zero for an exact solution.
+    This is the oracle that the tests and the solver-substitution check
+    hold the integer solve and self-check against."""
     kw = k_apply(w)
     return VectorTrigPoly(
         tp_sub(tp_sub(tp_diff(w.xi), kw.xi), forcing.xi),
@@ -479,16 +575,43 @@ def residual(forcing: VectorTrigPoly, w: VectorTrigPoly) -> VectorTrigPoly:
     )
 
 
+def resonance(f: IntForm, g: IntForm) -> IntForm:
+    """The first harmonic of G - s F', for the integer forms f and g of a
+    forcing (F, G), over lcm(f.den, g.den).
+
+    In theta waves it is (g_s + s f_c) sin theta + (g_c - s f_s) cos theta,
+    with (f_s, f_c) and (g_s, g_c) the first harmonics of F and G; over the
+    phase ring each angle sum (1, c) contributes to both."""
+    f1, g1 = ({e: tuple({key: n for key, n in store.items() if key[0] == 1}
+                        for store in pair)
+               for e, pair in x.terms.items()} for x in (f, g))
+    return combine(math.lcm(f.den, g.den),
+                   [(g._replace(terms=g1), 1, 0),
+                    (derivative(f._replace(terms=f1)), -1, 1)])
+
+
 def first_harmonic_absorbable(forcing: VectorTrigPoly) -> bool:
     """True when the first-harmonic forcing satisfies the two identities
     g_s = -s f_c, g_c = s f_s that make it absorbable without secular
-    growth (equivalently: the first harmonic of F' - G/s vanishes)."""
-    ring = forcing.xi.ring
-    f_s, f_c = harmonic(forcing.xi, 1)
-    g_s, g_c = harmonic(forcing.eta, 1)
-    s = ring.s(1)
-    return (ring.is_zero(ring.add(g_s, ring.mul(s, f_c)))
-            and ring.is_zero(ring.sub(g_c, ring.mul(s, f_s))))
+    growth (equivalently: the first harmonic of G - s F' vanishes)."""
+    return vanishes(forcing.xi.ring,
+                    resonance(int_form(forcing.xi), int_form(forcing.eta)))
+
+
+# How each forcing wave feeds W = (xi, eta) at theta harmonic a != 1, all
+# over the denominator a^2 - 1: per wave of (f_s, f_c, g_s, g_c), the
+# (component, wave kind, s-exponent shift, times a, sign) it adds to.
+#   xi:  p_s = a f_c + g_s / s,    p_c = g_c / s - a f_s
+#   eta: q_s = a g_c - s f_s,      q_c = -(s f_c + a g_s)
+_SOLVE = (((0, 1, 0, True, -1), (1, 0, 1, False, -1)),
+          ((0, 0, 0, True, 1), (1, 1, 1, False, -1)),
+          ((0, 0, -1, False, 1), (1, 1, 0, True, -1)),
+          ((0, 1, -1, False, 1), (1, 0, 0, True, 1)))
+# the resonant harmonic a = 1, over the denominator 1: absorbing into xi
+# leaves xi_1 = 0 and eta_1 = s F_1; absorbing into eta leaves eta_1 = 0
+# and xi_1' = F_1.  G_1 then follows from the absorbability identities.
+_ABSORB = {"xi": (((1, 0, 1, False, 1),), ((1, 1, 1, False, 1),), (), ()),
+           "eta": (((0, 1, 0, False, -1),), ((0, 0, 0, False, 1),), (), ())}
 
 
 def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTrigPoly:
@@ -500,47 +623,42 @@ def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTr
     first harmonic of xi (``"xi"``) or eta (``"eta"``) equal to zero.
     Raises :class:`ResonantForcingError` for non-absorbable first
     harmonics.
+
+    The solve runs on the forcing's integer forms.  d/dtau acts on each
+    angle sum (a, c) as on the theta harmonic a, so both rings take the
+    same per-wave rules: integer multiples and shifts of the s-exponent,
+    over the denominator a^2 - 1 at harmonic a.  One rational is built
+    per coefficient of the solution.
     """
+    if absorb not in _ABSORB:
+        raise ValueError("absorb must be 'xi' or 'eta'")
+    if not first_harmonic_absorbable(forcing):
+        raise ResonantForcingError(
+            "non-absorbable first-harmonic forcing; "
+            "secular removal was skipped")
     ring = forcing.xi.ring
-    s = ring.s(1)
-    inv_s = ring.s(-1)
-    z = ring.zero()
-    xi_sin: dict = {}
-    xi_cos: dict = {}
-    eta_sin: dict = {}
-    eta_cos: dict = {}
-    harmonics = (set(forcing.xi.sin) | set(forcing.xi.cos)
-                 | set(forcing.eta.sin) | set(forcing.eta.cos))
-    for j in sorted(harmonics):
-        f_s, f_c = harmonic(forcing.xi, j)
-        g_s, g_c = harmonic(forcing.eta, j)
-        if j == 0:
-            # constant block: 0 = K W + R  =>  W = -K^{-1} R
-            p_s, p_c, q_s, q_c = z, ring.neg(ring.mul(inv_s, g_c)), z, ring.mul(s, f_c)
-        elif j == 1:
-            if not first_harmonic_absorbable(forcing):
-                raise ResonantForcingError(
-                    "non-absorbable first-harmonic forcing; "
-                    "secular removal was skipped")
-            if absorb == "xi":
-                p_s, p_c, q_s, q_c = z, z, ring.mul(s, f_s), ring.mul(s, f_c)
-            elif absorb == "eta":
-                p_s, p_c, q_s, q_c = f_c, ring.neg(f_s), z, z
-            else:
-                raise ValueError("absorb must be 'xi' or 'eta'")
-        else:
-            # generic block, determinant 1 - j^2 != 0
-            inv_det = QQ(1, 1 - j * j)
-            inv_j = QQ(1, j)
-            q_c = ring.scale(ring.add(ring.mul(s, f_c), ring.scale(g_s, QQ(j))), inv_det)
-            p_s = ring.scale(ring.sub(f_c, ring.mul(inv_s, q_c)), inv_j)
-            p_c = ring.scale(ring.sub(ring.scale(f_s, QQ(j)), ring.mul(inv_s, g_c)), inv_det)
-            q_s = ring.scale(ring.add(ring.mul(s, p_c), g_c), inv_j)
-        for store, val in ((xi_sin, p_s), (xi_cos, p_c), (eta_sin, q_s), (eta_cos, q_c)):
-            if not ring.is_zero(val):
-                store[j] = val
-    return VectorTrigPoly(TrigPoly(ring, xi_sin, xi_cos),
-                          TrigPoly(ring, eta_sin, eta_cos))
+    f, g = int_form(forcing.xi), int_form(forcing.eta)
+    den = math.lcm(f.den, g.den)
+    out: tuple = ({}, {})      # xi, eta terms: {e: (sin, cos)}
+    for i, x in enumerate((f, g)):
+        k = den // x.den
+        for e, pair in x.terms.items():
+            for kind, store in enumerate(pair):
+                rules = _SOLVE[2 * i + kind]
+                resonant = _ABSORB[absorb][2 * i + kind]
+                for key, n in store.items():
+                    a = key[0]
+                    n *= k
+                    for comp, t_kind, shift, times_a, sign in (
+                            resonant if a == 1 else rules):
+                        acc = out[comp].setdefault(e + shift, ({}, {}))[t_kind]
+                        acc[key] = acc.get(key, 0) + sign * (a * n if times_a else n)
+
+    def den_of(a):
+        return den if a == 1 else den * (a * a - 1)
+
+    return VectorTrigPoly(*(TrigPoly(ring, *_unpack(ring, terms, den_of))
+                            for terms in out))
 
 
 def exp_tk_vector(phase_ring: PhaseRing, v1, v2) -> VectorTrigPoly:

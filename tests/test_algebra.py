@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
@@ -386,6 +386,37 @@ def test_numeric_division_by_zero():
         ring = numeric_ring(alpha)
         with pytest.raises(ZeroDivisionError):
             ring.div(ring.one(), ring.zero())
+
+
+FOLD_RINGS = (R,) + tuple(numeric_ring(a) for a in NUMERIC_ALPHAS)
+
+
+@given(st.sampled_from(FOLD_RINGS),
+       st.dictionaries(st.integers(min_value=-4, max_value=5),
+                       st.integers(min_value=-50, max_value=50), max_size=5),
+       st.integers(min_value=1, max_value=60) | st.integers(min_value=-60, max_value=-1))
+@example(numeric_ring(1), {0: 1, 2: -1}, 3)
+@example(numeric_ring(2), {-1: 3, 0: 1, 2: -1, 1: -6}, 7)
+@example(numeric_ring(QQ(9, 4)), {2: 4, 0: -9, -1: 0}, 2)
+@example(numeric_ring(QQ(2, 9)), {-2: 4, 0: -18, 3: 5}, -5)
+@settings(max_examples=150, deadline=None)
+def test_folding_matches_ring_operations(ring, nums, den):
+    # oracle: each n s^e / den built by the ring operations and summed
+    want = ring.zero()
+    for e, n in nums.items():
+        want = ring.add(want, ring.scale(ring.s(e), QQ(n, den)))
+    lo, hi = min(nums, default=0), max(nums, default=0)
+    rule, f, g = ring.folding(lo, hi)
+    assert sorted(rule) == list(range(lo, hi + 1))
+    folded = {}
+    for e, n in nums.items():
+        r, w = rule[e]
+        folded[r] = folded.get(r, 0) + n * w
+    got = {r: QQ(n * f, den * g) for r, n in folded.items() if n}
+    assert got == want
+    if ring is not R:
+        assert is_reduced(ring, got)
+    assert any(folded.values()) == bool(want)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from lpvolterra.algebra import (QQ, evaluate_numeric, format_element,
                                 numeric_ring, parse_element, rational_sqrt)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                                GAUGE_ZERO_INITIAL, PerturbationSeries,
-                               SecularInconsistencyError, build_forcing,
-                               evaluate_solution, remove_secular, run)
+                               SecularInconsistencyError, _check_order,
+                               build_forcing, evaluate_solution,
+                               remove_secular, run)
 from lpvolterra.trigpoly import (TrigPoly, VectorTrigPoly, evaluate_at_zero,
-                                 harmonic, to_triples, tp_add, tp_diff,
-                                 tp_mul, tp_mul_el, tp_term, tp_zero)
+                                 harmonic, residual, to_triples, tp_add,
+                                 tp_diff, tp_mul, tp_mul_el, tp_term, tp_zero)
 
 W2 = "-(A^2*sqrt(alpha)*(alpha+1))/24"
 W4 = "-(A^4*sqrt(alpha)*(5*alpha^2+34*alpha+29))/6912"
@@ -151,6 +152,48 @@ class TestOrderStepMatchesReference:
             got = remove_secular(n, build_forcing(n, series))
             assert got == reference_order_step(n, series), n
             assert got[0] == series.orders[n].omega
+
+
+class TestIntegerSelfCheck:
+    """The order step and its self-check run on integer numerators; the
+    dict residual W' - K W - R is the oracle they are held to."""
+
+    @pytest.mark.parametrize("gauge,N", [
+        (GAUGE_SIMPLIFIED_XI, 14), (GAUGE_SIMPLIFIED_ETA, 14),
+        (GAUGE_ZERO_INITIAL, 5)])
+    @pytest.mark.parametrize("alpha", ["symbolic", 1, 2, QQ(9, 4)])
+    def test_every_stored_order_solves_its_forcing(self, alpha, gauge, N):
+        series = run(N, alpha, gauge)
+        for n in range(1, N + 1):
+            _, forcing = remove_secular(n, build_forcing(n, series))
+            sol = series.orders[n]
+            res = residual(forcing, VectorTrigPoly(sol.xi, sol.eta))
+            assert not (res.xi.sin or res.xi.cos or res.eta.sin or res.eta.cos), n
+
+    @pytest.mark.parametrize("alpha,gauge,n", [
+        (2, GAUGE_SIMPLIFIED_XI, 6), ("symbolic", GAUGE_SIMPLIFIED_ETA, 5),
+        (QQ(9, 4), GAUGE_ZERO_INITIAL, 3)])
+    def test_check_order_rejects_a_changed_coefficient(self, alpha, gauge, n):
+        series = run(n, alpha, gauge)
+        ring = series.coeff_ring
+        _, forcing = remove_secular(n, build_forcing(n, series))
+        sol = series.orders[n]
+        w = VectorTrigPoly(sol.xi, sol.eta)
+        _check_order(n, gauge, forcing, w)
+        changed = 0
+        # every coefficient of xi_n and eta_n, one at a time, moved by s
+        for comp, p in enumerate(w):
+            for kind, other in (("sin", "cos"), ("cos", "sin")):
+                for j in getattr(p, kind):
+                    store = dict(getattr(p, kind))
+                    store[j] = ring.add(store[j], ring.s(1))
+                    bad = list(w)
+                    bad[comp] = TrigPoly(ring, **{kind: store,
+                                                  other: getattr(p, other)})
+                    with pytest.raises(AssertionError, match="nonzero residual"):
+                        _check_order(n, gauge, forcing, VectorTrigPoly(*bad))
+                    changed += 1
+        assert changed >= 4
 
 
 class TestSimplifiedXiGoldens:

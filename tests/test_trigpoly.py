@@ -409,7 +409,7 @@ def test_phase_dot_equals_sum_of_products(case):
     for p in ps + qs:
         _, _, enc = p._enc
         assert all(n and (a > 0 or (a == 0 and c >= 0)) for kinds in enc.values()
-                   for terms in kinds for a, c, n in terms)
+                   for terms in kinds for (a, c), n in terms.items())
     # the same objects again, now read from their kept integer forms
     assert tp_dot(qs, ps) == want
 

@@ -15,7 +15,6 @@ import argparse
 import csv
 import datetime
 import functools
-import itertools
 import json
 import math
 import re
@@ -48,6 +47,10 @@ MAX_ORBIT_STEPS = 10**6
 
 # the largest precision format() accepts; past it the CSV writers fail
 MAX_DIGITS = 2**31 - 1
+
+# rows per formatting pass of the orbit CSVs, so that the text held at
+# once does not grow with --points
+CSV_BLOCK_ROWS = 4096
 
 
 class BadArguments(ValueError):
@@ -120,9 +123,15 @@ def fmt_sig(value, digits):
     return f"{float(value):.{digits}g}"
 
 
-def fmt_column(values, digits):
-    """``fmt_sig`` of every entry of a float array, lazily."""
-    return map(format, values.tolist(), itertools.repeat(f".{digits}g"))
+def write_table(fh, header, columns, digits):
+    """CSV of a header row and float columns, each entry as ``fmt_sig``
+    writes it.  ``%`` formats a float as ``format`` does, and csv would
+    quote no such field, so one ``%`` pass writes each block of rows."""
+    fh.write(",".join(header) + "\n")
+    row = ",".join([f"%.{digits}g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +343,18 @@ def cmd_orbit(params):
     y0 = 1 + a * float(eta[0])
     if x0 <= 0 or y0 <= 0:
         # far outside convergence the truncation can leave the physical
-        # quadrant; anchor the reference orbit at the zeroth-order point
+        # quadrant; anchor the reference orbit at the zeroth-order point,
+        # unless that point is unphysical too
+        x00 = 1 + a * math.cos(phi)
+        y00 = 1 + a * math.sqrt(float(alpha)) * math.sin(phi)
+        if x00 <= 0 or y00 <= 0:
+            raise BadArguments(
+                f"the zeroth-order orbit at a = {a:.4g} (x0 = {x00:.4g}, "
+                f"y0 = {y00:.4g}) is outside the positive quadrant; lower |a|")
         print(f"note: the order-{order} series gives an unphysical initial "
               f"point (x0 = {x0:.4g}, y0 = {y0:.4g}); starting the numeric "
               "orbit from the zeroth-order point instead", file=sys.stderr)
-        x0 = 1 + a * math.cos(phi)
-        y0 = 1 + a * math.sqrt(float(alpha)) * math.sin(phi)
+        x0, y0 = x00, y00
 
     radius = None
     if radius_check and a != 0:
@@ -357,25 +372,19 @@ def cmd_orbit(params):
 
     orbit_path = f"{prefix}_orbit.csv"
     with open(orbit_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "y"])
-        writer.writerows(zip(fmt_column(orbit.times, digits),
-                             fmt_column(orbit.x_values, digits),
-                             fmt_column(orbit.y_values, digits)))
+        write_table(fh, ["t", "x", "y"],
+                    [orbit.times, orbit.x_values, orbit.y_values], digits)
 
     comparison_path = f"{prefix}_comparison.csv"
     with open(comparison_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tau", "xi_series", "eta_series", "xi_numeric", "eta_numeric"])
         if a:
             xi_num = (orbit.x_values - 1) / a
             eta_num = (orbit.y_values - 1) / a
         else:
             # scaled coordinates are undefined at a = 0; the deviation is zero there
             xi_num = eta_num = np.zeros(points)
-        writer.writerows(zip(fmt_column(tau, digits), fmt_column(xi, digits),
-                             fmt_column(eta, digits), fmt_column(xi_num, digits),
-                             fmt_column(eta_num, digits)))
+        write_table(fh, ["tau", "xi_series", "eta_series", "xi_numeric", "eta_numeric"],
+                    [tau, xi, eta, xi_num, eta_num], digits)
 
     metrics_path = f"{prefix}_metrics.csv"
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:

@@ -8,12 +8,13 @@ every orbit and serves as the accuracy monitor.
 
 The stepper is fused for speed without changing a bit of its output.
 Each controlled attempt compares one RK4 step of size h with two of
-size h/2.  The RK4 stages write out ``lv_rhs`` with the same float
-operations in the same order, and the first stage at the current state
-is computed once and shared by the full step and the first half step.
-When an attempt is rejected, h is halved exactly, so the rejected
-attempt's first half step is the next attempt's full step and is reused
-instead of recomputed.
+size h/2, and all three are written out in the attempt's loop body:
+the RK4 stages write out ``lv_rhs`` with the same float operations in
+the same order, and the first stage at the current state is computed
+once and shared by the full step and the first half step.  When an
+attempt is rejected, h is halved exactly, so the rejected attempt's
+first half step is the next attempt's full step and is reused instead
+of recomputed.  The fixed-step mode takes the full step alone.
 """
 
 from __future__ import annotations
@@ -65,28 +66,6 @@ class OrbitSample:
     conserved_drift: float
 
 
-def _rk4_from(alpha, x, y, k1x, k1y, h):
-    """One RK4 step of size ``h`` from (x, y), given the first stage
-    (k1x, k1y) = lv_rhs(alpha, x, y).  The later stages write out
-    ``lv_rhs`` with its float operations in the same order."""
-    a = 0.5 * h
-    xs = x + a * k1x
-    ys = y + a * k1y
-    p = xs * ys
-    k2x = xs - p
-    k2y = alpha * (p - ys)
-    xs = x + a * k2x
-    ys = y + a * k2y
-    p = xs * ys
-    k3x = xs - p
-    k3y = alpha * (p - ys)
-    xs = x + h * k3x
-    ys = y + h * k3y
-    p = xs * ys
-    return (x + h * (k1x + 2 * k2x + 2 * k3x + (xs - p)) / 6,
-            y + h * (k1y + 2 * k2y + 2 * k3y + alpha * (p - ys)) / 6)
-
-
 def _advance(alpha, x, y, span, step, tolerance):
     """Integrate the state across ``span`` (signed), returning (x, y)."""
     if span == 0:
@@ -103,54 +82,111 @@ def _advance(alpha, x, y, span, step, tolerance):
         p = x * y
         k1x = x - p
         k1y = alpha * (p - y)
-        if fixed:
-            x, y = _rk4_from(alpha, x, y, k1x, k1y, sign * h)
-            remaining -= h
-        else:
-            # x and y are positive: the callers start from a positive
-            # state and every step below is checked
-            scale = 1.0
-            if x > scale:
-                scale = x
-            if y > scale:
-                scale = y
-            bound = tolerance * scale
-            # the halved-step comparison cannot certify errors below a
-            # few ulps, so floor it there; an uncertifiable tolerance
-            # then surfaces as step underflow
-            least = 1e-15 * scale
-            full = None
-            while True:
-                if h < _UNDERFLOW:
-                    raise ArithmeticError(
-                        "step underflow: local error cannot reach the "
-                        "requested tolerance")
-                if full is None:
-                    x1, y1 = _rk4_from(alpha, x, y, k1x, k1y, sign * h)
-                else:
-                    x1, y1 = full
-                half = sign * h / 2
-                xm, ym = _rk4_from(alpha, x, y, k1x, k1y, half)
-                p = xm * ym
-                x2, y2 = _rk4_from(alpha, xm, ym, xm - p, alpha * (p - ym), half)
-                # the same comparisons as max(|dx|, |dy|, least), so a
-                # nan error still rejects the step
-                err = x1 - x2 if x1 > x2 else x2 - x1
-                d = y1 - y2 if y1 > y2 else y2 - y1
-                if d > err:
-                    err = d
-                if least > err:
-                    err = least
-                if err <= bound:
-                    x, y = x2, y2
+        # x and y are positive: the callers start from a positive state
+        # and every step below is checked
+        scale = 1.0
+        if x > scale:
+            scale = x
+        if y > scale:
+            scale = y
+        bound = tolerance * scale
+        # the halved-step comparison cannot certify errors below a few
+        # ulps, so floor it there; an uncertifiable tolerance then
+        # surfaces as step underflow
+        least = 1e-15 * scale
+        reuse = False
+        while True:
+            if h < _UNDERFLOW and not fixed:
+                raise ArithmeticError(
+                    "step underflow: local error cannot reach the "
+                    "requested tolerance")
+            if not reuse:
+                # one RK4 step of size h from (x, y)
+                hs = sign * h
+                a = 0.5 * hs
+                xs = x + a * k1x
+                ys = y + a * k1y
+                p = xs * ys
+                k2x = xs - p
+                k2y = alpha * (p - ys)
+                xs = x + a * k2x
+                ys = y + a * k2y
+                p = xs * ys
+                k3x = xs - p
+                k3y = alpha * (p - ys)
+                xs = x + hs * k3x
+                ys = y + hs * k3y
+                p = xs * ys
+                x1 = x + hs * (k1x + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
+                y1 = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
+                if fixed:
+                    x, y = x1, y1
                     remaining -= h
-                    if err < bound / 64 and h < step:
-                        h = step if step < 2 * h else 2 * h
+                    # a fixed step can overflow to inf or nan, which the
+                    # positivity test below lets through; the controlled
+                    # branch rejects such steps by their nan error
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise ArithmeticError(
+                            "state is not finite during fixed-step "
+                            "integration (x or y overflowed); lower the step")
                     break
-                h /= 2
-                # h/2 is exact, so the rejected attempt's half step is
-                # the full step of the next attempt
-                full = xm, ym
+            # the first RK4 step of size h/2, sharing the first stage
+            hs = sign * h / 2
+            a = 0.5 * hs
+            xs = x + a * k1x
+            ys = y + a * k1y
+            p = xs * ys
+            k2x = xs - p
+            k2y = alpha * (p - ys)
+            xs = x + a * k2x
+            ys = y + a * k2y
+            p = xs * ys
+            k3x = xs - p
+            k3y = alpha * (p - ys)
+            xs = x + hs * k3x
+            ys = y + hs * k3y
+            p = xs * ys
+            xm = x + hs * (k1x + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
+            ym = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
+            # the second, from (xm, ym)
+            p = xm * ym
+            kx = xm - p
+            ky = alpha * (p - ym)
+            xs = xm + a * kx
+            ys = ym + a * ky
+            p = xs * ys
+            k2x = xs - p
+            k2y = alpha * (p - ys)
+            xs = xm + a * k2x
+            ys = ym + a * k2y
+            p = xs * ys
+            k3x = xs - p
+            k3y = alpha * (p - ys)
+            xs = xm + hs * k3x
+            ys = ym + hs * k3y
+            p = xs * ys
+            x2 = xm + hs * (kx + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
+            y2 = ym + hs * (ky + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
+            # the same comparisons as max(|dx|, |dy|, least), so a nan
+            # error still rejects the step
+            err = x1 - x2 if x1 > x2 else x2 - x1
+            d = y1 - y2 if y1 > y2 else y2 - y1
+            if d > err:
+                err = d
+            if least > err:
+                err = least
+            if err <= bound:
+                x, y = x2, y2
+                remaining -= h
+                if err < bound / 64 and h < step:
+                    h = step if step < 2 * h else 2 * h
+                break
+            h /= 2
+            # h/2 is exact, so the rejected attempt's half step is the
+            # full step of the next attempt
+            x1 = xm
+            y1 = ym
+            reuse = True
         if x <= 0 or y <= 0:
             raise ArithmeticError(
                 "positivity lost during integration (x or y reached 0)")
@@ -188,18 +224,23 @@ def integrate(alpha: float, x0: float, y0: float,
                                    or np.all(np.diff(times) < 0)):
             raise ValueError("t_eval must be strictly monotone")
         _check_reach(float(np.max(np.abs(times))), cfg.step)
-    xs = np.empty(len(times))
-    ys = np.empty(len(times))
+    xs = []
+    ys = []
     x, y, t = float(x0), float(y0), 0.0
     v0 = first_integral(alpha, x0, y0)
     drift = 0.0
-    for i, target in enumerate(times.tolist()):
-        x, y = _advance(alpha, x, y, target - t, cfg.step, cfg.tolerance)
+    step, tolerance, log = cfg.step, cfg.tolerance, math.log
+    for target in times.tolist():
+        x, y = _advance(alpha, x, y, target - t, step, tolerance)
         t = target
-        xs[i] = x
-        ys[i] = y
-        drift = max(drift, abs(first_integral(alpha, x, y) - v0))
-    return OrbitSample(times=times, x_values=xs, y_values=ys,
+        xs.append(x)
+        ys.append(y)
+        # first_integral written out; a nan deviation leaves the drift
+        # as it is, as max(drift, d) would
+        d = abs(alpha * (x - log(x)) + (y - log(y)) - v0)
+        if d > drift:
+            drift = d
+    return OrbitSample(times=times, x_values=np.array(xs), y_values=np.array(ys),
                        alpha=float(alpha), conserved_drift=drift)
 
 

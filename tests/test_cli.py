@@ -15,6 +15,7 @@ import sys
 from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -341,6 +342,35 @@ class TestOrbitCommand:
         assert capsys.readouterr().err == (
             "error: the order-2 series curve at a = 0.1 is not finite; lower a\n")
         assert os.listdir(".") == []
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["--a", "2", "--phi", "pi", "--order", "2"], "a = 2 (x0 = -1, y0 = 1)"),
+        (["--a", "-1.5", "--order", "0", "--no-radius-check"],
+         "a = -1.5 (x0 = -0.5, y0 = 1)")])
+    def test_unphysical_zeroth_order_point_rejected(self, argv, shown, capsys,
+                                                    monkeypatch):
+        # the series point is unphysical, and so is the zeroth-order point
+        # the orbit would fall back to: no note, no radius estimate
+        forbid(monkeypatch, "_estimate_radius")
+        forbid(monkeypatch, "integrate")
+        assert main(["orbit", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: the zeroth-order orbit at " + shown + " is outside the "
+            "positive quadrant; lower |a|\n")
+        assert os.listdir(".") == []
+
+    def test_unphysical_zeroth_order_point_rejected_from_manifest(self, capsys,
+                                                                  monkeypatch):
+        forbid(monkeypatch, "_estimate_radius")
+        forbid(monkeypatch, "integrate")
+        params, _ = MANIFEST_PARAMS["orbit"]
+        write_params("m.json", "orbit",
+                     dict(params, a=2.0, phi=math.pi, radius_check=True))
+        assert main(["orbit", "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the zeroth-order orbit at a = 2 (x0 = -1, y0 = 1) is outside "
+            "the positive quadrant; lower |a|\n")
+        assert os.listdir(".") == ["m.json"]
 
     @pytest.mark.parametrize("option", ["periods", "tolerance"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -676,10 +706,26 @@ def reference_orbit_csvs(tau, xi, eta, omega, x0, y0, orbit, gaps, a, digits):
     return texts
 
 
+# floats whose text is special: nan, the infinities, a negative zero,
+# subnormals and the top of the range
+SPECIAL_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]))
+
+
 class TestOrbitCsv:
     @pytest.mark.parametrize("a", ["0", "-0.15", "0.2"])
     @pytest.mark.parametrize("digits", [1, 4, 17])
     def test_csvs_match_row_by_row_writer(self, a, digits, monkeypatch):
+        self.check_csvs(a, digits, 64, monkeypatch)
+
+    @pytest.mark.parametrize("a", ["0", "0.2"])
+    def test_csvs_match_across_a_block_boundary(self, a, monkeypatch):
+        self.check_csvs(a, 17, lpvolterra.cli.CSV_BLOCK_ROWS + 1, monkeypatch)
+
+    @staticmethod
+    def check_csvs(a, digits, points, monkeypatch):
         seen = {}
 
         def recording(name):
@@ -693,7 +739,7 @@ class TestOrbitCsv:
         for name in ("evaluate_solution", "integrate", "compare_orbit"):
             recording(name)
         assert main(["orbit", "--alpha", "9/4", "--a", a, "--phi", "1",
-                     "--order", "4", "--periods", "1.5", "--points", "64",
+                     "--order", "4", "--periods", "1.5", "--points", str(points),
                      "--digits", str(digits), "--no-radius-check"]) == 0
         _, kwargs, (xi, eta, omega) = seen["evaluate_solution"]
         (_, x0, y0, _), _, orbit = seen["integrate"]
@@ -705,6 +751,26 @@ class TestOrbitCsv:
                 assert fh.read() == text.encode("utf-8")
         if a == "0":
             assert {row[3] for row in read_csv("orbit_comparison.csv")[1:]} == {"0"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.integers(1, 5).flatmap(
+               lambda width: st.lists(st.lists(SPECIAL_FLOATS, min_size=width,
+                                               max_size=width), max_size=12)),
+           digits=st.integers(1, 25), block=st.integers(1, 5))
+    def test_table_writer_matches_csv_writer(self, table, digits, block):
+        # small blocks, so that most draws cross one or more boundaries
+        width = len(table[0]) if table else 3
+        header = [f"c{j}" for j in range(width)]
+        columns = [np.array([row[j] for row in table], dtype=float)
+                   for j in range(width)]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(v, f".{digits}g") for v in row] for row in table)
+        got = io.StringIO()
+        with mock.patch.object(lpvolterra.cli, "CSV_BLOCK_ROWS", block):
+            lpvolterra.cli.write_table(got, header, columns, digits)
+        assert got.getvalue() == want.getvalue()
 
 
 # manifest values of every kind, each small enough that no draw starts a

@@ -56,6 +56,10 @@ def reference_advance(alpha, x, y, span, step, tolerance):
         if fixed:
             x, y = reference_rk4(alpha, x, y, sign * h)
             remaining -= h
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ArithmeticError(
+                    "state is not finite during fixed-step "
+                    "integration (x or y overflowed); lower the step")
         else:
             while True:
                 if h < _UNDERFLOW:
@@ -187,6 +191,13 @@ class TestIntegrate:
             integrate(1.0, 1.5, 1.0, IntegratorConfig(tolerance=1e-30,
                                                       max_time=1.0))
 
+    def test_fixed_step_overflow_signalled(self):
+        # unchecked, the first step overflows x to inf and the next makes
+        # it nan; neither is <= 0, and max(drift, nan) drops the nan drift
+        cfg = IntegratorConfig(step=0.1, tolerance=math.inf, max_time=0.3)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            integrate(1.0, 1e-3, 1e100, cfg)
+
     def test_positivity_loss_signalled(self):
         # absurd fixed step on a violent orbit drives y through zero
         cfg = IntegratorConfig(step=10.0, tolerance=math.inf, max_time=40.0)
@@ -197,11 +208,15 @@ class TestIntegrate:
 class TestFusedStepper:
     """The fused ``_advance`` equals the reference stepper with ``==``."""
 
-    # explicit examples run first: a mutant that lowers the method's order
-    # would make the generated tight-tolerance draws crawl, not fail
+    # explicit examples run first, in this order, and the first failure
+    # ends the test: a mutant that lowers the method's order would make
+    # the generated tight-tolerance draws crawl, not fail, and a wrong
+    # second half step crawls at 1e-12 but is accepted, and caught, at 1e-3
     @example(alpha=1.5, x=1.3, y=0.8, span=-0.7, step=0.1, tolerance=math.inf)
+    @example(alpha=1.5, x=1.3, y=0.8, span=0.7, step=0.1, tolerance=1e-3)
     @example(alpha=1.5, x=1.3, y=0.8, span=2.5, step=1.0, tolerance=1e-12)
-    @settings(max_examples=250, deadline=None)
+    @example(alpha=1.0, x=1e-3, y=1e100, span=0.3, step=0.1, tolerance=math.inf)
+    @settings(max_examples=250, deadline=None, report_multiple_bugs=False)
     @given(alpha=st.floats(0.25, 4.0),
            x=st.floats(0.4, 2.0),
            y=st.floats(0.4, 2.0),

@@ -7,12 +7,11 @@ from .algebra import (QQ, SYMBOLIC, ExactDivisionError, NumericRing,
                       parse_element, rational_sqrt)
 from .trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                        VectorTrigPoly, particular_solution, residual,
-                       to_triples)
+                       solve_linear_anchored, to_triples)
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                      GAUGE_ZERO_INITIAL, GAUGES, OrderSolution,
                      PerturbationSeries, SecularInconsistencyError,
-                     build_forcing, evaluate_solution, remove_secular, run,
-                     solve_linear_anchored)
+                     build_forcing, evaluate_solution, remove_secular, run)
 from .analysis import (FAMILIES, FAMILY_HERMITE_PADE, FAMILY_PADE,
                        DegenerateApproximantError, NoStableRootError,
                        PadeApprox, PowerSeries, QuadHermitePade, ScanRow,

@@ -36,9 +36,9 @@ from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                      GAUGE_ZERO_INITIAL, PerturbationSeries, evaluate_solution,
                      run)
 from .trigpoly import (PhaseRing, ResonantForcingError, VectorTrigPoly,
-                       evaluate_at_zero, exp_tk_vector, harmonic,
-                       particular_solution, residual, tp_add, tp_diff, tp_dot,
-                       tp_mul, tp_mul_el, tp_term, tp_zero, to_triples)
+                       evaluate_at_zero, harmonic, particular_solution,
+                       residual, tp_add, tp_diff, tp_dot, tp_mul, tp_mul_el,
+                       tp_term, tp_zero, to_triples)
 from .verify import IntegratorConfig, integrate, measure_frequency
 
 LEVELS = ("quick", "full")
@@ -341,18 +341,7 @@ def _solver_substitution(ctx):
         raise AssertionError("resonant forcing was not rejected")
     except ResonantForcingError:
         pass
-    # the homogeneous solution anchored at tau=0 reproduces its anchor exactly
-    phase = PhaseRing(sym)
-    anchors = 0
-    for _ in range(10):
-        v1, v2 = _rand_phase(rng, phase), _rand_phase(rng, phase)
-        hom = exp_tk_vector(phase, v1, v2)
-        if not phase.eq(evaluate_at_zero(hom.xi), v1):
-            raise AssertionError("homogeneous xi anchor mismatch at tau=0")
-        if not phase.eq(evaluate_at_zero(hom.eta), v2):
-            raise AssertionError("homogeneous eta anchor mismatch at tau=0")
-        anchors += 1
-    return f"{solved} random forcings solved exactly, {anchors} anchors reproduced"
+    return f"{solved} random forcings solved exactly, a resonant one rejected"
 
 
 def _float_harmonics(tp):

@@ -14,9 +14,10 @@ builds the order's rationals.  The Cauchy product and the frequency sums
 sum_j omega_j xi_{n-j} and sum_j omega_j eta_{n-j} are one
 :func:`dot_form` each; the forcing is assembled from them with integer
 scalings, shifts of the s-exponent and a derivative, and is never built
-as rationals.  omega_n comes in closed form from the first harmonic of
-the forcing, the harmonic solve builds one rational per coefficient of
-(xi_n, eta_n), and the self-check W' - K W - R = 0 folds the integer
+as rationals.  omega_n comes in closed form from the forcing's first
+harmonic; the harmonic solve, anchored to W_n(0) = 0 on its numerators
+in the zero-initial gauge, builds one rational per coefficient of
+(xi_n, eta_n); and the self-check W' - K W - R = 0 folds the integer
 residual to zero.  Every stored order is encoded once, for the products
 of later orders and its own self-check.
 
@@ -36,9 +37,9 @@ from .algebra import QQ, SYMBOLIC, evaluate_numeric, numeric_ring
 # tp_mul is not called here: it stays importable because the benchmark
 # tracer wraps engine.tp_mul by name
 from .trigpoly import (PhaseRing, TrigPoly, VectorTrigPoly, combine,
-                       derivative, dot_form, evaluate_at_zero, exp_tk_vector,
-                       int_form, max_harmonic, particular_solution, resonance,
-                       tp_add, tp_mul, tp_term, vanishes)
+                       derivative, dot_form, evaluate_at_zero, int_form,
+                       max_harmonic, particular_solution, resonance,
+                       solve_linear_anchored, tp_mul, tp_term, vanishes)
 
 GAUGE_ZERO_INITIAL = "zero-initial"
 GAUGE_SIMPLIFIED_XI = "simplified-xi"
@@ -153,20 +154,6 @@ def remove_secular(n: int, forcing: VectorTrigPoly):
     return omega_n, resolved
 
 
-def solve_linear_anchored(particular: VectorTrigPoly):
-    """Shift a particular solution so W(0) = (0, 0); the one way a
-    solution is anchored to an initial condition.  ``particular`` has
-    phase-ring coefficients, since the homogeneous shift mixes phi in."""
-    P = particular.xi.ring
-    v1 = P.neg(evaluate_at_zero(particular.xi))
-    v2 = P.neg(evaluate_at_zero(particular.eta))
-    if P.is_zero(v1) and P.is_zero(v2):
-        return particular
-    hom = exp_tk_vector(P, v1, v2)
-    return VectorTrigPoly(tp_add(particular.xi, hom.xi),
-                          tp_add(particular.eta, hom.eta))
-
-
 def check_harmonics(n: int, gauge: str, xi: TrigPoly, eta: TrigPoly):
     """Raise AssertionError unless order n carries no harmonic above n + 1
     and, in the simplified gauges, only harmonics of the parity of n + 1."""
@@ -218,9 +205,8 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI) -> Perturbat
         omega_n, forcing = remove_secular(n, build_forcing(n, series))
         # the absorb choice zeroes the first harmonic of xi_n (simplified-xi)
         # or eta_n (simplified-eta); zero-initial anchors W_n(0) = 0 instead
-        w = particular_solution(forcing, absorb=absorb)
-        if gauge == GAUGE_ZERO_INITIAL:
-            w = solve_linear_anchored(w)
+        w = (solve_linear_anchored(forcing) if gauge == GAUGE_ZERO_INITIAL
+             else particular_solution(forcing, absorb=absorb))
         _check_order(n, gauge, forcing, w)
         series.orders.append(OrderSolution(n, omega_n, w.xi, w.eta))
     return series

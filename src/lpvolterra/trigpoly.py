@@ -23,9 +23,10 @@ once.  Products go through one fraction-free kernel, :func:`dot_form`
 The order step of :mod:`lpvolterra.engine` stays on integer forms too:
 :func:`combine` and :func:`derivative` assemble forcings,
 :func:`particular_solution` solves harmonic by harmonic with integer
-scalings and shifts of the s-exponent only, and :func:`vanishes` tests a
-residual for zero.  Rationals are built once per coefficient of a
-returned solution, after folding s^2 = alpha on the numerators.
+scalings and shifts of the s-exponent only, :func:`solve_linear_anchored`
+shifts that solve's first harmonic by exp(tau K) W(0) on its numerators,
+and :func:`vanishes` tests a residual for zero.  Rationals are built once
+per coefficient of a returned solution, after folding s^2 = alpha.
 :func:`tp_mul` and :func:`residual` are the plain dict product and
 residual that the self-checks and tests use as oracles.
 """
@@ -614,29 +615,15 @@ _ABSORB = {"xi": (((1, 0, 1, False, 1),), ((1, 1, 1, False, 1),), (), ()),
            "eta": (((0, 1, 0, False, -1),), ((0, 0, 0, False, 1),), (), ())}
 
 
-def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTrigPoly:
-    """One exact solution of W' = K W + R with no secular terms.
-
-    Harmonics j != 1 are fixed by 2x2 elimination (the j = 1 block of the
-    operator is singular).  An absorbable first harmonic has a 2-parameter
-    family of solutions; ``absorb`` picks the representative with the
-    first harmonic of xi (``"xi"``) or eta (``"eta"``) equal to zero.
-    Raises :class:`ResonantForcingError` for non-absorbable first
-    harmonics.
-
-    The solve runs on the forcing's integer forms.  d/dtau acts on each
-    angle sum (a, c) as on the theta harmonic a, so both rings take the
-    same per-wave rules: integer multiples and shifts of the s-exponent,
-    over the denominator a^2 - 1 at harmonic a.  One rational is built
-    per coefficient of the solution.
-    """
+def _solve(forcing: VectorTrigPoly, absorb: str):
+    """(xi terms, eta terms, den) of :func:`particular_solution`: numerators
+    over den (a^2 - 1) at theta harmonic a != 1 and over den at a = 1."""
     if absorb not in _ABSORB:
         raise ValueError("absorb must be 'xi' or 'eta'")
     if not first_harmonic_absorbable(forcing):
         raise ResonantForcingError(
             "non-absorbable first-harmonic forcing; "
             "secular removal was skipped")
-    ring = forcing.xi.ring
     f, g = int_form(forcing.xi), int_form(forcing.eta)
     den = math.lcm(f.den, g.den)
     out: tuple = ({}, {})      # xi, eta terms: {e: (sin, cos)}
@@ -653,33 +640,71 @@ def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTr
                             resonant if a == 1 else rules):
                         acc = out[comp].setdefault(e + shift, ({}, {}))[t_kind]
                         acc[key] = acc.get(key, 0) + sign * (a * n if times_a else n)
-
-    def den_of(a):
-        return den if a == 1 else den * (a * a - 1)
-
-    return VectorTrigPoly(*(TrigPoly(ring, *_unpack(ring, terms, den_of))
-                            for terms in out))
+    return (*out, den)
 
 
-def exp_tk_vector(phase_ring: PhaseRing, v1, v2) -> VectorTrigPoly:
-    """exp(tau K) (v1, v2), written in theta = tau + phi harmonics.
+def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTrigPoly:
+    """One exact solution of W' = K W + R with no secular terms.
 
-    Needs the phase extension because cos(tau) = cos(theta - phi) mixes
-    phi into the coefficients.  Evaluating at tau = 0 returns (v1, v2).
+    Harmonics j != 1 are fixed by 2x2 elimination (the j = 1 block of the
+    operator is singular).  An absorbable first harmonic has a 2-parameter
+    family of solutions; ``absorb`` picks the representative with the
+    first harmonic of xi (``"xi"``) or eta (``"eta"``) equal to zero.
+    Raises :class:`ResonantForcingError` for non-absorbable first
+    harmonics.
+
+    The solve runs on the forcing's integer forms.  d/dtau acts on each
+    angle sum (a, c) as on the theta harmonic a, so both rings take the
+    same per-wave rules: integer multiples and shifts of the s-exponent,
+    over the denominator a^2 - 1 at harmonic a.  One rational is built
+    per coefficient of the solution.
     """
-    P = phase_ring
-    sin_p = P.sin_phi(1)
-    cos_p = P.cos_phi(1)
-    inv_s = P.s(-1)
-    s = P.s(1)
-    # cos tau = cos phi cos th + sin phi sin th ; sin tau = cos phi sin th - sin phi cos th
-    xi_cos = P.add(P.mul(v1, cos_p), P.mul(P.mul(v2, inv_s), sin_p))
-    xi_sin = P.sub(P.mul(v1, sin_p), P.mul(P.mul(v2, inv_s), cos_p))
-    eta_sin = P.add(P.mul(P.mul(v1, s), cos_p), P.mul(v2, sin_p))
-    eta_cos = P.sub(P.mul(v2, cos_p), P.mul(P.mul(v1, s), sin_p))
-    return VectorTrigPoly(
-        tp_add(tp_term(P, "sin", 1, xi_sin), tp_term(P, "cos", 1, xi_cos)),
-        tp_add(tp_term(P, "sin", 1, eta_sin), tp_term(P, "cos", 1, eta_cos)))
+    *parts, den = _solve(forcing, absorb)
+    ring = forcing.xi.ring
+    return VectorTrigPoly(*(TrigPoly(ring, *_unpack(
+        ring, terms, lambda a: den if a == 1 else den * (a * a - 1)))
+        for terms in parts))
+
+
+def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
+    """The solution of W' = K W + R with W(0) = (0, 0) over a phase ring,
+    the one way a solution is anchored: P - exp(tau K) P(0) for the
+    absorb-xi solution P of :func:`particular_solution`.  exp(tau K) =
+    cos tau + K sin tau, and tau = theta - phi is the angle sum (1, -1),
+    so only theta harmonic 1 moves.  P(0) is read off the solve's
+    numerators over den lcm(a^2 - 1 : a != 1), each component's shift is
+    one :func:`dot_form`, and one rational is built per coefficient."""
+    ring = forcing.xi.ring
+    *parts, den = _solve(forcing, "xi")
+    L = math.lcm(*{a * a - 1 for terms in parts for pair in terms.values()
+                   for store in pair for a, _ in store if a != 1})
+    tops = tuple(map(max, *(int_form(p).tops for p in forcing)))
+    forms, values = [], []
+    for terms in parts:
+        full, at_zero = {}, {}
+        for e, pair in terms.items():
+            out = full[e] = ({}, {})
+            v = at_zero[e] = ({}, {})
+            for kind, store in enumerate(pair):
+                for (a, c), n in store.items():
+                    out[kind][a, c] = n = n * (L if a == 1 else L // (a * a - 1))
+                    # at tau = 0 (a, c) is the phi wave a + c: sin 0 = 0, sin(-x) = -sin x
+                    if a + c or kind:
+                        key = (0, abs(a + c))
+                        v[kind][key] = v[kind].get(key, 0) + (n if kind or a + c > 0 else -n)
+        forms.append(IntForm(den * L, tops, full))
+        values.append(TrigPoly(ring, enc=IntForm(den * L, (0, sum(tops)), at_zero)))
+
+    def wave(kind, e, n):        # n s^e sin tau (kind 0) or cos tau (kind 1)
+        pair = ({(1, -1): n}, {}) if kind == 0 else ({}, {(1, -1): n})
+        return TrigPoly(ring, enc=IntForm(1, (1, 1), {e: pair}))
+
+    shifts = (dot_form(values, [wave(1, 0, 1), wave(0, -1, -1)]),  # v1 cos - (v2/s) sin
+              dot_form(values, [wave(0, 1, 1), wave(1, 0, 1)]))    # s v1 sin + v2 cos
+    D = 2 * den * L
+    return VectorTrigPoly(*(TrigPoly(ring, *_unpack(
+        ring, combine(D, [(x, 1, 0), (shift, -1, 0)]).terms, lambda a: D))
+        for x, shift in zip(forms, shifts)))
 
 
 def to_triples(p: TrigPoly, amp_power: int = 0) -> list:

@@ -11,14 +11,14 @@ import lpvolterra.trigpoly as trigpoly
 from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
                                 evaluate_numeric, numeric_ring, parse_element,
                                 rational_sqrt)
-from lpvolterra.engine import run, solve_linear_anchored
+from lpvolterra.engine import run
 from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, evaluate_at_zero,
-                                 exp_tk_vector, first_harmonic_absorbable,
-                                 harmonic, k_apply, max_harmonic,
-                                 particular_solution, residual, to_triples,
-                                 tp_add, tp_diff, tp_dot, tp_mul, tp_mul_el,
-                                 tp_neg, tp_scale, tp_term, tp_zero)
+                                 first_harmonic_absorbable, harmonic, k_apply,
+                                 max_harmonic, particular_solution, residual,
+                                 solve_linear_anchored, to_triples, tp_add,
+                                 tp_diff, tp_dot, tp_mul, tp_mul_el, tp_neg,
+                                 tp_scale, tp_term, tp_zero)
 
 R = SYMBOLIC
 
@@ -102,7 +102,7 @@ class TestSolver:
         ring = numeric_ring(1)
         P = PhaseRing(ring)
         forcing = VectorTrigPoly(tp_term(P, "sin", 2, P.one()), tp_zero(P))
-        w = solve_linear_anchored(particular_solution(forcing))
+        w = solve_linear_anchored(forcing)
         assert P.is_zero(evaluate_at_zero(w.xi))
         assert P.is_zero(evaluate_at_zero(w.eta))
         r = residual(forcing, w)
@@ -142,16 +142,6 @@ class TestSolver:
         assert not first_harmonic_absorbable(forcing)
         with pytest.raises(ResonantForcingError, match="secular removal"):
             particular_solution(forcing)
-
-    def test_kernel_and_anchoring(self):
-        P = PhaseRing(R)
-        v1 = P.mul(P.lift(R.s(1)), P.sin_phi(2))
-        v2 = P.cos_phi(1)
-        h = exp_tk_vector(P, v1, v2)
-        assert P.eq(evaluate_at_zero(h.xi), v1)
-        assert P.eq(evaluate_at_zero(h.eta), v2)
-        r = residual(VectorTrigPoly(tp_zero(P), tp_zero(P)), h)
-        assert r.xi == tp_zero(P) and r.eta == tp_zero(P)
 
     def test_quadrature_oracle(self):
         # the solved components must satisfy the ODE pointwise at alpha=4
@@ -462,6 +452,65 @@ def at_zero_cases(ring):
 def test_evaluate_at_zero_matches_definition(case):
     p, P = case
     assert evaluate_at_zero(p) == reference_at_zero(p, P)
+
+
+def absorbable(P, f, g):
+    """(f, g) with g's first harmonic replaced by the one the identities
+    g_s = -s f_c, g_c = s f_s ask for, so no secular removal is needed."""
+    f_s, f_c = harmonic(f, 1)
+    s = P.s(1)
+    g = TrigPoly(P, {j: v for j, v in g.sin.items() if j != 1},
+                 {j: v for j, v in g.cos.items() if j != 1})
+    first = tp_add(tp_term(P, "sin", 1, P.neg(P.mul(s, f_c))),
+                   tp_term(P, "cos", 1, P.mul(s, f_s)))
+    return P, VectorTrigPoly(f, tp_add(g, first))
+
+
+def anchor_examples():
+    """Fixed cases for the anchor's folds: a forcing whose solution has
+    angle sums with a + c < 0, and a pure first-harmonic forcing, whose
+    solution has no theta harmonic a != 1 (L is the empty lcm)."""
+    P, Q = PHASE_DOT_RINGS[0], PHASE_DOT_RINGS[1]
+    folds = absorbable(P, TrigPoly(P, sin={2: P.cos_phi(4)},
+                                   cos={0: P.sin_phi(3), 1: P.sin_phi(3)}),
+                       TrigPoly(P, sin={3: P.s(-1)}))
+    first = absorbable(Q, TrigPoly(Q, sin={1: Q.cos_phi(2)}, cos={1: Q.s(1)}),
+                       tp_zero(Q))
+    return folds, first
+
+
+NEGATIVE_SUM_CASE, FIRST_HARMONIC_CASE = anchor_examples()
+
+
+@given(st.sampled_from(PHASE_DOT_RINGS).flatmap(lambda P: st.builds(
+    absorbable, st.just(P), ring_trig_polys(P), ring_trig_polys(P))))
+@example(NEGATIVE_SUM_CASE)
+@example(FIRST_HARMONIC_CASE)
+@settings(max_examples=60, deadline=None)
+def test_anchored_solution_solves_and_starts_at_zero(case):
+    # W' = K W + R with W(0) = 0 has one solution, so these pin it down
+    P, forcing = case
+    w = solve_linear_anchored(forcing)
+    r = residual(forcing, w)
+    assert r.xi == tp_zero(P) and r.eta == tp_zero(P)
+    assert P.is_zero(evaluate_at_zero(w.xi))
+    assert P.is_zero(evaluate_at_zero(w.eta))
+    assert w.xi.ring is P and w.eta.ring is P
+
+
+def test_anchor_examples_reach_the_folds():
+    def solved_angle_sums(forcing):
+        *parts, _ = trigpoly._solve(forcing, "xi")
+        return [key for terms in parts for pair in terms.values()
+                for store in pair for key in store]
+
+    keys = solved_angle_sums(NEGATIVE_SUM_CASE[1])
+    assert any(a + c < 0 for a, c in keys) and any(a == 0 for a, _ in keys)
+    keys = solved_angle_sums(FIRST_HARMONIC_CASE[1])
+    assert keys and all(a == 1 for a, _ in keys)
+    # the solution still moves: eta_1 = s F_1 does not vanish at tau = 0
+    w = solve_linear_anchored(FIRST_HARMONIC_CASE[1])
+    assert w != particular_solution(FIRST_HARMONIC_CASE[1])
 
 
 def test_phase_division():

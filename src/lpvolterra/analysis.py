@@ -8,12 +8,16 @@ Both fits solve one matching system, A_0 + A_1 f + ... + A_k f^k = O(z^n)
 (k = 1 for Pade, k = 2 for Hermite-Pade), by one rule: A_0 enters alone
 and with unit coefficient, so it is absent from the equations above its
 degree; A_1 .. A_k come from the null space of those upper equations
-only, and A_0 is the truncated convolution of the others.
+only, and A_0 is the truncated convolution of the others.  A chain of
+diagonal orders eliminates once: each order's system is a leading block
+of the next one's, so the top order's elimination gives every lower
+order's null vector, and only an order whose block needs a row exchange
+is solved alone.
 Singularity locations come from denominator zeros (Pade) or discriminant
 zeros Q^2 - 4PR (Hermite-Pade), tracked across approximant orders until
 they stabilize.  The zeros come from a fixed-point integer Durand-Kerner
-kernel that repeats mpmath.polyroots step for step, so it returns the
-same roots, and each root must pass a residual certificate.
+kernel with mpmath.polyroots' updates and stop rule that sweeps only the
+roots still moving, and each root must pass a residual certificate.
 """
 
 from __future__ import annotations
@@ -64,17 +68,37 @@ def _over_lcm(row):
     return [int(q.numerator) * (den // int(q.denominator)) for q in qs], den
 
 
-def poly_mul(p, q):
-    """Fraction-free: each operand over its lcm denominator, convolved as ints."""
-    if not p or not q:
+def _poly_sum(terms, n=None):
+    """sum of c p q over the (c, p, q) terms, c an int, through z^(n-1)
+    (every power when n is None), trimmed.  Fraction-free: each operand
+    over its lcm denominator, the products convolved as ints over one
+    common denominator, so each output coefficient is one rational."""
+    parts = []
+    for c, p, q in terms:
+        if p and q:
+            (ip, dp), (iq, dq) = _over_lcm(p), _over_lcm(q)
+            parts.append((c, ip, iq, dp * dq))
+    if not parts:
         return []
-    (ip, dp), (iq, dq) = _over_lcm(p), _over_lcm(q)
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(ip):
-        if a:
-            for j, b in enumerate(iq):
-                out[i + j] += a * b
-    return poly_trim([QQ(n, dp * dq) for n in out])
+    den = math.lcm(*(d for *_, d in parts))
+    size = max(len(ip) + len(iq) - 1 for _, ip, iq, _ in parts)
+    size = size if n is None else min(size, n)
+    out = [0] * size
+    for c, ip, iq, d in parts:
+        s = c * (den // d)
+        for i, a in enumerate(ip[:size]):
+            if a:
+                a *= s
+                for j, b in enumerate(iq[:size - i], i):
+                    out[j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return [QQ(v, den) for v in out]
+
+
+def poly_mul(p, q):
+    """The product p q, fraction-free by :func:`_poly_sum`."""
+    return _poly_sum([(1, p, q)])
 
 
 def poly_sub(p, q):
@@ -86,32 +110,26 @@ def poly_sub(p, q):
     return poly_trim(out)
 
 
-def poly_scale(p, c):
-    return poly_trim([a * c for a in p])
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra: fraction-free (Bareiss) echelon form over the integers
 
-def rational_rref(rows):
-    """In-place reduced row echelon form; returns pivot column list.
+def _eliminate(work, exchange=True):
+    """Bareiss's fraction-free forward pass on integer rows, in place;
+    returns the pivot columns.
 
-    Bareiss's fraction-free elimination on the rows over their lcm
-    denominators: a row below the pivot p becomes (p x - f y) / d, d the
-    previous pivot, always an exact division, and rows above the pivot are
-    never touched.  The last pivot d is the determinant of the pivot block,
-    so by Cramer's rule d times the reduced form is integral: each non-pivot
-    column is back-substituted on integers at that scale, and each entry is
-    built once as v / d.  The reduced form is unique, so this is the matrix
-    rational Gauss-Jordan gives."""
-    if not rows:
-        return []
-    work = [_over_lcm(row)[0] for row in rows]
-    ncols = len(work[0])
+    A row below the pivot p becomes (p x - f y) / d, d the previous pivot,
+    always an exact division, and rows above the pivot are never touched,
+    so the k-th pivot is the determinant of the k x k pivot block.  With
+    ``exchange`` false the pass stops at the first column whose pivot is
+    not already on the diagonal; until then no row has moved, so each
+    leading block of rows and columns ends as its own pass would leave
+    it."""
     pivots, d = [], 1
-    for c in range(ncols):
+    for c in range(len(work[0]) if work else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot != r and not exchange:
+            break
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
@@ -121,6 +139,24 @@ def rational_rref(rows):
             work[i][c:] = [(p * x - f * y) // d for x, y in zip(work[i][c:], prow[c:])]
         pivots.append(c)
         d = p
+    return pivots
+
+
+def rational_rref(rows):
+    """In-place reduced row echelon form; returns pivot column list.
+
+    :func:`_eliminate` on the rows over their lcm denominators.  The last
+    pivot d is the determinant of the pivot block, so by Cramer's rule d
+    times the reduced form is integral: each non-pivot column is
+    back-substituted on integers at that scale, and each entry is built
+    once as v / d.  The reduced form is unique, so this is the matrix
+    rational Gauss-Jordan gives."""
+    if not rows:
+        return []
+    work = [_over_lcm(row)[0] for row in rows]
+    ncols = len(work[0])
+    pivots = _eliminate(work)
+    d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     scaled = [[0] * ncols for _ in work]   # d times the reduced form
     for k, c in enumerate(pivots):
         scaled[k][c] = d
@@ -131,6 +167,17 @@ def rational_rref(rows):
             scaled[k][j] = v // work[k][pivots[k]]
     rows[:] = [[QQ(v, d) for v in row] for row in scaled]
     return pivots
+
+
+def _leading_null_vector(work, n):
+    """Null vector of the leading n x (n+1) block of rows that
+    :func:`_eliminate` left with diagonal pivots: column n set to the
+    block's last pivot d, the others back-substituted on integers, exact
+    by Cramer's rule as in :func:`rational_rref`."""
+    x = [0] * n + [work[n - 1][n - 1] if n else 1]
+    for k in reversed(range(n)):
+        x[k] = -sum(work[k][l] * x[l] for l in range(k + 1, n + 1)) // work[k][k]
+    return x
 
 
 def null_space(rows, ncols):
@@ -222,8 +269,13 @@ class QuadHermitePade:
     R: tuple
 
 
-def _dot(row, vec):
-    return sum((a * b for a, b in zip(row, vec) if a), QQ(0))
+def _powers(coeffs, n, k):
+    """f, f^2, ..., f^k through z^(n-1), each padded to n coefficients."""
+    powers = [list(coeffs[:n])]
+    for _ in range(k - 1):
+        power = _poly_sum([(1, powers[-1], powers[0])], n)
+        powers.append(power + [QQ(0)] * (n - len(power)))
+    return powers
 
 
 def _matching_system(series: PowerSeries, degrees):
@@ -231,26 +283,38 @@ def _matching_system(series: PowerSeries, degrees):
     n = sum(degrees) + k, reduced by the rule of the module docstring.
 
     Returns the null-space basis of the equations at z^(deg A_0 + 1) ..
-    z^(n-1), in columns (A_k, ..., A_1), each in ascending powers, and
-    row(j), the z^j coefficient of A_k f^k + ... + A_1 f by column, so
-    that A_0 has -row(j) . vec at z^j for j <= deg A_0."""
+    z^(n-1), in columns (A_k, ..., A_1), each in ascending powers, and the
+    powers f, ..., f^k through z^(n-1), from which A_0 is built."""
     if min(degrees) < 0:
         raise ValueError("degrees must be nonnegative")
     c = series.coeffs
     n = sum(degrees) + len(degrees) - 1
     if len(c) < n:
         raise ValueError(f"insufficient coefficients: need {n}, have {len(c)}")
-    powers = [list(c[:n])]   # f, f^2, ..., f^k through z^(n-1)
-    for _ in degrees[2:]:
-        power = poly_mul(powers[-1], powers[0])[:n]
-        powers.append(power + [QQ(0)] * (n - len(power)))
+    powers = _powers(c, n, len(degrees) - 1)
     blocks = list(zip(degrees[:0:-1], reversed(powers)))   # (deg A_e, f^e), e = k .. 1
-
-    def row(j):
-        return [fe[j - i] if i <= j else QQ(0) for d, fe in blocks for i in range(d + 1)]
-
+    rows = [[fe[j - i] if i <= j else QQ(0) for d, fe in blocks for i in range(d + 1)]
+            for j in range(degrees[0] + 1, n)]
     ncols = sum(d + 1 for d in degrees[1:])
-    return null_space([row(j) for j in range(degrees[0] + 1, n)], ncols), row
+    return null_space(rows, ncols), powers
+
+
+def _pade_from(vec, f, K, reduced):
+    """The fit of a null vector (q_0, ..., q_L), q_0 != 0: Q scaled to
+    Q(0) = 1, with its trailing zeros dropped when ``reduced``, and P the
+    product f Q through z^K."""
+    q = [QQ(v, vec[0]) for v in vec]
+    return PadeApprox(tuple(_poly_sum([(1, f[:K + 1], q)], K + 1)),
+                      tuple(poly_trim(q) if reduced else q))
+
+
+def _hermite_pade_from(vec, powers, K, M):
+    """The fit of a null vector (p_0, ..., p_K, q_0, ..., q_L) scaled so
+    that its first nonzero entry is 1, and R = -(P f^2 + Q f) through z^M."""
+    lead = next(v for v in vec if v)
+    p, q = [QQ(v, lead) for v in vec[:K + 1]], [QQ(v, lead) for v in vec[K + 1:]]
+    r = _poly_sum([(-1, p, powers[1][:M + 1]), (-1, q, powers[0][:M + 1])], M + 1)
+    return QuadHermitePade(tuple(poly_trim(p)), tuple(poly_trim(q)), tuple(r))
 
 
 def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
@@ -268,14 +332,11 @@ def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     reported for the caller to perturb (K, L).  Otherwise it is scaled
     to q_0 = 1; a regular entry (a one-dimensional null space) keeps all
     L+1 entries of Q, a blocked one drops Q's trailing zeros."""
-    basis, row = _matching_system(series, (K, L))
-    vec = basis[0]
-    if vec[0] == 0:
+    basis, powers = _matching_system(series, (K, L))
+    if basis[0][0] == 0:
         raise DegenerateApproximantError(
             f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
-    q = [v / vec[0] for v in vec]
-    p = poly_trim([_dot(row(j), q) for j in range(K + 1)])
-    return PadeApprox(tuple(p), tuple(poly_trim(q) if len(basis) > 1 else q))
+    return _pade_from(basis[0], powers[0], K, len(basis) > 1)
 
 
 def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermitePade:
@@ -285,23 +346,17 @@ def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermite
     R = -(P f^2 + Q f) through z^M.  A nontrivial solution always exists;
     its first nonzero coefficient in (p_0..p_K, q_0..q_L) order is scaled
     to 1.  A null space of dimension above one is reported as degenerate."""
-    basis, row = _matching_system(series, (M, L, K))
+    basis, powers = _matching_system(series, (M, L, K))
     if len(basis) != 1:
         raise DegenerateApproximantError(
             f"f[{K},{L},{M}] matching system has a {len(basis)}-dimensional "
             "null space")
-    lead = next(v for v in basis[0] if v != 0)
-    vec = [v / lead for v in basis[0]]
-    r = [-_dot(row(j), vec) for j in range(M + 1)]
-    return QuadHermitePade(tuple(poly_trim(vec[:K + 1])),
-                           tuple(poly_trim(vec[K + 1:])),
-                           tuple(poly_trim(r)))
+    return _hermite_pade_from(basis[0], powers, K, M)
 
 
 def discriminant(h: QuadHermitePade):
     """Q^2 - 4 P R as an exact coefficient list."""
-    return poly_sub(poly_mul(list(h.Q), list(h.Q)),
-                    poly_scale(poly_mul(list(h.P), list(h.R)), QQ(4)))
+    return _poly_sum([(1, h.Q, h.Q), (-4, h.P, h.R)])
 
 
 def _root_key(z):
@@ -326,12 +381,16 @@ def _float_seed(hi_to_lo):
 
 
 def _durand_kerner(hi_to_lo, starts):
-    """mpmath 1.3's polyroots(maxsteps=200, extraprec=4 ROOT_DPS) step for
-    step on fixed-point ints (re, im) scaled by 2^bits, bits the precision
-    polyroots works at, from exact monic coefficients.  Sweeps update the
-    roots in place, in order, skipping only a factor p - r_j that is exactly
-    zero (never an update), until every step is below eps; the roots come
-    back unsorted, cleaned as polyroots cleans them, at the working precision.
+    """mpmath 1.3's polyroots(maxsteps=200, extraprec=4 ROOT_DPS) updates on
+    fixed-point ints (re, im) scaled by 2^bits, bits the precision polyroots
+    works at, from exact monic coefficients.  Sweeps update the roots in
+    place, in order, skipping a factor p - r_j that is exactly zero (never
+    an update) and a root whose last step was below eps; polyroots' stop
+    rule holds, so the iteration ends only after a sweep that updated every
+    root by less than eps: when every root has settled but the last sweep
+    skipped some, one full sweep confirms them.  At most 200 sweeps, each
+    counted; the roots come back unsorted, cleaned as polyroots cleans them,
+    at the working precision.
 
     The ints hold w = z / 2^k, k <= 0 the least that puts every nonzero
     start at modulus 1/2 or more, so roots and coefficients far below 1 keep
@@ -345,11 +404,13 @@ def _durand_kerner(hi_to_lo, starts):
               for i, c in enumerate(hi_to_lo[1:], 1)]
     roots = [(round(exact(z.real) * 2 ** (bits - k)), round(exact(z.imag) * 2 ** (bits - k)))
              for z in starts]
-    small = [False] * len(roots)
+    small, confirm = [False] * len(roots), False
     for _ in range(200):
-        if all(small):
-            break
+        skipped = False
         for i, (pr, pi) in enumerate(roots):
+            if small[i] and not confirm:
+                skipped = True
+                continue
             fr, fi = 1 << bits, 0                # f(p) by Horner
             for c in coeffs:
                 fr, fi = c + ((fr * pr - fi * pi) >> bits), (fr * pi + fi * pr) >> bits
@@ -367,7 +428,10 @@ def _durand_kerner(hi_to_lo, starts):
             xi = ((fi * dr - fr * di) << shift) // den
             roots[i] = (pr - xr, pi - xi)
             small[i] = xr * xr + xi * xi < tol * tol
-    if not all(small):
+        if all(small) and not skipped:
+            break
+        confirm = all(small)
+    else:
         raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
     out = []
     for rr, ri in roots:
@@ -432,12 +496,55 @@ class SingularityEstimate:
     trail: tuple   # matched location at each order
 
 
-def _candidate_roots(series: PowerSeries, family: str, m: int):
+def _chain_fits(series: PowerSeries, family: str, orders):
+    """{m: fit} for the diagonal orders one elimination solves.
+
+    With the unknowns ordered (q_m, ..., q_0) for Pade and (p_m, q_m, ...,
+    p_0, q_0) for Hermite-Pade, the order-m matching system is the leading
+    m x (m+1), resp. (2m+1) x (2m+2), block of the order-(m+1) one, so one
+    :func:`_eliminate` pass on the top order's system echelons every
+    order's.  An order whose block keeps nonzero pivots on the diagonal
+    has a one-dimensional null space, read with q_0 free by
+    :func:`_leading_null_vector`: the one solution :func:`pade_fit` and
+    :func:`hermite_pade_fit` find, finished by the same code.  Orders
+    whose block needs a row exchange, and orders the series is too short
+    for, are left to those fits, which report blocked and degenerate
+    entries as before."""
     if family == FAMILY_PADE:
-        return pade_poles(pade_fit(series, m, m))
-    if family == FAMILY_HERMITE_PADE:
-        return discriminant_roots(hermite_pade_fit(series, m, m, m))
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        k = 1
+    elif family == FAMILY_HERMITE_PADE:
+        k = 2
+    else:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+    def size(m):          # the rows of order m's block, at z^(m+1) .. z^(m+size)
+        return k * (m + 1) - 1
+
+    top = max((m for m in orders if 0 <= m and m + 1 + size(m) <= len(series)),
+              default=None)
+    if top is None:
+        return {}
+    n = top + 1 + size(top)
+    powers = _powers(series.coeffs, n, k)
+    work = [_over_lcm([fe[j - i] for i in reversed(range(top + 1))
+                       for fe in reversed(powers)])[0]
+            for j in range(top + 1, n)]
+    rank = len(_eliminate(work, exchange=False))
+    fits = {}
+    for m in orders:
+        if 0 <= m <= top and size(m) <= rank:
+            x = _leading_null_vector(work, size(m))[::-1]   # q_0 first
+            fits[m] = (_pade_from(x, powers[0], m, False) if k == 1 else
+                       _hermite_pade_from(x[1::2] + x[::2], powers, m, m))
+    return fits
+
+
+def _candidate_roots(series: PowerSeries, family: str, m: int, fit):
+    """Roots of the order-m fit: ``fit`` when the chain gave one, else the
+    per-order fit."""
+    if family == FAMILY_PADE:
+        return pade_poles(fit or pade_fit(series, m, m))
+    return discriminant_roots(fit or hermite_pade_fit(series, m, m, m))
 
 
 def default_orders(family: str, n_coeffs: int):
@@ -454,6 +561,11 @@ def default_orders(family: str, n_coeffs: int):
     return tuple(range(max(1, top - depth + 1), top + 1))
 
 
+def _check_threshold(threshold):
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+
+
 def stable_singularity(series: PowerSeries, family: str,
                        order_list: Optional[Sequence[int]] = None,
                        threshold: float = 1e-2) -> SingularityEstimate:
@@ -466,17 +578,20 @@ def stable_singularity(series: PowerSeries, family: str,
     location, is at most ``threshold``.  The reported location comes
     from the highest order, and ``trail`` holds the chain's root at each
     order used.  Orders whose fit is degenerate are skipped (at least
-    two must survive)."""
+    two must survive).  A threshold that is not finite and positive is a
+    ValueError."""
+    _check_threshold(threshold)
     if order_list is None:
         order_list = default_orders(family, len(series))
     orders = sorted(set(int(m) for m in order_list))
     if len(orders) < 2:
         raise ValueError("need at least two approximant orders")
+    chain = _chain_fits(series, family, orders)
     per_order = []
     used = []
     for m in orders:
         try:
-            roots = _candidate_roots(series, family, m)
+            roots = _candidate_roots(series, family, m, chain.get(m))
         except DegenerateApproximantError:
             continue
         if roots:
@@ -538,8 +653,11 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     wants a filled table across parameter values of varying convergence
     quality, and the spread columns expose how trustworthy each entry
     is.  At order 44 the Pade chains still drift by a few
-    percent per order, so the strict default would blank most rows."""
+    percent per order, so the strict default would blank most rows.  A
+    threshold that is not finite and positive is a ValueError, raised
+    before any run rather than recorded in every row."""
     from . import engine
+    _check_threshold(threshold)
     rows = []
     for alpha in alpha_grid:
         row = ScanRow(alpha=QQ(alpha))

@@ -34,7 +34,6 @@ from lpvolterra.analysis import (
     pade_fit,
     pade_poles,
     poly_mul,
-    poly_scale,
     poly_sub,
     poly_trim,
     radius_scan,
@@ -432,6 +431,96 @@ def test_oracle_covers_blocked_and_degenerate_entries():
 
 
 # ---------------------------------------------------------------------------
+# one elimination per chain: every order the top order's elimination
+# solves is the fit pade_fit / hermite_pade_fit returns alone
+
+
+def _per_order(ps, family, m):
+    """The order-m diagonal fit, or the type and text of what it raised."""
+    try:
+        if family == FAMILY_PADE:
+            return pade_fit(ps, m, m)
+        return hermite_pade_fit(ps, m, m, m)
+    except (DegenerateApproximantError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_chain_matches_fits(ps, family, orders):
+    """The chain's fits by order; each equals the per-order fit, so an
+    order whose fit raises (blocked, degenerate, too long for the series,
+    negative) must be left to that fit.  Returns the orders it solved."""
+    chain = analysis._chain_fits(ps, family, orders)
+    assert set(chain) <= set(orders)
+    for m in chain:
+        assert chain[m] == _per_order(ps, family, m), (family, m)
+    return set(chain)
+
+
+_CHAIN_COEFFS = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@given(st.lists(_CHAIN_COEFFS, min_size=1, max_size=14),
+       st.lists(st.integers(-1, 6), min_size=1, max_size=5, unique=True))
+@settings(max_examples=120, deadline=None)
+def test_chain_fits_equal_per_order_fits(coeffs, orders):
+    ps = PowerSeries(tuple(QQ(c) for c in coeffs))
+    for family in (FAMILY_PADE, FAMILY_HERMITE_PADE):
+        assert_chain_matches_fits(ps, family, sorted(orders))
+
+
+@pytest.mark.parametrize("family, top", [(FAMILY_PADE, 11), (FAMILY_HERMITE_PADE, 7)])
+def test_chain_fits_equal_per_order_fits_at_order44(family, top, ps44):
+    # one order past the top is left to the per-order fit, which raises
+    orders = list(range(top + 2))
+    assert assert_chain_matches_fits(ps44, family, orders) == set(range(top + 1))
+
+
+def test_geometric_series_falls_back_after_the_first_order():
+    # the Hankel rows of 1/(1 - z) have rank one: the second pivot is zero
+    assert assert_chain_matches_fits(geometric(11), FAMILY_PADE, [1, 2, 3, 4, 5]) == {1}
+    assert assert_chain_matches_fits(geometric(12), FAMILY_HERMITE_PADE, [1, 2, 3]) == set()
+
+
+def test_zero_diagonal_pivot_falls_back_to_a_regular_fit():
+    # exp(z^2) has d_1 = 0, the first diagonal pivot of both systems; the
+    # per-order fits exchange rows and find the regular [2/2] entry
+    exp_sq = series(*(Fraction(1, math.factorial(j // 2)) if j % 2 == 0 else 0
+                      for j in range(11)))
+    assert assert_chain_matches_fits(exp_sq, FAMILY_PADE, [0, 1, 2, 3]) == {0}
+    assert pade_fit(exp_sq, 2, 2) == PadeApprox((QQ(1), QQ(0), QQ(1, 2)),
+                                                (QQ(1), QQ(0), QQ(-1, 2)))
+    assert assert_chain_matches_fits(exp_sq, FAMILY_HERMITE_PADE, [1, 2]) == set()
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls of the named analysis functions."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counted(*args, real=getattr(analysis, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", [FAMILY_PADE, FAMILY_HERMITE_PADE])
+def test_each_chain_eliminates_once(monkeypatch, family, ps44):
+    calls = _counting(monkeypatch, "_eliminate", "pade_fit", "hermite_pade_fit")
+    est = stable_singularity(ps44, family, threshold=5e-2)
+    assert len(est.orders) == len(default_orders(family, len(ps44)))
+    assert calls == {"_eliminate": 1, "pade_fit": 0, "hermite_pade_fit": 0}
+
+
+def test_fallback_orders_go_through_the_per_order_fit(monkeypatch):
+    calls = _counting(monkeypatch, "_eliminate", "pade_fit")
+    est = stable_singularity(geometric(9), FAMILY_PADE, (1, 2, 3))
+    assert est.orders == (1, 2, 3)
+    # one chain pass, then orders 2 and 3 each eliminate alone
+    assert calls == {"_eliminate": 3, "pade_fit": 2}
+
+
+# ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -662,8 +751,8 @@ class TestRootExtraction:
 
     def test_overflowing_float_seed_falls_back(self, monkeypatch):
         big = QQ(10 ** 400)            # 10^400 (z-1/3)(z+5/7)(z-4)
-        coeffs = poly_scale(poly_mul(poly_mul([QQ(-1, 3), QQ(1)], [QQ(5, 7), QQ(1)]),
-                                     [QQ(-4), QQ(1)]), big)
+        coeffs = poly_mul(poly_mul(poly_mul([QQ(-1, 3), QQ(1)], [QQ(5, 7), QQ(1)]),
+                                   [QQ(-4), QQ(1)]), [big])
         with mpmath.workdps(60):
             assert _float_seed([mpmath.mpf(c.numerator) / c.denominator
                                 for c in reversed(coeffs)]) is None
@@ -708,13 +797,29 @@ class TestRootExtraction:
 
     def test_duplicated_starts_match_polyroots(self):
         # (z-1)(z-2)(z+3)(z^2+1) from three equal starts: each zero
-        # factor is skipped, and the iteration still separates them
+        # factor is skipped, and the iteration still separates them.  It
+        # also guards the confirming sweep: a kernel that stops once every
+        # root's last step was small, without one more sweep over all of
+        # them, returns non-roots here (-1 + 0.5i among them)
         coeffs = poly_mul(poly_mul(poly_mul([QQ(-1), QQ(1)], [QQ(-2), QQ(1)]),
                                    [QQ(3), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
         starts = [mpmath.mpc(z) for z in (0.5j, 0.5j, 0.5j, 1.5, -2.5)]
         got, want = self._both(coeffs, starts)
         assert got == want
         assert len({(z.real, z.imag) for z in got}) == 5
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["float-seeds", "polyroots-starts"])
+    def test_near_double_pair_among_simple_roots_matches_polyroots(self, seeded):
+        # ((z+4)^2 + 10^-24) times ten simple rational roots: the pair keeps
+        # moving for sweeps after the simple roots have settled, which the
+        # kernel then skips until one full sweep confirms them all
+        coeffs = [QQ(16) + QQ(1, 10 ** 24), QQ(8), QQ(1)]
+        for k in (-15, -11, -5, -2, 1, 3, 5, 7, 9, 12):
+            coeffs = poly_mul(coeffs, [QQ(-k, 2), QQ(1)])
+        starts = None if seeded else [mpmath.mpc((0.4 + 0.9j) ** n) for n in range(12)]
+        got, want = self._both(coeffs, starts)
+        assert got == want
+        assert len(got) == 12 and sum(abs(z + 4) < 1e-6 for z in got) == 2
 
     def test_real_seeds_resolve_a_near_double_pair(self):
         # ((z+4)^2 + 10^-24)(z-3)(z+7)(z^2+1): numpy's seeds for the pair
@@ -872,6 +977,12 @@ class TestStableSingularity:
         with pytest.raises(ValueError, match="insufficient"):
             default_orders(FAMILY_HERMITE_PADE, 3)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1e-2])
+    def test_threshold_must_be_finite_and_positive(self, threshold, numeric12):
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
+            stable_singularity(series_from_engine(numeric12), FAMILY_PADE,
+                               threshold=threshold)
+
     def test_default_orders_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family 'cubic'"):
             default_orders("cubic", 20)
@@ -943,6 +1054,15 @@ class TestRadiusScan:
         assert set(row.estimates) == {kept}
         assert row.estimates[kept].radius == pytest.approx(radius, abs=1e-9)
         assert row.error == f"{failed}: {exc}"
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -5e-2])
+    def test_threshold_must_be_finite_and_positive(self, threshold, monkeypatch):
+        def boom(order, alpha, gauge):
+            raise AssertionError("the threshold is checked before any run")
+
+        monkeypatch.setattr(engine, "run", boom)
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
+            radius_scan([QQ(1)], 8, threshold=threshold)
 
     def test_family_restriction(self):
         rows = radius_scan([QQ(1)], 44, families=(FAMILY_HERMITE_PADE,))

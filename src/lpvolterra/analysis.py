@@ -13,11 +13,12 @@ diagonal orders eliminates once: each order's system is a leading block
 of the next one's, so the top order's elimination gives every lower
 order's null vector, and only an order whose block needs a row exchange
 is solved alone.
-Singularity locations come from denominator zeros (Pade) or discriminant
-zeros Q^2 - 4PR (Hermite-Pade), tracked across approximant orders until
-they stabilize.  The zeros come from a fixed-point integer Durand-Kerner
-kernel with mpmath.polyroots' updates and stop rule that sweeps only the
-roots still moving, and each root must pass a residual certificate.
+Singularity locations come from denominator zeros (Pade) or the odd
+clusters of discriminant zeros Q^2 - 4PR (Hermite-Pade), tracked across
+approximant orders until they stabilize.  The zeros come from a
+fixed-point integer Durand-Kerner kernel with mpmath.polyroots' updates
+and stop rule that sweeps only the roots still moving, and each root
+must pass a residual certificate.
 """
 
 from __future__ import annotations
@@ -180,22 +181,6 @@ def _leading_null_vector(work, n):
     return x
 
 
-def null_space(rows, ncols):
-    """Basis of the null space of the (dense, rational) matrix."""
-    work = list(rows)
-    pivots = rational_rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [QQ(0)] * ncols
-        v[fc] = QQ(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        basis.append(v)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # the normalized frequency series
 
@@ -282,9 +267,11 @@ def _matching_system(series: PowerSeries, degrees):
     """A_0 + A_1 f + ... + A_k f^k = O(z^n) with deg A_e = degrees[e] and
     n = sum(degrees) + k, reduced by the rule of the module docstring.
 
-    Returns the null-space basis of the equations at z^(deg A_0 + 1) ..
-    z^(n-1), in columns (A_k, ..., A_1), each in ascending powers, and the
-    powers f, ..., f^k through z^(n-1), from which A_0 is built."""
+    Returns the first null vector of the equations at z^(deg A_0 + 1) ..
+    z^(n-1), in columns (A_k, ..., A_1), each in ascending powers, with
+    its smallest free column 1 (some column is free, there being one
+    equation fewer); the null space's dimension; and f, ..., f^k through
+    z^(n-1), from which A_0 is built."""
     if min(degrees) < 0:
         raise ValueError("degrees must be nonnegative")
     c = series.coeffs
@@ -296,7 +283,13 @@ def _matching_system(series: PowerSeries, degrees):
     rows = [[fe[j - i] if i <= j else QQ(0) for d, fe in blocks for i in range(d + 1)]
             for j in range(degrees[0] + 1, n)]
     ncols = sum(d + 1 for d in degrees[1:])
-    return null_space(rows, ncols), powers
+    pivots = rational_rref(rows)
+    free = [j for j in range(ncols) if j not in pivots]
+    vec = [QQ(0)] * ncols
+    vec[free[0]] = QQ(1)
+    for r, j in enumerate(pivots):
+        vec[j] = -rows[r][free[0]]
+    return vec, len(free), powers
 
 
 def _pade_from(vec, f, K, reduced):
@@ -332,11 +325,11 @@ def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     reported for the caller to perturb (K, L).  Otherwise it is scaled
     to q_0 = 1; a regular entry (a one-dimensional null space) keeps all
     L+1 entries of Q, a blocked one drops Q's trailing zeros."""
-    basis, powers = _matching_system(series, (K, L))
-    if basis[0][0] == 0:
+    vec, dim, powers = _matching_system(series, (K, L))
+    if vec[0] == 0:
         raise DegenerateApproximantError(
             f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
-    return _pade_from(basis[0], powers[0], K, len(basis) > 1)
+    return _pade_from(vec, powers[0], K, dim > 1)
 
 
 def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermitePade:
@@ -346,12 +339,12 @@ def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermite
     R = -(P f^2 + Q f) through z^M.  A nontrivial solution always exists;
     its first nonzero coefficient in (p_0..p_K, q_0..q_L) order is scaled
     to 1.  A null space of dimension above one is reported as degenerate."""
-    basis, powers = _matching_system(series, (M, L, K))
-    if len(basis) != 1:
+    vec, dim, powers = _matching_system(series, (M, L, K))
+    if dim != 1:
         raise DegenerateApproximantError(
-            f"f[{K},{L},{M}] matching system has a {len(basis)}-dimensional "
+            f"f[{K},{L},{M}] matching system has a {dim}-dimensional "
             "null space")
-    return _hermite_pade_from(basis[0], powers, K, M)
+    return _hermite_pade_from(vec, powers, K, M)
 
 
 def discriminant(h: QuadHermitePade):
@@ -539,12 +532,33 @@ def _chain_fits(series: PowerSeries, family: str, orders):
     return fits
 
 
+# measured near-double discriminant zeros lie at most 6e-4 apart (relative)
+CLUSTER_RHO = 1e-3
+
+
+def _odd_clusters(roots):
+    """The odd clusters of the zeros, one candidate each (the zero when
+    alone, else the mean), sorted by :func:`_root_key`.  Zeros within
+    CLUSTER_RHO of each other, relative to the larger modulus, cluster
+    (single linkage).  sqrt(D) changes sign around a cluster exactly when
+    D's winding number there is odd, so an even cluster is no branch point."""
+    zs = [complex(r) for r in roots]
+    clusters = []
+    for i, z in enumerate(zs):
+        near = [c for c in clusters
+                if any(abs(z - zs[j]) <= CLUSTER_RHO * max(abs(z), abs(zs[j])) for j in c)]
+        clusters = [c for c in clusters if c not in near] + [[i] + [j for c in near for j in c]]
+    with mpmath.workdps(ROOT_DPS):
+        return sorted((roots[c[0]] if len(c) == 1 else sum(roots[j] for j in c) / len(c)
+                       for c in clusters if len(c) % 2), key=_root_key)
+
+
 def _candidate_roots(series: PowerSeries, family: str, m: int, fit):
-    """Roots of the order-m fit: ``fit`` when the chain gave one, else the
-    per-order fit."""
+    """Roots of the order-m fit (``fit`` when the chain gave one, else the
+    per-order fit), for Hermite-Pade in odd clusters."""
     if family == FAMILY_PADE:
         return pade_poles(fit or pade_fit(series, m, m))
-    return discriminant_roots(fit or hermite_pade_fit(series, m, m, m))
+    return _odd_clusters(discriminant_roots(fit or hermite_pade_fit(series, m, m, m)))
 
 
 def default_orders(family: str, n_coeffs: int):

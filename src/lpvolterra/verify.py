@@ -8,13 +8,13 @@ every orbit and serves as the accuracy monitor.
 
 The stepper is fused for speed without changing a bit of its output.
 Each controlled attempt compares one RK4 step of size h with two of
-size h/2, and all three are written out in the attempt's loop body:
-the RK4 stages write out ``lv_rhs`` with the same float operations in
-the same order, and the first stage at the current state is computed
-once and shared by the full step and the first half step.  When an
-attempt is rejected, h is halved exactly, so the rejected attempt's
-first half step is the next attempt's full step and is reused instead
-of recomputed.  The fixed-step mode takes the full step alone.
+size h/2.  The RK4 stages write out ``lv_rhs`` with the same float
+operations in the same order, in two blocks: a step from the current
+state, whose first stage is shared, and one from the attempt's
+midpoint.  The first pass runs the start block at h, the full step;
+later passes run it at h/2, then the midpoint block.  A rejection halves
+h exactly, so the rejected attempt's first half step is the next
+attempt's full step.  The fixed-step mode takes the full step alone.
 """
 
 from __future__ import annotations
@@ -94,44 +94,14 @@ def _advance(alpha, x, y, span, step, tolerance):
         # ulps, so floor it there; an uncertifiable tolerance then
         # surfaces as step underflow
         least = 1e-15 * scale
-        reuse = False
+        hs = sign * h
+        x1 = None
         while True:
             if h < _UNDERFLOW and not fixed:
                 raise ArithmeticError(
                     "step underflow: local error cannot reach the "
                     "requested tolerance")
-            if not reuse:
-                # one RK4 step of size h from (x, y)
-                hs = sign * h
-                a = 0.5 * hs
-                xs = x + a * k1x
-                ys = y + a * k1y
-                p = xs * ys
-                k2x = xs - p
-                k2y = alpha * (p - ys)
-                xs = x + a * k2x
-                ys = y + a * k2y
-                p = xs * ys
-                k3x = xs - p
-                k3y = alpha * (p - ys)
-                xs = x + hs * k3x
-                ys = y + hs * k3y
-                p = xs * ys
-                x1 = x + hs * (k1x + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
-                y1 = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
-                if fixed:
-                    x, y = x1, y1
-                    remaining -= h
-                    # a fixed step can overflow to inf or nan, which the
-                    # positivity test below lets through; the controlled
-                    # branch rejects such steps by their nan error
-                    if not (math.isfinite(x) and math.isfinite(y)):
-                        raise ArithmeticError(
-                            "state is not finite during fixed-step "
-                            "integration (x or y overflowed); lower the step")
-                    break
-            # the first RK4 step of size h/2, sharing the first stage
-            hs = sign * h / 2
+            # one RK4 step of size hs from (x, y), sharing the first stage
             a = 0.5 * hs
             xs = x + a * k1x
             ys = y + a * k1y
@@ -148,7 +118,23 @@ def _advance(alpha, x, y, span, step, tolerance):
             p = xs * ys
             xm = x + hs * (k1x + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
             ym = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
-            # the second, from (xm, ym)
+            if x1 is None:
+                # the full step h; the next pass takes the first h/2 step
+                if fixed:
+                    x, y = xm, ym
+                    remaining -= h
+                    # a fixed step can overflow to inf or nan, which the
+                    # positivity test below lets through; the controlled
+                    # branch rejects such steps by their nan error
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise ArithmeticError(
+                            "state is not finite during fixed-step "
+                            "integration (x or y overflowed); lower the step")
+                    break
+                x1, y1 = xm, ym
+                hs /= 2
+                continue
+            # the second h/2 step, from (xm, ym)
             p = xm * ym
             kx = xm - p
             ky = alpha * (p - ym)
@@ -181,12 +167,11 @@ def _advance(alpha, x, y, span, step, tolerance):
                 if err < bound / 64 and h < step:
                     h = step if step < 2 * h else 2 * h
                 break
+            # h/2 and hs/2 are exact, so the rejected attempt's first
+            # half step is the next attempt's full step
             h /= 2
-            # h/2 is exact, so the rejected attempt's half step is the
-            # full step of the next attempt
-            x1 = xm
-            y1 = ym
-            reuse = True
+            hs /= 2
+            x1, y1 = xm, ym
         if x <= 0 or y <= 0:
             raise ArithmeticError(
                 "positivity lost during integration (x or y reached 0)")

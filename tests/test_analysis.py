@@ -30,7 +30,6 @@ from lpvolterra.analysis import (
     discriminant,
     discriminant_roots,
     hermite_pade_fit,
-    null_space,
     pade_fit,
     pade_poles,
     poly_mul,
@@ -41,6 +40,7 @@ from lpvolterra.analysis import (
     series_from_engine,
     stable_singularity,
     rational_rref,
+    _candidate_roots,
     _durand_kerner,
     _float_seed,
     _poly_roots_mp,
@@ -98,17 +98,6 @@ class TestPolyKit:
         while want and want[-1] == 0:
             want.pop()
         assert poly_mul(p, q) == want
-
-
-class TestExactLinearAlgebra:
-    def test_null_space_of_rank_two(self):
-        rows = [[QQ(1), QQ(1), QQ(0)], [QQ(0), QQ(0), QQ(1)]]
-        basis = null_space(rows, 3)
-        assert basis == [[QQ(-1), QQ(1), QQ(0)]]
-
-    def test_null_space_of_zero_matrix(self):
-        basis = null_space([[QQ(0), QQ(0)]], 2)
-        assert len(basis) == 2
 
 
 def reference_rref(rows):
@@ -250,29 +239,6 @@ def reference_null_space(rows, ncols):
             v[pc] = -work[r][fc]
         basis.append(v)
     return basis
-
-
-@st.composite
-def null_space_cases(draw):
-    """(rows, ncols): a rational_matrices() draw, a matrix of zero rows,
-    or no rows at all."""
-    kind = draw(st.sampled_from(("matrix", "zero", "empty")))
-    if kind == "matrix":
-        rows = draw(rational_matrices())
-        return rows, len(rows[0])
-    ncols = draw(st.integers(1, 6))
-    n_rows = draw(st.integers(1, 4)) if kind == "zero" else 0
-    return [[QQ(0)] * ncols for _ in range(n_rows)], ncols
-
-
-@given(null_space_cases())
-@example((SKIPPED_PIVOT_COLUMN, 4))
-@example((TALL_RANK_DEFICIENT, 3))
-@example((WIDE_MANY_FREE, 6))
-@settings(max_examples=200, deadline=None)
-def test_null_space_matches_fraction_gauss_jordan(case):
-    rows, ncols = case
-    assert null_space(rows, ncols) == reference_null_space(rows, ncols)
 
 
 def _trim(p):
@@ -910,6 +876,29 @@ class TestRootExtraction:
         assert abs(poles[0] - 1) < mpmath.mpf(10) ** -50
 
 
+class TestDiscriminantClusters:
+    """Hermite-Pade candidates are the odd clusters of discriminant zeros."""
+
+    @staticmethod
+    def candidates(d):
+        # P = -1/4 and Q = 0 make the discriminant d itself
+        fit = QuadHermitePade((QQ(-1, 4),), (), tuple(d))
+        return _candidate_roots(None, FAMILY_HERMITE_PADE, 0, fit)
+
+    def test_near_double_zero_is_dropped(self):
+        d = poly_mul(poly_mul([QQ(-2), QQ(1)], [QQ(-2) - QQ(1, 50000), QQ(1)]),
+                     [QQ(-3), QQ(1)])
+        got = self.candidates(d)
+        assert len(got) == 1
+        assert abs(got[0] - 3) < mpmath.mpf(10) ** -40
+
+    def test_near_triple_zero_is_one_candidate(self):
+        # the zeros of (z - 2)^3 - 8e-15 lie 2e-5 from 2 and their mean is 2
+        got = self.candidates([QQ(-8) - QQ(8, 10 ** 15), QQ(12), QQ(-6), QQ(1)])
+        assert len(got) == 1
+        assert abs(got[0] - 2) < mpmath.mpf(10) ** -40
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -949,6 +938,14 @@ class TestStableSingularity:
         assert est.radius == pytest.approx(RC_HP_44, abs=1e-9)
         assert est.radius > 3    # near-origin defect doublets must not win
         assert est.orders == (5, 6, 7)
+
+    def test_order62_hermite_pade_skips_discriminant_doublets(self):
+        # at alpha 2 the chain nearest the origin is made of near-double
+        # discriminant zeros (2.537953896, spread 2.7e-2); the branch point
+        # lies beyond it
+        ps = series_from_engine(run(62, QQ(2), GAUGE_SIMPLIFIED_XI))
+        est = stable_singularity(ps, FAMILY_HERMITE_PADE, threshold=5e-2)
+        assert est.radius == pytest.approx(2.635469251, rel=1e-9)
 
     def test_default_threshold_too_tight_at_order44(self, ps44):
         # the chains still drift by a few percent per order here

@@ -540,25 +540,30 @@ def evaluate_numeric(ring, x, alpha=None, phi=0, dps: int = 50):
     Parameters
     ----------
     ring : ring owning ``x``
+    x : one element, or a list of them, evaluated in one precision context
     alpha : exact rational value, checked by :func:`ring_alpha`.
     phi : phase angle in radians (used by phase-extended elements).
     dps : decimal digits of working precision.
 
-    Returns an ``mpmath.mpf`` computed at ``dps`` digits.
+    Returns an ``mpmath.mpf`` computed at ``dps`` digits, or a list of them.
     """
     alpha = ring_alpha(ring, alpha)
     with mpmath.workdps(dps):
         s = mpmath.sqrt(to_mpf(alpha))
+        p = mpmath.mpf(phi)
 
         def ev(el):
             return mpmath.fsum(to_mpf(v) * s ** k for k, v in el.items())
 
-        if ring.has_phase:
-            p = mpmath.mpf(phi)
-            total = ev(x.const)
-            total += mpmath.fsum(ev(v) * mpmath.sin(k * p)
-                                 for k, v in x.sin.items())
-            total += mpmath.fsum(ev(v) * mpmath.cos(k * p)
-                                 for k, v in x.cos.items() if k)
-            return total
-        return ev(x)
+        def value(el):
+            if not ring.has_phase:
+                return ev(el)
+            return (ev(el.const)
+                    + mpmath.fsum(ev(v) * mpmath.sin(k * p)
+                                  for k, v in el.sin.items())
+                    + mpmath.fsum(ev(v) * mpmath.cos(k * p)
+                                  for k, v in el.cos.items() if k))
+
+        if isinstance(x, list):
+            return [value(el) for el in x]
+        return value(x)

@@ -31,7 +31,7 @@ from .checks import LEVELS as CHECK_LEVELS
 from .checks import iter_checks, load_golden
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGES, evaluate_solution, run
 from .trigpoly import to_triples
-from .verify import IntegratorConfig, compare_orbit, integrate
+from .verify import ERROR_FLOOR, IntegratorConfig, compare_orbit, integrate
 
 PROG = "lpvolterra"
 
@@ -314,7 +314,7 @@ def cmd_orbit(params):
         raise BadArguments(f"periods * 2 pi overflows a float; got periods = {periods!r}")
     # past the high bound np.linspace below would fail with a MemoryError
     points = _need(params, "points", int, low=2, high=MAX_ORBIT_STEPS)
-    tolerance = _need(params, "tolerance", float, positive=True)
+    tolerance = _need(params, "tolerance", float, positive=True, low=ERROR_FLOOR)
     digits = _need(params, "digits", int, low=1, high=MAX_DIGITS)
     # a manifest without the key runs the check, as the flag's absence does
     radius_check = _need({"radius_check": True, **params}, "radius_check", bool)
@@ -447,6 +447,7 @@ def cmd_check(params):
 # ---------------------------------------------------------------------------
 # wiring
 
+@functools.cache   # parsing never mutates the parser: one serves every main()
 def build_parser():
     parser = argparse.ArgumentParser(
         prog=PROG,

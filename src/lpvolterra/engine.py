@@ -230,24 +230,32 @@ def evaluate_solution(series: PerturbationSeries, a, phi=0.0, tau_grid=None,
     a = float(a)
     phi = float(phi)
 
-    def coeff_value(el):
-        return float(evaluate_numeric(ring, el, alpha=alpha, phi=phi, dps=50))
-
     # {kind: {(component, harmonic): partial sum}}; each array adds its sin
     # terms, then its cos terms, each in order of first appearance
     acc: dict = {"sin": {}, "cos": {}}
+    # one evaluate_numeric call for every coefficient, in the order read below
+    elements = [el for sol in series.orders
+                for el in (sol.omega, *sol.xi.sin.values(), *sol.xi.cos.values(),
+                           *sol.eta.sin.values(), *sol.eta.cos.values())]
+    values = iter(evaluate_numeric(ring, elements, alpha=alpha, phi=phi, dps=50))
     omega = 0.0
     ap = 1.0
     for sol in series.orders:
-        omega += coeff_value(sol.omega) * ap
+        omega += float(next(values)) * ap
         for comp in ("xi", "eta"):
             for kind, sums in acc.items():
-                for j, v in getattr(getattr(sol, comp), kind).items():
-                    sums[comp, j] = sums.get((comp, j), 0.0) + coeff_value(v) * ap
+                for j in getattr(getattr(sol, comp), kind):
+                    sums[comp, j] = sums.get((comp, j), 0.0) + float(next(values)) * ap
         ap *= a
     theta = tau + phi
     out = {"xi": np.zeros_like(tau), "eta": np.zeros_like(tau)}
     for kind, sums in acc.items():
+        waves = {}     # xi and eta share each wave, kept until its second use
         for (comp, j), c in sums.items():
-            out[comp] += c * getattr(np, kind)(j * theta)
+            wave = waves.pop(j, None)
+            if wave is None:
+                wave = getattr(np, kind)(j * theta)
+                if ("eta" if comp == "xi" else "xi", j) in sums:
+                    waves[j] = wave
+            out[comp] += c * wave
     return out["xi"], out["eta"], omega

@@ -7,13 +7,14 @@ The first integral V = alpha(x - ln x) + (y - ln y) is conserved along
 every orbit and serves as the accuracy monitor.
 
 The stepper is fused for speed without changing a bit of its output.
-Each controlled attempt compares one RK4 step of size h with two of
-size h/2.  The RK4 stages write out ``lv_rhs`` with the same float
-operations in the same order, in two blocks: a step from the current
-state, whose first stage is shared, and one from the attempt's
-midpoint.  The first pass runs the start block at h, the full step;
-later passes run it at h/2, then the midpoint block.  A rejection halves
-h exactly, so the rejected attempt's first half step is the next
+One stepping call walks every sample time of an orbit, restarting the
+step at each sample.  Each controlled attempt compares one RK4 step of
+size h with two of size h/2.  The RK4 stages write out ``lv_rhs`` with
+the same float operations in the same order, in two blocks: a step from
+the current state, whose first stage is shared, and one from the
+attempt's midpoint.  The first pass runs the start block at h, the full
+step; later passes run it at h/2, then the midpoint block.  A rejection
+halves h exactly, so the rejected attempt's first half step is the next
 attempt's full step.  The fixed-step mode takes the full step alone.
 """
 
@@ -26,6 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 _UNDERFLOW = 1e-13
+
+# the halved-step comparison cannot certify errors below a few ulps, so
+# the error estimate is floored at this fraction of the state's scale; a
+# tolerance below it surfaces as step underflow
+ERROR_FLOOR = 1e-15
 
 
 def lv_rhs(alpha: float, x: float, y: float):
@@ -66,116 +72,119 @@ class OrbitSample:
     conserved_drift: float
 
 
-def _advance(alpha, x, y, span, step, tolerance):
-    """Integrate the state across ``span`` (signed), returning (x, y)."""
-    if span == 0:
-        return x, y
-    sign = 1.0 if span > 0 else -1.0
-    remaining = abs(span)
-    h = remaining if remaining < step else step
+def _advance(alpha, x, y, times, step, tolerance):
+    """Integrate the state from t = 0 through each of ``times`` in turn
+    (monotone, either sign), returning the lists of x and y there."""
     fixed = math.isinf(tolerance)
-    # sub-roundoff leftovers from float cancellation are already "there"
-    floor = _UNDERFLOW * (remaining if remaining > 1.0 else 1.0)
-    while remaining > floor:
-        if remaining < h:
-            h = remaining
-        p = x * y
-        k1x = x - p
-        k1y = alpha * (p - y)
-        # x and y are positive: the callers start from a positive state
-        # and every step below is checked
-        scale = 1.0
-        if x > scale:
-            scale = x
-        if y > scale:
-            scale = y
-        bound = tolerance * scale
-        # the halved-step comparison cannot certify errors below a few
-        # ulps, so floor it there; an uncertifiable tolerance then
-        # surfaces as step underflow
-        least = 1e-15 * scale
-        hs = sign * h
-        x1 = None
-        while True:
-            if h < _UNDERFLOW and not fixed:
-                raise ArithmeticError(
-                    "step underflow: local error cannot reach the "
-                    "requested tolerance")
-            # one RK4 step of size hs from (x, y), sharing the first stage
-            a = 0.5 * hs
-            xs = x + a * k1x
-            ys = y + a * k1y
-            p = xs * ys
-            k2x = xs - p
-            k2y = alpha * (p - ys)
-            xs = x + a * k2x
-            ys = y + a * k2y
-            p = xs * ys
-            k3x = xs - p
-            k3y = alpha * (p - ys)
-            xs = x + hs * k3x
-            ys = y + hs * k3y
-            p = xs * ys
-            xm = x + hs * (k1x + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
-            ym = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
-            if x1 is None:
-                # the full step h; the next pass takes the first h/2 step
-                if fixed:
-                    x, y = xm, ym
+    x_at, y_at, t = [], [], 0.0
+    for target in times:
+        # a zero span takes no step: remaining starts below the floor
+        span = target - t
+        t = target
+        sign = 1.0 if span > 0 else -1.0
+        remaining = abs(span)
+        h = remaining if remaining < step else step
+        # sub-roundoff leftovers from float cancellation are already "there"
+        floor = _UNDERFLOW * (remaining if remaining > 1.0 else 1.0)
+        while remaining > floor:
+            if remaining < h:
+                h = remaining
+            p = x * y
+            k1x = x - p
+            k1y = alpha * (p - y)
+            # x and y are positive: the callers start from a positive state
+            # and every step below is checked
+            scale = 1.0
+            if x > scale:
+                scale = x
+            if y > scale:
+                scale = y
+            bound = tolerance * scale
+            least = ERROR_FLOOR * scale
+            hs = sign * h
+            x1 = None
+            while True:
+                if h < _UNDERFLOW and not fixed:
+                    raise ArithmeticError(
+                        "step underflow: local error cannot reach the "
+                        "requested tolerance")
+                # one RK4 step of size hs from (x, y), sharing the first stage
+                a = 0.5 * hs
+                xs = x + a * k1x
+                ys = y + a * k1y
+                p = xs * ys
+                k2x = xs - p
+                k2y = alpha * (p - ys)
+                xs = x + a * k2x
+                ys = y + a * k2y
+                p = xs * ys
+                k3x = xs - p
+                k3y = alpha * (p - ys)
+                xs = x + hs * k3x
+                ys = y + hs * k3y
+                p = xs * ys
+                xm = x + hs * (k1x + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
+                ym = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
+                if x1 is None:
+                    # the full step h; the next pass takes the first h/2 step
+                    if fixed:
+                        x, y = xm, ym
+                        remaining -= h
+                        # a fixed step can overflow to inf or nan, which the
+                        # positivity test below lets through; the controlled
+                        # branch rejects such steps by their nan error
+                        if not (math.isfinite(x) and math.isfinite(y)):
+                            raise ArithmeticError(
+                                "state is not finite during fixed-step "
+                                "integration (x or y overflowed); lower the step")
+                        break
+                    x1, y1 = xm, ym
+                    hs /= 2
+                    continue
+                # the second h/2 step, from (xm, ym)
+                p = xm * ym
+                kx = xm - p
+                ky = alpha * (p - ym)
+                xs = xm + a * kx
+                ys = ym + a * ky
+                p = xs * ys
+                k2x = xs - p
+                k2y = alpha * (p - ys)
+                xs = xm + a * k2x
+                ys = ym + a * k2y
+                p = xs * ys
+                k3x = xs - p
+                k3y = alpha * (p - ys)
+                xs = xm + hs * k3x
+                ys = ym + hs * k3y
+                p = xs * ys
+                x2 = xm + hs * (kx + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
+                y2 = ym + hs * (ky + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
+                # the same comparisons as max(|dx|, |dy|, least), so a nan
+                # error still rejects the step
+                err = x1 - x2 if x1 > x2 else x2 - x1
+                d = y1 - y2 if y1 > y2 else y2 - y1
+                if d > err:
+                    err = d
+                if least > err:
+                    err = least
+                if err <= bound:
+                    x, y = x2, y2
                     remaining -= h
-                    # a fixed step can overflow to inf or nan, which the
-                    # positivity test below lets through; the controlled
-                    # branch rejects such steps by their nan error
-                    if not (math.isfinite(x) and math.isfinite(y)):
-                        raise ArithmeticError(
-                            "state is not finite during fixed-step "
-                            "integration (x or y overflowed); lower the step")
+                    if err < bound / 64 and h < step:
+                        h = step if step < 2 * h else 2 * h
                     break
-                x1, y1 = xm, ym
+                # h/2 and hs/2 are exact, so the rejected attempt's first
+                # half step is the next attempt's full step
+                h /= 2
                 hs /= 2
-                continue
-            # the second h/2 step, from (xm, ym)
-            p = xm * ym
-            kx = xm - p
-            ky = alpha * (p - ym)
-            xs = xm + a * kx
-            ys = ym + a * ky
-            p = xs * ys
-            k2x = xs - p
-            k2y = alpha * (p - ys)
-            xs = xm + a * k2x
-            ys = ym + a * k2y
-            p = xs * ys
-            k3x = xs - p
-            k3y = alpha * (p - ys)
-            xs = xm + hs * k3x
-            ys = ym + hs * k3y
-            p = xs * ys
-            x2 = xm + hs * (kx + 2.0 * k2x + 2.0 * k3x + (xs - p)) / 6.0
-            y2 = ym + hs * (ky + 2.0 * k2y + 2.0 * k3y + alpha * (p - ys)) / 6.0
-            # the same comparisons as max(|dx|, |dy|, least), so a nan
-            # error still rejects the step
-            err = x1 - x2 if x1 > x2 else x2 - x1
-            d = y1 - y2 if y1 > y2 else y2 - y1
-            if d > err:
-                err = d
-            if least > err:
-                err = least
-            if err <= bound:
-                x, y = x2, y2
-                remaining -= h
-                if err < bound / 64 and h < step:
-                    h = step if step < 2 * h else 2 * h
-                break
-            # h/2 and hs/2 are exact, so the rejected attempt's first
-            # half step is the next attempt's full step
-            h /= 2
-            hs /= 2
-            x1, y1 = xm, ym
-        if x <= 0 or y <= 0:
-            raise ArithmeticError(
-                "positivity lost during integration (x or y reached 0)")
-    return x, y
+                x1, y1 = xm, ym
+            if x <= 0 or y <= 0:
+                raise ArithmeticError(
+                    "positivity lost during integration (x or y reached 0)")
+        x_at.append(x)
+        y_at.append(y)
+    return x_at, y_at
 
 
 def _check_reach(reach: float, step: float) -> None:
@@ -209,17 +218,12 @@ def integrate(alpha: float, x0: float, y0: float,
                                    or np.all(np.diff(times) < 0)):
             raise ValueError("t_eval must be strictly monotone")
         _check_reach(float(np.max(np.abs(times))), cfg.step)
-    xs = []
-    ys = []
-    x, y, t = float(x0), float(y0), 0.0
+    xs, ys = _advance(alpha, float(x0), float(y0), times.tolist(), cfg.step,
+                      cfg.tolerance)
     v0 = first_integral(alpha, x0, y0)
     drift = 0.0
-    step, tolerance, log = cfg.step, cfg.tolerance, math.log
-    for target in times.tolist():
-        x, y = _advance(alpha, x, y, target - t, step, tolerance)
-        t = target
-        xs.append(x)
-        ys.append(y)
+    log = math.log
+    for x, y in zip(xs, ys):
         # first_integral written out; a nan deviation leaves the drift
         # as it is, as max(drift, d) would
         d = abs(alpha * (x - log(x)) + (y - log(y)) - v0)
@@ -254,7 +258,7 @@ def measure_frequency(orbit: OrbitSample) -> float:
             frac = (y0 - y_lo) / (float(ys[k + 1]) - y_lo)
             dt = frac * h
             for _ in range(60):
-                xa, ya = _advance(alpha, x_lo, y_lo, dt, h, 1e-12)
+                (xa,), (ya,) = _advance(alpha, x_lo, y_lo, [dt], h, 1e-12)
                 _, yd = lv_rhs(alpha, xa, ya)
                 if yd == 0:
                     break

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: rings, canonical strings, numeric evaluation."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
                                 alpha_polynomial, canonical, evaluate_numeric,
                                 format_element, numeric_ring, parse_element,
                                 rational_sqrt, ring_alpha)
+from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, run
 from lpvolterra.trigpoly import PhaseRing
 
 R = SYMBOLIC
@@ -255,6 +257,44 @@ class TestNumericEvaluation:
             assert abs(v - mpmath.sqrt(2)) < mpmath.mpf(10) ** -40
         with pytest.raises(ValueError):
             evaluate_numeric(ring, ring.s(1), alpha=3)
+
+
+# series coefficients per ring: symbolic, a square and a non-square
+# numeric alpha, and the phase ring of the zero-initial gauge
+LIST_CASES = {"symbolic": ("symbolic", GAUGE_SIMPLIFIED_XI),
+              "square": (QQ(9, 4), GAUGE_SIMPLIFIED_XI),
+              "non-square": (QQ(2), GAUGE_SIMPLIFIED_XI),
+              "phase": (QQ(3, 2), GAUGE_ZERO_INITIAL)}
+
+
+@functools.cache
+def series_coefficients(case):
+    """The ring and every omega_n and harmonic coefficient of an order-4
+    series."""
+    series = run(4, *LIST_CASES[case])
+    elements = [sol.omega for sol in series.orders]
+    for sol in series.orders:
+        for tp in (sol.xi, sol.eta):
+            elements += [*tp.sin.values(), *tp.cos.values()]
+    return series.coeff_ring, elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(LIST_CASES)),
+       alpha=st.fractions(min_value=Fraction(1, 10), max_value=10,
+                          max_denominator=12),
+       phi=st.floats(0.1, 6.0),
+       picks=st.lists(st.integers(min_value=0), max_size=12),
+       dps=st.sampled_from([15, 30, 50]))
+def test_list_evaluation_matches_per_element(case, alpha, phi, picks, dps):
+    # a list is evaluated in one precision context with one sqrt(alpha),
+    # so each value equals its own call exactly
+    ring, elements = series_coefficients(case)
+    chosen = [elements[i % len(elements)] for i in picks]
+    alpha = QQ(alpha) if case == "symbolic" else None
+    got = evaluate_numeric(ring, chosen, alpha=alpha, phi=phi, dps=dps)
+    assert got == [evaluate_numeric(ring, el, alpha=alpha, phi=phi, dps=dps)
+                   for el in chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,19 @@ class TestOrbitCommand:
         assert err.count("\n") == 1
         assert not os.path.exists("orbit_metrics.csv")
 
+    def test_tolerance_below_the_error_floor_rejected(self, capsys, monkeypatch):
+        # the stepper floors its error estimate at 1e-15 of the state's
+        # scale, so a smaller tolerance accepts no step
+        with monkeypatch.context() as patched:
+            forbid(patched, "run")
+            assert main(["orbit", "--a", "0.1", "--order", "2",
+                         "--tolerance", "9.9e-16"]) == 2
+        assert capsys.readouterr().err == \
+            "error: tolerance must be >= 1e-15; got 9.9e-16\n"
+        assert os.listdir() == []
+        assert main(["orbit", "--a", "0.1", "--order", "2", "--points", "16",
+                     "--tolerance", "1e-15", "--no-radius-check"]) == 0
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_digits_must_be_positive(self, value, capsys, monkeypatch):
         forbid(monkeypatch, "run")
@@ -914,6 +927,53 @@ class TestEntryPoints:
                               env=env)
         assert proc.returncode == 0
         assert "omega_0 = sqrt(alpha)" in proc.stdout
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # main() builds its parser once per process: a refused argv (at
+        # argparse and after it) followed by a good one gives what fresh
+        # processes give
+        root = os.path.dirname(os.path.dirname(lpvolterra.__file__))
+        entries = [root] + [p for p in os.environ.get("PYTHONPATH", "")
+                            .split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
+        argvs = [["orbit", "--points", "many"],
+                 ["orbit", "--a", "0.1", "--order", "2", "--digits", "0"],
+                 ["orbit", "--a", "0.1", "--order", "2", "--points", "16",
+                  "--no-radius-check"]]
+
+        def outcome(run_argv):
+            out = []
+            for argv in argvs:
+                code, stdout = run_argv(argv)
+                files = {}
+                for name in sorted(os.listdir()):
+                    if not name.endswith(".manifest.json"):
+                        with open(name, "rb") as fh:
+                            files[name] = fh.read()
+                        os.remove(name)
+                out.append((code, stdout, files))
+            return out
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "lpvolterra.cli", *argv],
+                                  capture_output=True, text=True, timeout=120,
+                                  env=env)
+            return proc.returncode, proc.stdout
+
+        def in_process(argv):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, stdout.getvalue()
+
+        want = outcome(fresh)
+        assert [code for code, _, _ in want] == [2, 2, 0]
+        assert outcome(in_process) == want
+        assert lpvolterra.cli.build_parser() is lpvolterra.cli.build_parser()
 
     def test_console_script(self):
         exe = shutil.which("lpvolterra")

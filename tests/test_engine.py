@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lpvolterra import engine
 from lpvolterra.algebra import (QQ, evaluate_numeric, format_element,
                                 numeric_ring, parse_element, rational_sqrt)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
@@ -395,6 +396,33 @@ class TestExactSpecialisation:
             assert got.eta == specialise_tp(want.eta, alpha), want.n
 
 
+def reference_evaluate_solution(series, a, phi, tau, alpha):
+    """``evaluate_solution`` as one evaluate_numeric call per coefficient
+    and one np.sin or np.cos per term; the batched one must match it bit
+    for bit."""
+    ring = series.coeff_ring
+
+    def coeff_value(el):
+        return float(evaluate_numeric(ring, el, alpha=alpha, phi=phi, dps=50))
+
+    acc = {"sin": {}, "cos": {}}
+    omega = 0.0
+    ap = 1.0
+    for sol in series.orders:
+        omega += coeff_value(sol.omega) * ap
+        for comp in ("xi", "eta"):
+            for kind, sums in acc.items():
+                for j, v in getattr(getattr(sol, comp), kind).items():
+                    sums[comp, j] = sums.get((comp, j), 0.0) + coeff_value(v) * ap
+        ap *= a
+    theta = tau + phi
+    out = {"xi": np.zeros_like(tau), "eta": np.zeros_like(tau)}
+    for kind, sums in acc.items():
+        for (comp, j), c in sums.items():
+            out[comp] += c * getattr(np, kind)(j * theta)
+    return out["xi"], out["eta"], omega
+
+
 class TestEvaluate:
     def test_zero_parameter_gives_circle(self, sym8):
         tau = np.linspace(0, 2 * math.pi, 33)
@@ -428,3 +456,34 @@ class TestEvaluate:
         xi4, _, _ = evaluate_solution(sym4, a=0.2, alpha=1, tau_grid=tau)
         xi8, _, _ = evaluate_solution(sym8, a=0.2, alpha=1, tau_grid=tau)
         assert xi4 != pytest.approx(xi8, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["symbolic", "square", "non-square",
+                                      "simplified-eta", "phase"])
+    def test_matches_per_coefficient_reference(self, case, sym8, zi3,
+                                               monkeypatch):
+        # the series' cos harmonics reach xi and eta in different orders,
+        # so a shared wave must still be added in each array's own order
+        series, alpha, a, phi = {
+            "symbolic": (sym8, QQ(7, 3), 0.27, 0.4),
+            "square": (run(7, QQ(9, 4)), None, -0.2, 1.1),
+            "non-square": (run(7, QQ(2)), None, 0.15, 0.0),
+            "simplified-eta": (run(6, QQ(1, 3), GAUGE_SIMPLIFIED_ETA), None,
+                               0.3, 2.5),
+            "phase": (zi3, QQ(3, 2), 0.2, 0.9)}[case]
+        tau = np.linspace(0.0, 13.0, 301)
+        want = reference_evaluate_solution(series, a, phi, tau, alpha)
+        calls = []
+        counted = engine.evaluate_numeric
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return counted(*args, **kwargs)
+
+        # the benchmark tracer wraps engine.evaluate_numeric by name
+        monkeypatch.setattr(engine, "evaluate_numeric", counting)
+        xi, eta, omega = evaluate_solution(series, a, phi=phi, tau_grid=tau,
+                                           alpha=alpha)
+        assert np.array_equal(xi, want[0])
+        assert np.array_equal(eta, want[1])
+        assert omega == want[2]
+        assert len(calls) == 1 and isinstance(calls[0], list)

@@ -151,7 +151,8 @@ class TestIntegrate:
             integrate(1.0, 1.1, 1.0, cfg, t_eval=t_eval)
 
     def test_span_at_float_resolution_accepted(self, monkeypatch):
-        monkeypatch.setattr(verify, "_advance", lambda alpha, x, y, *rest: (x, y))
+        monkeypatch.setattr(verify, "_advance", lambda alpha, x, y, times, *rest:
+                            ([x] * len(times), [y] * len(times)))
         orbit = integrate(1.0, 1.1, 1.0, t_eval=[0.0, 2.0 ** 52 * 0.01])
         assert orbit.x_values.tolist() == [1.1, 1.1]
 
@@ -231,9 +232,45 @@ class TestFusedStepper:
             expected = reference_advance(alpha, x, y, span, step, tolerance)
         except ArithmeticError as exc:
             with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
-                _advance(alpha, x, y, span, step, tolerance)
+                _advance(alpha, x, y, [span], step, tolerance)
         else:
-            assert _advance(alpha, x, y, span, step, tolerance) == expected
+            assert _advance(alpha, x, y, [span], step, tolerance) == \
+                ([expected[0]], [expected[1]])
+
+    # the first example walks spans of 0, 0.003, 0, 0.997 and 1.5 with
+    # unit steps at 1e-12, so it rejects after a zero span and a short one
+    @example(alpha=1.5, x=1.3, y=0.8, sign=1.0, gaps=[0.0, 0.003, 0.0, 0.997, 1.5],
+             step=1.0, tolerance=1e-12)
+    @example(alpha=1.5, x=1.3, y=0.8, sign=-1.0, gaps=[0.0, 0.05, 0.3, 0.0],
+             step=0.1, tolerance=math.inf)
+    @settings(max_examples=150, deadline=None, report_multiple_bugs=False)
+    @given(alpha=st.floats(0.25, 4.0),
+           x=st.floats(0.4, 2.0),
+           y=st.floats(0.4, 2.0),
+           sign=st.sampled_from([1.0, -1.0]),
+           gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.01),
+                                   st.floats(0.0, 1.5)), min_size=1, max_size=8),
+           step=st.sampled_from([1e-2, 0.1, 0.5, 1.0]),
+           tolerance=st.sampled_from([math.inf, 1e-3, 1e-8, 1e-12]))
+    def test_walk_matches_reference_span_by_span(self, alpha, x, y, sign, gaps,
+                                                 step, tolerance):
+        # one call walks the sample times sign * (g1), sign * (g1 + g2), ...:
+        # gaps of 0 are zero spans, gaps below 0.01 are shorter than every
+        # step, steps of 0.5 and 1 at tight tolerances force rejections, and
+        # an infinite tolerance is fixed-step mode
+        times, t = [], 0.0
+        for gap in gaps:
+            t += sign * gap
+            times.append(t)
+        config = IntegratorConfig(step=step, tolerance=tolerance)
+        try:
+            xs, ys, _ = reference_integrate(alpha, x, y, config, times)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                _advance(alpha, x, y, times, step, tolerance)
+        else:
+            assert _advance(alpha, x, y, times, step, tolerance) == \
+                (xs.tolist(), ys.tolist())
 
     @pytest.mark.parametrize("span", [2.5, -2.5])
     def test_rejections_are_exercised(self, span, monkeypatch):
@@ -251,12 +288,14 @@ class TestFusedStepper:
         monkeypatch.setattr(sys.modules[__name__], "reference_rk4", recorded)
         expected = reference_advance(1.5, 1.3, 0.8, span, 1.0, 1e-12)
         assert sizes[0:15:3] == [1.0, 0.5, 0.25, 0.125, 0.0625]
-        assert _advance(1.5, 1.3, 0.8, span, 1.0, 1e-12) == expected
+        assert _advance(1.5, 1.3, 0.8, [span], 1.0, 1e-12) == \
+            ([expected[0]], [expected[1]])
 
     def test_unreachable_tolerance_underflows_in_both(self):
-        for advance in (reference_advance, _advance):
-            with pytest.raises(ArithmeticError, match="underflow"):
-                advance(1.0, 1.5, 1.0, 1.0, 1e-2, 1e-30)
+        with pytest.raises(ArithmeticError, match="underflow"):
+            reference_advance(1.0, 1.5, 1.0, 1.0, 1e-2, 1e-30)
+        with pytest.raises(ArithmeticError, match="underflow"):
+            _advance(1.0, 1.5, 1.0, [1.0], 1e-2, 1e-30)
 
     @pytest.mark.parametrize("tolerance", [1e-12, 1e-8, math.inf])
     def test_integrate_matches_reference(self, tolerance):

@@ -317,12 +317,11 @@ def _fmt_sdict(d: dict, amp_power: int = 0, trig: str | None = None) -> str:
     for v in d.values():
         num_gcd = math.gcd(num_gcd, abs(int(v.numerator)))
         den_lcm = den_lcm * int(v.denominator) // math.gcd(den_lcm, int(v.denominator))
-    content = QQ(sign * num_gcd, den_lcm)
+    # v / content with content = sign * num_gcd / den_lcm, on integers
+    unit = sign * num_gcd
     shift = min(d)
-    prim = {}
-    for k, v in d.items():
-        c = v / content
-        prim[k - shift] = int(c.numerator)  # exact integer by construction
+    prim = {k - shift: v.numerator * (den_lcm // v.denominator) // unit
+            for k, v in d.items()}
 
     num_factors = []
     if amp_power == 1:

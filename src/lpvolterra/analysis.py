@@ -24,7 +24,9 @@ must pass a residual certificate.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import mpmath
@@ -653,6 +655,29 @@ class ScanRow:
     error: Optional[str] = None
 
 
+def _scan_row(alpha, max_order, families, threshold):
+    """One row of :func:`radius_scan`: the engine run and each family's
+    estimate at one alpha."""
+    from . import engine
+    row = ScanRow(alpha=QQ(alpha))
+    try:
+        ser = engine.run(max_order, QQ(alpha), GAUGE_SIMPLIFIED_XI)
+        ps = series_from_engine(ser)
+        errors = []
+        for family in families:
+            try:
+                row.estimates[family] = stable_singularity(
+                    ps, family, threshold=threshold)
+            except ESTIMATE_ERRORS as exc:
+                msg = str(exc)
+                errors.append(msg if msg.startswith(family) else f"{family}: {msg}")
+        if errors:
+            row.error = "; ".join(errors)
+    except ESTIMATE_ERRORS as exc:
+        row.error = str(exc)
+    return row
+
+
 def radius_scan(alpha_grid: Iterable, max_order: int,
                 families: Sequence[str] = FAMILIES,
                 threshold: float = SCAN_THRESHOLD) -> list:
@@ -663,6 +688,15 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     when a family's estimate fails, and the scan continues with the next
     family or alpha; any other exception is a bug and propagates.
 
+    The alphas are independent, so they run in forked worker processes,
+    one per CPU this process may use (``os.sched_getaffinity``) and at
+    most one per alpha; the rows come back in input order, the same as a
+    serial scan's.  With one usable CPU or one alpha, or where
+    ``os.sched_getaffinity`` does not exist (off Linux, where forking is
+    not safe), the scan runs in this process.  Forked workers inherit the
+    imported package, patches included.  The pool is joined before the
+    scan returns or raises.
+
     The scan threshold is looser than stable_singularity's own: a scan
     wants a filled table across parameter values of varying convergence
     quality, and the spread columns expose how trustworthy each entry
@@ -670,25 +704,16 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     percent per order, so the strict default would blank most rows.  A
     threshold that is not finite and positive is a ValueError, raised
     before any run rather than recorded in every row."""
-    from . import engine
     _check_threshold(threshold)
-    rows = []
-    for alpha in alpha_grid:
-        row = ScanRow(alpha=QQ(alpha))
-        try:
-            ser = engine.run(max_order, QQ(alpha), GAUGE_SIMPLIFIED_XI)
-            ps = series_from_engine(ser)
-            errors = []
-            for family in families:
-                try:
-                    row.estimates[family] = stable_singularity(
-                        ps, family, threshold=threshold)
-                except ESTIMATE_ERRORS as exc:
-                    msg = str(exc)
-                    errors.append(msg if msg.startswith(family) else f"{family}: {msg}")
-            if errors:
-                row.error = "; ".join(errors)
-        except ESTIMATE_ERRORS as exc:
-            row.error = str(exc)
-        rows.append(row)
-    return rows
+    alphas = list(alpha_grid)
+    row_of = partial(_scan_row, max_order=max_order, families=families,
+                     threshold=threshold)
+    affinity = getattr(os, "sched_getaffinity", None)
+    jobs = min(len(alphas), len(affinity(0))) if affinity else 1
+    if jobs < 2:
+        return [row_of(alpha) for alpha in alphas]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(row_of, alphas))

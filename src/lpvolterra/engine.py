@@ -154,9 +154,21 @@ def remove_secular(n: int, forcing: VectorTrigPoly):
     return omega_n, resolved
 
 
-def check_harmonics(n: int, gauge: str, xi: TrigPoly, eta: TrigPoly):
-    """Raise AssertionError unless order n carries no harmonic above n + 1
-    and, in the simplified gauges, only harmonics of the parity of n + 1."""
+def check_harmonics(gauge: str, sol: OrderSolution):
+    """Raise AssertionError unless order n = sol.n carries no harmonic
+    above n + 1, in the simplified gauges only harmonics of the parity of
+    n + 1, and the s-parity of (omega_n, xi_n, eta_n).
+
+    The s-parity follows from the freedom to pick the other square root,
+    (s, theta, phi) -> (-s, -theta, -phi), with s = sqrt(alpha): in the
+    integer forms, every sin wave of a theta + c phi has an odd exponent
+    of s and every cos wave an even one, and so does omega_n / s as a
+    constant.  Phase-free, the coefficients of sin(j theta) and omega_n
+    are odd in s and those of cos(j theta) even; over the phase ring
+    (zero-initial) each sine among the phi factors flips that parity.
+    For a square alpha s is rational and the ring folds every exponent to
+    0, so the s-parity is not checked there."""
+    n, xi, eta = sol.n, sol.xi, sol.eta
     if max(max_harmonic(xi), max_harmonic(eta)) > n + 1:
         raise AssertionError(f"{gauge}: order {n} contains a harmonic above {n + 1}")
     if gauge != GAUGE_ZERO_INITIAL:
@@ -166,23 +178,34 @@ def check_harmonics(n: int, gauge: str, xi: TrigPoly, eta: TrigPoly):
                 if j % 2 != want:
                     raise AssertionError(
                         f"{gauge}: order {n}: harmonic {j} breaks the parity pattern")
+    ring = xi.ring
+    base = ring.base if ring.has_phase else ring
+    if getattr(base, "m", None) == 1:       # the NumericRing of a square alpha
+        return
+    for name, tp in (("omega", sol._frequency_operand), ("xi", xi), ("eta", eta)):
+        for e, waves in int_form(tp).terms.items():
+            if waves[e % 2]:          # (sin, cos): cos at odd e, sin at even e
+                raise AssertionError(f"{gauge}: order {n}: {name} has a "
+                                     f"{('sin', 'cos')[e % 2]} wave at s^{e}, "
+                                     "breaking the sqrt(alpha) parity")
 
 
-def _check_order(n: int, gauge: str, forcing: VectorTrigPoly, w: VectorTrigPoly):
-    """Raise AssertionError unless W = w solves W' = K W + R for the
-    forcing R exactly, and its harmonics pass :func:`check_harmonics`.
+def _check_order(gauge: str, forcing: VectorTrigPoly, sol: OrderSolution):
+    """Raise AssertionError unless W = (sol.xi, sol.eta) solves
+    W' = K W + R for the forcing R exactly, and the order passes
+    :func:`check_harmonics`.
 
     The residual xi' + eta/s - F and eta' - s xi - G is formed on integer
-    forms and folded to zero.  w's form is encoded from its rationals, so
+    forms and folded to zero.  W's form is encoded from its rationals, so
     the check reads the stored coefficients, not the solve's numerators."""
     ring = forcing.xi.ring
-    xi, eta, f, g = (int_form(p) for p in (w.xi, w.eta, *forcing))
+    xi, eta, f, g = (int_form(p) for p in (sol.xi, sol.eta, *forcing))
     den = math.lcm(xi.den, eta.den, f.den, g.den)
     for res in ([(derivative(xi), 1, 0), (eta, 1, -1), (f, -1, 0)],
                 [(derivative(eta), 1, 0), (xi, -1, 1), (g, -1, 0)]):
         if not vanishes(ring, combine(den, res)):
-            raise AssertionError(f"order {n}: nonzero residual")
-    check_harmonics(n, gauge, w.xi, w.eta)
+            raise AssertionError(f"order {sol.n}: nonzero residual")
+    check_harmonics(gauge, sol)
 
 
 def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI) -> PerturbationSeries:
@@ -207,8 +230,9 @@ def run(N: int, alpha="symbolic", gauge: str = GAUGE_SIMPLIFIED_XI) -> Perturbat
         # or eta_n (simplified-eta); zero-initial anchors W_n(0) = 0 instead
         w = (solve_linear_anchored(forcing) if gauge == GAUGE_ZERO_INITIAL
              else particular_solution(forcing, absorb=absorb))
-        _check_order(n, gauge, forcing, w)
-        series.orders.append(OrderSolution(n, omega_n, w.xi, w.eta))
+        sol = OrderSolution(n, omega_n, w.xi, w.eta)
+        _check_order(gauge, forcing, sol)
+        series.orders.append(sol)
     return series
 
 

@@ -3,9 +3,15 @@
 Large-data regressions pin the alpha=1, order-44 frequency series values
 that the radius machinery is expected to reproduce; small closed-form
 cases (geometric, exponential, sqrt) cover each code path exactly.
+
+A radius scan of two or more alphas runs them in worker processes when
+this process may use two or more CPUs.  The workers are forked, so a
+monkeypatch made before the scan reaches them too.
 """
 
 import math
+import multiprocessing
+import os
 from dataclasses import fields
 from fractions import Fraction
 
@@ -990,6 +996,16 @@ class TestStableSingularity:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs a radius scan may use: one runs it in this
+    process, two in two forked workers."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the scan forks workers only where os.sched_getaffinity exists")
+    return lambda k: monkeypatch.setattr(os, "sched_getaffinity",
+                                         lambda pid: set(range(k)))
+
+
 class TestRadiusScan:
     def test_empty_grid(self):
         assert radius_scan([], 44) == []
@@ -1002,6 +1018,36 @@ class TestRadiusScan:
         assert row.estimates[FAMILY_PADE].orders == (7, 8, 9, 10, 11)   # order 44
         for family in (FAMILY_PADE, FAMILY_HERMITE_PADE):
             assert row.estimates[family].radius == pytest.approx(3.46, rel=5e-2)
+
+    def test_one_cpu_runs_here_and_two_fork(self, cpus, monkeypatch):
+        def pid(order, alpha, gauge):
+            raise ArithmeticError(str(os.getpid()))
+
+        monkeypatch.setattr(engine, "run", pid)
+        here = str(os.getpid())
+        cpus(1)
+        assert {row.error for row in radius_scan([1, 2, 3], 8)} == {here}
+        cpus(2)
+        workers = {row.error for row in radius_scan([1, 2, 3], 8)}
+        assert here not in workers and 1 <= len(workers) <= 2
+
+    def test_serial_and_parallel_rows_agree(self, cpus):
+        # at spread 0.2, alphas 1/4 and 1 keep a Hermite-Pade chain and
+        # every row records a failed family
+        alphas = [QQ(1, 4), QQ(1), QQ(2), QQ(4)]
+        cpus(1)
+        serial = radius_scan(alphas, 16, threshold=0.2)
+        cpus(2)
+        parallel = radius_scan(alphas, 16, threshold=0.2)
+        assert [row.alpha for row in parallel] == alphas
+        for one, two in zip(serial, parallel):
+            assert two.error == one.error
+            assert list(two.estimates) == list(one.estimates)
+            for family, est in one.estimates.items():
+                assert two.estimates[family] == est
+                assert two.estimates[family].trail == est.trail
+        assert any(row.estimates for row in serial)
+        assert all(row.error for row in serial)
 
     def test_per_alpha_failure_is_isolated(self, monkeypatch):
         def boom(order, alpha, gauge):
@@ -1032,6 +1078,28 @@ class TestRadiusScan:
         monkeypatch.setattr(engine, "run", boom)
         with pytest.raises(TypeError):
             radius_scan([QQ(1)], 8)
+
+    def test_undeclared_failure_in_a_worker_propagates(self, cpus, monkeypatch):
+        def boom(order, alpha, gauge):
+            raise TypeError("a bug, not a failed estimate")
+
+        monkeypatch.setattr(engine, "run", boom)
+        cpus(2)
+        with pytest.raises(TypeError, match="a bug"):
+            radius_scan([QQ(1), QQ(2)], 8)
+
+    def test_no_worker_outlives_the_scan(self, cpus, monkeypatch):
+        cpus(2)
+        assert len(radius_scan([QQ(1), QQ(2)], 8)) == 2
+        assert multiprocessing.active_children() == []
+
+        def boom(order, alpha, gauge):
+            raise TypeError("a bug, not a failed estimate")
+
+        monkeypatch.setattr(engine, "run", boom)
+        with pytest.raises(TypeError):
+            radius_scan([QQ(1), QQ(2)], 8)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("roots, failed, kept, radius", [
         ("pade_poles", FAMILY_PADE, FAMILY_HERMITE_PADE, RC_HP_44),

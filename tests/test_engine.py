@@ -15,10 +15,10 @@ from lpvolterra import engine
 from lpvolterra.algebra import (QQ, evaluate_numeric, format_element,
                                 numeric_ring, parse_element, rational_sqrt)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
-                               GAUGE_ZERO_INITIAL, PerturbationSeries,
-                               SecularInconsistencyError, _check_order,
-                               build_forcing, evaluate_solution,
-                               remove_secular, run)
+                               GAUGE_ZERO_INITIAL, OrderSolution,
+                               PerturbationSeries, SecularInconsistencyError,
+                               _check_order, build_forcing, check_harmonics,
+                               evaluate_solution, remove_secular, run)
 from lpvolterra.trigpoly import (TrigPoly, VectorTrigPoly, evaluate_at_zero,
                                  harmonic, residual, to_triples, tp_add,
                                  tp_diff, tp_mul, tp_mul_el, tp_term, tp_zero)
@@ -180,7 +180,7 @@ class TestIntegerSelfCheck:
         _, forcing = remove_secular(n, build_forcing(n, series))
         sol = series.orders[n]
         w = VectorTrigPoly(sol.xi, sol.eta)
-        _check_order(n, gauge, forcing, w)
+        _check_order(gauge, forcing, sol)
         changed = 0
         # every coefficient of xi_n and eta_n, one at a time, moved by s
         for comp, p in enumerate(w):
@@ -192,9 +192,49 @@ class TestIntegerSelfCheck:
                     bad[comp] = TrigPoly(ring, **{kind: store,
                                                   other: getattr(p, other)})
                     with pytest.raises(AssertionError, match="nonzero residual"):
-                        _check_order(n, gauge, forcing, VectorTrigPoly(*bad))
+                        _check_order(gauge, forcing,
+                                     OrderSolution(n, sol.omega, *bad))
                     changed += 1
         assert changed >= 4
+
+
+class TestSqrtAlphaParity:
+    """With s = sqrt(alpha), sin(j theta) coefficients and omega_n are odd
+    in s and cos(j theta) coefficients even, each phi sine flipping the
+    parity over the phase ring: one coefficient times s breaks it."""
+
+    @pytest.mark.parametrize("alpha,gauge", [
+        ("symbolic", GAUGE_SIMPLIFIED_XI), (2, GAUGE_SIMPLIFIED_XI),
+        (QQ(5, 3), GAUGE_SIMPLIFIED_ETA), ("symbolic", GAUGE_ZERO_INITIAL),
+        (2, GAUGE_ZERO_INITIAL)])
+    @pytest.mark.parametrize("kind", ["sin", "cos"])
+    def test_one_coefficient_times_s_raises(self, alpha, gauge, kind):
+        n = 3
+        sol = run(n, alpha, gauge).orders[n]
+        ring = sol.xi.ring
+        check_harmonics(gauge, sol)
+        store = dict(getattr(sol.eta, kind))
+        j = min(store)
+        store[j] = ring.mul(store[j], ring.s(1))
+        eta = TrigPoly(ring, **{"sin": sol.eta.sin, "cos": sol.eta.cos, kind: store})
+        with pytest.raises(AssertionError, match="eta has a .* breaking the sqrt"):
+            check_harmonics(gauge, OrderSolution(n, sol.omega, sol.xi, eta))
+
+    @pytest.mark.parametrize("alpha,gauge", [
+        ("symbolic", GAUGE_SIMPLIFIED_XI), (2, GAUGE_ZERO_INITIAL)])
+    def test_omega_times_s_raises(self, alpha, gauge):
+        n = 2
+        sol = run(n, alpha, gauge).orders[n]
+        ring = sol.xi.ring
+        omega = ring.mul(sol.omega, ring.s(1))
+        with pytest.raises(AssertionError, match="omega has a .* breaking the sqrt"):
+            check_harmonics(gauge, OrderSolution(n, omega, sol.xi, sol.eta))
+
+    def test_square_alpha_is_not_checked(self):
+        # s = 3/2 is rational: sin coefficients fold to exponent 0, even
+        sol = run(3, QQ(9, 4)).orders[3]
+        assert any(0 in c for c in sol.xi.sin.values())
+        check_harmonics(GAUGE_SIMPLIFIED_XI, sol)
 
 
 class TestSimplifiedXiGoldens:

@@ -6,8 +6,9 @@ from .algebra import (QQ, SYMBOLIC, ExactDivisionError, NumericRing,
                       evaluate_numeric, format_element, numeric_ring,
                       parse_element, rational_sqrt)
 from .trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
-                       VectorTrigPoly, particular_solution, residual,
+                       VectorTrigPoly, particular_solution,
                        solve_linear_anchored, to_triples)
+from .reference import residual
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                      GAUGE_ZERO_INITIAL, GAUGES, OrderSolution,
                      PerturbationSeries, SecularInconsistencyError,

@@ -505,12 +505,10 @@ def parse_element(ring, text: str):
     return el, amp
 
 
-def canonical(ring, text_or_element, amp_power: int = 0) -> str:
-    """Canonical string of an element or of a parseable string."""
-    if isinstance(text_or_element, str):
-        el, amp = parse_element(ring, text_or_element)
-        return format_element(ring, el, amp_power=amp or amp_power)
-    return format_element(ring, text_or_element, amp_power=amp_power)
+def canonical(ring, text: str, amp_power: int = 0) -> str:
+    """Canonical string of a parseable string; its own A power wins."""
+    el, amp = parse_element(ring, text)
+    return format_element(ring, el, amp_power=amp or amp_power)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Every check here re-derives something the package is supposed to
 guarantee and compares it against frozen reference data or an
-independently assembled quantity.  The strongest one is
-``equation_residuals``: it substitutes a finished series back into the
-scaled equations of motion and expands in the amplitude parameter from
-scratch, sharing none of the per-order solver's bookkeeping.
+independently assembled quantity.  The strongest one, equation-residual,
+runs :func:`lpvolterra.reference.equation_residuals`: it substitutes a
+finished series back into the scaled equations of motion and expands in
+the amplitude parameter from scratch, with the dict product, sharing
+neither the per-order solver's bookkeeping nor its integer kernel.
 
 Two suite levels exist.  "quick" keeps symbolic work at order 6 and
 samples lightly; "full" raises the residual cap to 10, pushes the
@@ -33,12 +34,11 @@ from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
                        rational_function_series, series_from_engine,
                        stable_singularity)
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
-                     GAUGE_ZERO_INITIAL, PerturbationSeries, evaluate_solution,
-                     run)
+                     GAUGE_ZERO_INITIAL, evaluate_solution, run)
+from .reference import equation_residuals, residual
 from .trigpoly import (PhaseRing, ResonantForcingError, VectorTrigPoly,
                        evaluate_at_zero, harmonic, particular_solution,
-                       residual, tp_add, tp_diff, tp_dot, tp_mul, tp_mul_el,
-                       tp_term, tp_zero, to_triples)
+                       tp_add, tp_dot, tp_mul, tp_term, tp_zero, to_triples)
 from .verify import IntegratorConfig, integrate, measure_frequency
 
 LEVELS = ("quick", "full")
@@ -67,63 +67,6 @@ def load_golden(path=None):
             return json.load(fh)
     text = resources.files("lpvolterra").joinpath("data/golden.json").read_text("utf-8")
     return json.loads(text)
-
-
-# ---------------------------------------------------------------------------
-# independent residual oracle
-
-def _tp_is_empty(p):
-    return not p.sin and not p.cos
-
-
-def equation_residuals(series: PerturbationSeries, upto=None):
-    """Substitute the solved series back into the scaled equations.
-
-    With x = 1 + eps*xi, y = 1 + eps*eta and tau = omega*t the system
-    becomes
-
-        omega xi'  = -eta     - eps xi eta
-        omega eta' = alpha xi + eps alpha xi eta
-
-    so collecting the eps^n coefficient gives, for every n up to the
-    series order,
-
-        sum_{m<=n} omega_m xi'_{n-m}  + eta_n + C_{n-1}        = 0
-        sum_{m<=n} omega_m eta'_{n-m} - alpha (xi_n + C_{n-1}) = 0
-
-    with C_k = sum_{i+j=k} xi_i eta_j and C_{-1} = 0.  Everything is
-    assembled from the finished solution by multiplication and
-    differentiation alone; none of the solver's forcing construction is
-    reused, which makes this an independent correctness oracle.
-
-    Returns the list of (order, equation) pairs whose residual is not
-    identically zero; empty on success.
-    """
-    ring = series.coeff_ring
-    n_max = series.order if upto is None else min(upto, series.order)
-    xs = [o.xi for o in series.orders[:n_max + 1]]
-    es = [o.eta for o in series.orders[:n_max + 1]]
-    ws = [o.omega for o in series.orders[:n_max + 1]]
-    dxs = [tp_diff(p) for p in xs]
-    des = [tp_diff(p) for p in es]
-    alpha_el = ring.s(2)
-    failures = []
-    for n in range(n_max + 1):
-        conv = tp_zero(ring)
-        for i in range(n):
-            conv = tp_add(conv, tp_mul(xs[i], es[n - 1 - i]))
-        r1 = tp_add(es[n], conv)
-        r2 = tp_mul_el(tp_add(xs[n], conv), ring.neg(alpha_el))
-        for m in range(n + 1):
-            if ring.is_zero(ws[m]):
-                continue
-            r1 = tp_add(r1, tp_mul_el(dxs[n - m], ws[m]))
-            r2 = tp_add(r2, tp_mul_el(des[n - m], ws[m]))
-        if not _tp_is_empty(r1):
-            failures.append((n, "x"))
-        if not _tp_is_empty(r2):
-            failures.append((n, "y"))
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +274,7 @@ def _solver_substitution(ctx):
             forcing = _rand_forcing(rng, ring, draw)
             part = particular_solution(forcing)
             res = residual(forcing, part)
-            if not (_tp_is_empty(res.xi) and _tp_is_empty(res.eta)):
+            if res.xi.sin or res.xi.cos or res.eta.sin or res.eta.cos:
                 raise AssertionError("particular solution leaves a residual")
             solved += 1
     # a resonant first harmonic outside the absorbable family must be rejected

@@ -478,7 +478,8 @@ def build_parser():
     p = sub.add_parser("orbit", help="compare a series orbit against integration")
     p.add_argument("--alpha", default="1")
     p.add_argument("--a", type=float, help="orbit amplitude (z = a^2)")
-    p.add_argument("--phi", default="0", help='phase in radians; literals like "pi/4" work')
+    p.add_argument("--phi", default="0", help='phase in radians; literals like "pi/4" '
+                   'work, a negative one as --phi=-pi/4 (argparse reads -pi/4 as a flag)')
     p.add_argument("--order", type=int, help="series truncation order")
     p.add_argument("--periods", type=float, default=1.0)
     p.add_argument("--points", type=int, default=512)

@@ -18,17 +18,19 @@ integer numerators over one denominator, keyed by s-exponent and by
 angle sum a theta + c phi, so one form serves both kinds of ring (a
 phase-free TrigPoly has c = 0 throughout).  Each form is built from the
 other on first use and then kept, so every TrigPoly is encoded at most
-once.  Products go through one fraction-free kernel, :func:`dot_form`
-(:func:`tp_dot` wraps it), which packs each angle sum as one harmonic.
-The order step of :mod:`lpvolterra.engine` stays on integer forms too:
+once.  The order step of :mod:`lpvolterra.engine` runs on integer forms:
+its products go through one fraction-free kernel, :func:`dot_form`
+(:func:`tp_dot` wraps it), which packs each angle sum as one harmonic,
 :func:`combine` and :func:`derivative` assemble forcings,
 :func:`particular_solution` solves harmonic by harmonic with integer
 scalings and shifts of the s-exponent only, :func:`solve_linear_anchored`
 shifts that solve's first harmonic by exp(tau K) W(0) on its numerators,
 and :func:`vanishes` tests a residual for zero.  Rationals are built once
 per coefficient of a returned solution, after folding s^2 = alpha.
-:func:`tp_mul` and :func:`residual` are the plain dict product and
-residual that the self-checks and tests use as oracles.
+
+The dict side (:func:`tp_add`, :func:`tp_scale`, the product
+:func:`tp_mul`) is the phase ring's arithmetic, and it never calls the
+kernel; the oracles built on it live in :mod:`lpvolterra.reference`.
 """
 
 from __future__ import annotations
@@ -145,27 +147,10 @@ def tp_scale(p: TrigPoly, q) -> TrigPoly:
                     {j: ring.scale(v, q) for j, v in p.cos.items()})
 
 
-def tp_mul_el(p: TrigPoly, el) -> TrigPoly:
-    """Multiply every coefficient by a ring element."""
-    ring = p.ring
-    if ring.is_zero(el):
-        return TrigPoly(ring)
-    sin = {}
-    cos = {}
-    for j, v in p.sin.items():
-        w = ring.mul(v, el)
-        if not ring.is_zero(w):
-            sin[j] = w
-    for j, v in p.cos.items():
-        w = ring.mul(v, el)
-        if not ring.is_zero(w):
-            cos[j] = w
-    return TrigPoly(ring, sin, cos)
-
-
 def tp_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     """Exact product via product-to-sum reduction on ring elements: the
-    dict oracle that the self-checks hold :func:`tp_dot` against."""
+    phase ring's product, and the dict oracle that the self-checks hold
+    :func:`tp_dot` against."""
     ring = p.ring
     half = QQ(1, 2)
     sin_out: dict = {}
@@ -202,19 +187,6 @@ def tp_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
             acc_cos(a - b, w)           # cos a cos b = [cos(a-b) + cos(a+b)]/2
             acc_cos(a + b, w)
     return TrigPoly(ring, sin_out, cos_out)
-
-
-def tp_diff(p: TrigPoly) -> TrigPoly:
-    """d/dtau (theta-shift leaves harmonics intact)."""
-    ring = p.ring
-    sin = {}
-    cos = {}
-    for j, v in p.sin.items():
-        cos[j] = ring.scale(v, QQ(j))
-    for j, v in p.cos.items():
-        if j:
-            sin[j] = ring.scale(v, QQ(-j))
-    return TrigPoly(ring, sin, cos)
 
 
 def harmonic(p: TrigPoly, j: int):
@@ -480,8 +452,8 @@ class PhaseRing:
     """Base ring extended by trigonometric polynomials in the phase phi.
 
     Elements are TrigPolys in phi whose coefficients lie in ``base``;
-    sums and scalings are the TrigPoly ones and products go through the
-    integer kernel :func:`tp_dot`.
+    sums, scalings and products are the dict ones (:func:`tp_mul`), so
+    ring arithmetic never reaches the integer kernel.
     """
 
     has_phase = True
@@ -523,9 +495,7 @@ class PhaseRing:
     neg = staticmethod(tp_neg)
     sub = staticmethod(tp_sub)
     scale = staticmethod(tp_scale)
-
-    def mul(self, x, y):
-        return tp_dot([x], [y])
+    mul = staticmethod(tp_mul)
 
     def div(self, x, y):
         """Division by a phase-free element (each coefficient divides)."""
@@ -556,25 +526,6 @@ def evaluate_at_zero(p: TrigPoly):
 
 # ---------------------------------------------------------------------------
 # the linear system W' = K W + R
-
-def k_apply(v: VectorTrigPoly) -> VectorTrigPoly:
-    ring = v.xi.ring
-    return VectorTrigPoly(
-        tp_mul_el(v.eta, ring.neg(ring.s(-1))),
-        tp_mul_el(v.xi, ring.s(1)),
-    )
-
-
-def residual(forcing: VectorTrigPoly, w: VectorTrigPoly) -> VectorTrigPoly:
-    """W' - K W - R on the dicts; identically zero for an exact solution.
-    This is the oracle that the tests and the solver-substitution check
-    hold the integer solve and self-check against."""
-    kw = k_apply(w)
-    return VectorTrigPoly(
-        tp_sub(tp_sub(tp_diff(w.xi), kw.xi), forcing.xi),
-        tp_sub(tp_sub(tp_diff(w.eta), kw.eta), forcing.eta),
-    )
-
 
 def resonance(f: IntForm, g: IntForm) -> IntForm:
     """The first harmonic of G - s F', for the integer forms f and g of a

@@ -258,7 +258,7 @@ def measure_frequency(orbit: OrbitSample) -> float:
             frac = (y0 - y_lo) / (float(ys[k + 1]) - y_lo)
             dt = frac * h
             for _ in range(60):
-                (xa,), (ya,) = _advance(alpha, x_lo, y_lo, [dt], h, 1e-12)
+                (xa,), (ya,) = _advance(alpha, x_lo, y_lo, [dt], abs(h), 1e-12)
                 _, yd = lv_rhs(alpha, xa, ya)
                 if yd == 0:
                     break
@@ -271,7 +271,7 @@ def measure_frequency(orbit: OrbitSample) -> float:
         raise ArithmeticError(
             f"need at least 2 section crossings, found {len(crossings)}; "
             "integrate over more periods")
-    period = (crossings[-1] - crossings[0]) / (len(crossings) - 1)
+    period = abs(crossings[-1] - crossings[0]) / (len(crossings) - 1)
     return 2 * math.pi / period
 
 

@@ -298,6 +298,19 @@ class TestOrbitCommand:
                            "xi_numeric", "eta_numeric"]
         assert len(rows) == 513
 
+    def test_negative_pi_literal_in_equals_form(self, capsys):
+        # "--phi -pi/4" reads as a flag with no value, so the help text and
+        # README give the "=" form; it must be the same phase as the number
+        common = ["orbit", "--a", "0.1", "--order", "2", "--points", "64",
+                  "--no-radius-check"]
+        assert main([*common, "--phi=-pi/4", "--output", "lit"]) == 0
+        assert main([*common, "--phi", "-0.7853981633974483", "--output", "num"]) == 0
+        with open("lit_orbit.csv", "rb") as lit, open("num_orbit.csv", "rb") as num:
+            assert lit.read() == num.read()
+        with pytest.raises(SystemExit) as exc:
+            main([*common, "--phi", "-pi/4"])
+        assert exc.value.code == 2
+
     def test_higher_order_shrinks_gap(self):
         assert main(["orbit", "--alpha", "1", "--a", "0.1", "--order", "0",
                      "--no-radius-check", "--output", "o0"]) == 0

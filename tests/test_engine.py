@@ -19,9 +19,10 @@ from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                                PerturbationSeries, SecularInconsistencyError,
                                _check_order, build_forcing, check_harmonics,
                                evaluate_solution, remove_secular, run)
+from lpvolterra.reference import residual, tp_diff, tp_mul_el
 from lpvolterra.trigpoly import (TrigPoly, VectorTrigPoly, evaluate_at_zero,
-                                 harmonic, residual, to_triples, tp_add,
-                                 tp_diff, tp_mul, tp_mul_el, tp_term, tp_zero)
+                                 harmonic, to_triples, tp_add, tp_mul,
+                                 tp_term, tp_zero)
 
 W2 = "-(A^2*sqrt(alpha)*(alpha+1))/24"
 W4 = "-(A^4*sqrt(alpha)*(5*alpha^2+34*alpha+29))/6912"

@@ -12,13 +12,14 @@ from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
                                 evaluate_numeric, numeric_ring, parse_element,
                                 rational_sqrt)
 from lpvolterra.engine import run
+from lpvolterra.reference import residual, tp_diff
 from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, evaluate_at_zero,
-                                 first_harmonic_absorbable, harmonic, k_apply,
-                                 max_harmonic, particular_solution, residual,
+                                 first_harmonic_absorbable, harmonic,
+                                 max_harmonic, particular_solution,
                                  solve_linear_anchored, to_triples, tp_add,
-                                 tp_diff, tp_dot, tp_mul, tp_mul_el, tp_neg,
-                                 tp_scale, tp_term, tp_zero)
+                                 tp_dot, tp_mul, tp_neg, tp_scale, tp_term,
+                                 tp_zero)
 
 R = SYMBOLIC
 

@@ -344,6 +344,15 @@ class TestMeasureFrequency:
         omega_n = measure_frequency(orbit)
         assert abs(omega_n - omega_s) / omega_n < 1e-9
 
+    @pytest.mark.parametrize("alpha,x0,y0,span", [(1.0, 1.1, 1.0, 20.0),
+                                                  (2.5, 1.3, 0.9, 30.0)])
+    def test_backward_orbit_gives_the_forward_frequency(self, alpha, x0, y0, span):
+        # a negative max_time integrates backward; the Newton refinement
+        # must step with the spacing's size, not its sign
+        fwd, back = (measure_frequency(integrate(alpha, x0, y0, IntegratorConfig(max_time=t)))
+                     for t in (span, -span))
+        assert abs(back - fwd) / fwd < 1e-9
+
 
 class TestCompareOrbit:
     def test_zero_amplitude_zero_distance(self):

@@ -33,7 +33,7 @@ import mpmath
 import numpy as np
 
 from .algebra import QQ, alpha_polynomial, ring_alpha
-from .engine import GAUGE_SIMPLIFIED_XI, PerturbationSeries
+from .engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, PerturbationSeries
 
 
 class DegenerateApproximantError(ArithmeticError):
@@ -205,7 +205,7 @@ def series_from_engine(series: PerturbationSeries, alpha=None) -> PowerSeries:
     sqrt(alpha) factor; anything else is flagged, as is a nonzero
     odd-order correction (both would falsify the series structure this
     module relies on)."""
-    if series.gauge == "zero-initial":
+    if series.gauge == GAUGE_ZERO_INITIAL:
         raise ValueError("frequency series requires a phase-free gauge")
     ring = series.coeff_ring
     n_max = series.order

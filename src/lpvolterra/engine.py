@@ -180,7 +180,7 @@ def check_harmonics(gauge: str, sol: OrderSolution):
                         f"{gauge}: order {n}: harmonic {j} breaks the parity pattern")
     ring = xi.ring
     base = ring.base if ring.has_phase else ring
-    if getattr(base, "m", None) == 1:       # the NumericRing of a square alpha
+    if 1 not in base.s(1):       # s is rational: a square alpha
         return
     for name, tp in (("omega", sol._frequency_operand), ("xi", xi), ("eta", eta)):
         for e, waves in int_form(tp).terms.items():

@@ -18,9 +18,11 @@ integer numerators over one denominator, keyed by s-exponent and by
 angle sum a theta + c phi, so one form serves both kinds of ring (a
 phase-free TrigPoly has c = 0 throughout).  Each form is built from the
 other on first use and then kept, so every TrigPoly is encoded at most
-once.  The order step of :mod:`lpvolterra.engine` runs on integer forms:
-its products go through one fraction-free kernel, :func:`dot_form`
-(:func:`tp_dot` wraps it), which packs each angle sum as one harmonic,
+once.  A phase-ring form is built by the one fraction-free kernel,
+:func:`dot_form`, as the sum of its theta waves times its phi
+coefficients.  The order step of :mod:`lpvolterra.engine` runs on
+integer forms: its products go through that kernel (:func:`tp_dot`
+wraps it), which packs each angle sum as one harmonic,
 :func:`combine` and :func:`derivative` assemble forcings,
 :func:`particular_solution` solves harmonic by harmonic with integer
 scalings and shifts of the s-exponent only, :func:`solve_linear_anchored`
@@ -219,12 +221,12 @@ class IntForm(NamedTuple):
 
 
 def _form(p: TrigPoly) -> IntForm:
-    """p over the lcm of its denominators.  Over the phase ring each term
-    sin|cos(a theta) sin|cos(c phi) splits into the angle sums (a, c) and
-    (a, -c), both over twice that lcm."""
-    raw = []
-    den = 1
+    """p over the lcm of its denominators; over the phase ring, the
+    :func:`dot_form` of its theta waves sin|cos(a theta) times their phi
+    coefficients, each keyed (0, c), which is over twice that lcm."""
     if not p.ring.has_phase:
+        raw = []
+        den = 1
         for kind, store in enumerate((p.sin, p.cos)):
             for j, v in store.items():
                 for e, q in v.items():
@@ -235,38 +237,17 @@ def _form(p: TrigPoly) -> IntForm:
         for e, kind, j, n, d in raw:
             terms.setdefault(e, ({}, {}))[kind][(j, 0)] = n * (den // d)
         return IntForm(den, (max_harmonic(p), 0), terms)
-    phi_top = 0
-    for t_kind, store in enumerate((p.sin, p.cos)):
+    waves, coeffs = [], []
+    for kind, store in enumerate((p.sin, p.cos)):
         for a, x in store.items():
-            phi_top = max(phi_top, max_harmonic(x))
-            for f_kind, inner in enumerate((x.sin, x.cos)):
-                for c, v in inner.items():
-                    for e, q in v.items():
-                        n, d = int(q.numerator), int(q.denominator)
-                        raw.append((e, t_kind, f_kind, a, c, n, d))
-                        den = math.lcm(den, d)
-    sums: dict = {}       # {s-exponent: (sin, cos)}, numerators over 2 den
-    for e, t_kind, f_kind, a, c, n, d in raw:
-        n *= den // d
-        kind = int(t_kind == f_kind)     # kind 0 is sin, 1 is cos
-        # sin a sin c = [cos(a-c) - cos(a+c)]/2, sin a cos c = [sin(a+c) +
-        # sin(a-c)]/2, cos a sin c = [sin(a+c) - sin(a-c)]/2, cos a cos c =
-        # [cos(a-c) + cos(a+c)]/2
-        plus = -n if t_kind == f_kind == 0 else n
-        minus = -n if t_kind > f_kind else n
-        neg_c = -c
-        if a == 0:                       # cos(-x) = cos x, sin(-x) = -sin x
-            neg_c, minus = c, (minus if kind else -minus)
-        store = sums.setdefault(e, ({}, {}))[kind]
-        for key, u in (((a, c), plus), ((a, neg_c), minus)):
-            store[key] = store.get(key, 0) + u
-    # the angle sums (a, c) and (a, -c) of different terms can cancel
-    terms = {}
-    for e, pair in sums.items():
-        pair = tuple({key: n for key, n in store.items() if n} for store in pair)
-        if pair[0] or pair[1]:
-            terms[e] = pair
-    return IntForm(2 * den, (max_harmonic(p), phi_top), terms)
+            wave = ({(a, 0): 1}, {}) if kind == 0 else ({}, {(a, 0): 1})
+            waves.append(TrigPoly(p.ring.base, enc=IntForm(1, (a, 0), {0: wave})))
+            f = int_form(x)
+            coeffs.append(TrigPoly(p.ring, enc=IntForm(f.den, (0, f.tops[0]), {
+                e: ({(0, c): n for (c, _), n in sin.items()},
+                    {(0, c): n for (c, _), n in cos.items()})
+                for e, (sin, cos) in f.terms.items()})))
+    return dot_form(waves, coeffs)
 
 
 def int_form(p: TrigPoly) -> IntForm:

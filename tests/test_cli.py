@@ -894,7 +894,8 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("name,content", [
         ("missing.json", None), ("broken.json", b"{not json"),
-        ("binary.json", b"\xff\xfe"), ("folder", "dir")])
+        ("binary.json", b"\xff\xfe"), ("folder", "dir"), ("list.json", b"[1, 2]"),
+        ("partial.json", b'{"omega": {}}')])
     def test_unreadable_golden_rejected_before_checks(self, name, content,
                                                       capsys, monkeypatch):
         forbid(monkeypatch, "iter_checks")

@@ -16,7 +16,7 @@ from lpvolterra.reference import residual, tp_diff
 from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, evaluate_at_zero,
                                  first_harmonic_absorbable, harmonic,
-                                 max_harmonic, particular_solution,
+                                 int_form, max_harmonic, particular_solution,
                                  solve_linear_anchored, to_triples, tp_add,
                                  tp_dot, tp_mul, tp_neg, tp_scale, tp_term,
                                  tp_zero)
@@ -403,6 +403,22 @@ def test_phase_dot_equals_sum_of_products(case):
                    for terms in kinds for (a, c), n in terms.items())
     # the same objects again, now read from their kept integer forms
     assert tp_dot(qs, ps) == want
+
+
+@given(st.sampled_from(DOT_RINGS + PHASE_DOT_RINGS).flatmap(ring_trig_polys))
+@settings(max_examples=100, deadline=None)
+def test_integer_form_round_trips(p):
+    # the encoder against the decoder, which shares no code with dot_form:
+    # a fresh copy's form builds p again, and every key is canonical
+    form = int_form(TrigPoly(p.ring, p.sin, p.cos))
+    assert TrigPoly(p.ring, enc=form) == p
+    phase = p.ring.has_phase
+    for sin, cos in form.terms.values():
+        for kind, terms in ((0, sin), (1, cos)):
+            for (a, c), n in terms.items():
+                assert n and (a > 0 or (a == 0 and c >= 0))
+                assert kind or (a, c) != (0, 0)
+                assert phase or c == 0
 
 
 def test_no_operand_is_encoded_twice(monkeypatch):

@@ -104,20 +104,12 @@ def poly_mul(p, q):
     return _poly_sum([(1, p, q)])
 
 
-def poly_sub(p, q):
-    out = [QQ(0)] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return poly_trim(out)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra: fraction-free (Bareiss) echelon form over the integers
 
-def _eliminate(work, exchange=True):
-    """Bareiss's fraction-free forward pass on integer rows, in place;
+def rational_rref(rows, exchange=True):
+    """Bareiss's fraction-free forward pass, in place: each rational row
+    becomes integers over its lcm denominator, then the echelon form;
     returns the pivot columns.
 
     A row below the pivot p becomes (p x - f y) / d, d the previous pivot,
@@ -126,57 +118,34 @@ def _eliminate(work, exchange=True):
     ``exchange`` false the pass stops at the first column whose pivot is
     not already on the diagonal; until then no row has moved, so each
     leading block of rows and columns ends as its own pass would leave
-    it."""
+    it.  The rows end in the fraction-free echelon form, not the reduced
+    form.  The name stays because the benchmark tracer wraps
+    analysis.rational_rref by name to time every fit's elimination, until
+    the benchmark renames that span (ROADMAP direction 7)."""
+    rows[:] = [_over_lcm(row)[0] for row in rows]
     pivots, d = [], 1
-    for c in range(len(work[0]) if work else 0):
+    for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot != r and not exchange:
             break
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow, p = work[r], work[r][c]
-        for i in range(r + 1, len(work)):      # zero left of column c
-            f = work[i][c]
-            work[i][c:] = [(p * x - f * y) // d for x, y in zip(work[i][c:], prow[c:])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow, p = rows[r], rows[r][c]
+        for i in range(r + 1, len(rows)):      # zero left of column c
+            f = rows[i][c]
+            rows[i][c:] = [(p * x - f * y) // d for x, y in zip(rows[i][c:], prow[c:])]
         pivots.append(c)
         d = p
     return pivots
 
 
-def rational_rref(rows):
-    """In-place reduced row echelon form; returns pivot column list.
-
-    :func:`_eliminate` on the rows over their lcm denominators.  The last
-    pivot d is the determinant of the pivot block, so by Cramer's rule d
-    times the reduced form is integral: each non-pivot column is
-    back-substituted on integers at that scale, and each entry is built
-    once as v / d.  The reduced form is unique, so this is the matrix
-    rational Gauss-Jordan gives."""
-    if not rows:
-        return []
-    work = [_over_lcm(row)[0] for row in rows]
-    ncols = len(work[0])
-    pivots = _eliminate(work)
-    d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
-    scaled = [[0] * ncols for _ in work]   # d times the reduced form
-    for k, c in enumerate(pivots):
-        scaled[k][c] = d
-    for j in (j for j in range(ncols) if j not in pivots):
-        top = sum(c < j for c in pivots)     # the rows whose pivot precedes column j
-        for k in reversed(range(top)):
-            v = d * work[k][j] - sum(work[k][pivots[l]] * scaled[l][j] for l in range(k + 1, top))
-            scaled[k][j] = v // work[k][pivots[k]]
-    rows[:] = [[QQ(v, d) for v in row] for row in scaled]
-    return pivots
-
-
 def _leading_null_vector(work, n):
     """Null vector of the leading n x (n+1) block of rows that
-    :func:`_eliminate` left with diagonal pivots: column n set to the
+    :func:`rational_rref` left with diagonal pivots: column n set to the
     block's last pivot d, the others back-substituted on integers, exact
-    by Cramer's rule as in :func:`rational_rref`."""
+    by Cramer's rule (d is the determinant of the n x n pivot block)."""
     x = [0] * n + [work[n - 1][n - 1] if n else 1]
     for k in reversed(range(n)):
         x[k] = -sum(work[k][l] * x[l] for l in range(k + 1, n + 1)) // work[k][k]
@@ -270,10 +239,14 @@ def _matching_system(series: PowerSeries, degrees):
     n = sum(degrees) + k, reduced by the rule of the module docstring.
 
     Returns the first null vector of the equations at z^(deg A_0 + 1) ..
-    z^(n-1), in columns (A_k, ..., A_1), each in ascending powers, with
-    its smallest free column 1 (some column is free, there being one
-    equation fewer); the null space's dimension; and f, ..., f^k through
-    z^(n-1), from which A_0 is built."""
+    z^(n-1), in columns (A_k, ..., A_1), each in ascending powers: the
+    integer one :func:`_leading_null_vector` reads for the smallest free
+    column, zero right of it (some column is free, there being one
+    equation fewer), for the caller to scale; the null space's dimension;
+    and f, ..., f^k through z^(n-1), from which A_0 is built.  Every
+    column left of the smallest free one holds its pivot on the diagonal,
+    row exchanges or not, so that column is the first i with
+    pivots[i] != i, or the rank when every pivot is diagonal."""
     if min(degrees) < 0:
         raise ValueError("degrees must be nonnegative")
     c = series.coeffs
@@ -286,12 +259,9 @@ def _matching_system(series: PowerSeries, degrees):
             for j in range(degrees[0] + 1, n)]
     ncols = sum(d + 1 for d in degrees[1:])
     pivots = rational_rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    vec = [QQ(0)] * ncols
-    vec[free[0]] = QQ(1)
-    for r, j in enumerate(pivots):
-        vec[j] = -rows[r][free[0]]
-    return vec, len(free), powers
+    free = next((i for i, j in enumerate(pivots) if i != j), len(pivots))
+    return (_leading_null_vector(rows, free) + [0] * (ncols - free - 1),
+            ncols - len(pivots), powers)
 
 
 def _pade_from(vec, f, K, reduced):
@@ -482,6 +452,10 @@ FAMILY_HERMITE_PADE = "hermite-pade"
 FAMILIES = (FAMILY_PADE, FAMILY_HERMITE_PADE)
 
 
+def _unknown_family(family):
+    return ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
 @dataclass(frozen=True)
 class SingularityEstimate:
     location: complex
@@ -497,11 +471,12 @@ def _chain_fits(series: PowerSeries, family: str, orders):
     With the unknowns ordered (q_m, ..., q_0) for Pade and (p_m, q_m, ...,
     p_0, q_0) for Hermite-Pade, the order-m matching system is the leading
     m x (m+1), resp. (2m+1) x (2m+2), block of the order-(m+1) one, so one
-    :func:`_eliminate` pass on the top order's system echelons every
-    order's.  An order whose block keeps nonzero pivots on the diagonal
-    has a one-dimensional null space, read with q_0 free by
-    :func:`_leading_null_vector`: the one solution :func:`pade_fit` and
-    :func:`hermite_pade_fit` find, finished by the same code.  Orders
+    :func:`rational_rref` pass without row exchanges on the top order's
+    system echelons every order's.  An order whose block keeps nonzero
+    pivots on the diagonal has a one-dimensional null space, read with
+    q_0 free by :func:`_leading_null_vector`: the vector :func:`pade_fit`
+    and :func:`hermite_pade_fit` read from the same elimination with row
+    exchanges, finished by the same code.  Orders
     whose block needs a row exchange, and orders the series is too short
     for, are left to those fits, which report blocked and degenerate
     entries as before."""
@@ -510,7 +485,7 @@ def _chain_fits(series: PowerSeries, family: str, orders):
     elif family == FAMILY_HERMITE_PADE:
         k = 2
     else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise _unknown_family(family)
 
     def size(m):          # the rows of order m's block, at z^(m+1) .. z^(m+size)
         return k * (m + 1) - 1
@@ -521,10 +496,9 @@ def _chain_fits(series: PowerSeries, family: str, orders):
         return {}
     n = top + 1 + size(top)
     powers = _powers(series.coeffs, n, k)
-    work = [_over_lcm([fe[j - i] for i in reversed(range(top + 1))
-                       for fe in reversed(powers)])[0]
+    work = [[fe[j - i] for i in reversed(range(top + 1)) for fe in reversed(powers)]
             for j in range(top + 1, n)]
-    rank = len(_eliminate(work, exchange=False))
+    rank = len(rational_rref(work, exchange=False))
     fits = {}
     for m in orders:
         if 0 <= m <= top and size(m) <= rank:
@@ -571,7 +545,7 @@ def default_orders(family: str, n_coeffs: int):
     elif family == FAMILY_HERMITE_PADE:
         top, depth = (n_coeffs - 2) // 3, 3
     else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise _unknown_family(family)
     if top < 1:
         raise ValueError("insufficient coefficients for any diagonal order")
     return tuple(range(max(1, top - depth + 1), top + 1))
@@ -703,8 +677,12 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     is.  At order 44 the Pade chains still drift by a few
     percent per order, so the strict default would blank most rows.  A
     threshold that is not finite and positive is a ValueError, raised
-    before any run rather than recorded in every row."""
+    before any run rather than recorded in every row, and so is a family
+    not in FAMILIES."""
     _check_threshold(threshold)
+    for family in families:
+        if family not in FAMILIES:
+            raise _unknown_family(family)
     alphas = list(alpha_grid)
     row_of = partial(_scan_row, max_order=max_order, families=families,
                      threshold=threshold)

@@ -28,9 +28,9 @@ from .algebra import (QQ, SymbolicRing, canonical, evaluate_numeric,
                       format_element, numeric_ring, parse_element, to_mpf)
 from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
                        ROOT_DPS, DegenerateApproximantError, PowerSeries,
-                       _durand_kerner, _float_seed, _poly_roots_mp, _root_key,
-                       discriminant_roots, hermite_pade_fit,
-                       pade_fit, poly_mul, poly_sub, poly_trim,
+                       _durand_kerner, _float_seed, _poly_roots_mp, _poly_sum,
+                       _root_key, discriminant_roots, hermite_pade_fit,
+                       pade_fit, poly_mul, poly_trim,
                        rational_function_series, series_from_engine,
                        stable_singularity)
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
@@ -472,9 +472,7 @@ def _pade_reproduction(ctx):
         back = rational_function_series(list(fit.P) or [QQ(0)], list(fit.Q), K + L + 1)
         if back != coeffs:
             raise AssertionError(f"[{K}/{L}] does not reproduce its input series")
-        cross = poly_sub(poly_mul(list(fit.P), q_true),
-                         poly_mul(p_true, list(fit.Q)))
-        if poly_trim(cross):
+        if _poly_sum([(1, fit.P, q_true), (-1, p_true, fit.Q)]):
             raise AssertionError(f"[{K}/{L}] disagrees with the generating function")
         fitted += 1
     return f"{fitted} random rational functions recovered exactly"
@@ -497,12 +495,7 @@ def _hermite_pade_residual(ctx):
         except DegenerateApproximantError:
             continue  # degenerate draw; take another
         f2 = poly_mul(f, f)
-        res = [QQ(0)] * n
-        for poly, factor in ((fit.P, f2), (fit.Q, f), (fit.R, [QQ(1)])):
-            term = poly_mul(list(poly) or [QQ(0)], factor)
-            for j in range(min(n, len(term))):
-                res[j] += term[j]
-        if any(res):
+        if _poly_sum([(1, fit.P, f2), (1, fit.Q, f), (1, fit.R, [QQ(1)])], n):
             raise AssertionError(
                 f"f[{K},{L},{M}] residual is nonzero through order {n - 1}")
         fitted += 1

@@ -198,10 +198,10 @@ def integrate(alpha: float, x0: float, y0: float,
               t_eval: Optional[Sequence[float]] = None) -> OrbitSample:
     """Orbit through (x0, y0), sampled at ``t_eval`` (default: every
     nominal step from 0 to config.max_time, signed)."""
-    if x0 <= 0 or y0 <= 0:
-        raise ValueError("initial populations must be positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (x0 > 0 and y0 > 0 and math.isfinite(x0) and math.isfinite(y0)):
+        raise ValueError("initial populations must be finite and positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and positive")
     cfg = config or IntegratorConfig()
     if t_eval is None:
         span = cfg.max_time

@@ -39,7 +39,6 @@ from lpvolterra.analysis import (
     pade_fit,
     pade_poles,
     poly_mul,
-    poly_sub,
     poly_trim,
     radius_scan,
     rational_function_series,
@@ -49,7 +48,9 @@ from lpvolterra.analysis import (
     _candidate_roots,
     _durand_kerner,
     _float_seed,
+    _leading_null_vector,
     _poly_roots_mp,
+    _poly_sum,
     _root_key,
 )
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, run
@@ -90,8 +91,9 @@ class TestPolyKit:
     def test_mul(self):
         assert poly_mul([QQ(1), QQ(1)], [QQ(1), QQ(-1)]) == [QQ(1), QQ(0), QQ(-1)]
 
-    def test_sub_trims(self):
-        assert poly_sub([QQ(1), QQ(2)], [QQ(1), QQ(2)]) == []
+    def test_sum_trims(self):
+        p = [QQ(1), QQ(2)]
+        assert _poly_sum([(1, p, [QQ(1)]), (-1, p, [QQ(1)])]) == []
 
     @given(st.lists(st.fractions(max_denominator=30), max_size=6),
            st.lists(st.fractions(max_denominator=30), max_size=6))
@@ -107,8 +109,9 @@ class TestPolyKit:
 
 
 def reference_rref(rows):
-    """Gauss-Jordan on Fraction entries: the oracle for rational_rref,
-    which eliminates on integer rows instead."""
+    """Gauss-Jordan on Fraction entries, in place: the oracle for
+    rational_rref, which leaves a fraction-free echelon form of integer
+    rows instead."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -188,17 +191,48 @@ TALL_RANK_DEFICIENT = _q_rows([[1, 2, 3], [2, -1, Fraction(1, 2)], [3, 1, Fracti
 WIDE_MANY_FREE = _q_rows([[0, 3, -1, 2, 0, 5], [0, 6, 1, Fraction(1, 7), 4, -2]])
 
 
+def assert_fraction_free_echelon(rows, got, pivots):
+    """``got``, what rational_rref left of ``rows`` with ``pivots``, is an
+    integer echelon form with the pivots and reduced form of ``rows``."""
+    want = [list(row) for row in rows]
+    assert pivots == reference_rref(want)
+    for r, row in enumerate(got):
+        assert all(type(v) is int for v in row)
+        lead = pivots[r] if r < len(pivots) else len(row)
+        assert not any(row[:lead])
+        assert lead == len(row) or row[lead]
+    reduced = [[Fraction(v) for v in row] for row in got]
+    assert reference_rref(reduced) == pivots
+    assert reduced == want
+
+
 @given(rational_matrices())
 @example(SKIPPED_PIVOT_COLUMN)
 @example(TALL_RANK_DEFICIENT)
 @example(WIDE_MANY_FREE)
 @settings(max_examples=200, deadline=None)
 def test_rref_matches_fraction_gauss_jordan(rows):
-    want = [list(row) for row in rows]
-    want_pivots = reference_rref(want)
     got = [list(row) for row in rows]
-    assert rational_rref(got) == want_pivots
-    assert got == want
+    assert_fraction_free_echelon(rows, got, rational_rref(got))
+
+
+@given(rational_matrices())
+@example(SKIPPED_PIVOT_COLUMN)
+@example(WIDE_MANY_FREE)
+@settings(max_examples=200, deadline=None)
+def test_leading_null_vector_is_the_first_null_vector(rows):
+    # the per-order fits read their null vector this way: the smallest
+    # free column is the first whose pivot is off the diagonal
+    ncols = len(rows[0])
+    basis = reference_null_space(rows, ncols)
+    work = [list(row) for row in rows]
+    pivots = rational_rref(work)
+    free = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
+    assert (free < ncols) == bool(basis)
+    if basis:
+        vec = _leading_null_vector(work, free) + [0] * (ncols - free - 1)
+        assert basis[0][free] == 1
+        assert [Fraction(v, vec[free]) for v in vec] == basis[0]
 
 
 def test_each_fit_eliminates_once_through_rational_rref(monkeypatch):
@@ -221,12 +255,18 @@ def test_each_fit_eliminates_once_through_rational_rref(monkeypatch):
 
 def test_rref_edge_cases():
     assert rational_rref([]) == []
-    rows = [[QQ(0), QQ(0)], [QQ(0), QQ(0)]]
-    assert rational_rref(rows) == []
-    assert rows == [[0, 0], [0, 0]]
+    zeros = [[QQ(0), QQ(0)], [QQ(0), QQ(0)]]
+    got = [list(row) for row in zeros]
+    assert rational_rref(got) == []
+    assert_fraction_free_echelon(zeros, got, [])
     rows = [[QQ(0), QQ(-3, 10 ** 30), QQ(6)], [QQ(0), QQ(1), QQ(0)]]
-    assert rational_rref(rows) == [1, 2]
-    assert rows == [[0, 1, 0], [0, 0, 1]]
+    got = [list(row) for row in rows]
+    assert rational_rref(got) == [1, 2]
+    assert got == [[0, -3, 6 * 10 ** 30], [0, 0, -6 * 10 ** 30]]
+    assert_fraction_free_echelon(rows, got, [1, 2])
+    # without row exchanges the pass stops at column 1, whose pivot is
+    # not on the diagonal
+    assert rational_rref([list(row) for row in SKIPPED_PIVOT_COLUMN], exchange=False) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +518,18 @@ def _counting(monkeypatch, *names):
 
 @pytest.mark.parametrize("family", [FAMILY_PADE, FAMILY_HERMITE_PADE])
 def test_each_chain_eliminates_once(monkeypatch, family, ps44):
-    calls = _counting(monkeypatch, "_eliminate", "pade_fit", "hermite_pade_fit")
+    calls = _counting(monkeypatch, "rational_rref", "pade_fit", "hermite_pade_fit")
     est = stable_singularity(ps44, family, threshold=5e-2)
     assert len(est.orders) == len(default_orders(family, len(ps44)))
-    assert calls == {"_eliminate": 1, "pade_fit": 0, "hermite_pade_fit": 0}
+    assert calls == {"rational_rref": 1, "pade_fit": 0, "hermite_pade_fit": 0}
 
 
 def test_fallback_orders_go_through_the_per_order_fit(monkeypatch):
-    calls = _counting(monkeypatch, "_eliminate", "pade_fit")
+    calls = _counting(monkeypatch, "rational_rref", "pade_fit")
     est = stable_singularity(geometric(9), FAMILY_PADE, (1, 2, 3))
     assert est.orders == (1, 2, 3)
     # one chain pass, then orders 2 and 3 each eliminate alone
-    assert calls == {"_eliminate": 3, "pade_fit": 2}
+    assert calls == {"rational_rref": 3, "pade_fit": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +631,7 @@ class TestPadeFit:
         q_true = [QQ(1)] + [QQ(v) for v in q]
         c = rational_function_series(p_true, q_true, 7)
         fit = pade_fit(PowerSeries(tuple(c)), 2, 2)
-        lhs = poly_mul(list(fit.P), q_true)
-        rhs = poly_mul(p_true, list(fit.Q))
-        assert poly_sub(lhs, rhs) == []
+        assert _poly_sum([(1, fit.P, q_true), (-1, p_true, fit.Q)]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1128,6 +1166,14 @@ class TestRadiusScan:
         monkeypatch.setattr(engine, "run", boom)
         with pytest.raises(ValueError, match="threshold must be finite and positive"):
             radius_scan([QQ(1)], 8, threshold=threshold)
+
+    def test_unknown_family_is_rejected_before_any_run(self, monkeypatch):
+        def boom(order, alpha, gauge):
+            raise AssertionError("the families are checked before any run")
+
+        monkeypatch.setattr(engine, "run", boom)
+        with pytest.raises(ValueError, match="unknown family 'pade-2'; expected one of"):
+            radius_scan([QQ(1), QQ(2)], 8, families=(FAMILY_PADE, "pade-2"))
 
     def test_family_restriction(self):
         rows = radius_scan([QQ(1)], 44, families=(FAMILY_HERMITE_PADE,))

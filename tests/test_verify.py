@@ -137,6 +137,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="nonzero"):
             integrate(1.0, 1.1, 1.0, IntegratorConfig(max_time=0.0))
 
+    @pytest.mark.parametrize("tolerance", [1e-12, math.inf],
+                             ids=["error-control", "fixed-step"])
+    @pytest.mark.parametrize("alpha, x0, y0, match", [
+        (math.nan, 1.1, 1.0, "alpha"), (math.inf, 1.1, 1.0, "alpha"),
+        (1.0, math.nan, 1.0, "populations"), (1.0, 1.1, math.inf, "populations"),
+    ], ids=["nan-alpha", "inf-alpha", "nan-x0", "inf-y0"])
+    def test_rejects_non_finite_inputs(self, alpha, x0, y0, match, tolerance):
+        # a non-finite value must not reach the stepper, which would blame
+        # the step ("step underflow" under error control, "lower the step"
+        # in fixed-step mode)
+        cfg = IntegratorConfig(tolerance=tolerance, max_time=1.0)
+        with pytest.raises(ValueError, match=f"{match} must be finite and positive"):
+            integrate(alpha, x0, y0, cfg)
+
     @pytest.mark.parametrize("t_eval,max_time", [
         ([0.0, 1e20], None), ([0.0, -1e20], None), ([0.0, math.inf], None),
         (None, 1e20)])

@@ -67,6 +67,13 @@ def to_mpf(q):
     return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
 
 
+def over_lcm(values):
+    """(ints, den) with values = ints / den, den the lcm of the denominators."""
+    qs = [QQ(v) for v in values]
+    den = math.lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
 def rational_sqrt(q):
     """Square root of a nonnegative rational, or None if irrational."""
     q = QQ(q)
@@ -312,16 +319,13 @@ def _fmt_sdict(d: dict, amp_power: int = 0, trig: str | None = None) -> str:
         return "0"
     lead = max(d)
     sign = -1 if d[lead] < 0 else 1
-    num_gcd = 0
-    den_lcm = 1
-    for v in d.values():
-        num_gcd = math.gcd(num_gcd, abs(int(v.numerator)))
-        den_lcm = den_lcm * int(v.denominator) // math.gcd(den_lcm, int(v.denominator))
-    # v / content with content = sign * num_gcd / den_lcm, on integers
+    ints, den_lcm = over_lcm(d.values())
+    # content = sign * num_gcd / den_lcm (values in lowest terms: the gcd
+    # of the scaled numerators is that of the numerators)
+    num_gcd = math.gcd(*ints)
     unit = sign * num_gcd
     shift = min(d)
-    prim = {k - shift: v.numerator * (den_lcm // v.denominator) // unit
-            for k, v in d.items()}
+    prim = {k - shift: n // unit for k, n in zip(d, ints)}
 
     num_factors = []
     if amp_power == 1:

@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .algebra import QQ, alpha_polynomial, ring_alpha
+from .algebra import QQ, alpha_polynomial, over_lcm, ring_alpha, to_mpf
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, PerturbationSeries
 
 
@@ -64,13 +64,6 @@ def poly_trim(p):
     return p
 
 
-def _over_lcm(row):
-    """(ints, den) with row = ints / den, den the lcm of the denominators."""
-    qs = [QQ(v) for v in row]
-    den = math.lcm(*(int(q.denominator) for q in qs))
-    return [int(q.numerator) * (den // int(q.denominator)) for q in qs], den
-
-
 def _poly_sum(terms, n=None):
     """sum of c p q over the (c, p, q) terms, c an int, through z^(n-1)
     (every power when n is None), trimmed.  Fraction-free: each operand
@@ -79,7 +72,7 @@ def _poly_sum(terms, n=None):
     parts = []
     for c, p, q in terms:
         if p and q:
-            (ip, dp), (iq, dq) = _over_lcm(p), _over_lcm(q)
+            (ip, dp), (iq, dq) = over_lcm(p), over_lcm(q)
             parts.append((c, ip, iq, dp * dq))
     if not parts:
         return []
@@ -122,7 +115,7 @@ def rational_rref(rows, exchange=True):
     form.  The name stays because the benchmark tracer wraps
     analysis.rational_rref by name to time every fit's elimination, until
     the benchmark renames that span (ROADMAP direction 7)."""
-    rows[:] = [_over_lcm(row)[0] for row in rows]
+    rows[:] = [over_lcm(row)[0] for row in rows]
     pivots, d = [], 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -423,8 +416,7 @@ def _poly_roots_mp(coeffs):
     if len(coeffs) <= 1:
         return []
     with mpmath.workdps(ROOT_DPS):
-        hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                    for c in reversed(coeffs)]
+        hi_to_lo = [to_mpf(c) for c in reversed(coeffs)]
         starts = _float_seed(hi_to_lo) or [(0.4 + 0.9j) ** n for n in range(len(coeffs) - 1)]
         roots = _durand_kerner(hi_to_lo, starts)
         norm = max(abs(v) for v in hi_to_lo)
@@ -452,8 +444,14 @@ FAMILY_HERMITE_PADE = "hermite-pade"
 FAMILIES = (FAMILY_PADE, FAMILY_HERMITE_PADE)
 
 
-def _unknown_family(family):
-    return ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+# (k, depth): the fits' A_0 + ... + A_k f^k, and default_orders' depth
+_FAMILY = {FAMILY_PADE: (1, 5), FAMILY_HERMITE_PADE: (2, 3)}
+
+
+def _family(family):
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return _FAMILY[family]
 
 
 @dataclass(frozen=True)
@@ -480,12 +478,7 @@ def _chain_fits(series: PowerSeries, family: str, orders):
     whose block needs a row exchange, and orders the series is too short
     for, are left to those fits, which report blocked and degenerate
     entries as before."""
-    if family == FAMILY_PADE:
-        k = 1
-    elif family == FAMILY_HERMITE_PADE:
-        k = 2
-    else:
-        raise _unknown_family(family)
+    k = _family(family)[0]
 
     def size(m):          # the rows of order m's block, at z^(m+1) .. z^(m+size)
         return k * (m + 1) - 1
@@ -539,13 +532,10 @@ def _candidate_roots(series: PowerSeries, family: str, m: int, fit):
 
 def default_orders(family: str, n_coeffs: int):
     """The top diagonal orders n_coeffs coefficients support: the last
-    five for Pade, the last three for Hermite-Pade."""
-    if family == FAMILY_PADE:
-        top, depth = (n_coeffs - 1) // 2, 5
-    elif family == FAMILY_HERMITE_PADE:
-        top, depth = (n_coeffs - 2) // 3, 3
-    else:
-        raise _unknown_family(family)
+    five for Pade, the last three for Hermite-Pade.  An order-m fit needs
+    (k+1) m + k coefficients, 2m+1 for Pade and 3m+2 for Hermite-Pade."""
+    k, depth = _family(family)
+    top = (n_coeffs - k) // (k + 1)
     if top < 1:
         raise ValueError("insufficient coefficients for any diagonal order")
     return tuple(range(max(1, top - depth + 1), top + 1))
@@ -681,8 +671,7 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     not in FAMILIES."""
     _check_threshold(threshold)
     for family in families:
-        if family not in FAMILIES:
-            raise _unknown_family(family)
+        _family(family)
     alphas = list(alpha_grid)
     row_of = partial(_scan_row, max_order=max_order, families=families,
                      threshold=threshold)

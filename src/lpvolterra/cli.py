@@ -328,14 +328,15 @@ def cmd_orbit(params):
         raise BadArguments(
             f"the order-{order} series frequency at a = {a:.4g} is {omega:.4g}, "
             "but the orbit needs a finite positive frequency; lower a")
-    # the step cap needs only omega and the span; checked first, a span
-    # whose harmonics j * theta overflow is blamed on periods, not on a
-    t_eval = tau / omega
-    config = IntegratorConfig(tolerance=tolerance, max_time=float(t_eval[-1]))
-    if abs(config.max_time) > MAX_ORBIT_STEPS * config.step:
+    # the step cap, checked first on Python floats (inf, no numpy warning):
+    # a span whose harmonics j * theta overflow is blamed on periods, not a
+    max_time = span / float(omega)
+    if abs(max_time) > MAX_ORBIT_STEPS * IntegratorConfig.step:
         raise BadArguments(
-            f"the orbit spans t = {config.max_time:.4g}, more than "
+            f"the orbit spans t = {max_time:.4g}, more than "
             f"{MAX_ORBIT_STEPS} integrator steps; lower periods or raise alpha")
+    t_eval = tau / omega
+    config = IntegratorConfig(tolerance=tolerance, max_time=max_time)
     if not (np.isfinite(xi).all() and np.isfinite(eta).all()):
         raise BadArguments(
             f"the order-{order} series curve at a = {a:.4g} is not finite; lower a")

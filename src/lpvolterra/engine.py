@@ -102,8 +102,8 @@ def build_forcing(n: int, prior: PerturbationSeries) -> VectorTrigPoly:
 
     with s = sqrt(alpha).  Differentiation is linear, so each frequency sum
     is one :func:`dot_form` over constant omega_j / s operands,
-    differentiated once.  F and G are returned over one denominator as
-    TrigPolys of their integer forms, which build no rational unless their
+    differentiated once.  F and G are returned as TrigPolys of their
+    integer forms (:func:`combine`), which build no rational unless their
     dicts are read.  The j = n terms carry the still-unknown omega_n;
     :func:`remove_secular` adds them."""
     if n < 1:
@@ -118,9 +118,8 @@ def build_forcing(n: int, prior: PerturbationSeries) -> VectorTrigPoly:
     ws = [orders[j]._frequency_operand for j in js]
     sum_xi = derivative(dot_form(ws, [orders[n - j].xi for j in js]))
     sum_eta = derivative(dot_form(ws, [orders[n - j].eta for j in js]))
-    den = math.lcm(conv.den, sum_xi.den, sum_eta.den)
-    F = combine(den, [(conv, -1, -1), (sum_xi, -1, 0)])
-    G = combine(den, [(conv, 1, 1), (sum_eta, -1, 0)])
+    F = combine([(conv, -1, -1), (sum_xi, -1, 0)])
+    G = combine([(conv, 1, 1), (sum_eta, -1, 0)])
     return VectorTrigPoly(TrigPoly(ring, enc=F), TrigPoly(ring, enc=G))
 
 
@@ -135,8 +134,8 @@ def remove_secular(n: int, forcing: VectorTrigPoly):
     f_c) and (g_s, g_c) of F and G, the sin part must vanish on its own
     and omega_n = (g_c - s f_s)/2.  Then omega_n cos theta = H/2 and
     omega_n sin theta = -(H/2)', so the resolved forcing is
-    (F - (1/s)(H/2)', G - H/2), on integer forms over twice F's
-    denominator; only omega_n is built as rationals."""
+    (F - (1/s)(H/2)', G - H/2), on integer forms over twice the lcm of
+    F's and G's denominators; only omega_n is built as rationals."""
     F, G = forcing
     ring = F.ring
     f, g = int_form(F), int_form(G)
@@ -148,9 +147,8 @@ def remove_secular(n: int, forcing: VectorTrigPoly):
             f"order {n}: sin projection of the resonant forcing is nonzero")
     omega_n = H.cos.get(1, ring.zero())
     resolved = VectorTrigPoly(
-        TrigPoly(ring, enc=combine(half.den, [(f, 1, 0),
-                                               (derivative(half), -1, -1)])),
-        TrigPoly(ring, enc=combine(half.den, [(g, 1, 0), (half, -1, 0)])))
+        TrigPoly(ring, enc=combine([(f, 1, 0), (derivative(half), -1, -1)])),
+        TrigPoly(ring, enc=combine([(g, 1, 0), (half, -1, 0)])))
     return omega_n, resolved
 
 
@@ -200,10 +198,9 @@ def _check_order(gauge: str, forcing: VectorTrigPoly, sol: OrderSolution):
     the check reads the stored coefficients, not the solve's numerators."""
     ring = forcing.xi.ring
     xi, eta, f, g = (int_form(p) for p in (sol.xi, sol.eta, *forcing))
-    den = math.lcm(xi.den, eta.den, f.den, g.den)
     for res in ([(derivative(xi), 1, 0), (eta, 1, -1), (f, -1, 0)],
                 [(derivative(eta), 1, 0), (xi, -1, 1), (g, -1, 0)]):
-        if not vanishes(ring, combine(den, res)):
+        if not vanishes(ring, combine(res)):
             raise AssertionError(f"order {sol.n}: nonzero residual")
     check_harmonics(gauge, sol)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebra import QQ, ExactDivisionError
+from .algebra import QQ, ExactDivisionError, over_lcm
 
 
 class ResonantForcingError(ValueError):
@@ -225,17 +225,12 @@ def _form(p: TrigPoly) -> IntForm:
     :func:`dot_form` of its theta waves sin|cos(a theta) times their phi
     coefficients, each keyed (0, c), which is over twice that lcm."""
     if not p.ring.has_phase:
-        raw = []
-        den = 1
-        for kind, store in enumerate((p.sin, p.cos)):
-            for j, v in store.items():
-                for e, q in v.items():
-                    n, d = int(q.numerator), int(q.denominator)
-                    raw.append((e, kind, j, n, d))
-                    den = math.lcm(den, d)
+        entries = [(e, kind, j, q) for kind, store in enumerate((p.sin, p.cos))
+                   for j, v in store.items() for e, q in v.items()]
+        ints, den = over_lcm([x[3] for x in entries])
         terms: dict = {}
-        for e, kind, j, n, d in raw:
-            terms.setdefault(e, ({}, {}))[kind][(j, 0)] = n * (den // d)
+        for (e, kind, j, _), n in zip(entries, ints):
+            terms.setdefault(e, ({}, {}))[kind][(j, 0)] = n
         return IntForm(den, (max_harmonic(p), 0), terms)
     waves, coeffs = [], []
     for kind, store in enumerate((p.sin, p.cos)):
@@ -394,10 +389,11 @@ def tp_dot(ps, qs) -> TrigPoly:
     return TrigPoly(ps[0].ring, enc=form) if ps else TrigPoly(None)
 
 
-def combine(den, parts) -> IntForm:
+def combine(parts) -> IntForm:
     """sum k s^shift x over the (x, k, shift) of ``parts``, an integer k
-    scaling the integer form x; the result is over ``den``, a common
-    multiple of every x.den."""
+    scaling the integer form x; the result is over the lcm of every
+    x.den."""
+    den = math.lcm(*[x.den for x, _, _ in parts])
     terms: dict = {}
     top = phi_top = 0
     for x, k, shift in parts:
@@ -510,7 +506,7 @@ def evaluate_at_zero(p: TrigPoly):
 
 def resonance(f: IntForm, g: IntForm) -> IntForm:
     """The first harmonic of G - s F', for the integer forms f and g of a
-    forcing (F, G), over lcm(f.den, g.den).
+    forcing (F, G), over lcm(f.den, g.den) (:func:`combine`).
 
     In theta waves it is (g_s + s f_c) sin theta + (g_c - s f_s) cos theta,
     with (f_s, f_c) and (g_s, g_c) the first harmonics of F and G; over the
@@ -518,17 +514,8 @@ def resonance(f: IntForm, g: IntForm) -> IntForm:
     f1, g1 = ({e: tuple({key: n for key, n in store.items() if key[0] == 1}
                         for store in pair)
                for e, pair in x.terms.items()} for x in (f, g))
-    return combine(math.lcm(f.den, g.den),
-                   [(g._replace(terms=g1), 1, 0),
+    return combine([(g._replace(terms=g1), 1, 0),
                     (derivative(f._replace(terms=f1)), -1, 1)])
-
-
-def first_harmonic_absorbable(forcing: VectorTrigPoly) -> bool:
-    """True when the first-harmonic forcing satisfies the two identities
-    g_s = -s f_c, g_c = s f_s that make it absorbable without secular
-    growth (equivalently: the first harmonic of G - s F' vanishes)."""
-    return vanishes(forcing.xi.ring,
-                    resonance(int_form(forcing.xi), int_form(forcing.eta)))
 
 
 # How each forcing wave feeds W = (xi, eta) at theta harmonic a != 1, all
@@ -552,11 +539,12 @@ def _solve(forcing: VectorTrigPoly, absorb: str):
     over den (a^2 - 1) at theta harmonic a != 1 and over den at a = 1."""
     if absorb not in _ABSORB:
         raise ValueError("absorb must be 'xi' or 'eta'")
-    if not first_harmonic_absorbable(forcing):
+    f, g = int_form(forcing.xi), int_form(forcing.eta)
+    # absorbable without secular growth: g_s = -s f_c and g_c = s f_s
+    if not vanishes(forcing.xi.ring, resonance(f, g)):
         raise ResonantForcingError(
             "non-absorbable first-harmonic forcing; "
             "secular removal was skipped")
-    f, g = int_form(forcing.xi), int_form(forcing.eta)
     den = math.lcm(f.den, g.den)
     out: tuple = ({}, {})      # xi, eta terms: {e: (sin, cos)}
     for i, x in enumerate((f, g)):
@@ -635,7 +623,7 @@ def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
               dot_form(values, [wave(0, 1, 1), wave(1, 0, 1)]))    # s v1 sin + v2 cos
     D = 2 * den * L
     return VectorTrigPoly(*(TrigPoly(ring, *_unpack(
-        ring, combine(D, [(x, 1, 0), (shift, -1, 0)]).terms, lambda a: D))
+        ring, combine([(x, 1, 0), (shift, -1, 0)]).terms, lambda a: D))
         for x, shift in zip(forms, shifts)))
 
 

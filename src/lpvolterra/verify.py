@@ -61,6 +61,8 @@ class IntegratorConfig:
             raise ValueError("step must be positive")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.max_time):
+            raise ValueError(f"max_time must be finite, got {self.max_time!r}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,8 @@ def integrate(alpha: float, x0: float, y0: float,
         times = np.asarray(t_eval, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("t_eval must be a nonempty 1-d sequence")
+        if not np.isfinite(times).all():
+            raise ValueError("t_eval must hold finite times")
         if len(times) > 1 and not (np.all(np.diff(times) > 0)
                                    or np.all(np.diff(times) < 0)):
             raise ValueError("t_eval must be strictly monotone")

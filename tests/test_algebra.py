@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
                                 alpha_polynomial, canonical, evaluate_numeric,
-                                format_element, numeric_ring, parse_element,
-                                rational_sqrt, ring_alpha)
+                                format_element, numeric_ring, over_lcm,
+                                parse_element, rational_sqrt, ring_alpha)
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, run
 from lpvolterra.trigpoly import PhaseRing
 
@@ -308,6 +308,25 @@ def sym_elements():
                            rationals.filter(lambda q: q != 0),
                            max_size=4).map(
         lambda d: {k: QQ(v) for k, v in d.items()})
+
+
+wide_rationals = st.builds(Fraction, st.integers(-10**30, 10**30),
+                          st.integers(1, 10**30))
+
+
+@given(st.lists(st.just(Fraction(0)) | rationals | wide_rationals, max_size=8))
+@settings(max_examples=200, deadline=None)
+@example([])
+@example([Fraction(0), Fraction(0)])
+@example([Fraction(-3, 4), Fraction(5, 6), Fraction(7, 10**30 + 1)])
+def test_over_lcm_clears_denominators(values):
+    ints, den = over_lcm(values)
+    assert all(isinstance(n, int) for n in ints)
+    assert [Fraction(n, den) for n in ints] == values
+    assert den == math.lcm(*[q.denominator for q in values])
+    # the identity the canonical strings rely on: scaling reduced fractions
+    # to their lcm keeps the gcd of the numerators
+    assert math.gcd(*ints) == math.gcd(*[q.numerator for q in values])
 
 
 @given(sym_elements(), sym_elements(), sym_elements())

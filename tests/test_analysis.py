@@ -1018,6 +1018,19 @@ class TestStableSingularity:
         with pytest.raises(ValueError, match="insufficient"):
             default_orders(FAMILY_HERMITE_PADE, 3)
 
+    @pytest.mark.parametrize("family, top, depth", [
+        (FAMILY_PADE, lambda n: (n - 1) // 2, 5),
+        (FAMILY_HERMITE_PADE, lambda n: (n - 2) // 3, 3)])
+    def test_default_orders_closed_forms(self, family, top, depth):
+        # an order-m Pade fit needs 2m+1 coefficients, a Hermite-Pade one 3m+2
+        for n in range(131):
+            if top(n) < 1:
+                with pytest.raises(ValueError, match="insufficient coefficients"):
+                    default_orders(family, n)
+            else:
+                assert default_orders(family, n) == tuple(
+                    range(max(1, top(n) - depth + 1), top(n) + 1))
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1e-2])
     def test_threshold_must_be_finite_and_positive(self, threshold, numeric12):
         with pytest.raises(ValueError, match="threshold must be finite and positive"):

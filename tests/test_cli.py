@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 from unittest import mock
 
@@ -500,6 +501,21 @@ class TestOrbitCommand:
         assert err.endswith(f"more than {lpvolterra.cli.MAX_ORBIT_STEPS} integrator "
                             "steps; lower periods or raise alpha\n")
         assert err.count("\n") == 1
+        assert os.listdir() == []
+
+    def test_time_that_overflows_rejected_without_a_warning(self, capsys, monkeypatch):
+        # the span is finite but t = span / omega overflows (omega < 1 here):
+        # the step cap names it before numpy divides and warns
+        forbid(monkeypatch, "integrate")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["orbit", "--alpha", "1", "--a", "3.3", "--order", "2",
+                         "--periods", "2e307", "--points", "2",
+                         "--no-radius-check"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the orbit spans t = inf, more than "
+            f"{lpvolterra.cli.MAX_ORBIT_STEPS} integrator steps; "
+            "lower periods or raise alpha\n")
         assert os.listdir() == []
 
     def test_points_beyond_step_cap_rejected(self, capsys, monkeypatch):

@@ -14,9 +14,9 @@ from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
 from lpvolterra.engine import run
 from lpvolterra.reference import residual, tp_diff
 from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
-                                 VectorTrigPoly, evaluate_at_zero,
-                                 first_harmonic_absorbable, harmonic,
-                                 int_form, max_harmonic, particular_solution,
+                                 VectorTrigPoly, combine, evaluate_at_zero,
+                                 harmonic, int_form, max_harmonic,
+                                 particular_solution,
                                  solve_linear_anchored, to_triples, tp_add,
                                  tp_dot, tp_mul, tp_neg, tp_scale, tp_term,
                                  tp_zero)
@@ -129,7 +129,6 @@ class TestSolver:
             tp_add(tp_term(R, "sin", 1, f_s), tp_term(R, "cos", 1, f_c)),
             tp_add(tp_term(R, "sin", 1, R.neg(R.scale(s, QQ(2)))),
                    tp_term(R, "cos", 1, s)))
-        assert first_harmonic_absorbable(forcing)
         for mode in ("xi", "eta"):
             w = particular_solution(forcing, absorb=mode)
             r = residual(forcing, w)
@@ -140,7 +139,6 @@ class TestSolver:
 
     def test_non_absorbable_raises(self):
         forcing = VectorTrigPoly(tp("sin", 1, 1), tp_zero(R))
-        assert not first_harmonic_absorbable(forcing)
         with pytest.raises(ResonantForcingError, match="secular removal"):
             particular_solution(forcing)
 
@@ -419,6 +417,19 @@ def test_integer_form_round_trips(p):
                 assert n and (a > 0 or (a == 0 and c >= 0))
                 assert kind or (a, c) != (0, 0)
                 assert phase or c == 0
+
+
+@given(st.lists(st.tuples(trig_polys(), st.integers(-3, 3), st.integers(-2, 2)),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_combine_is_over_the_lcm_of_its_parts(parts):
+    forms = [(int_form(p), k, shift) for p, k, shift in parts]
+    out = combine(forms)
+    assert out.den == math.lcm(*[x.den for x, _, _ in forms])
+    want = tp_zero(R)
+    for p, k, shift in parts:
+        want = tp_add(want, tp_scale(tp_mul(p, tp_term(R, "cos", 0, R.s(shift))), QQ(k)))
+    assert TrigPoly(R, enc=out) == want
 
 
 def test_no_operand_is_encoded_twice(monkeypatch):

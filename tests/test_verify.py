@@ -119,6 +119,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="tolerance"):
             IntegratorConfig(tolerance=-1)
 
+    @pytest.mark.parametrize("max_time", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_max_time(self, max_time):
+        # nan failed later in int(round(...)), inf at the 2**52-step check
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            IntegratorConfig(max_time=max_time)
+
 
 class TestIntegrate:
     def test_stationary_orbit(self):
@@ -151,8 +157,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"{match} must be finite and positive"):
             integrate(alpha, x0, y0, cfg)
 
+    @pytest.mark.parametrize("t_eval", [[math.nan], [0.0, math.inf], [0.0, -math.inf]],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_times(self, t_eval, monkeypatch):
+        # a nan time used to come back sampled, holding the initial point
+        def forbidden(*args):
+            raise AssertionError("stepping started")
+        monkeypatch.setattr(verify, "_advance", forbidden)
+        with pytest.raises(ValueError, match="t_eval must hold finite times"):
+            integrate(1.0, 1.1, 1.0, t_eval=t_eval)
+
     @pytest.mark.parametrize("t_eval,max_time", [
-        ([0.0, 1e20], None), ([0.0, -1e20], None), ([0.0, math.inf], None),
+        ([0.0, 1e20], None), ([0.0, -1e20], None), ([0.0, 1e300], None),
         (None, 1e20)])
     def test_span_beyond_float_resolution_rejected(self, t_eval, max_time,
                                                    monkeypatch):

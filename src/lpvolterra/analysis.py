@@ -30,7 +30,6 @@ from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import mpmath
-import numpy as np
 
 from .algebra import QQ, alpha_polynomial, over_lcm, ring_alpha, to_mpf
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, PerturbationSeries
@@ -325,6 +324,7 @@ def _float_seed(hi_to_lo):
     """Double-precision roots (companion-matrix eigenvalues) of the
     polynomial, as starting points for the high-precision iteration; None
     when the coefficients or the roots do not fit in floats."""
+    import numpy as np
     with np.errstate(all="ignore"):
         coeffs = np.array([float(v) for v in hi_to_lo])
         if not np.all(np.isfinite(coeffs)):
@@ -652,23 +652,23 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     when a family's estimate fails, and the scan continues with the next
     family or alpha; any other exception is a bug and propagates.
 
-    The alphas are independent, so they run in forked worker processes,
-    one per CPU this process may use (``os.sched_getaffinity``) and at
-    most one per alpha; the rows come back in input order, the same as a
-    serial scan's.  With one usable CPU or one alpha, or where
-    ``os.sched_getaffinity`` does not exist (off Linux, where forking is
-    not safe), the scan runs in this process.  Forked workers inherit the
-    imported package, patches included.  The pool is joined before the
-    scan returns or raises.
+    The alphas are independent, so they run in forked workers, one per CPU
+    this process may use (``os.sched_getaffinity``) and at most one per
+    alpha, rows in input order; with one usable CPU or one alpha, or off
+    Linux (no ``os.sched_getaffinity``: forking is not safe there), the scan
+    runs in this process.  Workers inherit the package, patches included,
+    and numpy, which every row's root seeds use: the parent loads it before
+    it forks (workers that loaded it themselves made the benchmark's radius
+    pass about 60% slower), so the pool forks after numpy's OpenBLAS thread
+    starts, by choice.  It is joined before the scan returns or raises.
 
     The scan threshold is looser than stable_singularity's own: a scan
-    wants a filled table across parameter values of varying convergence
-    quality, and the spread columns expose how trustworthy each entry
-    is.  At order 44 the Pade chains still drift by a few
-    percent per order, so the strict default would blank most rows.  A
-    threshold that is not finite and positive is a ValueError, raised
-    before any run rather than recorded in every row, and so is a family
-    not in FAMILIES."""
+    wants a filled table over alphas of uneven convergence, and the
+    spread columns show how far to trust each entry; at order 44 the
+    Pade chains still drift a few percent per order, so the strict
+    default would blank most rows.  A threshold that is not finite and
+    positive is a ValueError, raised before any run rather than recorded
+    in every row, and so is a family not in FAMILIES."""
     _check_threshold(threshold)
     for family in families:
         _family(family)
@@ -681,6 +681,7 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
         return [row_of(alpha) for alpha in alphas]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    import numpy  # noqa: F401 -- loaded once here, inherited by the workers
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(row_of, alphas))

@@ -21,8 +21,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import QQ, format_element
 from .analysis import (ESTIMATE_ERRORS, FAMILIES, FAMILY_HERMITE_PADE,
                        FAMILY_PADE, SCAN_THRESHOLD, radius_scan,
@@ -127,6 +125,7 @@ def write_table(fh, header, columns, digits):
     """CSV of a header row and float columns, each entry as ``fmt_sig``
     writes it.  ``%`` formats a float as ``format`` does, and csv would
     quote no such field, so one ``%`` pass writes each block of rows."""
+    import numpy as np
     fh.write(",".join(header) + "\n")
     row = ",".join([f"%.{digits}g"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
@@ -320,6 +319,7 @@ def cmd_orbit(params):
     radius_check = _need({"radius_check": True, **params}, "radius_check", bool)
     prefix = _need(params, "output", str)
 
+    import numpy as np
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)
     tau = np.linspace(0.0, span, points)
     with np.errstate(all="ignore"):

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _UNDERFLOW = 1e-13
 
@@ -200,6 +201,7 @@ def integrate(alpha: float, x0: float, y0: float,
               t_eval: Optional[Sequence[float]] = None) -> OrbitSample:
     """Orbit through (x0, y0), sampled at ``t_eval`` (default: every
     nominal step from 0 to config.max_time, signed)."""
+    import numpy as np
     if not (x0 > 0 and y0 > 0 and math.isfinite(x0) and math.isfinite(y0)):
         raise ValueError("initial populations must be finite and positive")
     if not (alpha > 0 and math.isfinite(alpha)):
@@ -298,6 +300,7 @@ def compare_orbit(xi_series, eta_series, orbit: OrbitSample,
     y = 1 + a*eta and paired with the orbit samples index by index, so
     the caller chooses the time/phase alignment.  Gaps are reported in
     scaled (xi, eta) units when a != 0."""
+    import numpy as np
     xi_s = np.asarray(xi_series, dtype=float)
     eta_s = np.asarray(eta_series, dtype=float)
     if not (len(xi_s) == len(eta_s) == len(orbit.times)):

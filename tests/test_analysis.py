@@ -12,6 +12,8 @@ monkeypatch made before the scan reaches them too.
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -1055,6 +1057,43 @@ def cpus(monkeypatch):
         pytest.skip("the scan forks workers only where os.sched_getaffinity exists")
     return lambda k: monkeypatch.setattr(os, "sched_getaffinity",
                                          lambda pid: set(range(k)))
+
+
+# a fresh interpreter scans two alphas on two CPUs and records whether
+# numpy was loaded when the worker pool was built
+PRE_FORK = """
+import concurrent.futures
+import os
+import sys
+
+os.sched_getaffinity = lambda pid: {0, 1}
+built = []
+
+
+class Recording(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        built.append("numpy" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+
+concurrent.futures.ProcessPoolExecutor = Recording
+from lpvolterra.analysis import radius_scan
+assert "numpy" not in sys.modules, "importing analysis loaded numpy"
+rows = radius_scan([1, 2], 8)
+assert [row.alpha for row in rows] == [1, 2]
+print(built)
+"""
+
+
+def test_scan_loads_numpy_before_it_forks(child_env):
+    # every row's root seeds use numpy: the parent loads it once, before
+    # the pool forks, so that no worker loads it again
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the scan forks workers only where os.sched_getaffinity exists")
+    proc = subprocess.run([sys.executable, "-c", PRE_FORK], capture_output=True,
+                          text=True, timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[True]"
 
 
 class TestRadiusScan:

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import lpvolterra
 import lpvolterra.cli
 from lpvolterra.analysis import NoStableRootError
 from lpvolterra.checks import load_golden
@@ -944,28 +943,18 @@ class TestEntryPoints:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("lpvolterra ")
 
-    def test_module_invocation(self):
-        # The child runs in tmp_path, where a relative PYTHONPATH no longer
-        # resolves; put the directory holding the package under test first.
-        root = os.path.dirname(os.path.dirname(lpvolterra.__file__))
-        entries = [root] + [p for p in os.environ.get("PYTHONPATH", "")
-                            .split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
+    def test_module_invocation(self, child_env):
         proc = subprocess.run([sys.executable, "-m", "lpvolterra.cli",
                                "series", "--order", "0"],
                               capture_output=True, text=True, timeout=120,
-                              env=env)
+                              env=child_env)
         assert proc.returncode == 0
         assert "omega_0 = sqrt(alpha)" in proc.stdout
 
-    def test_one_parser_serves_every_call(self, tmp_path):
+    def test_one_parser_serves_every_call(self, child_env):
         # main() builds its parser once per process: a refused argv (at
         # argparse and after it) followed by a good one gives what fresh
         # processes give
-        root = os.path.dirname(os.path.dirname(lpvolterra.__file__))
-        entries = [root] + [p for p in os.environ.get("PYTHONPATH", "")
-                            .split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
         argvs = [["orbit", "--points", "many"],
                  ["orbit", "--a", "0.1", "--order", "2", "--digits", "0"],
                  ["orbit", "--a", "0.1", "--order", "2", "--points", "16",
@@ -987,7 +976,7 @@ class TestEntryPoints:
         def fresh(argv):
             proc = subprocess.run([sys.executable, "-m", "lpvolterra.cli", *argv],
                                   capture_output=True, text=True, timeout=120,
-                                  env=env)
+                                  env=child_env)
             return proc.returncode, proc.stdout
 
         def in_process(argv):
@@ -1012,3 +1001,39 @@ class TestEntryPoints:
         proc = subprocess.run([exe, "--version"], capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0
+
+
+# a fresh interpreter runs one main(argv) and prints, on its last line,
+# the exit code and whether numpy was loaded
+COLD_START = """
+import sys
+import lpvolterra
+import lpvolterra.cli
+try:
+    code = lpvolterra.cli.main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+print()
+print(code, "numpy" in sys.modules)
+"""
+
+
+class TestColdStart:
+    """A command that integrates no orbit, fits no approximant and samples
+    no curve never loads numpy.  Each runs in a fresh process, because
+    this one imported numpy with the tests."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["series", "--order", "4", "--output", "cold.json"], 0),
+        (["--help"], 0),
+        (["orbit", "--points", "many"], 2),
+        (["orbit", "--a", "0.1", "--order", "2", "--digits", "0"], 2),
+    ], ids=["series", "help", "argparse-error", "argument-error"])
+    def test_numpy_stays_unloaded(self, argv, code, child_env, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", COLD_START.format(argv=argv)],
+                              capture_output=True, text=True, timeout=120,
+                              env=child_env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{code} False"
+        if argv[0] == "series":
+            assert (tmp_path / "cold.json").is_file()

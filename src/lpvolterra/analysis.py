@@ -17,12 +17,14 @@ Singularity locations come from denominator zeros (Pade) or the odd
 clusters of discriminant zeros Q^2 - 4PR (Hermite-Pade), tracked across
 approximant orders until they stabilize.  The zeros come from a
 fixed-point integer Durand-Kerner kernel with mpmath.polyroots' updates
-and stop rule that sweeps only the roots still moving, and each root
-must pass a residual certificate.
+and stop rule that sweeps only the roots still moving, first at 128 bits,
+from Aberth-Ehrlich float seeds, and each root must pass a residual
+certificate.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -321,21 +323,48 @@ def _root_key(z):
 
 
 def _float_seed(hi_to_lo):
-    """Double-precision roots (companion-matrix eigenvalues) of the
-    polynomial, as starting points for the high-precision iteration; None
-    when the coefficients or the roots do not fit in floats."""
-    import numpy as np
-    with np.errstate(all="ignore"):
-        coeffs = np.array([float(v) for v in hi_to_lo])
-        if not np.all(np.isfinite(coeffs)):
-            return None
-        try:
-            seed = np.roots(coeffs)
-        except np.linalg.LinAlgError:
-            return None
-    if len(seed) != len(hi_to_lo) - 1 or not np.all(np.isfinite(seed)):
+    """Double-precision roots of the polynomial, as starting points for the
+    high-precision iteration: Aberth-Ehrlich sweeps in complex floats from
+    Bini's starting circles (Numer. Algorithms 13, 1996), one per edge of
+    the upper convex hull of (k, log|a_k|), a_k the z^k coefficient.  A
+    root stops once its correction is at most 1e-13 of it, or has stalled
+    below 1e-6 of it (a cluster); at most 30 sweeps.  Exact zero roots are
+    split off first.  None when the coefficients or the roots do not fit
+    in floats."""
+    a = [float(v) for v in hi_to_lo]
+    if not all(map(math.isfinite, a)) or not a[0]:
         return None
-    return [mpmath.mpc(complex(z)) for z in seed]
+    a, zeros = poly_trim(a), len(a) - len(poly_trim(a))
+    n, hull = len(a) - 1, []
+    for pt in [(k, math.log(abs(c))) for k, c in enumerate(reversed(a)) if c]:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    try:
+        z = [math.exp((li - lj) / (j - i)) * cmath.exp(2j * math.pi * (m / (j - i) + i / n) + 0.7j)
+             for (i, li), (j, lj) in zip(hull, hull[1:]) for m in range(j - i)]
+    except OverflowError:
+        return None
+    last, done = [math.inf] * n, [False] * n
+    for _ in range(30):
+        for i, zi in enumerate(z):
+            if done[i]:
+                continue
+            p, dp = a[0], 0
+            for c in a[1:]:
+                p, dp = p * zi + c, dp * zi + p
+            s = sum(1 / (zi - zj) for zj in z if zj != zi)
+            d = dp - p * s
+            w = p / d if p and d else 0
+            z[i] = zi - w
+            if not cmath.isfinite(z[i]):
+                return None
+            done[i] = abs(w) <= 1e-13 * abs(zi) or last[i] <= abs(w) <= 1e-6 * abs(zi)
+            last[i] = abs(w)
+        if all(done):
+            break
+    return [mpmath.mpc(v) for v in z + [0j] * zeros]
 
 
 def _durand_kerner(hi_to_lo, starts):
@@ -353,43 +382,53 @@ def _durand_kerner(hi_to_lo, starts):
     The ints hold w = z / 2^k, k <= 0 the least that puts every nonzero
     start at modulus 1/2 or more, so roots and coefficients far below 1 keep
     the relative precision that polyroots' floats keep (k = 0 leaves the
-    steps polyroots' own; 2^k scales exactly in binary)."""
+    steps polyroots' own; 2^k scales exactly in binary).
+
+    The same sweeps first run on 128-bit ints, to a step below 2^-87 or for
+    200 sweeps, and never raise; the full-precision sweeps start from what
+    they reached, shifted up.  The roots are still those polyroots reaches
+    from the starts, in fewer sweeps at full precision."""
+    def settle(coeffs, roots, bits, tol):      # whether the sweeps settled
+        small, confirm = [False] * len(roots), False
+        for _ in range(200):
+            skipped = False
+            for i, (pr, pi) in enumerate(roots):
+                if small[i] and not confirm:
+                    skipped = True
+                    continue
+                fr, fi = 1 << bits, 0                # f(p) by Horner
+                for c in coeffs:
+                    fr, fi = c + ((fr * pr - fi * pi) >> bits), (fr * pi + fi * pr) >> bits
+                dr, di, shift = 1, 0, 0              # prod (p - r_j) = (dr + i di) / 2^shift
+                for j, (rr, ri) in enumerate(roots):
+                    ar, ai = pr - rr, pi - ri
+                    if j == i or not (ar or ai):
+                        continue
+                    dr, di, shift = dr * ar - di * ai, dr * ai + di * ar, shift + bits
+                    excess = min(max(dr.bit_length(), di.bit_length()) - bits - 32, shift)
+                    if excess > 0:
+                        dr, di, shift = dr >> excess, di >> excess, shift - excess
+                den = dr * dr + di * di
+                xr = ((fr * dr + fi * di) << shift) // den
+                xi = ((fi * dr - fr * di) << shift) // den
+                roots[i] = (pr - xr, pi - xi)
+                small[i] = xr * xr + xi * xi < tol * tol
+            if all(small) and not skipped:
+                return True
+            confirm = all(small)
+        return False
+
     bits = mpmath.mp.prec + 4 * ROOT_DPS
     tol = 1 << (4 * ROOT_DPS + 1)      # eps = 2^(1 - prec), scaled
     k = min(0, math.frexp(min((abs(complex(z)) for z in starts if z), default=1.0))[1])
     exact = lambda v: QQ(*mpmath.libmp.to_rational(mpmath.mpf(v)._mpf_))  # noqa: E731
     coeffs = [round(exact(c) / exact(hi_to_lo[0]) * 2 ** (bits - k * i))
               for i, c in enumerate(hi_to_lo[1:], 1)]
-    roots = [(round(exact(z.real) * 2 ** (bits - k)), round(exact(z.imag) * 2 ** (bits - k)))
+    roots = [(round(exact(z.real) * 2 ** (128 - k)), round(exact(z.imag) * 2 ** (128 - k)))
              for z in starts]
-    small, confirm = [False] * len(roots), False
-    for _ in range(200):
-        skipped = False
-        for i, (pr, pi) in enumerate(roots):
-            if small[i] and not confirm:
-                skipped = True
-                continue
-            fr, fi = 1 << bits, 0                # f(p) by Horner
-            for c in coeffs:
-                fr, fi = c + ((fr * pr - fi * pi) >> bits), (fr * pi + fi * pr) >> bits
-            dr, di, shift = 1, 0, 0              # prod (p - r_j) = (dr + i di) / 2^shift
-            for j, (rr, ri) in enumerate(roots):
-                ar, ai = pr - rr, pi - ri
-                if j == i or not (ar or ai):
-                    continue
-                dr, di, shift = dr * ar - di * ai, dr * ai + di * ar, shift + bits
-                excess = min(max(dr.bit_length(), di.bit_length()) - bits - 32, shift)
-                if excess > 0:
-                    dr, di, shift = dr >> excess, di >> excess, shift - excess
-            den = dr * dr + di * di
-            xr = ((fr * dr + fi * di) << shift) // den
-            xi = ((fi * dr - fr * di) << shift) // den
-            roots[i] = (pr - xr, pi - xi)
-            small[i] = xr * xr + xi * xi < tol * tol
-        if all(small) and not skipped:
-            break
-        confirm = all(small)
-    else:
+    settle([c >> (bits - 128) for c in coeffs], roots, 128, 1 << 41)
+    roots = [(rr << (bits - 128), ri << (bits - 128)) for rr, ri in roots]
+    if not settle(coeffs, roots, bits, tol):
         raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
     out = []
     for rr, ri in roots:
@@ -409,8 +448,8 @@ def _poly_roots_mp(coeffs):
 
     :func:`_durand_kerner`, which returns mpmath.polyroots' roots from the
     same starts (closer ones for roots far below 1), starts from the
-    double-precision roots (a few sweeps, not dozens), else from polyroots'
-    own (0.4+0.9i)^n.  Each root must pass the certificate
+    :func:`_float_seed` roots (a few sweeps, not dozens), else from
+    polyroots' own (0.4+0.9i)^n.  Each root must pass the certificate
     |f(r)| <= 10^(-ROOT_DPS/2) norm max(1, |r|)^deg."""
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
@@ -419,10 +458,10 @@ def _poly_roots_mp(coeffs):
         hi_to_lo = [to_mpf(c) for c in reversed(coeffs)]
         starts = _float_seed(hi_to_lo) or [(0.4 + 0.9j) ** n for n in range(len(coeffs) - 1)]
         roots = _durand_kerner(hi_to_lo, starts)
-        norm = max(abs(v) for v in hi_to_lo)
+        norm, bound = max(abs(v) for v in hi_to_lo), mpmath.mpf(10) ** (-ROOT_DPS // 2)
         for r in roots:
             scale = norm * max(1, abs(r)) ** (len(coeffs) - 1)
-            if abs(mpmath.polyval(hi_to_lo, r)) > mpmath.mpf(10) ** (-ROOT_DPS // 2) * scale:
+            if abs(mpmath.polyval(hi_to_lo, r)) > bound * scale:
                 raise ArithmeticError("root refinement did not converge")
         return sorted(roots, key=_root_key)
 
@@ -656,11 +695,9 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
     this process may use (``os.sched_getaffinity``) and at most one per
     alpha, rows in input order; with one usable CPU or one alpha, or off
     Linux (no ``os.sched_getaffinity``: forking is not safe there), the scan
-    runs in this process.  Workers inherit the package, patches included,
-    and numpy, which every row's root seeds use: the parent loads it before
-    it forks (workers that loaded it themselves made the benchmark's radius
-    pass about 60% slower), so the pool forks after numpy's OpenBLAS thread
-    starts, by choice.  It is joined before the scan returns or raises.
+    runs in this process.  Workers inherit the package, patches included;
+    nothing a row runs loads numpy, so the scan starts no thread before it
+    forks.  The pool is joined before the scan returns or raises.
 
     The scan threshold is looser than stable_singularity's own: a scan
     wants a filled table over alphas of uneven convergence, and the
@@ -681,7 +718,6 @@ def radius_scan(alpha_grid: Iterable, max_order: int,
         return [row_of(alpha) for alpha in alphas]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    import numpy  # noqa: F401 -- loaded once here, inherited by the workers
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(row_of, alphas))

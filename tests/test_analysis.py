@@ -9,6 +9,7 @@ this process may use two or more CPUs.  The workers are forked, so a
 monkeypatch made before the scan reaches them too.
 """
 
+import cmath
 import math
 import multiprocessing
 import os
@@ -719,6 +720,52 @@ class TestHermitePade:
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def rational_roots(draw):
+    """Distinct rational roots, some in pairs down to 10^-20 apart."""
+    roots = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                          min_size=1, max_size=10, unique=True))
+    for i, k in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 20)), max_size=4)):
+        twin = roots[i % len(roots)] + QQ(1, 10 ** k)
+        if twin not in roots:
+            roots.append(twin)
+    if len(roots) < 2:
+        roots.append(QQ(21))
+    return roots
+
+
+def monic(roots):
+    """The exact monic polynomial with these roots, ascending powers."""
+    coeffs = [QQ(1)]
+    for r in roots:
+        coeffs = poly_mul(coeffs, [-r, QQ(1)])
+    return coeffs
+
+
+def float_seed(coeffs):
+    """_float_seed of exact ascending coefficients, as Python complexes."""
+    with mpmath.workdps(60):
+        seeds = _float_seed([mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)])
+    return [complex(z) for z in seeds]
+
+
+def own_seeds(roots, seeds, tol, floor=1):
+    """Whether every root r has a seed of its own within tol max(floor,
+    |r|): a bipartite matching, grown by augmenting paths."""
+    owner = {}
+
+    def place(i, seen):
+        for j, z in enumerate(seeds):
+            if j not in seen and abs(z - roots[i]) <= tol * max(floor, abs(roots[i])):
+                seen.add(j)
+                if j not in owner or place(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(roots)))
+
+
 class TestRootExtraction:
     def test_quadratic_roots_sorted_by_modulus(self):
         roots = _poly_roots_mp([QQ(-6), QQ(1), QQ(1)])   # (z-2)(z+3)
@@ -788,24 +835,51 @@ class TestRootExtraction:
             got = _durand_kerner(hi_to_lo, starts)
             return sorted(got, key=_root_key), sorted(want, key=_root_key)
 
-    @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
-                    min_size=1, max_size=10, unique=True),
-           st.lists(st.tuples(st.integers(0, 9), st.integers(1, 20)), max_size=4))
+    @given(rational_roots())
     @settings(max_examples=40, deadline=None)
-    def test_kernel_equals_polyroots_on_rational_roots(self, roots, pairs):
-        """Distinct rational roots, some in pairs down to 10^-20 apart."""
-        roots = list(roots)
-        for i, k in pairs:
-            twin = roots[i % len(roots)] + QQ(1, 10 ** k)
-            if twin not in roots:
-                roots.append(twin)
-        if len(roots) < 2:
-            roots.append(QQ(21))
-        coeffs = [QQ(1)]
-        for r in roots:
-            coeffs = poly_mul(coeffs, [-r, QQ(1)])
-        got, want = self._both(coeffs)
+    def test_kernel_equals_polyroots_on_rational_roots(self, roots):
+        got, want = self._both(monic(roots))
         assert got == want
+
+    @given(rational_roots())
+    @settings(max_examples=40, deadline=None)
+    def test_float_seeds_near_rational_roots(self, roots):
+        """n finite seeds.  Each root that doubles pin down, whose
+        first-order error 2^-52 sum |a_k r^k| / |p'(r)| as a root of the
+        rounded coefficients is at most 1e-9 max(1, |r|), has a seed of its
+        own within 1e-6 max(1, |r|).  A root of a tight pair or triple is
+        not pinned down in doubles (nor by numpy.roots: in about a third of
+        these draws a twin's seed lies further than 1e-6 from it), so each
+        root only needs some seed within 1e-2 max(1, |r|)."""
+        coeffs = monic(roots)
+        seeds = float_seed(coeffs)
+        assert len(seeds) == len(roots) and all(map(cmath.isfinite, seeds))
+
+        def error(r):
+            slope = sum(k * c * r ** (k - 1) for k, c in enumerate(coeffs) if k)
+            return 2 ** -52 * sum(abs(c * r ** k) for k, c in enumerate(coeffs)) / abs(slope)
+
+        simple = [float(r) for r in roots if error(r) <= 1e-9 * max(1, abs(r))]
+        assert own_seeds(simple, seeds, 1e-6)
+        assert all(min(abs(z - float(r)) for z in seeds) <= 1e-2 * max(1, abs(r))
+                   for r in roots)
+
+    @pytest.mark.parametrize("coeffs, roots", [
+        ([QQ(-3), QQ(2)], [1.5]),
+        ([QQ(0), QQ(0), QQ(1)], [0, 0]),
+        ([QQ(0), QQ(-1), QQ(0), QQ(1)], [-1, 0, 1]),
+        ([QQ(1)] + [QQ(0)] * 7 + [QQ(1)], [cmath.exp(1j * math.pi * (2 * m + 1) / 8)
+                                           for m in range(8)]),
+        ([QQ(1, 10 ** 200), QQ(1)], [-1e-200]),
+    ], ids=["degree-1", "z^2", "z^3-z", "z^8+1", "z+10^-200"])
+    def test_float_seed_edge_cases(self, coeffs, roots):
+        # zero roots come back exactly 0, with no division by zero, and a
+        # root far below 1 keeps its relative precision
+        seeds = float_seed(coeffs)
+        assert len(seeds) == len(roots)
+        assert own_seeds(roots, seeds, 1e-13, floor=0)
+        got = [complex(z) for z in _poly_roots_mp(coeffs)]
+        assert own_seeds(roots, got, 1e-15, floor=0)
 
     def test_duplicated_starts_match_polyroots(self):
         # (z-1)(z-2)(z+3)(z^2+1) from three equal starts: each zero
@@ -834,17 +908,17 @@ class TestRootExtraction:
         assert len(got) == 12 and sum(abs(z + 4) < 1e-6 for z in got) == 2
 
     def test_real_seeds_resolve_a_near_double_pair(self):
-        # ((z+4)^2 + 10^-24)(z-3)(z+7)(z^2+1): numpy's seeds for the pair
-        # are two distinct reals near -4
+        # ((z+4)^2 + 10^-24)(z-3)(z+7)(z^2+1), started from two distinct
+        # reals near -4 for the pair, as double-precision seeds may be
         coeffs = poly_mul(poly_mul(poly_mul([QQ(16) + QQ(1, 10 ** 24), QQ(8), QQ(1)],
                                             [QQ(-3), QQ(1)]), [QQ(7), QQ(1)]),
                           [QQ(1), QQ(0), QQ(1)])
+        starts = [mpmath.mpc(z) for z in (-7, 3 - 2 ** -48, -4 - 2 ** -26, -4 + 2 ** -26,
+                                          -2 ** -53 + (1 - 2 ** -52) * 1j,
+                                          -2 ** -53 - (1 - 2 ** -52) * 1j)]
+        roots, want = self._both(coeffs, starts)
+        assert roots == want
         with mpmath.workdps(60):
-            seeds = _float_seed([mpmath.mpf(c.numerator) / c.denominator
-                                 for c in reversed(coeffs)])
-            near = [z for z in seeds if abs(z + 4) < 1e-3]
-            assert len(near) == 2 and all(z.imag == 0 for z in near)
-            roots = _poly_roots_mp(coeffs)
             pair = [z for z in roots if abs(z + 4) < 1e-3]
             assert len(pair) == 2
             for z, sign in zip(pair, (-1, 1)):
@@ -879,10 +953,9 @@ class TestRootExtraction:
     def test_float_seed_needs_representable_coefficients(self):
         with mpmath.workdps(60):
             big, tiny = mpmath.mpf(10) ** 400, mpmath.mpf(10) ** -400
-            # the leading coefficient alone overflows: numpy would return
-            # all-zero roots of the right length
+            # the leading coefficient alone overflows to inf in doubles
             assert _float_seed([big, mpmath.mpf(-3), mpmath.mpf(2)]) is None
-            # it underflows to 0.0: numpy drops it and returns too few roots
+            # it underflows to 0.0, which would leave too few seeds
             assert _float_seed([tiny, mpmath.mpf(-3), mpmath.mpf(2)]) is None
             seed = _float_seed([mpmath.mpf(1), mpmath.mpf(-3), mpmath.mpf(2)])
             assert sorted(complex(z).real for z in seed) == pytest.approx([1, 2])
@@ -1059,12 +1132,13 @@ def cpus(monkeypatch):
                                          lambda pid: set(range(k)))
 
 
-# a fresh interpreter scans two alphas on two CPUs and records whether
-# numpy was loaded when the worker pool was built
+# a fresh interpreter scans two alphas on two CPUs and records, when the
+# worker pool is built, how many threads run and whether numpy is loaded
 PRE_FORK = """
 import concurrent.futures
 import os
 import sys
+import threading
 
 os.sched_getaffinity = lambda pid: {0, 1}
 built = []
@@ -1072,28 +1146,28 @@ built = []
 
 class Recording(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
-        built.append("numpy" in sys.modules)
+        built.append((threading.active_count(), "numpy" in sys.modules))
         super().__init__(*args, **kwargs)
 
 
 concurrent.futures.ProcessPoolExecutor = Recording
 from lpvolterra.analysis import radius_scan
-assert "numpy" not in sys.modules, "importing analysis loaded numpy"
 rows = radius_scan([1, 2], 8)
 assert [row.alpha for row in rows] == [1, 2]
-print(built)
+print(built, "numpy" in sys.modules)
 """
 
 
-def test_scan_loads_numpy_before_it_forks(child_env):
-    # every row's root seeds use numpy: the parent loads it once, before
-    # the pool forks, so that no worker loads it again
+def test_scan_forks_from_one_thread_without_numpy(child_env):
+    # no row loads numpy (the root seeds are pure Python), so the pool
+    # forks from one thread, which Python 3.12's fork warning, raised
+    # here as an error, would otherwise report
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("the scan forks workers only where os.sched_getaffinity exists")
-    proc = subprocess.run([sys.executable, "-c", PRE_FORK], capture_output=True,
-                          text=True, timeout=120, env=child_env)
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", PRE_FORK],
+                          capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[True]"
+    assert proc.stdout.splitlines()[-1] == "[(1, False)] False"
 
 
 class TestRadiusScan:

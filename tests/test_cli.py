@@ -1019,21 +1019,24 @@ print(code, "numpy" in sys.modules)
 
 
 class TestColdStart:
-    """A command that integrates no orbit, fits no approximant and samples
-    no curve never loads numpy.  Each runs in a fresh process, because
-    this one imported numpy with the tests."""
+    """A command that integrates no orbit and samples no curve never loads
+    numpy; `radius` fits approximants and finds their roots without it.
+    Each runs in a fresh process, because this one imported numpy with
+    the tests."""
 
     @pytest.mark.parametrize("argv, code", [
         (["series", "--order", "4", "--output", "cold.json"], 0),
+        # too short for a stable chain (exit code 1), but every row finds roots
+        (["radius", "--alpha", "1,2", "--order", "8", "--output", "cold_radius.csv"], 1),
         (["--help"], 0),
         (["orbit", "--points", "many"], 2),
         (["orbit", "--a", "0.1", "--order", "2", "--digits", "0"], 2),
-    ], ids=["series", "help", "argparse-error", "argument-error"])
+    ], ids=["series", "radius", "help", "argparse-error", "argument-error"])
     def test_numpy_stays_unloaded(self, argv, code, child_env, tmp_path):
         proc = subprocess.run([sys.executable, "-c", COLD_START.format(argv=argv)],
                               capture_output=True, text=True, timeout=120,
                               env=child_env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{code} False"
-        if argv[0] == "series":
-            assert (tmp_path / "cold.json").is_file()
+        if "--output" in argv:
+            assert (tmp_path / argv[argv.index("--output") + 1]).is_file()

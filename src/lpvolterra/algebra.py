@@ -39,8 +39,6 @@ import math
 import re
 from fractions import Fraction
 
-import mpmath
-
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact ring division leaves a remainder."""
@@ -64,6 +62,7 @@ _Q1 = QQ(1)
 
 def to_mpf(q):
     """Exact rational -> mpf at the current mpmath precision."""
+    import mpmath
     return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
 
 
@@ -548,6 +547,7 @@ def evaluate_numeric(ring, x, alpha=None, phi=0, dps: int = 50):
 
     Returns an ``mpmath.mpf`` computed at ``dps`` digits, or a list of them.
     """
+    import mpmath
     alpha = ring_alpha(ring, alpha)
     with mpmath.workdps(dps):
         s = mpmath.sqrt(to_mpf(alpha))

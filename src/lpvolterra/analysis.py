@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 
 from .algebra import QQ, alpha_polynomial, over_lcm, ring_alpha, to_mpf
+from .constants import FAMILIES, FAMILY_HERMITE_PADE, FAMILY_PADE, SCAN_THRESHOLD
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, PerturbationSeries
 
 
@@ -478,11 +479,6 @@ def pade_poles(p: PadeApprox):
 # ---------------------------------------------------------------------------
 # stable-singularity tracking
 
-FAMILY_PADE = "pade"
-FAMILY_HERMITE_PADE = "hermite-pade"
-FAMILIES = (FAMILY_PADE, FAMILY_HERMITE_PADE)
-
-
 # (k, depth): the fits' A_0 + ... + A_k f^k, and default_orders' depth
 _FAMILY = {FAMILY_PADE: (1, 5), FAMILY_HERMITE_PADE: (2, 3)}
 
@@ -645,11 +641,6 @@ def stable_singularity(series: PowerSeries, family: str,
 
 # ---------------------------------------------------------------------------
 # the r_c(alpha) scan
-
-# the spread threshold of radius scans, looser than stable_singularity's
-# own default (radius_scan says why)
-SCAN_THRESHOLD = 5e-2
-
 
 @dataclass
 class ScanRow:

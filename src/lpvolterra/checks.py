@@ -33,6 +33,7 @@ from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
                        pade_fit, poly_mul, poly_trim,
                        rational_function_series, series_from_engine,
                        stable_singularity)
+from .constants import LEVELS
 from .engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                      GAUGE_ZERO_INITIAL, evaluate_solution, run)
 from .reference import equation_residuals, residual
@@ -40,8 +41,6 @@ from .trigpoly import (PhaseRing, ResonantForcingError, VectorTrigPoly,
                        evaluate_at_zero, harmonic, particular_solution,
                        tp_add, tp_dot, tp_mul, tp_term, tp_zero, to_triples)
 from .verify import IntegratorConfig, integrate, measure_frequency
-
-LEVELS = ("quick", "full")
 
 FIG1_ALPHA = 1
 FIG1_X0 = 1 + 0.1 * math.cos(math.pi / 4)

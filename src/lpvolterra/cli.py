@@ -15,21 +15,19 @@ import argparse
 import csv
 import datetime
 import functools
+import importlib
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 
 from .algebra import QQ, format_element
-from .analysis import (ESTIMATE_ERRORS, FAMILIES, FAMILY_HERMITE_PADE,
-                       FAMILY_PADE, SCAN_THRESHOLD, radius_scan,
-                       series_from_engine, stable_singularity)
-from .checks import LEVELS as CHECK_LEVELS
-from .checks import iter_checks, load_golden
+from .constants import (ERROR_FLOOR, FAMILIES, FAMILY_HERMITE_PADE,
+                        FAMILY_PADE, LEVELS, SCAN_THRESHOLD)
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGES, evaluate_solution, run
 from .trigpoly import to_triples
-from .verify import ERROR_FLOOR, IntegratorConfig, compare_orbit, integrate
 
 PROG = "lpvolterra"
 
@@ -50,6 +48,29 @@ MAX_DIGITS = 2**31 - 1
 # once does not grow with --points
 CSV_BLOCK_ROWS = 4096
 
+# what the commands call from analysis, checks and verify: a command loads
+# the module on its first use (_load), and a name set on this module before
+# then, as a test's or a tracer's patch, stays the one the command calls
+_LAZY = {"analysis": ("ESTIMATE_ERRORS", "radius_scan", "series_from_engine",
+                      "stable_singularity"),
+         "checks": ("iter_checks", "load_golden"),
+         "verify": ("IntegratorConfig", "compare_orbit", "integrate")}
+
+
+def _load(module):
+    loaded = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    # PEP 562: reading a name of _LAZY off this module loads its module
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class BadArguments(ValueError):
     pass
@@ -58,12 +79,20 @@ class BadArguments(ValueError):
 @functools.cache
 def tool_version():
     # importlib.metadata scans the installed distributions on every call;
-    # the parser's --version and the manifest share one lookup
+    # --version and the manifest share one lookup
     try:
         from importlib.metadata import version
         return version("lpvolterra")
     except Exception:
         return "unknown"
+
+
+class _VersionAction(argparse._VersionAction):
+    """--version, which looks the version up only when it is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.version = f"{PROG} {tool_version()}"
+        super().__call__(parser, namespace, values, option_string)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +142,17 @@ def parse_angle(text):
         return float(t)
     except ValueError:
         raise BadArguments(f"bad angle {text!r}; use radians or a literal like pi/4")
+
+
+def _check_outputs(*paths):
+    """Refuse, before any work, an output path that cannot be opened for
+    writing because its directory is missing or it names a directory."""
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise BadArguments(f"cannot write {path}: no directory {directory}")
+        if os.path.isdir(path):
+            raise BadArguments(f"cannot write {path}: it is a directory")
 
 
 def fmt_sig(value, digits):
@@ -210,6 +250,7 @@ def cmd_series(params):
     if gauge not in GAUGES:
         raise BadArguments(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
     output = _need(params, "output", str)
+    _check_outputs(output, output + ".manifest.json")
 
     series = run(order, alpha, gauge)
     ring = series.coeff_ring
@@ -261,7 +302,9 @@ def cmd_radius(params):
     threshold = _need(params, "threshold", float, positive=True)
     digits = _need(params, "digits", int, low=1, high=MAX_DIGITS)
     output = _need(params, "output", str)
+    _check_outputs(output, output + ".manifest.json")
 
+    _load("analysis")
     rows = radius_scan(alphas, order, families=families, threshold=threshold)
 
     succeeded = 0
@@ -289,6 +332,7 @@ def cmd_radius(params):
 
 def _estimate_radius(alpha):
     """Best-effort convergence radius at this alpha for the divergence warning."""
+    _load("analysis")
     series = run(44, alpha, GAUGE_SIMPLIFIED_XI)
     ps = series_from_engine(series)
     for family in (FAMILY_HERMITE_PADE, FAMILY_PADE):
@@ -318,8 +362,11 @@ def cmd_orbit(params):
     # a manifest without the key runs the check, as the flag's absence does
     radius_check = _need({"radius_check": True, **params}, "radius_check", bool)
     prefix = _need(params, "output", str)
+    outputs = [f"{prefix}_{name}.csv" for name in ("orbit", "comparison", "metrics")]
+    _check_outputs(*outputs, f"{prefix}.manifest.json")
 
     import numpy as np
+    _load("verify")
     series = run(order, alpha, GAUGE_SIMPLIFIED_XI)
     tau = np.linspace(0.0, span, points)
     with np.errstate(all="ignore"):
@@ -371,12 +418,11 @@ def cmd_orbit(params):
     orbit = integrate(float(alpha), x0, y0, config, t_eval=t_eval)
     gaps = compare_orbit(xi, eta, orbit, a)
 
-    orbit_path = f"{prefix}_orbit.csv"
+    orbit_path, comparison_path, metrics_path = outputs
     with open(orbit_path, "w", encoding="utf-8", newline="") as fh:
         write_table(fh, ["t", "x", "y"],
                     [orbit.times, orbit.x_values, orbit.y_values], digits)
 
-    comparison_path = f"{prefix}_comparison.csv"
     with open(comparison_path, "w", encoding="utf-8", newline="") as fh:
         if a:
             xi_num = (orbit.x_values - 1) / a
@@ -387,7 +433,6 @@ def cmd_orbit(params):
         write_table(fh, ["tau", "xi_series", "eta_series", "xi_numeric", "eta_numeric"],
                     [tau, xi, eta, xi_num, eta_num], digits)
 
-    metrics_path = f"{prefix}_metrics.csv"
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "value"])
@@ -400,7 +445,6 @@ def cmd_orbit(params):
         writer.writerow(["conserved_drift", fmt_sig(orbit.conserved_drift, digits)])
         writer.writerow(["radius_estimate", fmt_sig(radius, digits)])
 
-    outputs = [orbit_path, comparison_path, metrics_path]
     write_manifest("orbit", params, outputs, f"{prefix}.manifest.json")
     print(f"max gap {fmt_sig(gaps.max_gap, 4)}, rms gap {fmt_sig(gaps.rms_gap, 4)} "
           f"over {gaps.n_points} points")
@@ -412,10 +456,13 @@ def cmd_orbit(params):
 
 def cmd_check(params):
     level = _need(params, "level", str)
-    if level not in CHECK_LEVELS:
-        raise BadArguments(f"unknown level {level!r}; expected one of {CHECK_LEVELS}")
+    if level not in LEVELS:
+        raise BadArguments(f"unknown level {level!r}; expected one of {LEVELS}")
     golden_path = _need(params, "golden", str, optional=True)
     output = _need(params, "output", str, optional=True)
+    if output:
+        _check_outputs(output, output + ".manifest.json")
+    _load("checks")
     golden = None
     if golden_path:
         try:
@@ -458,8 +505,7 @@ def build_parser():
         prog=PROG,
         description="Exact perturbation series for the predator-prey cycle, "
                     "convergence-radius estimates, and numerical cross-checks.")
-    parser.add_argument("--version", action="version",
-                        version=f"{PROG} {tool_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="compute a perturbation series and dump JSON")
@@ -496,7 +542,7 @@ def build_parser():
     p.add_argument("--from-manifest", metavar="PATH")
 
     p = sub.add_parser("check", help="run the invariant suites")
-    p.add_argument("--level", default="quick", choices=CHECK_LEVELS)
+    p.add_argument("--level", default="quick", choices=LEVELS)
     p.add_argument("--golden", help="alternate golden reference file")
     p.add_argument("--output", help="optional report file")
     p.add_argument("--from-manifest", metavar="PATH")

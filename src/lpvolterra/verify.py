@@ -24,15 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .constants import ERROR_FLOOR
+
 if TYPE_CHECKING:
     import numpy as np
 
 _UNDERFLOW = 1e-13
-
-# the halved-step comparison cannot certify errors below a few ulps, so
-# the error estimate is floored at this fraction of the state's scale; a
-# tolerance below it surfaces as step underflow
-ERROR_FLOOR = 1e-15
 
 
 def lv_rhs(alpha: float, x: float, y: float):

@@ -710,6 +710,36 @@ class TestStringParameters:
         assert sorted(os.listdir()) == ["m.json"]
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("command,argv", [
+        ("series", ["--order", "2"]),
+        ("radius", ["--alpha", "1,2", "--order", "8"]),
+        ("orbit", ["--a", "0.1", "--order", "2", "--no-radius-check"]),
+        ("check", ["--level", "quick"])])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_rejected_before_work(self, command, argv, where,
+                                                    capsys, monkeypatch):
+        for work in ("run", "radius_scan", "integrate", "iter_checks"):
+            forbid(monkeypatch, work)
+        # orbit's --output is a prefix; its first file is <prefix>_orbit.csv
+        suffix = "_orbit.csv" if command == "orbit" else ""
+        if where == "directory":
+            output = "out"
+            os.mkdir(output + suffix)
+            want = f"error: cannot write {output + suffix}: it is a directory\n"
+        else:
+            output = os.path.join("missing", "out")
+            want = f"error: cannot write {output + suffix}: no directory missing\n"
+        listed = sorted(os.listdir())
+        assert main([command, *argv, "--output", output]) == 2
+        assert capsys.readouterr().err == want
+        write_params("m.json", command,
+                     dict(MANIFEST_PARAMS[command][0], output=output))
+        assert main([command, "--from-manifest", "m.json"]) == 2
+        assert capsys.readouterr().err == want
+        assert sorted(os.listdir()) == sorted(listed + ["m.json"])
+
+
 def reference_orbit_csvs(tau, xi, eta, omega, x0, y0, orbit, gaps, a, digits):
     """The three orbit CSVs, written row by row through fmt_sig."""
     texts = []
@@ -941,7 +971,7 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("lpvolterra ")
+        assert capsys.readouterr().out == f"lpvolterra {lpvolterra.cli.tool_version()}\n"
 
     def test_module_invocation(self, child_env):
         proc = subprocess.run([sys.executable, "-m", "lpvolterra.cli",
@@ -1004,7 +1034,7 @@ class TestEntryPoints:
 
 
 # a fresh interpreter runs one main(argv) and prints, on its last line,
-# the exit code and whether numpy was loaded
+# the exit code and which of the given modules it loaded
 COLD_START = """
 import sys
 import lpvolterra
@@ -1014,29 +1044,44 @@ try:
 except SystemExit as exc:
     code = exc.code
 print()
-print(code, "numpy" in sys.modules)
+print(code, [name for name in {unloaded!r} if name in sys.modules])
 """
+
+# the modules that only fits, checks and orbits need
+LIBRARY = ("mpmath", "lpvolterra.analysis", "lpvolterra.checks",
+           "lpvolterra.verify", "numpy")
+# and importlib.metadata, which only --version and manifests need
+QUIET = (*LIBRARY, "importlib.metadata")
 
 
 class TestColdStart:
-    """A command that integrates no orbit and samples no curve never loads
-    numpy; `radius` fits approximants and finds their roots without it.
-    Each runs in a fresh process, because this one imported numpy with
-    the tests."""
+    """Each command loads only the modules it runs: one that integrates no
+    orbit and samples no curve never loads numpy, `radius` fits
+    approximants and finds their roots without it, and neither `series`
+    nor a refused argument loads mpmath or the modules behind the other
+    commands.  Each runs in a fresh process, because this one imported
+    them all with the tests."""
 
-    @pytest.mark.parametrize("argv, code", [
-        (["series", "--order", "4", "--output", "cold.json"], 0),
+    @pytest.mark.parametrize("argv, code, unloaded", [
+        (["series", "--order", "4", "--output", "cold.json"], 0, LIBRARY),
         # too short for a stable chain (exit code 1), but every row finds roots
-        (["radius", "--alpha", "1,2", "--order", "8", "--output", "cold_radius.csv"], 1),
-        (["--help"], 0),
-        (["orbit", "--points", "many"], 2),
-        (["orbit", "--a", "0.1", "--order", "2", "--digits", "0"], 2),
-    ], ids=["series", "radius", "help", "argparse-error", "argument-error"])
-    def test_numpy_stays_unloaded(self, argv, code, child_env, tmp_path):
-        proc = subprocess.run([sys.executable, "-c", COLD_START.format(argv=argv)],
-                              capture_output=True, text=True, timeout=120,
-                              env=child_env, cwd=tmp_path)
+        (["radius", "--alpha", "1,2", "--order", "8", "--output", "cold_radius.csv"], 1,
+         ("lpvolterra.checks", "lpvolterra.verify", "numpy")),
+        (["orbit", "--a", "0.1", "--order", "2", "--points", "16",
+          "--no-radius-check", "--output", "cold"], 0,
+         ("lpvolterra.analysis", "lpvolterra.checks")),
+        (["--help"], 0, QUIET),
+        (["orbit", "--points", "many"], 2, QUIET),
+        (["orbit", "--a", "0.1", "--order", "2", "--digits", "0"], 2, QUIET),
+    ], ids=["series", "radius", "orbit", "help", "argparse-error", "argument-error"])
+    def test_unused_modules_stay_unloaded(self, argv, code, unloaded, child_env,
+                                          tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START.format(argv=argv, unloaded=unloaded)],
+            capture_output=True, text=True, timeout=120, env=child_env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{code} False"
+        assert proc.stdout.splitlines()[-1] == f"{code} []"
         if "--output" in argv:
-            assert (tmp_path / argv[argv.index("--output") + 1]).is_file()
+            # every command writes its manifest last, beside its outputs
+            output = argv[argv.index("--output") + 1]
+            assert (tmp_path / f"{output}.manifest.json").is_file()

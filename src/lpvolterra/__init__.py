@@ -10,9 +10,8 @@ import importlib
 # the public names, by the submodule that defines them
 _EXPORTS = {
     "algebra": ("QQ", "SYMBOLIC", "ExactDivisionError", "NumericRing",
-                "SymbolicRing", "alpha_polynomial", "canonical",
-                "evaluate_numeric", "format_element", "numeric_ring",
-                "parse_element", "rational_sqrt"),
+                "SymbolicRing", "alpha_polynomial", "evaluate_numeric",
+                "format_element", "numeric_ring", "rational_sqrt"),
     "trigpoly": ("PhaseRing", "ResonantForcingError", "TrigPoly",
                  "VectorTrigPoly", "particular_solution",
                  "solve_linear_anchored", "to_triples"),

@@ -24,19 +24,16 @@ ring by trigonometric polynomials in the phase angle ``phi``; that
 extension (:class:`lpvolterra.trigpoly.PhaseRing`, marked by
 ``has_phase``) lives in :mod:`lpvolterra.trigpoly`, and its elements are
 ``TrigPoly`` objects with a ``const`` term and ``sin``/``cos`` dicts.
-:func:`format_element` writes the canonical string of an element, and
-:func:`parse_element` reads it back through the standard library's ``ast``
-(``^`` is a power, with the usual precedence: ``-x^2`` is ``-(x^2)``); the
-text is matched against a whitelist of nodes and never evaluated.
+:func:`format_element` writes the canonical string of an element (``^``
+is a power); no command reads one back, and the ``string-values`` check
+proves each string equal to its element by exact evaluation.
 :func:`evaluate_numeric` evaluates any element with mpmath at configurable
 precision (default 50 significant digits).
 """
 
 from __future__ import annotations
 
-import ast
 import math
-import re
 from fractions import Fraction
 
 
@@ -365,8 +362,7 @@ def format_element(ring, x, amp_power: int = 0) -> str:
     """Canonical string for a ring element.
 
     ``amp_power`` prefixes the known amplitude factor A**p; it is metadata
-    (the engine normalizes the amplitude to 1) and is accepted back by
-    :func:`parse_element`.
+    (the engine normalizes the amplitude to 1).
     """
     if ring.has_phase:
         pieces = []  # (sdict, trig-name or None)
@@ -393,125 +389,6 @@ def format_element(ring, x, amp_power: int = 0) -> str:
         amp = "A" if amp_power == 1 else f"A^{amp_power}"
         return f"{amp}*{body}"
     return _fmt_sdict(x, amp_power=amp_power)
-
-
-class _ParseError(ValueError):
-    pass
-
-
-# '**' and '//' are not element syntax; a digit followed by a letter would
-# read as a hex, octal, binary, float or complex literal
-_MALFORMED = re.compile(r"\*\*|//|\d[A-Za-z]|[^\sA-Za-z0-9+\-*/^()]")
-_LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
-
-# x^k costs |k| ring products; canonical strings stay far below (A^101 at order 100)
-MAX_EXPONENT = 1000
-
-
-def _integer(node):
-    """Value of an integer literal node, or None."""
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    return None
-
-
-def _name(node):
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def _walk(ring, node):
-    """(element, amplitude power) of an element-string syntax tree."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        exp = node.right
-        negative = isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub)
-        k = _integer(exp.operand if negative else exp)
-        if k is None:
-            raise _ParseError("exponents must be integers")
-        if k > MAX_EXPONENT:
-            raise _ParseError(f"|exponent| {k} is above the bound {MAX_EXPONENT}")
-        base, amp = _walk(ring, node.left)
-        el, op = ring.one(), (ring.div if negative else ring.mul)
-        for _ in range(k):
-            el = op(el, base)
-        return el, -amp * k if negative else amp * k
-    if isinstance(node, ast.BinOp):
-        (x, xamp), (y, yamp) = _walk(ring, node.left), _walk(ring, node.right)
-        if isinstance(node.op, ast.Mult):
-            return ring.mul(x, y), xamp + yamp
-        if isinstance(node.op, ast.Div):
-            if yamp:
-                raise _ParseError("cannot divide by an amplitude factor")
-            return ring.div(x, y), xamp
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            if isinstance(node.op, ast.Sub):
-                y = ring.neg(y)
-            if ring.is_zero(x):
-                xamp = yamp
-            elif not ring.is_zero(y) and yamp != xamp:
-                raise _ParseError("mixed amplitude powers in a sum")
-            return ring.add(x, y), xamp
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        el, amp = _walk(ring, node.operand)
-        return (ring.neg(el) if isinstance(node.op, ast.USub) else el), amp
-    if _integer(node) is not None:
-        return ring.from_fraction(QQ(node.value)), 0
-    if _name(node) in ("alpha", "A"):
-        return (ring.s(2), 0) if node.id == "alpha" else (ring.one(), 1)
-    if isinstance(node, ast.Call) and len(node.args) == 1:
-        name, (arg,) = _name(node.func), node.args
-        if name == "sqrt":
-            if _name(arg) != "alpha":
-                raise _ParseError("only sqrt(alpha) is supported")
-            return ring.s(1), 0
-        if name in ("sin", "cos"):
-            if not ring.has_phase:
-                raise _ParseError(f"{name}(phi) needs a phase-extended ring")
-            k = 1 if _name(arg) == "phi" else None
-            if (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
-                    and _name(arg.right) == "phi"):
-                k = _integer(arg.left)
-            if k is None:
-                raise _ParseError("trig arguments must be phi or k*phi")
-            return (ring.sin_phi(k) if name == "sin" else ring.cos_phi(k)), 0
-    raise _ParseError(f"unsupported syntax {type(node).__name__}")
-
-
-def parse_element(ring, text: str):
-    """Parse an element string.
-
-    Returns ``(element, amp_power)``; plain elements come back with
-    ``amp_power == 0``.  Inverse of :func:`format_element`, and tolerant of
-    whitespace, newlines, leading zeros and non-canonical layouts.
-
-    The text is parsed by the standard library's ``ast`` (with ``^`` read as
-    ``**``, so the usual precedence holds: ``-x^2`` is ``-(x^2)`` and
-    ``2*-x^2`` is ``-2*x^2``) and never evaluated.  Accepted are integer
-    literals, ``alpha``, ``A``, ``sqrt(alpha)``, ``sin``/``cos`` of ``phi``
-    or ``k*phi`` (phase rings only), ``+ - * /``, unary ``+``/``-`` and
-    ``^`` with an integer or negated-integer exponent, at most
-    :data:`MAX_EXPONENT` in absolute value.  The amplitude factor ``A`` may
-    not divide, every nonzero term of a sum carries the same power of
-    ``A``, and the total power may not be negative.  Other text raises a
-    ``ValueError``; a division the ring cannot do raises its ``ArithmeticError``.
-    """
-    if _MALFORMED.search(text):
-        raise _ParseError(f"malformed element string {text!r}")
-    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
-    # ast construction and the walk both recurse once per term of a sum, so
-    # a sum of about a thousand terms raises RecursionError
-    try:
-        el, amp = _walk(ring, ast.parse(source, mode="eval").body)
-    except (SyntaxError, RecursionError) as exc:
-        raise _ParseError(f"cannot parse element string: {exc}") from exc
-    if amp < 0:
-        raise _ParseError("negative amplitude power")
-    return el, amp
-
-
-def canonical(ring, text: str, amp_power: int = 0) -> str:
-    """Canonical string of a parseable string; its own A power wins."""
-    el, amp = parse_element(ring, text)
-    return format_element(ring, el, amp_power=amp or amp_power)
 
 
 # ---------------------------------------------------------------------------

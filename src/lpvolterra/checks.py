@@ -14,9 +14,13 @@ odd-order frequency check to order 45, and adds the slow numeric
 cross-validations.
 """
 
+import ast
+import itertools
 import json
 import math
+import operator
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +28,8 @@ from importlib import resources
 
 import mpmath
 
-from .algebra import (QQ, SymbolicRing, canonical, evaluate_numeric,
-                      format_element, numeric_ring, parse_element, to_mpf)
+from .algebra import (QQ, SymbolicRing, evaluate_numeric, format_element,
+                      numeric_ring, to_mpf)
 from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
                        ROOT_DPS, DegenerateApproximantError, PowerSeries,
                        _durand_kerner, _float_seed, _poly_roots_mp, _poly_sum,
@@ -203,24 +207,85 @@ def _ring_axioms(ctx):
     return f"{triples} random triples across 4 coefficient rings"
 
 
-@_check("string-roundtrip")
-def _string_roundtrip(ctx):
+# an element string's leaves, and how its operations bound terms and take values
+_LEAF = re.compile(r"(A|alpha|sqrt\(alpha\))(?:\*\*(\d+))?|(sin|cos)\((?:(\d+)\*)?phi\)|(\d+)")
+_OPS = {ast.Add: (max, operator.add), ast.Sub: (max, operator.sub),
+        ast.Mult: (operator.add, operator.mul), ast.Div: (operator.sub, operator.truediv)}
+
+
+def _denotes(ring, x, text, amp_power=0):
+    """Whether ``text`` is A**amp_power times ``x``, proved by exact evaluation.
+
+    ``text`` is walked with ``ast`` over a whitelist (integers, powers of
+    ``A``, ``alpha`` and ``sqrt(alpha)``, ``sin``/``cos`` of ``phi`` or
+    ``k*phi``, ``+ - *``, unary ``-``, and ``/`` by c*s^e) and never
+    evaluated.  With s = sqrt(alpha) a formal variable, both sides are sums
+    of terms A^a s^e cos(k phi) and A^a s^e sin(k phi), x's from its own
+    dicts, with a in [a0, a1], e in [e0, e1] and k <= K.  So equal values at
+    a1 - a0 + 1 values of A and e1 - e0 + 1 nonzero values of s (a
+    polynomial of degree d with d + 1 roots is zero) and 2K + 1 angles in
+    [0, pi) (as is a trigonometric one of degree K with 2K + 1 roots) prove
+    them equal.
+    """
+    source = text.replace("**", "@").replace("^", "**")   # '**' is no element syntax
+
+    def walk(node):
+        # (bounds, value at (A, s, cos, sin)): the bounds (-a0, a1, -e0, e1, K)
+        # negate the lowest powers, so a sum takes the larger of its operands'
+        # bounds, a product their sum and a quotient their difference
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            b, v = walk(node.operand)
+            return b, lambda p: -v(p)
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            (xb, x), (yb, y) = walk(node.left), walk(node.right)
+            bound, op = _OPS[type(node.op)]
+            if op is not operator.truediv or sum(yb) == yb[1] == 0:   # y is c*s^e
+                return tuple(map(bound, xb, yb)), lambda p: op(x(p), y(p))
+        m = _LEAF.fullmatch(ast.get_source_segment(source, node))
+        if m is None:
+            raise ValueError(f"not element syntax: {text!r}")
+        name, n, trig, k, c = m.groups()
+        if trig:
+            k, i = int(k or 1), 2 if trig == "cos" else 3
+            return (0, 0, 0, 0, k), lambda p: p[i][k]
+        if c:
+            c = QQ(int(c))
+            return (0, 0, 0, 0, 0), lambda p: c
+        a, e = {"A": (1, 0), "alpha": (0, 2), "sqrt(alpha)": (0, 1)}[name]
+        a, e = a * int(n or 1), e * int(n or 1)
+        return (-a, a, -e, e, 0), lambda p: p[0] ** a * p[1] ** e
+
+    bounds, value = walk(ast.parse(source, mode="eval").body)
+    waves = (x.cos, x.sin) if ring.has_phase else ({0: x}, {})
+    exps = [e for wave in waves for d in wave.values() for e in d] or [0]
+    a0, a1, e0, e1, K = map(max, bounds, (-amp_power, amp_power, -min(exps), max(exps),
+                                          max([0, *waves[0], *waves[1]])))
+    for t in range(2 * K + 1):
+        # phi = 2 atan(t): cos and sin from the Pythagorean triple (1 - t^2,
+        # 2t, 1 + t^2), and of k*phi by the angle-sum recurrence
+        trig = [QQ(1), QQ(1 - t * t, 1 + t * t)], [QQ(0), QQ(2 * t, 1 + t * t)]
+        while len(trig[0]) <= K:
+            for f in trig:
+                f.append(2 * trig[0][1] * f[-1] - f[-2])
+        for A, s in itertools.product(map(QQ, range(1, a0 + a1 + 2)),
+                                      map(QQ, range(1, e0 + e1 + 2))):
+            want = sum(q * s ** e * f[k] for wave, f in zip(waves, trig)
+                       for k, d in wave.items() for e, q in d.items())
+            if value((A, s, *trig)) != A ** amp_power * want:
+                return False
+    return True
+
+
+@_check("string-values")
+def _string_values(ctx):
     rng = random.Random(0xF0F0)
-    count = 0
-    for label, ring, draw in _sample_rings(rng):
-        for amp in (0, 3):
-            for _ in range(15):
-                el = draw()
-                text = format_element(ring, el, amp_power=amp)
-                back, amp_back = parse_element(ring, text)
-                if not ring.eq(back, el):
-                    raise AssertionError(f"{label}: parse(format(x)) != x for {text!r}")
-                if not ring.is_zero(el) and amp and amp_back != amp:
-                    raise AssertionError(f"{label}: amplitude power lost in {text!r}")
-                if canonical(ring, text, amp_power=amp) != text:
-                    raise AssertionError(f"{label}: canonical form not idempotent for {text!r}")
-                count += 1
-    return f"{count} format/parse round trips, canonical form idempotent"
+    cases = [(label, ring, amp, draw()) for label, ring, draw in _sample_rings(rng)
+             for amp in (0, 3) for _ in range(15)]
+    for label, ring, amp, el in cases:
+        text = format_element(ring, el, amp_power=amp)
+        if not _denotes(ring, el, text, amp):
+            raise AssertionError(f"{label}: {text!r} is not the element it formats")
+    return f"{len(cases)} formatted strings equal their elements, proved by exact evaluation"
 
 
 @_check("numeric-homomorphism")

@@ -579,6 +579,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         params = _collect_params(args)
+        if params.get("output") == "":     # a path, or orbit's prefix
+            raise BadArguments("the output path is empty")
         return _DISPATCH[args.command](params)
     except BadArguments as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -455,12 +455,10 @@ class PhaseRing:
         return self.lift(self.base.from_fraction(q))
 
     def sin_phi(self, k: int = 1):
-        if k < 0:
-            return tp_neg(self.sin_phi(-k))
-        return tp_term(self.base, "sin", k, self.base.one()) if k else self.zero()
+        return tp_term(self.base, "sin", k, self.base.one())
 
     def cos_phi(self, k: int = 1):
-        return tp_term(self.base, "cos", abs(k), self.base.one())
+        return tp_term(self.base, "cos", k, self.base.one())
 
     def is_zero(self, x) -> bool:
         return not x.sin and not x.cos

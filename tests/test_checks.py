@@ -4,9 +4,12 @@ and the residual oracle must actually reject wrong series."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpvolterra.checks import (CheckResult, check_names, equation_residuals,
-                               iter_checks, load_golden)
+from lpvolterra.algebra import QQ, SYMBOLIC, format_element
+from lpvolterra.checks import (CheckResult, _denotes, check_names,
+                               equation_residuals, iter_checks, load_golden)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL,
                                OrderSolution, run)
 from lpvolterra.trigpoly import tp_add, tp_term
@@ -72,6 +75,12 @@ class TestGoldenData:
         assert not results[0].passed
         assert "omega_4" in results[0].detail
 
+    def test_evaluator_rejects_a_changed_character(self):
+        golden = load_golden()["omega"]["4"]
+        omega4 = run(4, "symbolic", GAUGE_SIMPLIFIED_XI).orders[4].omega
+        assert _denotes(SYMBOLIC, omega4, golden, 4)
+        assert not _denotes(SYMBOLIC, omega4, golden.replace("/6912", "/6913"), 4)
+
     @pytest.mark.parametrize("golden", [{}, [], {"omega": None}])
     def test_malformed_data_fails_not_raises(self, golden):
         results = list(iter_checks("quick", names=["golden-strings"],
@@ -107,3 +116,28 @@ class TestSuite:
         first = next(it)
         assert first.name == "ring-axioms" and first.passed
         assert list(it) == []
+
+
+small_elements = st.dictionaries(
+    st.integers(min_value=-3, max_value=4),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+    max_size=3).map(lambda d: {k: QQ(v) for k, v in d.items()})
+
+
+@given(small_elements, small_elements, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_evaluator_decides_equality(x, y, amp_x, amp_y, same):
+    # a string denotes exactly one element and one amplitude power
+    if same:
+        x = y
+    text = format_element(SYMBOLIC, y, amp_y)
+    assert _denotes(SYMBOLIC, x, text, amp_x) == (x == y and (amp_x == amp_y or not x))
+
+
+@pytest.mark.parametrize("text", ["alpha**2", "alpha//2", "0x10", "1_0", "alpha^x",
+                                  "(alpha+1)^2", "alpha/(alpha+1)", "alpha/A",
+                                  "A^-1", "sin(phi*2)", "sin(A)", "phi", "+alpha"])
+def test_evaluator_rejects_other_syntax(text):
+    with pytest.raises(ValueError, match="not element syntax"):
+        _denotes(SYMBOLIC, {}, text)

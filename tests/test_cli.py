@@ -716,14 +716,18 @@ class TestOutputPaths:
         ("radius", ["--alpha", "1,2", "--order", "8"]),
         ("orbit", ["--a", "0.1", "--order", "2", "--no-radius-check"]),
         ("check", ["--level", "quick"])])
-    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
     def test_unwritable_output_rejected_before_work(self, command, argv, where,
                                                     capsys, monkeypatch):
         for work in ("run", "radius_scan", "integrate", "iter_checks"):
             forbid(monkeypatch, work)
         # orbit's --output is a prefix; its first file is <prefix>_orbit.csv
         suffix = "_orbit.csv" if command == "orbit" else ""
-        if where == "directory":
+        if where == "empty":
+            # an empty prefix would write _orbit.csv and a hidden .manifest.json
+            output = ""
+            want = "error: the output path is empty\n"
+        elif where == "directory":
             output = "out"
             os.mkdir(output + suffix)
             want = f"error: cannot write {output + suffix}: it is a directory\n"

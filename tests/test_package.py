@@ -14,9 +14,8 @@ import lpvolterra
 # every name lpvolterra re-exports, by the module that defines it
 EXPORTS = {
     "algebra": ["QQ", "SYMBOLIC", "ExactDivisionError", "NumericRing",
-                "SymbolicRing", "alpha_polynomial", "canonical",
-                "evaluate_numeric", "format_element", "numeric_ring",
-                "parse_element", "rational_sqrt"],
+                "SymbolicRing", "alpha_polynomial", "evaluate_numeric",
+                "format_element", "numeric_ring", "rational_sqrt"],
     "trigpoly": ["PhaseRing", "ResonantForcingError", "TrigPoly",
                  "VectorTrigPoly", "particular_solution",
                  "solve_linear_anchored", "to_triples"],

@@ -12,7 +12,7 @@ from lpvolterra.checks import (CheckResult, _denotes, check_names,
                                equation_residuals, iter_checks, load_golden)
 from lpvolterra.engine import (GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL,
                                OrderSolution, run)
-from lpvolterra.trigpoly import tp_add, tp_term
+from lpvolterra.trigpoly import PhaseRing, tp_add, tp_term
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,31 @@ def test_evaluator_decides_equality(x, y, amp_x, amp_y, same):
 
 @pytest.mark.parametrize("text", ["alpha**2", "alpha//2", "0x10", "1_0", "alpha^x",
                                   "(alpha+1)^2", "alpha/(alpha+1)", "alpha/A",
-                                  "A^-1", "sin(phi*2)", "sin(A)", "phi", "+alpha"])
+                                  "A^-1", "sin(phi*2)", "sin(A)", "phi", "+alpha",
+                                  "1e5", "1.5", "sqrt(A)", "alpha^2^2", "alpha^+2",
+                                  "alpha.real", "[alpha]", "alpha if A else 1",
+                                  '__import__("os")', "True", "+-alpha^2",
+                                  "alpha- -2^2"])
 def test_evaluator_rejects_other_syntax(text):
     with pytest.raises(ValueError, match="not element syntax"):
         _denotes(SYMBOLIC, {}, text)
+
+
+@pytest.mark.parametrize("text", ["", " ", "2alpha", "1)+(2", "007"])
+def test_evaluator_rejects_non_expressions(text):
+    with pytest.raises(SyntaxError):
+        _denotes(SYMBOLIC, {}, text)
+
+
+@pytest.mark.parametrize("ring, text, want, amp", [
+    (SYMBOLIC, "2*-alpha^2", {4: QQ(-2)}, 0),
+    (SYMBOLIC, "1+-alpha^2", {0: QQ(1), 4: QQ(-1)}, 0),
+    (SYMBOLIC, "A*-A^2", {0: QQ(-1)}, 3),
+    (PhaseRing(SYMBOLIC), "sin(phi)*-cos(2*phi)", None, 0),
+])
+def test_evaluator_reads_unary_minus(ring, text, want, amp):
+    # unary minus binds looser than ^, and after an operator negates its operand
+    if want is None:
+        want = ring.neg(ring.mul(ring.sin_phi(1), ring.cos_phi(2)))
+    assert _denotes(ring, want, text, amp)
+    assert not _denotes(ring, ring.neg(want), text, amp)

@@ -15,11 +15,16 @@ order's null vector, and only an order whose block needs a row exchange
 is solved alone.
 Singularity locations come from denominator zeros (Pade) or the odd
 clusters of discriminant zeros Q^2 - 4PR (Hermite-Pade), tracked across
-approximant orders until they stabilize.  The zeros come from a
+approximant orders until they stabilize.  The estimate stays on integers
+from the elimination to the estimate: a chain order hands its candidate
+polynomial on with integer coefficients, and its zeros come from a
 fixed-point integer Durand-Kerner kernel with mpmath.polyroots' updates
 and stop rule that sweeps only the roots still moving, first at 128 bits,
-from Aberth-Ehrlich float seeds, and each root must pass a residual
-certificate.  Nothing here loads numpy.
+from Aberth-Ehrlich float seeds; each root must pass a residual
+certificate evaluated exactly.  The roots stay fixed-point ints, and the
+chain rounds its distances as mpmath does at its default 53 bits, so an
+estimate does not depend on the caller's mpmath precision.  Nothing here
+loads numpy or mpmath.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-import mpmath
-
-from .algebra import QQ, alpha_polynomial, over_lcm, ring_alpha, to_mpf
+from .algebra import QQ, alpha_polynomial, over_lcm, ring_alpha
 from .constants import FAMILIES, FAMILY_HERMITE_PADE, FAMILY_PADE, SCAN_THRESHOLD
 from .engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, PerturbationSeries
 
@@ -47,13 +52,21 @@ class NoStableRootError(ArithmeticError):
     """No singularity candidate persisted across approximant orders."""
 
 
-# what a failed radius estimate raises: degenerate or unstable fits and
-# divisions by zero (ArithmeticError), bad series or orders (ValueError),
-# and root iterations that did not converge
-ESTIMATE_ERRORS = (ArithmeticError, ValueError, mpmath.libmp.NoConvergence)
+class NoConvergenceError(ArithmeticError):
+    """The root iteration did not settle within its sweeps."""
 
-# decimal digits at which every polynomial root is polished and certified
+
+# what a failed radius estimate raises: degenerate or unstable fits,
+# divisions by zero and root iterations that did not converge
+# (ArithmeticError), and bad series or orders (ValueError)
+ESTIMATE_ERRORS = (ArithmeticError, ValueError)
+
+# decimal digits at which every polynomial root is polished and certified,
+# and the bits mpmath gives them, at which the roots are kept
 ROOT_DPS = 60
+ROOT_PREC = round((ROOT_DPS + 1) * math.log2(10))
+# fixed-point bits at which the certificate evaluates each polynomial
+CERT_BITS = 4 * ROOT_DPS
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +79,18 @@ def poly_trim(p):
     return p
 
 
-def _poly_sum(terms, n=None):
-    """sum of c p q over the (c, p, q) terms, c an int, through z^(n-1)
-    (every power when n is None), trimmed.  Fraction-free: each operand
-    over its lcm denominator, the products convolved as ints over one
-    common denominator, so each output coefficient is one rational."""
+def _sum_over(terms, n=None):
+    """(ints, den), den > 0, with ints / den the sum of c p q over the (c,
+    p, q) terms, c an int, through z^(n-1) (every power when n is None),
+    trimmed.  Fraction-free: each operand over its lcm denominator, the
+    products convolved as ints over one common denominator."""
     parts = []
     for c, p, q in terms:
         if p and q:
             (ip, dp), (iq, dq) = over_lcm(p), over_lcm(q)
             parts.append((c, ip, iq, dp * dq))
     if not parts:
-        return []
+        return [], 1
     den = math.lcm(*(d for *_, d in parts))
     size = max(len(ip) + len(iq) - 1 for _, ip, iq, _ in parts)
     size = size if n is None else min(size, n)
@@ -91,6 +104,12 @@ def _poly_sum(terms, n=None):
                     out[j] += a * b
     while out and not out[-1]:
         out.pop()
+    return out, den
+
+
+def _poly_sum(terms, n=None):
+    """:func:`_sum_over` as rationals, one per output coefficient."""
+    out, den = _sum_over(terms, n)
     return [QQ(v, den) for v in out]
 
 
@@ -259,24 +278,6 @@ def _matching_system(series: PowerSeries, degrees):
             ncols - len(pivots), powers)
 
 
-def _pade_from(vec, f, K, reduced):
-    """The fit of a null vector (q_0, ..., q_L), q_0 != 0: Q scaled to
-    Q(0) = 1, with its trailing zeros dropped when ``reduced``, and P the
-    product f Q through z^K."""
-    q = [QQ(v, vec[0]) for v in vec]
-    return PadeApprox(tuple(_poly_sum([(1, f[:K + 1], q)], K + 1)),
-                      tuple(poly_trim(q) if reduced else q))
-
-
-def _hermite_pade_from(vec, powers, K, M):
-    """The fit of a null vector (p_0, ..., p_K, q_0, ..., q_L) scaled so
-    that its first nonzero entry is 1, and R = -(P f^2 + Q f) through z^M."""
-    lead = next(v for v in vec if v)
-    p, q = [QQ(v, lead) for v in vec[:K + 1]], [QQ(v, lead) for v in vec[K + 1:]]
-    r = _poly_sum([(-1, p, powers[1][:M + 1]), (-1, q, powers[0][:M + 1])], M + 1)
-    return QuadHermitePade(tuple(poly_trim(p)), tuple(poly_trim(q)), tuple(r))
-
-
 def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     """[K/L] Pade approximant, exact: P/Q matches the series through
     z^(K+L) with Q(0) = 1, in lowest terms.
@@ -296,7 +297,9 @@ def pade_fit(series: PowerSeries, K: int, L: int) -> PadeApprox:
     if vec[0] == 0:
         raise DegenerateApproximantError(
             f"[{K}/{L}] entry is blocked with Q(0) = 0; perturb the degrees")
-    return _pade_from(vec, powers[0], K, dim > 1)
+    q = [QQ(v, vec[0]) for v in vec]
+    return PadeApprox(tuple(_poly_sum([(1, powers[0][:K + 1], q)], K + 1)),
+                      tuple(poly_trim(q) if dim > 1 else q))
 
 
 def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermitePade:
@@ -311,7 +314,10 @@ def hermite_pade_fit(series: PowerSeries, K: int, L: int, M: int) -> QuadHermite
         raise DegenerateApproximantError(
             f"f[{K},{L},{M}] matching system has a {dim}-dimensional "
             "null space")
-    return _hermite_pade_from(vec, powers, K, M)
+    lead = next(v for v in vec if v)
+    p, q = [QQ(v, lead) for v in vec[:K + 1]], [QQ(v, lead) for v in vec[K + 1:]]
+    r = _poly_sum([(-1, p, powers[1][:M + 1]), (-1, q, powers[0][:M + 1])], M + 1)
+    return QuadHermitePade(tuple(poly_trim(p)), tuple(poly_trim(q)), tuple(r))
 
 
 def discriminant(h: QuadHermitePade):
@@ -319,21 +325,108 @@ def discriminant(h: QuadHermitePade):
     return _poly_sum([(1, h.Q, h.Q), (-4, h.P, h.R)])
 
 
-def _root_key(z):
-    return (abs(z), -z.real, abs(z.imag), z.imag)
+# ---------------------------------------------------------------------------
+# binary floating point on fixed-point ints, rounded as mpmath rounds: a
+# root is a triple (re, im, shift) standing for (re + i im) / 2^shift
 
+def _div_round(a, b):
+    """a / b, b > 0, rounded to the nearest int, ties to even."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q & 1))
+
+
+def _round(x, prec, den=1, down=False):
+    """x / den, den > 0, rounded to prec significant bits on x's grain (no
+    finer), to nearest with ties to even or, when ``down``, toward zero:
+    mpmath's rounding, correct for a quotient too."""
+    t = max(0, (abs(x) // den).bit_length() - prec)
+    if down:
+        q = abs(x) // (den << t)
+        return (q if x >= 0 else -q) << t
+    return _div_round(x, den << t) << t
+
+
+def _add(x, y, prec, down=False):
+    """x + y on one grain as mpmath's mpf_add rounds it to prec bits: the
+    exact sum, except that a term more than prec + 4 bits below the other,
+    whose last bit lies more than 100 bits above its own, only nudges the
+    other's mantissa, extended by prec + 4 bits, by one unit."""
+    if x and y:
+        tx, ty = (x & -x).bit_length(), (y & -y).bit_length()
+        gap = abs(x).bit_length() - abs(y).bit_length()
+        if (tx - ty > 100 and gap > prec + 4) or (ty - tx > 100 and -gap > prec + 4):
+            big, small, t = (x, y, tx) if tx > ty else (y, x, ty)
+            nudge = 1 << (t - 1)
+            v = (big << (prec + 4)) + (nudge if small > 0 else -nudge)
+            return _round(v, prec, down=down) >> (prec + 4)
+    return _round(x + y, prec, down=down)
+
+
+def _modulus(re, im, shift):
+    """|re + i im| / 2^shift, shift >= 0, as a float, as mpmath's abs
+    computes it at 53 bits: the squares summed exactly and rounded toward
+    zero at 57 bits, then the square root rounded to nearest; a zero part
+    leaves the other rounded to nearest."""
+    if not (re and im):
+        return abs(re or im) / (1 << shift)
+    n = _add(re * re, im * im, 57, down=True)
+    t = ((n & -n).bit_length() - 1) & ~1       # an even power of two leaves the root
+    r = math.isqrt(n >> t << 112)
+    r = 2 * r + (r * r != n >> t << 112)       # sticky bit: the root is inexact
+    return math.ldexp(_round(r, 53), t // 2 - shift - 57)
+
+
+def _distance(a, b):
+    """|a - b| of two roots as mpmath computes it at 53 bits: each part of
+    the difference rounded to nearest, then :func:`_modulus`."""
+    (ar, ai, s), (br, bi, t) = a, b
+    u = max(s, t)
+    ar, ai, br, bi = ar << (u - s), ai << (u - s), br << (u - t), bi << (u - t)
+    low = ar | ai | br | bi                    # drop the zeros all four end in
+    z = min(u, (low & -low).bit_length() - 1) if low else 0
+    ar, ai, br, bi = ar >> z, ai >> z, br >> z, bi >> z
+    return _modulus(_add(ar, -br, 53), _add(ai, -bi, 53), u - z)
+
+
+def _to_complex(root):
+    """The root rounded to the nearest complex double."""
+    re, im, shift = root
+    return complex(re / (1 << shift), im / (1 << shift))
+
+
+def _mean(roots):
+    """The mean of roots on one grain, as mpmath's sum and division by
+    their count round it at ROOT_PREC bits."""
+    re, im, shift = roots[0]
+    for r in roots[1:]:
+        re, im = _add(re, r[0], ROOT_PREC), _add(im, r[1], ROOT_PREC)
+    return _round(re, ROOT_PREC, len(roots)), _round(im, ROOT_PREC, len(roots)), shift
+
+
+def _root_key(root):
+    """Modulus, then real part descending, |imaginary part|, imaginary part
+    (conjugate pairs: negative imaginary part first), for the roots of one
+    polynomial, which share a grain."""
+    re, im, _ = root
+    return (re * re + im * im, -re, abs(im), im)
+
+
+# ---------------------------------------------------------------------------
+# polynomial roots on integers
 
 def _float_seed(hi_to_lo):
-    """Double-precision roots of the polynomial, as starting points for the
-    high-precision iteration: Aberth-Ehrlich sweeps in complex floats from
-    Bini's starting circles (Numer. Algorithms 13, 1996), one per edge of
-    the upper convex hull of (k, log|a_k|), a_k the z^k coefficient.  A
-    root stops once its correction is at most 1e-13 of it, or has stalled
-    below 1e-6 of it (a cluster); at most 30 sweeps.  Exact zero roots are
-    split off first.  None when the coefficients or the roots do not fit
-    in floats."""
-    a = [float(v) for v in hi_to_lo]
-    if not all(map(math.isfinite, a)) or not a[0]:
+    """Double-precision roots of the integer polynomial, as starting points
+    for the high-precision iteration: Aberth-Ehrlich sweeps in complex
+    floats from Bini's starting circles (Numer. Algorithms 13, 1996), one
+    per edge of the upper convex hull of (k, log|a_k|), a_k the z^k
+    coefficient scaled by a power of two to below 1.  A root stops once its
+    correction is at most 1e-13 of it, or has stalled below 1e-6 of it (a
+    cluster); at most 30 sweeps.  Exact zero roots are split off first.
+    None when a coefficient falls below the normal doubles after the
+    scaling, or the roots do not fit in floats."""
+    top = max(abs(c) for c in hi_to_lo).bit_length()
+    a = [c / (1 << top) for c in hi_to_lo]
+    if any(c and abs(v) < sys.float_info.min for c, v in zip(hi_to_lo, a)):
         return None
     a, zeros = poly_trim(a), len(a) - len(poly_trim(a))
     n, hull = len(a) - 1, []
@@ -365,20 +458,21 @@ def _float_seed(hi_to_lo):
             last[i] = abs(w)
         if all(done):
             break
-    return [mpmath.mpc(v) for v in z + [0j] * zeros]
+    return z + [0j] * zeros
 
 
 def _durand_kerner(hi_to_lo, starts):
-    """mpmath 1.3's polyroots(maxsteps=200, extraprec=4 ROOT_DPS) updates on
-    fixed-point ints (re, im) scaled by 2^bits, bits the precision polyroots
-    works at, from exact monic coefficients.  Sweeps update the roots in
+    """mpmath 1.3's polyroots(maxsteps=200, extraprec=4 ROOT_DPS) updates at
+    ROOT_DPS digits on fixed-point ints (re, im) scaled by 2^bits, bits the
+    precision polyroots works at, from integer coefficients made monic by
+    one exact rounding and complex starts.  Sweeps update the roots in
     place, in order, skipping a factor p - r_j that is exactly zero (never
     an update) and a root whose last step was below eps; polyroots' stop
     rule holds, so the iteration ends only after a sweep that updated every
     root by less than eps: when every root has settled but the last sweep
     skipped some, one full sweep confirms them.  At most 200 sweeps, each
-    counted; the roots come back unsorted, cleaned as polyroots cleans them,
-    at the working precision.
+    counted, else NoConvergenceError; the roots come back unsorted, cleaned
+    as polyroots cleans them, as triples rounded to ROOT_PREC bits.
 
     The ints hold w = z / 2^k, k <= 0 the least that puts every nonzero
     start at modulus 1/2 or more, so roots and coefficients far below 1 keep
@@ -388,7 +482,8 @@ def _durand_kerner(hi_to_lo, starts):
     The same sweeps first run on 128-bit ints, to a step below 2^-87 or for
     200 sweeps, and never raise; the full-precision sweeps start from what
     they reached, shifted up.  The roots are still those polyroots reaches
-    from the starts, in fewer sweeps at full precision."""
+    from the starts on the same monic coefficients, in fewer sweeps at full
+    precision."""
     def settle(coeffs, roots, bits, tol):      # whether the sweeps settled
         small, confirm = [False] * len(roots), False
         for _ in range(200):
@@ -419,18 +514,22 @@ def _durand_kerner(hi_to_lo, starts):
             confirm = all(small)
         return False
 
-    bits = mpmath.mp.prec + 4 * ROOT_DPS
+    def fixed(x, bits):                        # x * 2^bits, exact for these starts
+        n, d = x.as_integer_ratio()
+        return _div_round(n << bits, d)
+
+    bits = ROOT_PREC + 4 * ROOT_DPS
     tol = 1 << (4 * ROOT_DPS + 1)      # eps = 2^(1 - prec), scaled
-    k = min(0, math.frexp(min((abs(complex(z)) for z in starts if z), default=1.0))[1])
-    exact = lambda v: QQ(*mpmath.libmp.to_rational(mpmath.mpf(v)._mpf_))  # noqa: E731
-    coeffs = [round(exact(c) / exact(hi_to_lo[0]) * 2 ** (bits - k * i))
+    starts = [complex(z) for z in starts]
+    k = min(0, math.frexp(min((abs(z) for z in starts if z), default=1.0))[1])
+    sign, lead = (1 if hi_to_lo[0] > 0 else -1), abs(hi_to_lo[0])
+    coeffs = [_div_round(sign * c << (bits - k * i), lead)
               for i, c in enumerate(hi_to_lo[1:], 1)]
-    roots = [(round(exact(z.real) * 2 ** (128 - k)), round(exact(z.imag) * 2 ** (128 - k)))
-             for z in starts]
+    roots = [(fixed(z.real, 128 - k), fixed(z.imag, 128 - k)) for z in starts]
     settle([c >> (bits - 128) for c in coeffs], roots, 128, 1 << 41)
     roots = [(rr << (bits - 128), ri << (bits - 128)) for rr, ri in roots]
     if not settle(coeffs, roots, bits, tol):
-        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+        raise NoConvergenceError("Didn't converge in maxsteps=200 steps.")
     out = []
     for rr, ri in roots:
         if rr * rr + ri * ri < tol * tol:
@@ -439,41 +538,66 @@ def _durand_kerner(hi_to_lo, starts):
             ri = 0
         elif abs(rr) < tol:
             rr = 0
-        out.append(mpmath.mpc(mpmath.mpf((rr, k - bits)), mpmath.mpf((ri, k - bits))))
+        out.append((_round(rr, ROOT_PREC), _round(ri, ROOT_PREC), bits - k))
     return out
 
 
-def _poly_roots_mp(coeffs):
-    """All complex roots of an exact polynomial, as mpc values sorted by
-    modulus (conjugate pairs: negative imaginary part first).
+def _certified(scaled, root):
+    """Whether |f(r)| <= 10^(-ROOT_DPS/2) max|c| max(1, |r|)^deg at the
+    root, for f's coefficients c (ascending) given as ``scaled`` =
+    floor(2^CERT_BITS c / max|c|).  With w = r, or 1/r and the coefficients
+    reversed when |r| > 1, so that |w| <= 1, the left side over the right
+    is |sum c_i w^i| / max|c|: Horner's rule on those ints, truncated at
+    each step, errs by less than 4 (deg + 1)^2 units, which the test adds
+    to the value."""
+    re, im, shift = root
+    bits, mod = CERT_BITS, re * re + im * im
+    if mod > 1 << 2 * shift:
+        scaled = scaled[::-1]
+        wr, wi = (re << bits + shift) // mod, (-im << bits + shift) // mod
+    else:
+        wr, wi = (re << bits) >> shift, (im << bits) >> shift
+    vr, vi = scaled[-1], 0
+    for c in reversed(scaled[:-1]):
+        vr, vi = ((vr * wr - vi * wi) >> bits) + c, (vr * wi + vi * wr) >> bits
+    err = 4 * len(scaled) ** 2
+    return math.isqrt(vr * vr + vi * vi) + 1 + err <= (1 << bits) // 10 ** (ROOT_DPS // 2)
 
-    :func:`_durand_kerner`, which returns mpmath.polyroots' roots from the
-    same starts (closer ones for roots far below 1), starts from the
-    :func:`_float_seed` roots (a few sweeps, not dozens), else from
-    polyroots' own (0.4+0.9i)^n.  Each root must pass the certificate
-    |f(r)| <= 10^(-ROOT_DPS/2) norm max(1, |r|)^deg."""
+
+def _poly_roots(coeffs):
+    """All complex roots of an integer polynomial (ascending powers), as
+    (re, im, shift) triples on one grain, sorted by :func:`_root_key`.
+
+    :func:`_durand_kerner` starts from the :func:`_float_seed` roots (a few
+    sweeps, not dozens), else from polyroots' own (0.4+0.9i)^n; its roots
+    agree with mpmath.polyroots' from the same starts within 1e-40, given
+    polyroots the coefficients beyond its working precision, and lie closer
+    to the exact roots than polyroots' for roots far below 1.  Each root
+    must pass :func:`_certified`, else ArithmeticError."""
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
         return []
-    with mpmath.workdps(ROOT_DPS):
-        hi_to_lo = [to_mpf(c) for c in reversed(coeffs)]
-        starts = _float_seed(hi_to_lo) or [(0.4 + 0.9j) ** n for n in range(len(coeffs) - 1)]
-        roots = _durand_kerner(hi_to_lo, starts)
-        norm, bound = max(abs(v) for v in hi_to_lo), mpmath.mpf(10) ** (-ROOT_DPS // 2)
-        for r in roots:
-            scale = norm * max(1, abs(r)) ** (len(coeffs) - 1)
-            if abs(mpmath.polyval(hi_to_lo, r)) > bound * scale:
-                raise ArithmeticError("root refinement did not converge")
-        return sorted(roots, key=_root_key)
+    hi_to_lo = coeffs[::-1]
+    starts = _float_seed(hi_to_lo) or [(0.4 + 0.9j) ** n for n in range(len(coeffs) - 1)]
+    roots = _durand_kerner(hi_to_lo, starts)
+    norm = max(map(abs, coeffs))
+    scaled = [(c << CERT_BITS) // norm for c in coeffs]
+    if not all(_certified(scaled, r) for r in roots):
+        raise ArithmeticError("root refinement did not converge")
+    return sorted(roots, key=_root_key)
 
 
 def discriminant_roots(h: QuadHermitePade):
-    """Complex zeros of the discriminant (empty for constant ones)."""
-    return _poly_roots_mp(discriminant(h))
+    """Complex zeros of the discriminant (empty for constant ones), as
+    :func:`_poly_roots` triples.  The fit may be integer-scaled: a common
+    factor of P, Q and R moves no zero."""
+    return _poly_roots(_sum_over([(1, h.Q, h.Q), (-4, h.P, h.R)])[0])
 
 
 def pade_poles(p: PadeApprox):
-    return _poly_roots_mp(list(p.Q))
+    """Complex zeros of the denominator Q, as :func:`_poly_roots` triples;
+    Q may be integer-scaled."""
+    return _poly_roots(over_lcm(p.Q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +623,11 @@ class SingularityEstimate:
 
 
 def _chain_fits(series: PowerSeries, family: str, orders):
-    """{m: fit} for the diagonal orders one elimination solves.
+    """{m: fit} for the diagonal orders one elimination solves, each fit
+    integer-scaled: Pade's Q is the null vector's q entries, its P left
+    out (None) since no root reads it; Hermite-Pade's P and Q are its
+    entries and R = -(P f^2 + Q f) through z^m, all three times the
+    denominator that puts R on integers.  A common factor moves no root.
 
     With the unknowns ordered (q_m, ..., q_0) for Pade and (p_m, q_m, ...,
     p_0, q_0) for Hermite-Pade, the order-m matching system is the leading
@@ -509,7 +637,7 @@ def _chain_fits(series: PowerSeries, family: str, orders):
     pivots on the diagonal has a one-dimensional null space, read with
     q_0 free by :func:`_leading_null_vector`: the vector :func:`pade_fit`
     and :func:`hermite_pade_fit` read from the same elimination with row
-    exchanges, finished by the same code.  Orders
+    exchanges, so each fit here is a multiple of theirs.  Orders
     whose block needs a row exchange, and orders the series is too short
     for, are left to those fits, which report blocked and degenerate
     entries as before."""
@@ -531,8 +659,14 @@ def _chain_fits(series: PowerSeries, family: str, orders):
     for m in orders:
         if 0 <= m <= top and size(m) <= rank:
             x = _leading_null_vector(work, size(m))[::-1]   # q_0 first
-            fits[m] = (_pade_from(x, powers[0], m, False) if k == 1 else
-                       _hermite_pade_from(x[1::2] + x[::2], powers, m, m))
+            if k == 1:
+                fits[m] = PadeApprox(None, tuple(x))
+                continue
+            g = math.gcd(*x)          # the content, a third of the bits Q^2 - 4PR multiplies
+            p, q = [v // g for v in x[1::2]], [v // g for v in x[::2]]
+            r, den = _sum_over([(-1, p, powers[1][:m + 1]), (-1, q, powers[0][:m + 1])], m + 1)
+            fits[m] = QuadHermitePade(tuple(den * v for v in p), tuple(den * v for v in q),
+                                      tuple(r))
     return fits
 
 
@@ -546,15 +680,27 @@ def _odd_clusters(roots):
     CLUSTER_RHO of each other, relative to the larger modulus, cluster
     (single linkage).  sqrt(D) changes sign around a cluster exactly when
     D's winding number there is odd, so an even cluster is no branch point."""
-    zs = [complex(r) for r in roots]
+    zs = [_to_complex(r) for r in roots]
     clusters = []
     for i, z in enumerate(zs):
         near = [c for c in clusters
                 if any(abs(z - zs[j]) <= CLUSTER_RHO * max(abs(z), abs(zs[j])) for j in c)]
         clusters = [c for c in clusters if c not in near] + [[i] + [j for c in near for j in c]]
-    with mpmath.workdps(ROOT_DPS):
-        return sorted((roots[c[0]] if len(c) == 1 else sum(roots[j] for j in c) / len(c)
-                       for c in clusters if len(c) % 2), key=_root_key)
+    return sorted((roots[c[0]] if len(c) == 1 else _mean([roots[j] for j in c])
+                   for c in clusters if len(c) % 2), key=_root_key)
+
+
+def _nearest(roots, near, prev):
+    """The first of the roots at the least :func:`_distance` from prev,
+    ``near`` their doubles.  A distance between doubles errs from
+    :func:`_distance` by less than 2^-50 (|z| + |prev| + |z - prev|), so
+    only the roots that margin leaves within reach of the least are
+    measured exactly."""
+    p = _to_complex(prev)
+    est = [(abs(z - p), 2 ** -50 * (abs(z) + abs(p) + abs(z - p))) for z in near]
+    reach = min(d + e for d, e in est)
+    return min((r for r, (d, e) in zip(roots, est) if d - e <= reach),
+               key=partial(_distance, prev))
 
 
 def _candidate_roots(series: PowerSeries, family: str, m: int, fit):
@@ -617,26 +763,26 @@ def stable_singularity(series: PowerSeries, family: str,
             f"{family}: fewer than two usable approximant orders")
     chains = [[r] for r in per_order[0]]
     for roots in per_order[1:]:
+        near = [_to_complex(r) for r in roots]
         for chain in chains:
-            prev = chain[-1]
-            chain.append(min(roots, key=lambda z: abs(z - prev)))
+            chain.append(_nearest(roots, near, chain[-1]))
     best = None
     for chain in chains:
         loc = chain[-1]
-        scale = abs(loc) or 1.0
-        spread = max(abs(a - b) for a in chain for b in chain) / scale
-        if float(spread) > threshold:
+        radius = _modulus(*loc)
+        spread = max(_distance(a, b) for a, b in combinations(chain, 2)) / (radius or 1.0)
+        if spread > threshold:
             continue
-        cand = (abs(loc), -loc.real, abs(loc.imag))
+        z = _to_complex(loc)
+        cand = (radius, -z.real, abs(z.imag))
         if best is None or cand < best[0]:
-            best = (cand, loc, float(spread), chain)
+            best = (cand, z, spread, chain)
     if best is None:
         raise NoStableRootError(
             f"{family}: no root chain stayed within spread {threshold}")
-    _, loc, spread, chain = best
-    return SingularityEstimate(location=complex(loc), radius=float(abs(loc)),
-                               stability_spread=spread, orders=tuple(used),
-                               trail=tuple(complex(z) for z in chain))
+    (radius, _, _), z, spread, chain = best
+    return SingularityEstimate(location=z, radius=radius, stability_spread=spread,
+                               orders=tuple(used), trail=tuple(map(_to_complex, chain)))
 
 
 # ---------------------------------------------------------------------------

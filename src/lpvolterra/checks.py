@@ -29,12 +29,12 @@ from importlib import resources
 import mpmath
 
 from .algebra import (QQ, SymbolicRing, evaluate_numeric, format_element,
-                      numeric_ring, to_mpf)
+                      numeric_ring, over_lcm, to_mpf)
 from .analysis import (FAMILY_HERMITE_PADE, FAMILY_PADE,
                        ROOT_DPS, DegenerateApproximantError, PowerSeries,
-                       _durand_kerner, _float_seed, _poly_roots_mp, _poly_sum,
-                       _root_key, discriminant_roots, hermite_pade_fit,
-                       pade_fit, poly_mul, poly_trim,
+                       _durand_kerner, _float_seed, _poly_roots, _poly_sum,
+                       _root_key, _to_complex, discriminant, discriminant_roots,
+                       hermite_pade_fit, pade_fit, poly_mul, poly_trim,
                        rational_function_series, series_from_engine,
                        stable_singularity)
 from .constants import LEVELS
@@ -572,22 +572,31 @@ def _branch_point(ctx):
     for j in range(1, 7):
         coeffs.append(coeffs[-1] * QQ(-4) * (QQ(1, 2) - (j - 1)) / j)
     fit = hermite_pade_fit(PowerSeries(tuple(coeffs)), 0, 0, 1)
-    roots = discriminant_roots(fit)
-    best = min(roots, key=lambda r: abs(complex(r) - 0.25))
-    err = abs(complex(best) - 0.25)
+    roots = [_to_complex(r) for r in discriminant_roots(fit)]
+    best = min(roots, key=lambda r: abs(r - 0.25))
+    err = abs(best - 0.25)
     if err > 1e-8:
         raise AssertionError(f"branch point found at {best}, off by {err:.2e}")
     return f"square-root branch point located within {err:.1e} of 1/4"
 
 
+def _to_mpc(root):
+    """A root triple of the analysis kernel as an mpc at the current
+    precision, exact at ROOT_DPS digits: the oracles' view of a root."""
+    re, im, shift = root
+    return mpmath.mpc(mpmath.mpf((re, -shift)), mpmath.mpf((im, -shift)))
+
+
 @_check("root-residuals")
 def _root_residuals(ctx):
-    # oracle: mpmath.polyroots from the same starts; equal starts test the zero-factor rule
+    # oracle: mpmath.polyroots from the same starts, on the coefficients as
+    # exactly as the kernel takes them; equal starts test the zero-factor rule
     rng = random.Random(0x0075)
     ps = series_from_engine(ctx.series(8, alpha=QQ(1)))
     near_double = poly_mul(poly_mul([QQ(16) + QQ(1, 10 ** 40), QQ(8), QQ(1)],
                                     [QQ(-21), QQ(4), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
-    polys = [list(pade_fit(ps, 2, 2).Q), near_double]
+    polys = [list(pade_fit(ps, 2, 2).Q), discriminant(hermite_pade_fit(ps, 1, 1, 1)),
+             near_double]
     for _ in range(5):
         polys.append(_rand_poly(rng, 6, lead_one=True))
     certified = agreed = 0
@@ -596,16 +605,20 @@ def _root_residuals(ctx):
             poly = poly_trim(poly)
             if len(poly) <= 1:
                 continue
-            hi_to_lo = [to_mpf(c) for c in reversed(poly)]
+            ints = over_lcm(poly)[0]          # the kernel's coefficients
+            with mpmath.workdps(200):         # beyond the 443 bits both work at
+                hi_to_lo = [to_mpf(c) for c in reversed(poly)]
             norm = max(abs(v) for v in hi_to_lo)
-            roots = _poly_roots_mp(poly)
-            runs = [(roots, _float_seed(hi_to_lo))]
+            roots = [_to_mpc(r) for r in _poly_roots(ints)]
+            runs = [(roots, _float_seed(ints[::-1]))]
             if poly == near_double:
-                starts = [mpmath.mpc(z) for z in (-7, 3, -4 + 0.5j, -4 + 0.5j, 1j, -1j)]
-                runs.append((sorted(_durand_kerner(hi_to_lo, starts), key=_root_key), starts))
+                starts = [-7, 3, -4 + 0.5j, -4 + 0.5j, 1j, -1j]
+                kernel = sorted(_durand_kerner(ints[::-1], starts), key=_root_key)
+                runs.append(([_to_mpc(r) for r in kernel], starts))
             for got, starts in runs:
                 want = sorted(mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * ROOT_DPS,
-                                               roots_init=starts), key=_root_key)
+                                               roots_init=starts),
+                              key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
                 if len(got) != len(want) or any(
                         abs(g - w) > abs(w) * mpmath.mpf("1e-40") for g, w in zip(got, want)):
                     raise AssertionError("a root differs from mpmath.polyroots")

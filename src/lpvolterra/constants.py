@@ -3,7 +3,7 @@ the modules that use them.
 
 They live here rather than in ``analysis``, ``checks`` and ``verify`` so
 that building the parser and refusing a bad argument load none of those
-modules, nor the mpmath that ``analysis`` and ``checks`` import.
+modules, nor the mpmath that ``checks`` imports.
 """
 
 # the approximant families of a radius estimate

@@ -20,15 +20,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lpvolterra import analysis, engine
-from lpvolterra.algebra import QQ
+from lpvolterra.algebra import QQ, over_lcm
 from lpvolterra.analysis import (
     FAMILY_HERMITE_PADE,
     FAMILY_PADE,
     DegenerateApproximantError,
+    NoConvergenceError,
     NoStableRootError,
     PadeApprox,
     PowerSeries,
@@ -52,10 +53,13 @@ from lpvolterra.analysis import (
     _durand_kerner,
     _float_seed,
     _leading_null_vector,
-    _poly_roots_mp,
+    _poly_roots,
     _poly_sum,
     _root_key,
+    _to_complex,
 )
+from lpvolterra.checks import _to_mpc
+from lpvolterra.constants import FAMILIES, SCAN_THRESHOLD
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, run
 
 
@@ -460,14 +464,29 @@ def _per_order(ps, family, m):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _normalized(fit, ps, m):
+    """An integer-scaled chain fit as pade_fit / hermite_pade_fit scale
+    theirs: Pade with Q(0) = 1 and P = f Q through z^m (the chain leaves
+    P out), Hermite-Pade with its first nonzero entry 1 and P and Q
+    trimmed."""
+    if isinstance(fit, PadeApprox):
+        q = [QQ(v, fit.Q[0]) for v in fit.Q]
+        return PadeApprox(tuple(_poly_sum([(1, ps.coeffs[:m + 1], q)], m + 1)), tuple(q))
+    lead = next(v for v in fit.P + fit.Q if v)
+    return QuadHermitePade(*(tuple(poly_trim([QQ(v, lead) for v in part]))
+                             for part in (fit.P, fit.Q, fit.R)))
+
+
 def assert_chain_matches_fits(ps, family, orders):
-    """The chain's fits by order; each equals the per-order fit, so an
-    order whose fit raises (blocked, degenerate, too long for the series,
-    negative) must be left to that fit.  Returns the orders it solved."""
+    """The chain's fits by order; each is a multiple of the per-order fit,
+    equal to it once scaled alike, so an order whose fit raises (blocked,
+    degenerate, too long for the series, negative) must be left to that
+    fit.  Returns the orders it solved."""
     chain = analysis._chain_fits(ps, family, orders)
     assert set(chain) <= set(orders)
-    for m in chain:
-        assert chain[m] == _per_order(ps, family, m), (family, m)
+    for m, fit in chain.items():
+        assert all(type(v) is int for part in vars(fit).values() if part for v in part)
+        assert _normalized(fit, ps, m) == _per_order(ps, family, m), (family, m)
     return set(chain)
 
 
@@ -672,7 +691,7 @@ class TestHermitePade:
         assert h.Q == ()
         assert h.R == (QQ(-1), QQ(4))
         assert discriminant(h) == [QQ(4), QQ(-16)]
-        roots = discriminant_roots(h)
+        roots = mp_roots(discriminant_roots(h))
         assert len(roots) == 1
         assert abs(roots[0] - mpmath.mpf(1) / 4) < mpmath.mpf(10) ** -30
 
@@ -685,7 +704,7 @@ class TestHermitePade:
     def test_geometric_pole_as_double_branch_point(self):
         h = hermite_pade_fit(geometric(3), 0, 1, 0)
         assert discriminant(h) == [QQ(1), QQ(-2), QQ(1)]
-        roots = discriminant_roots(h)
+        roots = mp_roots(discriminant_roots(h))
         assert len(roots) == 2
         assert all(abs(r - 1) < mpmath.mpf(10) ** -25 for r in roots)
 
@@ -742,11 +761,46 @@ def monic(roots):
     return coeffs
 
 
+def ints(coeffs):
+    """The kernel's integer coefficients of exact ascending ones."""
+    return over_lcm(coeffs)[0]
+
+
 def float_seed(coeffs):
-    """_float_seed of exact ascending coefficients, as Python complexes."""
+    """_float_seed of exact ascending coefficients."""
+    return _float_seed(ints(coeffs)[::-1])
+
+
+def mp_roots(roots):
+    """Root triples as mpc values, exact at 60 digits."""
     with mpmath.workdps(60):
-        seeds = _float_seed([mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)])
-    return [complex(z) for z in seeds]
+        return [_to_mpc(r) for r in roots]
+
+
+def poly_roots(coeffs):
+    """_poly_roots of exact ascending coefficients, as mpc values."""
+    return mp_roots(_poly_roots(ints(coeffs)))
+
+
+def exact_mpf(coeffs):
+    """Exact ascending coefficients as mpf values, highest power first, at
+    200 digits: beyond the 443 bits the kernel and mpmath.polyroots work
+    at, so that both solve the same polynomial."""
+    with mpmath.workdps(200):
+        return [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+
+
+def mpc_key(z):
+    """_root_key's order, for mpc values."""
+    return (abs(z), -z.real, abs(z.imag), z.imag)
+
+
+def assert_close(got, want):
+    """Equal lengths, and each root within 1e-40 of its partner, relative."""
+    assert len(got) == len(want)
+    with mpmath.workdps(60):
+        assert all(abs(g - w) <= abs(w) * mpmath.mpf("1e-40") for g, w in zip(got, want)), \
+            (got, want)
 
 
 def own_seeds(roots, seeds, tol, floor=1):
@@ -766,9 +820,78 @@ def own_seeds(roots, seeds, tol, floor=1):
     return all(place(i, set()) for i in range(len(roots)))
 
 
+# fixed-point ints of varied size and trailing zeros: mpmath's addition
+# takes its shortcut when the larger term's last bit lies over 100 bits
+# above the smaller term's
+_GRAINED = st.builds(lambda m, e: m << e, st.integers(-2 ** 130, 2 ** 130),
+                     st.integers(0, 260))
+
+
+def _raw(v, shift):
+    return mpmath.libmp.from_man_exp(v, -shift)
+
+
+class TestMpmathRounding:
+    """The chain's fixed-point arithmetic rounds as mpmath's does."""
+
+    @given(_GRAINED, _GRAINED, st.sampled_from([53, 57, 203]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(3 << 250, -(2 ** 60 + 1), 53, False)
+    @example(1 << 300, (2 ** 130 - 1) << 2, 57, True)
+    # x lies 2^200 above a 53-bit midpoint and y pulls the exact sum below
+    # it, but mpmath only nudges x, which then rounds up
+    @example((((1 << 52) | 12345) << 68 | (1 << 67) | 1) << 200, -((1 << 210) - 1), 53, False)
+    def test_add(self, x, y, prec, down):
+        rnd = mpmath.libmp.round_down if down else mpmath.libmp.round_nearest
+        want = mpmath.libmp.mpf_add(_raw(x, 0), _raw(y, 0), prec, rnd)
+        assert _raw(analysis._add(x, y, prec, down), 0) == want
+
+    @given(_GRAINED, _GRAINED, st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    @example(0, -5, 3)
+    @example(1 << 300, 7, 300)
+    def test_modulus(self, re, im, shift):
+        want = mpmath.libmp.mpc_abs((_raw(re, shift), _raw(im, shift)), 53,
+                                    mpmath.libmp.round_nearest)
+        assert analysis._modulus(re, im, shift) == mpmath.libmp.to_float(want)
+
+    @given(_GRAINED, _GRAINED, _GRAINED, _GRAINED, st.integers(0, 400), st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_distance(self, ar, ai, br, bi, s, t):
+        nearest = mpmath.libmp.round_nearest
+        diff = mpmath.libmp.mpc_sub((_raw(ar, s), _raw(ai, s)), (_raw(br, t), _raw(bi, t)),
+                                    53, nearest)
+        want = mpmath.libmp.to_float(mpmath.libmp.mpc_abs(diff, 53, nearest))
+        assert analysis._distance((ar, ai, s), (br, bi, t)) == want
+
+    @given(st.lists(st.tuples(_GRAINED, _GRAINED, st.integers(200, 400)), min_size=1,
+                    max_size=6),
+           st.tuples(_GRAINED, st.sampled_from([0, 1 << 250]), st.integers(200, 400)))
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_is_the_least_distance(self, roots, prev):
+        # conjugates lie at one distance from a real prev: the first wins
+        roots = [r for re, im, s in roots for r in ((re, -im, s), (re, im, s))]
+        near = [_to_complex(r) for r in roots]
+        want = min(roots, key=lambda r: analysis._distance(prev, r))
+        assert analysis._nearest(roots, near, prev) is want
+
+    @given(st.lists(st.tuples(_GRAINED, _GRAINED), min_size=3, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_mean(self, parts):
+        roots = [(re, im, 300) for re, im in parts]
+        with mpmath.workprec(analysis.ROOT_PREC):
+            want = sum(mpmath.mpc(mpmath.mpf(_raw(re, 300)), mpmath.mpf(_raw(im, 300)))
+                       for re, im in parts) / len(parts)
+        # the mean is rounded on the roots' grain, which the kernel's roots
+        # hold with ~240 bits to spare
+        assume(all(part[2] >= -300 for part in want._mpc_))
+        re, im, shift = analysis._mean(roots)
+        assert (_raw(re, shift), _raw(im, shift)) == want._mpc_
+
+
 class TestRootExtraction:
     def test_quadratic_roots_sorted_by_modulus(self):
-        roots = _poly_roots_mp([QQ(-6), QQ(1), QQ(1)])   # (z-2)(z+3)
+        roots = poly_roots([QQ(-6), QQ(1), QQ(1)])   # (z-2)(z+3)
         assert abs(roots[0] - 2) < mpmath.mpf(10) ** -35 or \
             abs(roots[1] - 2) < mpmath.mpf(10) ** -35
         vals = sorted(float(r.real) for r in roots)
@@ -776,12 +899,12 @@ class TestRootExtraction:
 
     @staticmethod
     def _unseeded(coeffs, dps):
-        """mpmath's own Durand-Kerner start, at the kernel's precision."""
+        """mpmath's own Durand-Kerner start, at the kernel's precision, on
+        the coefficients as exactly as the kernel takes them."""
+        hi_to_lo = exact_mpf(coeffs)
         with mpmath.workdps(dps):
-            hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                        for c in reversed(coeffs)]
             roots = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=4 * dps)
-        return sorted(roots, key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
+        return sorted(roots, key=mpc_key)
 
     def _spy(self, monkeypatch):
         starts = []
@@ -800,24 +923,25 @@ class TestRootExtraction:
                           [QQ(3), QQ(1)])
         want = self._unseeded(coeffs, 60)
         seeds = self._spy(monkeypatch)
-        got = _poly_roots_mp(coeffs)
+        got = poly_roots(coeffs)
         assert len(seeds) == 1 and len(seeds[0]) == 3
-        assert got == want
-        # coefficients rounded to 60 digits resolve the pair to ~60-14 digits
+        assert_close(got, want)
+        # exact coefficients resolve the pair to ~60-14 digits at least
         with mpmath.workdps(60):
             assert abs(got[1] - got[0] - mpmath.mpf(eps.numerator) / eps.denominator) \
                 < mpmath.mpf(10) ** -40
 
-    def test_overflowing_float_seed_falls_back(self, monkeypatch):
+    def test_missing_float_seed_falls_back(self, monkeypatch):
         big = QQ(10 ** 400)            # 10^400 (z-1/3)(z+5/7)(z-4)
         coeffs = poly_mul(poly_mul(poly_mul([QQ(-1, 3), QQ(1)], [QQ(5, 7), QQ(1)]),
                                    [QQ(-4), QQ(1)]), [big])
-        with mpmath.workdps(60):
-            assert _float_seed([mpmath.mpf(c.numerator) / c.denominator
-                                for c in reversed(coeffs)]) is None
+        # the seeds scale the coefficients by a power of two, so a common
+        # factor beyond the doubles no longer costs them
+        assert own_seeds([1 / 3, -5 / 7, 4], float_seed(coeffs), 1e-13)
+        monkeypatch.setattr(analysis, "_float_seed", lambda hi_to_lo: None)
         want = self._unseeded(coeffs, 60)
         seeds = self._spy(monkeypatch)
-        assert _poly_roots_mp(coeffs) == want
+        assert_close(poly_roots(coeffs), want)
         # mpmath.polyroots' own start points
         assert seeds == [[(0.4 + 0.9j) ** n for n in range(3)]]
 
@@ -825,21 +949,20 @@ class TestRootExtraction:
     def _both(coeffs, starts=None):
         """(kernel, mpmath.polyroots) roots from the same starts, at the
         kernel's precision; the float seeds when starts is None."""
+        hi_to_lo = exact_mpf(coeffs)
         with mpmath.workdps(60):
-            hi_to_lo = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                        for c in reversed(coeffs)]
             if starts is None:
-                starts = _float_seed(hi_to_lo)
+                starts = float_seed(coeffs)
             want = mpmath.polyroots(hi_to_lo, maxsteps=200, extraprec=240,
                                     roots_init=starts)
-            got = _durand_kerner(hi_to_lo, starts)
-            return sorted(got, key=_root_key), sorted(want, key=_root_key)
+            got = _durand_kerner(ints(coeffs)[::-1], starts)
+            return mp_roots(sorted(got, key=_root_key)), sorted(want, key=mpc_key)
 
     @given(rational_roots())
     @settings(max_examples=40, deadline=None)
-    def test_kernel_equals_polyroots_on_rational_roots(self, roots):
+    def test_kernel_matches_polyroots_on_rational_roots(self, roots):
         got, want = self._both(monic(roots))
-        assert got == want
+        assert_close(got, want)
 
     @given(rational_roots())
     @settings(max_examples=40, deadline=None)
@@ -878,7 +1001,7 @@ class TestRootExtraction:
         seeds = float_seed(coeffs)
         assert len(seeds) == len(roots)
         assert own_seeds(roots, seeds, 1e-13, floor=0)
-        got = [complex(z) for z in _poly_roots_mp(coeffs)]
+        got = [_to_complex(z) for z in _poly_roots(ints(coeffs))]
         assert own_seeds(roots, got, 1e-15, floor=0)
 
     def test_duplicated_starts_match_polyroots(self):
@@ -889,9 +1012,9 @@ class TestRootExtraction:
         # them, returns non-roots here (-1 + 0.5i among them)
         coeffs = poly_mul(poly_mul(poly_mul([QQ(-1), QQ(1)], [QQ(-2), QQ(1)]),
                                    [QQ(3), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
-        starts = [mpmath.mpc(z) for z in (0.5j, 0.5j, 0.5j, 1.5, -2.5)]
+        starts = [0.5j, 0.5j, 0.5j, 1.5, -2.5]
         got, want = self._both(coeffs, starts)
-        assert got == want
+        assert_close(got, want)
         assert len({(z.real, z.imag) for z in got}) == 5
 
     @pytest.mark.parametrize("seeded", [True, False], ids=["float-seeds", "polyroots-starts"])
@@ -902,9 +1025,9 @@ class TestRootExtraction:
         coeffs = [QQ(16) + QQ(1, 10 ** 24), QQ(8), QQ(1)]
         for k in (-15, -11, -5, -2, 1, 3, 5, 7, 9, 12):
             coeffs = poly_mul(coeffs, [QQ(-k, 2), QQ(1)])
-        starts = None if seeded else [mpmath.mpc((0.4 + 0.9j) ** n) for n in range(12)]
+        starts = None if seeded else [(0.4 + 0.9j) ** n for n in range(12)]
         got, want = self._both(coeffs, starts)
-        assert got == want
+        assert_close(got, want)
         assert len(got) == 12 and sum(abs(z + 4) < 1e-6 for z in got) == 2
 
     def test_real_seeds_resolve_a_near_double_pair(self):
@@ -913,11 +1036,10 @@ class TestRootExtraction:
         coeffs = poly_mul(poly_mul(poly_mul([QQ(16) + QQ(1, 10 ** 24), QQ(8), QQ(1)],
                                             [QQ(-3), QQ(1)]), [QQ(7), QQ(1)]),
                           [QQ(1), QQ(0), QQ(1)])
-        starts = [mpmath.mpc(z) for z in (-7, 3 - 2 ** -48, -4 - 2 ** -26, -4 + 2 ** -26,
-                                          -2 ** -53 + (1 - 2 ** -52) * 1j,
-                                          -2 ** -53 - (1 - 2 ** -52) * 1j)]
+        starts = [-7, 3 - 2 ** -48, -4 - 2 ** -26, -4 + 2 ** -26,
+                  -2 ** -53 + (1 - 2 ** -52) * 1j, -2 ** -53 - (1 - 2 ** -52) * 1j]
         roots, want = self._both(coeffs, starts)
-        assert roots == want
+        assert_close(roots, want)
         with mpmath.workdps(60):
             pair = [z for z in roots if abs(z + 4) < 1e-3]
             assert len(pair) == 2
@@ -928,15 +1050,17 @@ class TestRootExtraction:
     def test_tiny_roots_keep_relative_precision(self):
         # (z^2 + 10^-100)(z - 3): on a fixed grain of 2^-443 the roots
         # +-10^-50 i kept ~35 digits; mpmath.polyroots, whose step bound is
-        # absolute, is itself off by 2.9e-35, so the exact roots are the oracle
-        coeffs = poly_mul([QQ(1, 10 ** 100), QQ(0), QQ(1)], [QQ(-3), QQ(1)])
-        with mpmath.workdps(60):
-            tiny = mpmath.mpf(10) ** -50
-            want = [mpmath.mpc(0, -tiny), mpmath.mpc(0, tiny), mpmath.mpc(3)]
-            got = _poly_roots_mp(coeffs)
-            assert len(got) == 3
-            assert all(abs(g - w) <= abs(w) * mpmath.mpf("1e-40")
-                       for g, w in zip(got, want))
+        # absolute, is itself off by 2.9e-35, so the exact roots are the
+        # oracle, compared in rationals to 60 digits
+        coeffs = ints(poly_mul([QQ(1, 10 ** 100), QQ(0), QQ(1)], [QQ(-3), QQ(1)]))
+        got = pade_poles(PadeApprox(None, tuple(coeffs)))
+        assert got == _poly_roots(coeffs)
+        tiny = Fraction(1, 10 ** 50)
+        want = [(0, -tiny), (0, tiny), (3, 0)]
+        assert len(got) == len(want)
+        for (re, im, shift), (wr, wi) in zip(got, want):
+            err = (Fraction(re, 2 ** shift) - wr) ** 2 + (Fraction(im, 2 ** shift) - wi) ** 2
+            assert err <= Fraction(1, 10 ** 120) * (wr * wr + wi * wi)
 
     def test_fixture_polynomials_match_polyroots(self, ps44):
         """Every Pade denominator and discriminant at the default orders
@@ -947,18 +1071,20 @@ class TestRootExtraction:
             polys.append(discriminant(hermite_pade_fit(ps44, m, m, m)))
         for q in polys:
             got, want = self._both(poly_trim(q))
-            assert got == want
-            assert _poly_roots_mp(q) == got
+            assert_close(got, want)
+            assert poly_roots(q) == got
 
     def test_float_seed_needs_representable_coefficients(self):
-        with mpmath.workdps(60):
-            big, tiny = mpmath.mpf(10) ** 400, mpmath.mpf(10) ** -400
-            # the leading coefficient alone overflows to inf in doubles
-            assert _float_seed([big, mpmath.mpf(-3), mpmath.mpf(2)]) is None
-            # it underflows to 0.0, which would leave too few seeds
-            assert _float_seed([tiny, mpmath.mpf(-3), mpmath.mpf(2)]) is None
-            seed = _float_seed([mpmath.mpf(1), mpmath.mpf(-3), mpmath.mpf(2)])
-            assert sorted(complex(z).real for z in seed) == pytest.approx([1, 2])
+        big = 10 ** 400
+        # scaled below 1, the other coefficients underflow beside the leading one
+        assert _float_seed([big, -3, 2]) is None
+        # and the leading one underflows beside the others, which would
+        # leave too few seeds
+        assert _float_seed([1, -3 * big, 2 * big]) is None
+        seed = _float_seed([1, -3, 2])
+        assert sorted(z.real for z in seed) == pytest.approx([1, 2])
+        # nor does a power of two, however large
+        assert _float_seed([2 ** 2000, -3 * 2 ** 2000, 2 ** 2001]) == seed
 
     def test_constant_discriminant_empty(self):
         h = hermite_pade_fit(series(*SQRT_COEFFS[:3]), 0, 0, 1)
@@ -966,14 +1092,14 @@ class TestRootExtraction:
         assert discriminant_roots(bare) == []
 
     def test_conjugate_pair_ordering(self):
-        roots = _poly_roots_mp([QQ(1), QQ(0), QQ(1)])    # z^2 + 1
-        roots = sorted(roots, key=lambda z: (abs(z), -z.real, abs(z.imag), z.imag))
+        roots = poly_roots([QQ(1), QQ(0), QQ(1)])    # z^2 + 1
+        roots = sorted(roots, key=mpc_key)
         assert abs(roots[0] + mpmath.mpc(0, 1)) < mpmath.mpf(10) ** -35
         assert abs(roots[1] - mpmath.mpc(0, 1)) < mpmath.mpf(10) ** -35
 
     def test_sqrt_two_to_fifty_digits(self):
         with mpmath.workdps(60):
-            roots = _poly_roots_mp([QQ(-2), QQ(0), QQ(1)])
+            roots = poly_roots([QQ(-2), QQ(0), QQ(1)])
             target = mpmath.sqrt(2)
             assert min(abs(r - target) for r in roots) < mpmath.mpf(10) ** -50
 
@@ -983,14 +1109,14 @@ class TestRootExtraction:
         norm = max(abs(mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator))
                    for v in q)
         with mpmath.workdps(60):
-            for z in pade_poles(fit):
+            for z in mp_roots(pade_poles(fit)):
                 bound = mpmath.mpf(10) ** -25 * norm * max(1, abs(z)) ** (len(q) - 1)
                 assert abs(mpmath.polyval([mpmath.mpf(v.numerator) / v.denominator
                                            for v in reversed(q)], z)) <= bound
 
     def test_geometric_pole_exact(self):
         fit = pade_fit(geometric(5), 2, 2)
-        poles = pade_poles(fit)
+        poles = mp_roots(pade_poles(fit))
         assert len(poles) == 1
         assert abs(poles[0] - 1) < mpmath.mpf(10) ** -50
 
@@ -1002,7 +1128,7 @@ class TestDiscriminantClusters:
     def candidates(d):
         # P = -1/4 and Q = 0 make the discriminant d itself
         fit = QuadHermitePade((QQ(-1, 4),), (), tuple(d))
-        return _candidate_roots(None, FAMILY_HERMITE_PADE, 0, fit)
+        return mp_roots(_candidate_roots(None, FAMILY_HERMITE_PADE, 0, fit))
 
     def test_near_double_zero_is_dropped(self):
         d = poly_mul(poly_mul([QQ(-2), QQ(1)], [QQ(-2) - QQ(1, 50000), QQ(1)]),
@@ -1019,6 +1145,61 @@ class TestDiscriminantClusters:
 
 
 # ---------------------------------------------------------------------------
+
+
+# radius_scan rows at the scan threshold, every field pinned exactly on
+# the code whose chains ran in mpc at mpmath's precision: order 32 at a
+# quadratic alpha and at a rational-root one where both chains fail, and
+# order 44 at alpha 4, whose Hermite-Pade chain relies on the odd-cluster
+# rule
+PINNED_ROWS = {
+    (32, QQ(2)): ("pade: no root chain stayed within spread 0.05", {
+        FAMILY_HERMITE_PADE: SingularityEstimate(
+            location=(2.338994658910117-1.2294127090037195j),
+            radius=2.642413976550593, stability_spread=0.03924763289603403,
+            orders=(3, 4, 5),
+            trail=((2.401261121364115-1.3123484631829085j),
+                   (2.355860259016249-1.2470276941731555j),
+                   (2.338994658910117-1.2294127090037195j)))}),
+    (32, QQ(4, 9)): ("pade: no root chain stayed within spread 0.05; "
+                     "hermite-pade: no root chain stayed within spread 0.05", {}),
+    (44, QQ(4)): (None, {
+        FAMILY_PADE: SingularityEstimate(
+            location=(1.2966268564222465-0.9863813282857319j),
+            radius=1.6291682938193224, stability_spread=0.048004439139693905,
+            orders=(7, 8, 9, 10, 11),
+            trail=((1.3722481746412323-1.0063262424481128j),
+                   (1.3443604385277832-0.9912106026016659j),
+                   (1.3121928812063068-0.9920647479945733j),
+                   (1.3116559593081871-0.9908924950326857j),
+                   (1.2966268564222465-0.9863813282857319j))),
+        FAMILY_HERMITE_PADE: SingularityEstimate(
+            location=(1.244786874255804-0.9740097503755103j),
+            radius=1.5805661505125619, stability_spread=0.0006518993752205927,
+            orders=(5, 6, 7),
+            trail=((1.2444117596178383-0.9730500881836238j),
+                   (1.2447627630503055-0.973830727841843j),
+                   (1.244786874255804-0.9740097503755103j)))}),
+}
+
+
+@pytest.mark.parametrize("order, alpha", list(PINNED_ROWS), ids=["32-2", "32-4/9", "44-4"])
+def test_scan_rows_are_pinned(order, alpha):
+    row = analysis._scan_row(alpha, order, FAMILIES, SCAN_THRESHOLD)
+    error, estimates = PINNED_ROWS[order, alpha]
+    assert row.error == error
+    assert repr(row.estimates) == repr(estimates)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_estimate_ignores_the_callers_mpmath_precision(family):
+    # at 60 digits the chain's distances once ran at 203 bits, and both
+    # order-44 alpha-4 spreads moved in their last bit
+    ps = series_from_engine(run(44, QQ(4), GAUGE_SIMPLIFIED_XI))
+    est = stable_singularity(ps, family, threshold=SCAN_THRESHOLD)
+    with mpmath.workdps(60):
+        assert stable_singularity(ps, family, threshold=SCAN_THRESHOLD) == est
+    assert est == PINNED_ROWS[44, QQ(4)][1][family]
 
 
 class TestStableSingularity:
@@ -1226,7 +1407,7 @@ class TestRadiusScan:
         assert rows[1].estimates == {}
 
     @pytest.mark.parametrize("exc", [ZeroDivisionError("boom"), ValueError("boom"),
-                                     mpmath.libmp.NoConvergence("boom")])
+                                     NoConvergenceError("boom")])
     def test_declared_failures_are_recorded(self, exc, monkeypatch):
         def boom(order, alpha, gauge):
             raise exc
@@ -1270,7 +1451,7 @@ class TestRadiusScan:
         ("discriminant_roots", FAMILY_HERMITE_PADE, FAMILY_PADE, RC_PADE_44),
     ], ids=["pade-fails", "hermite-pade-fails"])
     @pytest.mark.parametrize("exc", [ArithmeticError("root refinement did not converge"),
-                                     mpmath.libmp.NoConvergence("no convergence")],
+                                     NoConvergenceError("no convergence")],
                              ids=["ArithmeticError", "NoConvergence"])
     def test_root_failure_keeps_the_other_family(self, monkeypatch, run44,
                                                  roots, failed, kept, radius, exc):

@@ -15,14 +15,13 @@ import warnings
 
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import lpvolterra.cli
-from lpvolterra.analysis import NoStableRootError
+from lpvolterra.analysis import NoConvergenceError, NoStableRootError
 from lpvolterra.checks import load_golden
 from lpvolterra.cli import (BadArguments, fmt_sig, main, parse_alpha,
                             parse_angle, parse_rational)
@@ -428,7 +427,7 @@ class TestOrbitCommand:
 
     @pytest.mark.parametrize("exc,propagates", [
         (NoStableRootError("unstable"), False),
-        (mpmath.libmp.NoConvergence("slow"), False),
+        (NoConvergenceError("slow"), False),
         (TypeError("a bug"), True)])
     def test_radius_estimate_catches_only_estimate_errors(self, exc, propagates,
                                                           monkeypatch):
@@ -1061,16 +1060,16 @@ QUIET = (*LIBRARY, "importlib.metadata")
 class TestColdStart:
     """Each command loads only the modules it runs: one that integrates no
     orbit and samples no curve never loads numpy, `radius` fits
-    approximants and finds their roots without it, and neither `series`
-    nor a refused argument loads mpmath or the modules behind the other
-    commands.  Each runs in a fresh process, because this one imported
+    approximants and finds their roots without it or mpmath, and neither
+    `series` nor a refused argument loads mpmath or the modules behind the
+    other commands.  Each runs in a fresh process, because this one imported
     them all with the tests."""
 
     @pytest.mark.parametrize("argv, code, unloaded", [
         (["series", "--order", "4", "--output", "cold.json"], 0, LIBRARY),
         # too short for a stable chain (exit code 1), but every row finds roots
         (["radius", "--alpha", "1,2", "--order", "8", "--output", "cold_radius.csv"], 1,
-         ("lpvolterra.checks", "lpvolterra.verify", "numpy")),
+         ("mpmath", "lpvolterra.checks", "lpvolterra.verify", "numpy")),
         (["orbit", "--a", "0.1", "--order", "2", "--points", "16",
           "--no-radius-check", "--output", "cold"], 0,
          ("lpvolterra.analysis", "lpvolterra.checks")),

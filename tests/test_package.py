@@ -25,7 +25,8 @@ EXPORTS = {
                "PerturbationSeries", "SecularInconsistencyError",
                "build_forcing", "evaluate_solution", "remove_secular", "run"],
     "analysis": ["FAMILIES", "FAMILY_HERMITE_PADE", "FAMILY_PADE",
-                 "DegenerateApproximantError", "NoStableRootError",
+                 "DegenerateApproximantError", "NoConvergenceError",
+                 "NoStableRootError",
                  "PadeApprox", "PowerSeries", "QuadHermitePade", "ScanRow",
                  "SingularityEstimate", "default_orders", "discriminant",
                  "discriminant_roots", "hermite_pade_fit", "pade_fit",

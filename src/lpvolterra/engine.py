@@ -9,17 +9,18 @@ polynomial pair (xi_n, eta_n) and a frequency correction omega_n chosen
 to kill resonant forcing.  All arithmetic is exact.
 
 Each order step runs on the integer forms of :mod:`lpvolterra.trigpoly`
-(integer numerators over one denominator), so it takes no gcd until it
-builds the order's rationals.  The Cauchy product and the frequency sums
+(integer numerators over one denominator) and builds no rational but
+omega_n.  The Cauchy product and the frequency sums
 sum_j omega_j xi_{n-j} and sum_j omega_j eta_{n-j} are one
 :func:`dot_form` each; the forcing is assembled from them with integer
-scalings, shifts of the s-exponent and a derivative, and is never built
-as rationals.  omega_n comes in closed form from the forcing's first
-harmonic; the harmonic solve, anchored to W_n(0) = 0 on its numerators
-in the zero-initial gauge, builds one rational per coefficient of
-(xi_n, eta_n); and the self-check W' - K W - R = 0 folds the integer
-residual to zero.  Every stored order is encoded once, for the products
-of later orders and its own self-check.
+scalings, shifts of the s-exponent and a derivative.  omega_n comes in
+closed form from the forcing's first harmonic; the harmonic solve,
+anchored to W_n(0) = 0 on its numerators in the zero-initial gauge,
+returns (xi_n, eta_n) as reduced integer forms, the ones later orders
+multiply; and the self-check W' - K W - R = 0 folds the integer residual
+of those forms to zero.  The rationals of xi_n and eta_n are built on
+first read, so a run that reads only the frequencies (the radius scan)
+never builds them.
 
 Amplitude convention: the series is computed with A = 1.  The scaling
 identity xi(tau, eps, A) = A xi(tau, A eps, 1) recovers general A: the
@@ -38,7 +39,7 @@ from .algebra import QQ, SYMBOLIC, evaluate_numeric, numeric_ring
 # tracer wraps engine.tp_mul by name
 from .trigpoly import (PhaseRing, TrigPoly, VectorTrigPoly, combine,
                        derivative, dot_form, evaluate_at_zero, int_form,
-                       max_harmonic, particular_solution, resonance,
+                       particular_solution, resonance,
                        solve_linear_anchored, tp_mul, tp_term, vanishes)
 
 GAUGE_ZERO_INITIAL = "zero-initial"
@@ -167,15 +168,17 @@ def check_harmonics(gauge: str, sol: OrderSolution):
     For a square alpha s is rational and the ring folds every exponent to
     0, so the s-parity is not checked there."""
     n, xi, eta = sol.n, sol.xi, sol.eta
-    if max(max_harmonic(xi), max_harmonic(eta)) > n + 1:
+    # theta harmonics, read off the integer forms' angle sums (a, c)
+    harmonics = {a for tp in (xi, eta) for pair in int_form(tp).terms.values()
+                 for store in pair for a, _ in store}
+    if max(harmonics, default=0) > n + 1:
         raise AssertionError(f"{gauge}: order {n} contains a harmonic above {n + 1}")
     if gauge != GAUGE_ZERO_INITIAL:
         want = (n + 1) % 2
-        for tp in (xi, eta):
-            for j in list(tp.sin) + list(tp.cos):
-                if j % 2 != want:
-                    raise AssertionError(
-                        f"{gauge}: order {n}: harmonic {j} breaks the parity pattern")
+        for j in sorted(harmonics):
+            if j % 2 != want:
+                raise AssertionError(
+                    f"{gauge}: order {n}: harmonic {j} breaks the parity pattern")
     ring = xi.ring
     base = ring.base if ring.has_phase else ring
     if 1 not in base.s(1):       # s is rational: a square alpha
@@ -194,8 +197,9 @@ def _check_order(gauge: str, forcing: VectorTrigPoly, sol: OrderSolution):
     :func:`check_harmonics`.
 
     The residual xi' + eta/s - F and eta' - s xi - G is formed on integer
-    forms and folded to zero.  W's form is encoded from its rationals, so
-    the check reads the stored coefficients, not the solve's numerators."""
+    forms and folded to zero.  W's form is the one the solve returned and
+    later orders multiply; the rationals built from it on first read are
+    not checked here (tests/test_engine.py holds them to the form)."""
     ring = forcing.xi.ring
     xi, eta, f, g = (int_form(p) for p in (sol.xi, sol.eta, *forcing))
     for res in ([(derivative(xi), 1, 0), (eta, 1, -1), (f, -1, 0)],

@@ -22,13 +22,17 @@ once.  A phase-ring form is built by the one fraction-free kernel,
 :func:`dot_form`, as the sum of its theta waves times its phi
 coefficients.  The order step of :mod:`lpvolterra.engine` runs on
 integer forms: its products go through that kernel (:func:`tp_dot`
-wraps it), which packs each angle sum as one harmonic,
-:func:`combine` and :func:`derivative` assemble forcings,
-:func:`particular_solution` solves harmonic by harmonic with integer
-scalings and shifts of the s-exponent only, :func:`solve_linear_anchored`
-shifts that solve's first harmonic by exp(tau K) W(0) on its numerators,
-and :func:`vanishes` tests a residual for zero.  Rationals are built once
-per coefficient of a returned solution, after folding s^2 = alpha.
+wraps it), which packs each operand's angle sums as single harmonics
+once and keeps them on the operand, :func:`combine` and
+:func:`derivative` assemble forcings, :func:`particular_solution` solves
+harmonic by harmonic with integer scalings and shifts of the s-exponent
+only, :func:`solve_linear_anchored` shifts that solve's first harmonic by
+exp(tau K) W(0) on its numerators, and :func:`vanishes` tests a residual
+for zero.  Both solves return the solution as its reduced integer form:
+folded by s^2 = alpha, over one denominator, content divided out, the
+very form its reduced rationals would encode to.  Those rationals are
+built on the first read of its dicts, one per coefficient, and not in
+the solve.
 
 The dict side (:func:`tp_add`, :func:`tp_scale`, the product
 :func:`tp_mul`) is the phase ring's arithmetic, and it never calls the
@@ -53,11 +57,12 @@ class TrigPoly:
     held as dicts, as an :class:`IntForm`, or both: a TrigPoly built from
     one builds the other on first use and keeps it."""
 
-    __slots__ = ("ring", "sin", "cos", "_enc")
+    __slots__ = ("ring", "sin", "cos", "_enc", "_pack")
 
     def __init__(self, ring, sin=None, cos=None, enc=None):
         self.ring = ring
         self._enc = enc           # the IntForm, built on first use if None
+        self._pack = None         # (W, terms packed for W), see _packed
         if enc is None:
             self.sin = sin or {}
             self.cos = cos or {}
@@ -67,8 +72,7 @@ class TrigPoly:
         # form builds its dicts on first use
         if name not in ("sin", "cos") or self._enc is None:
             raise AttributeError(name)
-        den = self._enc.den
-        self.sin, self.cos = _unpack(self.ring, self._enc.terms, lambda a: den)
+        self.sin, self.cos = _unpack(self.ring, self._enc)
         return getattr(self, name)
 
     def __eq__(self, other):
@@ -213,8 +217,8 @@ class IntForm(NamedTuple):
     Angle sums are canonical, a > 0, or a = 0 and c >= 0 (and no sin at
     (0, 0)), so distinct keys are independent waves; a phase-free
     TrigPoly has c = 0 throughout.  ``tops`` bounds (a, |c|).  Exponents
-    are not folded: a numeric ring folds s^2 = alpha only when it builds
-    rationals or tests for zero."""
+    need not be folded: a numeric ring folds s^2 = alpha only when it
+    builds rationals, tests for zero or reduces a solved order's form."""
     den: int
     tops: tuple
     terms: dict
@@ -271,9 +275,39 @@ def _folded(ring, terms):
     return rows, f, g
 
 
-def _unpack(ring, terms, den_of):
-    """The (sin, cos) dicts of the TrigPoly whose :class:`IntForm` terms
-    are ``terms``, over the denominator den_of(a) at theta harmonic a.
+def _reduced(ring, terms, den_of) -> IntForm:
+    """The reduced integer form of the TrigPoly over ``ring`` whose
+    :class:`IntForm` terms are ``terms``, over the denominator den_of(a)
+    at theta harmonic a.
+
+    The numerators are folded (:func:`_folded`), put over one denominator
+    and divided by their content, with zero numerators dropped: over a
+    phase-free ring that is the form :func:`_form` encodes from the
+    reduced rationals, lcm_i(D / gcd(D, n_i)) = D / gcd(D, n_1..n_k)."""
+    folded, f, g = _folded(ring.base if ring.has_phase else ring, terms)
+    dens = {a: den_of(a) for _, a, _ in folded}
+    L = math.lcm(*dens.values())
+    out: dict = {}
+    for (kind, a, c), row in folded.items():
+        k = L // dens[a] * f
+        for r, n in row.items():
+            if n:
+                out.setdefault(r, ({}, {}))[kind][a, c] = k * n
+    content = math.gcd(L * g, *(n for pair in out.values() for store in pair
+                                for n in store.values()))
+    keys = [key for pair in out.values() for store in pair for key in store]
+    return IntForm(L * g // content,
+                   (max((a for a, _ in keys), default=0),
+                    max((abs(c) for _, c in keys), default=0)),
+                   {r: tuple({key: n // content for key, n in store.items()}
+                             for store in pair)
+                    for r, pair in out.items()})
+
+
+def _unpack(ring, form: IntForm):
+    """The (sin, cos) dicts of the TrigPoly over ``ring`` whose integer
+    form is ``form``: what a TrigPoly built from its form builds on first
+    read.
 
     The numerators are folded (:func:`_folded`) and each angle sum is
     split into products of theta and phi waves, all on integers; then one
@@ -281,7 +315,7 @@ def _unpack(ring, terms, den_of):
     come out in ascending order, and zero coefficients are dropped."""
     phase = ring.has_phase
     base = ring.base if phase else ring
-    folded, f, g = _folded(base, terms)
+    folded, f, g = _folded(base, form.terms)
     # cos(a th + c phi) = cos a cos c - sin a sin c and sin(a th + c phi) =
     # sin a cos c + cos a sin c, with c < 0 folded by sin(-x) = -sin x, and
     # sin 0 = 0 dropping a = 0 or c = 0
@@ -295,8 +329,8 @@ def _unpack(ring, terms, den_of):
             for r, n in row.items():
                 acc[r] = acc.get(r, 0) + s * n
     coeffs: dict = {}     # {(theta kind, a): ({c: phi sin}, {c: phi cos})}
+    d = form.den * g
     for (t_kind, a, f_kind, c), row in sorted(rows.items()):
-        d = den_of(a) * g
         el = {r: QQ(n * f, d) for r, n in sorted(row.items()) if n}
         if el:
             coeffs.setdefault((t_kind, a), ({}, {}))[f_kind][c] = el
@@ -304,6 +338,18 @@ def _unpack(ring, terms, den_of):
     for (t_kind, a), phi in coeffs.items():
         out[t_kind][a] = TrigPoly(base, *phi) if phase else phi[1][0]
     return out
+
+
+def _packed(p: TrigPoly, W: int) -> dict:
+    """p's integer terms with each angle sum (a, c) packed as the single
+    harmonic a W + c: {e: (sin, cos)} lists of (harmonic, numerator).
+    They are kept on p for the latest W only, so an operand met again by
+    :func:`dot_form` is not packed again."""
+    if p._pack is None or p._pack[0] != W:
+        p._pack = (W, {e: tuple([(a * W + c, n) for (a, c), n in store.items()]
+                                for store in pair)
+                       for e, pair in int_form(p).terms.items()})
+    return p._pack[1]
 
 
 def dot_form(ps, qs) -> IntForm:
@@ -319,25 +365,23 @@ def dot_form(ps, qs) -> IntForm:
         raise ValueError("tp_dot needs operand lists of equal length")
     if not ps:
         return IntForm(1, (0, 0), {})
-    pairs = [(int_form(p), int_form(q)) for p, q in zip(ps, qs)]
-    den = math.lcm(*(fp.den * fq.den for fp, fq in pairs))
+    pairs = [(p, q, int_form(p), int_form(q)) for p, q in zip(ps, qs)]
+    den = math.lcm(*(fp.den * fq.den for _, _, fp, fq in pairs))
     # the phi harmonics of every product lie in [-K, K], so h = a W + c
     # packs an angle sum uniquely, and angle sums add as harmonics do;
     # harmonics h +- g land at offset m + (h +- g) and fold back at the
     # end: cos(-x) = cos(x), sin(-x) = -sin(x)
-    K = max(fp.tops[1] + fq.tops[1] for fp, fq in pairs)
+    K = max(fp.tops[1] + fq.tops[1] for _, _, fp, fq in pairs)
     W = 2 * K + 1
-    top = max(fp.tops[0] + fq.tops[0] for fp, fq in pairs)
+    top = max(fp.tops[0] + fq.tops[0] for _, _, fp, fq in pairs)
     m = top * W + K
     acc: dict = {}
-    for (dp, _, p_terms), (dq, _, q_terms) in pairs:
-        k = den // (dp * dq)
-        q_terms = {e: ([(b * W + d, v) for (b, d), v in q_sin.items()],
-                       [(b * W + d, v) for (b, d), v in q_cos.items()])
-                   for e, (q_sin, q_cos) in q_terms.items()}
-        for ep, (p_sin, p_cos) in p_terms.items():
-            p_sin = [(m + a * W + c, u * k) for (a, c), u in p_sin.items()]
-            p_cos = [(m + a * W + c, u * k) for (a, c), u in p_cos.items()]
+    for p, q, fp, fq in pairs:
+        k = den // (fp.den * fq.den)
+        q_terms = _packed(q, W)
+        for ep, (p_sin, p_cos) in _packed(p, W).items():
+            p_sin = [(m + h, u * k) for h, u in p_sin]
+            p_cos = [(m + h, u * k) for h, u in p_cos]
             for eq, (q_sin, q_cos) in q_terms.items():
                 e = ep + eq
                 if e not in acc:
@@ -574,12 +618,14 @@ def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTr
     The solve runs on the forcing's integer forms.  d/dtau acts on each
     angle sum (a, c) as on the theta harmonic a, so both rings take the
     same per-wave rules: integer multiples and shifts of the s-exponent,
-    over the denominator a^2 - 1 at harmonic a.  One rational is built
-    per coefficient of the solution.
+    over the denominator a^2 - 1 at harmonic a.  Each component is
+    returned as its reduced integer form (:func:`_reduced`), the form that
+    later products multiply; its rationals are built only when its dicts
+    are first read.
     """
     *parts, den = _solve(forcing, absorb)
     ring = forcing.xi.ring
-    return VectorTrigPoly(*(TrigPoly(ring, *_unpack(
+    return VectorTrigPoly(*(TrigPoly(ring, enc=_reduced(
         ring, terms, lambda a: den if a == 1 else den * (a * a - 1)))
         for terms in parts))
 
@@ -590,8 +636,10 @@ def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
     absorb-xi solution P of :func:`particular_solution`.  exp(tau K) =
     cos tau + K sin tau, and tau = theta - phi is the angle sum (1, -1),
     so only theta harmonic 1 moves.  P(0) is read off the solve's
-    numerators over den lcm(a^2 - 1 : a != 1), each component's shift is
-    one :func:`dot_form`, and one rational is built per coefficient."""
+    numerators over den lcm(a^2 - 1 : a != 1), and each component's shift
+    is one :func:`dot_form`.  Each component is returned as its reduced
+    integer form (:func:`_reduced`), with no rational built until its
+    dicts are first read."""
     ring = forcing.xi.ring
     *parts, den = _solve(forcing, "xi")
     L = math.lcm(*{a * a - 1 for terms in parts for pair in terms.values()
@@ -620,7 +668,7 @@ def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
     shifts = (dot_form(values, [wave(1, 0, 1), wave(0, -1, -1)]),  # v1 cos - (v2/s) sin
               dot_form(values, [wave(0, 1, 1), wave(1, 0, 1)]))    # s v1 sin + v2 cos
     D = 2 * den * L
-    return VectorTrigPoly(*(TrigPoly(ring, *_unpack(
+    return VectorTrigPoly(*(TrigPoly(ring, enc=_reduced(
         ring, combine([(x, 1, 0), (shift, -1, 0)]).terms, lambda a: D))
         for x, shift in zip(forms, shifts)))
 

@@ -61,6 +61,7 @@ from lpvolterra.analysis import (
 from lpvolterra.checks import _to_mpc
 from lpvolterra.constants import FAMILIES, SCAN_THRESHOLD
 from lpvolterra.engine import GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL, run
+from lpvolterra.trigpoly import TrigPoly
 
 
 def series(*vals):
@@ -1189,6 +1190,27 @@ def test_scan_rows_are_pinned(order, alpha):
     error, estimates = PINNED_ROWS[order, alpha]
     assert row.error == error
     assert repr(row.estimates) == repr(estimates)
+
+
+def test_scan_row_builds_no_rational_of_any_correction(monkeypatch):
+    # the radius path reads only the frequencies: every xi_n and eta_n
+    # stays an integer form, its dict slots unset (read through the slot
+    # descriptors, since reading .sin would build them)
+    runs = []
+
+    def recording(*args, real=engine.run):
+        runs.append(real(*args))
+        return runs[-1]
+    monkeypatch.setattr(engine, "run", recording)
+    row = analysis._scan_row(2, 16, FAMILIES, SCAN_THRESHOLD)
+    assert row.alpha == 2 and len(runs) == 1
+    orders = runs[0].orders[1:]
+    assert len(orders) == 16
+    for sol in orders:
+        for tp in (sol.xi, sol.eta):
+            for slot in (TrigPoly.sin, TrigPoly.cos):
+                with pytest.raises(AttributeError):
+                    slot.__get__(tp, TrigPoly)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -20,9 +20,10 @@ from lpvolterra.engine import (GAUGE_SIMPLIFIED_ETA, GAUGE_SIMPLIFIED_XI,
                                _check_order, build_forcing, check_harmonics,
                                evaluate_solution, remove_secular, run)
 from lpvolterra.reference import residual, tp_diff, tp_mul_el
-from lpvolterra.trigpoly import (TrigPoly, VectorTrigPoly, evaluate_at_zero,
-                                 harmonic, to_triples, tp_add, tp_mul,
-                                 tp_term, tp_zero)
+from lpvolterra.trigpoly import (TrigPoly, VectorTrigPoly, combine,
+                                 evaluate_at_zero, harmonic, int_form,
+                                 to_triples, tp_add, tp_mul, tp_term,
+                                 tp_zero, vanishes)
 
 W2 = "-(A^2*sqrt(alpha)*(alpha+1))/24"
 W4 = "-(A^4*sqrt(alpha)*(5*alpha^2+34*alpha+29))/6912"
@@ -197,6 +198,37 @@ class TestIntegerSelfCheck:
                                      OrderSolution(n, sol.omega, *bad))
                     changed += 1
         assert changed >= 4
+
+
+class TestLazyRationals:
+    """The solve returns xi_n and eta_n as reduced integer forms, which
+    _check_order holds to the forcing; the rationals built from a form on
+    first read are held to that form here, as are the forcing's, whose
+    forms are not folded."""
+
+    @pytest.mark.parametrize("N,alpha,gauge", [
+        (24, 2, GAUGE_SIMPLIFIED_XI), (24, QQ(9, 4), GAUGE_SIMPLIFIED_XI),
+        (12, "symbolic", GAUGE_SIMPLIFIED_XI),
+        (16, QQ(1, 3), GAUGE_SIMPLIFIED_ETA),
+        (6, 2, GAUGE_ZERO_INITIAL), (6, "symbolic", GAUGE_ZERO_INITIAL)])
+    def test_built_rationals_denote_the_stored_form(self, N, alpha, gauge):
+        series = run(N, alpha, gauge)
+        ring = series.coeff_ring
+        for n in range(1, N + 1):
+            sol = series.orders[n]
+            _, forcing = remove_secular(n, build_forcing(n, series))
+            for tp in (sol.xi, sol.eta, *forcing):
+                again = int_form(TrigPoly(ring, tp.sin, tp.cos))
+                assert vanishes(ring, combine([(again, 1, 0), (int_form(tp), -1, 0)])), n
+            for tp in (sol.xi, sol.eta):
+                # a stored order is reduced: no zero numerator, content 1,
+                # and phase-free it is the form of its reduced rationals
+                form = int_form(tp)
+                nums = [v for pair in form.terms.values() for store in pair
+                        for v in store.values()]
+                assert all(nums) and math.gcd(form.den, *nums) == 1, n
+                if not ring.has_phase:
+                    assert int_form(TrigPoly(ring, tp.sin, tp.cos)) == form, n
 
 
 class TestSqrtAlphaParity:

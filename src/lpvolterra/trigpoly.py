@@ -258,50 +258,41 @@ def int_form(p: TrigPoly) -> IntForm:
 
 
 def _folded(ring, terms):
-    """(rows, f, g): the numerators of :class:`IntForm` terms over a
-    phase-free ``ring``, folded onto the exponents the ring keeps (see
-    ``folding`` in :mod:`lpvolterra.algebra`) and summed per wave, as
-    rows {(kind, a, c): {kept exponent: n}} worth f/g times as much."""
-    rows: dict = {}
+    """(folded, f, g): :class:`IntForm` terms over a phase-free ``ring``
+    with their numerators folded onto the exponents the ring keeps (see
+    ``folding`` in :mod:`lpvolterra.algebra`) and summed per wave, worth
+    f/g times as much.  A folded numerator can be zero."""
+    folded: dict = {}
     if not terms:
-        return rows, 1, 1
+        return folded, 1, 1
     rule, f, g = ring.folding(min(terms), max(terms))
     for e, pair in terms.items():
         r, w = rule[e]
-        for kind, store in enumerate(pair):
+        for store, acc in zip(pair, folded.setdefault(r, ({}, {}))):
             for key, n in store.items():
-                row = rows.setdefault((kind, *key), {})
-                row[r] = row.get(r, 0) + w * n
-    return rows, f, g
+                acc[key] = acc.get(key, 0) + w * n
+    return folded, f, g
 
 
-def _reduced(ring, terms, den_of) -> IntForm:
-    """The reduced integer form of the TrigPoly over ``ring`` whose
-    :class:`IntForm` terms are ``terms``, over the denominator den_of(a)
-    at theta harmonic a.
-
-    The numerators are folded (:func:`_folded`), put over one denominator
-    and divided by their content, with zero numerators dropped: over a
-    phase-free ring that is the form :func:`_form` encodes from the
-    reduced rationals, lcm_i(D / gcd(D, n_i)) = D / gcd(D, n_1..n_k)."""
-    folded, f, g = _folded(ring.base if ring.has_phase else ring, terms)
-    dens = {a: den_of(a) for _, a, _ in folded}
-    L = math.lcm(*dens.values())
+def _reduced(ring, form: IntForm) -> IntForm:
+    """The reduced integer form over ``ring`` equal to ``form``: its
+    numerators folded (:func:`_folded`), zeros dropped and the content
+    divided out, with exact tops.  Over a phase-free ring that is the form
+    :func:`_form` encodes from the reduced rationals,
+    lcm_i(D / gcd(D, n_i)) = D / gcd(D, n_1..n_k)."""
+    folded, f, g = _folded(ring.base if ring.has_phase else ring, form.terms)
+    content = math.gcd(form.den * g, f * math.gcd(*(
+        n for pair in folded.values() for store in pair for n in store.values())))
     out: dict = {}
-    for (kind, a, c), row in folded.items():
-        k = L // dens[a] * f
-        for r, n in row.items():
-            if n:
-                out.setdefault(r, ({}, {}))[kind][a, c] = k * n
-    content = math.gcd(L * g, *(n for pair in out.values() for store in pair
-                                for n in store.values()))
+    for r, pair in folded.items():
+        pair = tuple({key: n * f // content for key, n in store.items() if n}
+                     for store in pair)
+        if pair[0] or pair[1]:
+            out[r] = pair
     keys = [key for pair in out.values() for store in pair for key in store]
-    return IntForm(L * g // content,
+    return IntForm(form.den * g // content,
                    (max((a for a, _ in keys), default=0),
-                    max((abs(c) for _, c in keys), default=0)),
-                   {r: tuple({key: n // content for key, n in store.items()}
-                             for store in pair)
-                    for r, pair in out.items()})
+                    max((abs(c) for _, c in keys), default=0)), out)
 
 
 def _unpack(ring, form: IntForm):
@@ -320,14 +311,15 @@ def _unpack(ring, form: IntForm):
     # sin a cos c + cos a sin c, with c < 0 folded by sin(-x) = -sin x, and
     # sin 0 = 0 dropping a = 0 or c = 0
     rows: dict = {}       # {(theta kind, a, phi kind, |c|): {kept exponent: n}}
-    for (kind, a, c), row in folded.items():
-        sign = (-1 if kind else 1) * (-1 if c < 0 else 1)
-        for t_kind, f_kind, s in ((kind, 1, 1), (1 - kind, 0, sign)):
-            if (t_kind == 0 and a == 0) or (f_kind == 0 and c == 0):
-                continue
-            acc = rows.setdefault((t_kind, a, f_kind, abs(c)), {})
-            for r, n in row.items():
-                acc[r] = acc.get(r, 0) + s * n
+    for r, pair in folded.items():
+        for kind, store in enumerate(pair):
+            for (a, c), n in store.items():
+                sign = (-1 if kind else 1) * (-1 if c < 0 else 1)
+                for t_kind, f_kind, s in ((kind, 1, 1), (1 - kind, 0, sign)):
+                    if (t_kind == 0 and a == 0) or (f_kind == 0 and c == 0):
+                        continue
+                    acc = rows.setdefault((t_kind, a, f_kind, abs(c)), {})
+                    acc[r] = acc.get(r, 0) + s * n
     coeffs: dict = {}     # {(theta kind, a): ({c: phi sin}, {c: phi cos})}
     d = form.den * g
     for (t_kind, a, f_kind, c), row in sorted(rows.items()):
@@ -462,8 +454,9 @@ def derivative(x: IntForm) -> IntForm:
 def vanishes(ring, x: IntForm) -> bool:
     """True when the integer form x is zero over ``ring``: its folded
     numerators (:func:`_folded`) are all zero, with no rational built."""
-    rows = _folded(ring.base if ring.has_phase else ring, x.terms)[0]
-    return not any(n for row in rows.values() for n in row.values())
+    folded = _folded(ring.base if ring.has_phase else ring, x.terms)[0]
+    return not any(n for pair in folded.values() for store in pair
+                   for n in store.values())
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +570,9 @@ _ABSORB = {"xi": (((1, 0, 1, False, 1),), ((1, 1, 1, False, 1),), (), ()),
 
 
 def _solve(forcing: VectorTrigPoly, absorb: str):
-    """(xi terms, eta terms, den) of :func:`particular_solution`: numerators
-    over den (a^2 - 1) at theta harmonic a != 1 and over den at a = 1."""
+    """The integer forms (xi, eta) of :func:`particular_solution`, not yet
+    reduced: over the forcing's denominator times the lcm L of a^2 - 1
+    over its theta harmonics a != 1."""
     if absorb not in _ABSORB:
         raise ValueError("absorb must be 'xi' or 'eta'")
     f, g = int_form(forcing.xi), int_form(forcing.eta)
@@ -587,22 +581,27 @@ def _solve(forcing: VectorTrigPoly, absorb: str):
         raise ResonantForcingError(
             "non-absorbable first-harmonic forcing; "
             "secular removal was skipped")
+    harmonics = {a for x in (f, g) for pair in x.terms.values()
+                 for store in pair for a, _ in store}
+    L = math.lcm(*(a * a - 1 for a in harmonics if a != 1))
+    scale = {a: L if a == 1 else L // (a * a - 1) for a in harmonics}
     den = math.lcm(f.den, g.den)
     out: tuple = ({}, {})      # xi, eta terms: {e: (sin, cos)}
     for i, x in enumerate((f, g)):
-        k = den // x.den
+        k = {a: den // x.den * v for a, v in scale.items()}
         for e, pair in x.terms.items():
             for kind, store in enumerate(pair):
                 rules = _SOLVE[2 * i + kind]
                 resonant = _ABSORB[absorb][2 * i + kind]
                 for key, n in store.items():
                     a = key[0]
-                    n *= k
+                    n *= k[a]
                     for comp, t_kind, shift, times_a, sign in (
                             resonant if a == 1 else rules):
                         acc = out[comp].setdefault(e + shift, ({}, {}))[t_kind]
                         acc[key] = acc.get(key, 0) + sign * (a * n if times_a else n)
-    return (*out, den)
+    tops = tuple(map(max, f.tops, g.tops))
+    return tuple(IntForm(den * L, tops, terms) for terms in out)
 
 
 def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTrigPoly:
@@ -623,11 +622,9 @@ def particular_solution(forcing: VectorTrigPoly, absorb: str = "xi") -> VectorTr
     later products multiply; its rationals are built only when its dicts
     are first read.
     """
-    *parts, den = _solve(forcing, absorb)
     ring = forcing.xi.ring
-    return VectorTrigPoly(*(TrigPoly(ring, enc=_reduced(
-        ring, terms, lambda a: den if a == 1 else den * (a * a - 1)))
-        for terms in parts))
+    return VectorTrigPoly(*(TrigPoly(ring, enc=_reduced(ring, x))
+                            for x in _solve(forcing, absorb)))
 
 
 def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
@@ -636,30 +633,23 @@ def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
     absorb-xi solution P of :func:`particular_solution`.  exp(tau K) =
     cos tau + K sin tau, and tau = theta - phi is the angle sum (1, -1),
     so only theta harmonic 1 moves.  P(0) is read off the solve's
-    numerators over den lcm(a^2 - 1 : a != 1), and each component's shift
-    is one :func:`dot_form`.  Each component is returned as its reduced
-    integer form (:func:`_reduced`), with no rational built until its
-    dicts are first read."""
+    numerators, and each component's shift is one :func:`dot_form`.  Each
+    component is returned as its reduced integer form (:func:`_reduced`),
+    with no rational built until its dicts are first read."""
     ring = forcing.xi.ring
-    *parts, den = _solve(forcing, "xi")
-    L = math.lcm(*{a * a - 1 for terms in parts for pair in terms.values()
-                   for store in pair for a, _ in store if a != 1})
-    tops = tuple(map(max, *(int_form(p).tops for p in forcing)))
-    forms, values = [], []
-    for terms in parts:
-        full, at_zero = {}, {}
-        for e, pair in terms.items():
-            out = full[e] = ({}, {})
+    parts = _solve(forcing, "xi")
+    values = []
+    for x in parts:
+        at_zero = {}
+        for e, pair in x.terms.items():
             v = at_zero[e] = ({}, {})
             for kind, store in enumerate(pair):
                 for (a, c), n in store.items():
-                    out[kind][a, c] = n = n * (L if a == 1 else L // (a * a - 1))
                     # at tau = 0 (a, c) is the phi wave a + c: sin 0 = 0, sin(-x) = -sin x
                     if a + c or kind:
                         key = (0, abs(a + c))
                         v[kind][key] = v[kind].get(key, 0) + (n if kind or a + c > 0 else -n)
-        forms.append(IntForm(den * L, tops, full))
-        values.append(TrigPoly(ring, enc=IntForm(den * L, (0, sum(tops)), at_zero)))
+        values.append(TrigPoly(ring, enc=IntForm(x.den, (0, sum(x.tops)), at_zero)))
 
     def wave(kind, e, n):        # n s^e sin tau (kind 0) or cos tau (kind 1)
         pair = ({(1, -1): n}, {}) if kind == 0 else ({}, {(1, -1): n})
@@ -667,10 +657,9 @@ def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
 
     shifts = (dot_form(values, [wave(1, 0, 1), wave(0, -1, -1)]),  # v1 cos - (v2/s) sin
               dot_form(values, [wave(0, 1, 1), wave(1, 0, 1)]))    # s v1 sin + v2 cos
-    D = 2 * den * L
     return VectorTrigPoly(*(TrigPoly(ring, enc=_reduced(
-        ring, combine([(x, 1, 0), (shift, -1, 0)]).terms, lambda a: D))
-        for x, shift in zip(forms, shifts)))
+        ring, combine([(x, 1, 0), (shift, -1, 0)])))
+        for x, shift in zip(parts, shifts)))
 
 
 def to_triples(p: TrigPoly, amp_power: int = 0) -> list:

@@ -530,9 +530,8 @@ def test_anchored_solution_solves_and_starts_at_zero(case):
 
 def test_anchor_examples_reach_the_folds():
     def solved_angle_sums(forcing):
-        *parts, _ = trigpoly._solve(forcing, "xi")
-        return [key for terms in parts for pair in terms.values()
-                for store in pair for key in store]
+        return [key for x in trigpoly._solve(forcing, "xi")
+                for pair in x.terms.values() for store in pair for key in store]
 
     keys = solved_angle_sums(NEGATIVE_SUM_CASE[1])
     assert any(a + c < 0 for a, c in keys) and any(a == 0 for a, _ in keys)

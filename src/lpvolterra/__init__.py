@@ -9,9 +9,9 @@ import importlib
 
 # the public names, by the submodule that defines them
 _EXPORTS = {
-    "algebra": ("QQ", "SYMBOLIC", "ExactDivisionError", "NumericRing",
-                "SymbolicRing", "alpha_polynomial", "evaluate_numeric",
-                "format_element", "numeric_ring", "rational_sqrt"),
+    "algebra": ("QQ", "SYMBOLIC", "NumericRing", "SymbolicRing",
+                "alpha_polynomial", "evaluate_numeric", "format_element",
+                "numeric_ring", "rational_sqrt"),
     "trigpoly": ("PhaseRing", "ResonantForcingError", "TrigPoly",
                  "VectorTrigPoly", "particular_solution",
                  "solve_linear_anchored", "to_triples"),

@@ -12,7 +12,7 @@ and no zero values, in one of two rings:
   to exponent 0 when ``sqrt(alpha)`` is rational and to exponents 0 and 1
   (``u + v*sqrt(alpha)``) otherwise.
 
-Both share one method protocol (``add``, ``mul``, ``scale``, ``div``,
+Both share one method protocol (``add``, ``mul``, ``scale``,
 ``is_zero``, ...), so the trig-series layer, formatting and evaluation
 read every element the same way.  The integer kernels of the
 trig-series layer work on integer numerators ``{exponent of s: n}``
@@ -35,10 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-class ExactDivisionError(ArithmeticError):
-    """Raised when an exact ring division leaves a remainder."""
 
 
 # ---------------------------------------------------------------------------
@@ -159,36 +155,6 @@ class SymbolicRing:
         rational is built.  The symbolic ring keeps every exponent."""
         return {e: (e, 1) for e in range(lo, hi + 1)}, 1, 1
 
-    def div(self, x, y):
-        """Exact division; raises ExactDivisionError on a remainder."""
-        if not y:
-            raise ZeroDivisionError("division by zero element")
-        if not x:
-            return {}
-        if len(y) == 1:
-            (e, q), = y.items()
-            return {k - e: v / q for k, v in x.items()}
-        # Laurent long division, must terminate exactly.
-        lead = max(y)
-        lead_c = y[lead]
-        floor = min(x) - min(y)
-        rem = dict(x)
-        quot = {}
-        while rem:
-            e = max(rem) - lead
-            if e < floor:
-                raise ExactDivisionError("inexact Laurent division")
-            c = rem[max(rem)] / lead_c
-            quot[e] = c
-            for k, v in y.items():
-                kk = k + e
-                w = rem.get(kk, _Q0) - c * v
-                if w:
-                    rem[kk] = w
-                else:
-                    rem.pop(kk, None)
-        return quot
-
 
 SYMBOLIC = SymbolicRing()
 
@@ -260,13 +226,6 @@ class NumericRing(SymbolicRing):
 
     def mul(self, x, y):
         return self.reduce(super().mul(x, y))
-
-    def div(self, x, y):
-        """x * conj(y) / norm(y), with conj(u + v*s) = u - v*s."""
-        if not y:
-            raise ZeroDivisionError("division by zero element")
-        conj = {e: -v if e else v for e, v in y.items()}
-        return self.scale(self.mul(x, conj), 1 / self.mul(y, conj)[0])
 
 
 def numeric_ring(alpha):

@@ -22,9 +22,9 @@ fixed-point integer Durand-Kerner kernel with mpmath.polyroots' updates
 and stop rule that sweeps only the roots still moving, first at 128 bits,
 from Aberth-Ehrlich float seeds; each root must pass a residual
 certificate evaluated exactly.  The roots stay fixed-point ints, and the
-chain rounds its distances as mpmath does at its default 53 bits, so an
-estimate does not depend on the caller's mpmath precision.  Nothing here
-loads numpy or mpmath.
+chain rounds each exact distance once to a double, so an estimate does
+not depend on the caller's mpmath precision.  Nothing here loads numpy
+or mpmath.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def series_from_engine(series: PerturbationSeries, alpha=None) -> PowerSeries:
         if 2 * j + 1 <= n_max and not ring.is_zero(series.orders[2 * j + 1].omega):
             raise ArithmeticError(f"odd-order frequency omega_{2*j+1} is nonzero")
         w = series.orders[2 * j].omega
-        ratio = ring.div(w, ring.s(1))
+        ratio = ring.mul(w, ring.s(-1))
         poly = alpha_polynomial(ratio)
         if poly is None:
             raise ArithmeticError(
@@ -326,8 +326,8 @@ def discriminant(h: QuadHermitePade):
 
 
 # ---------------------------------------------------------------------------
-# binary floating point on fixed-point ints, rounded as mpmath rounds: a
-# root is a triple (re, im, shift) standing for (re + i im) / 2^shift
+# binary floating point on fixed-point ints: a root is a triple
+# (re, im, shift) standing for (re + i im) / 2^shift
 
 def _div_round(a, b):
     """a / b, b > 0, rounded to the nearest int, ties to even."""
@@ -335,41 +335,24 @@ def _div_round(a, b):
     return q + (2 * r > b or (2 * r == b and q & 1))
 
 
-def _round(x, prec, den=1, down=False):
-    """x / den, den > 0, rounded to prec significant bits on x's grain (no
-    finer), to nearest with ties to even or, when ``down``, toward zero:
-    mpmath's rounding, correct for a quotient too."""
-    t = max(0, (abs(x) // den).bit_length() - prec)
+def _round(x, prec, down=False):
+    """x rounded to prec significant bits on its own grain (no finer), to
+    nearest with ties to even or, when ``down``, toward zero."""
+    t = max(0, abs(x).bit_length() - prec)
     if down:
-        q = abs(x) // (den << t)
+        q = abs(x) >> t
         return (q if x >= 0 else -q) << t
-    return _div_round(x, den << t) << t
-
-
-def _add(x, y, prec, down=False):
-    """x + y on one grain as mpmath's mpf_add rounds it to prec bits: the
-    exact sum, except that a term more than prec + 4 bits below the other,
-    whose last bit lies more than 100 bits above its own, only nudges the
-    other's mantissa, extended by prec + 4 bits, by one unit."""
-    if x and y:
-        tx, ty = (x & -x).bit_length(), (y & -y).bit_length()
-        gap = abs(x).bit_length() - abs(y).bit_length()
-        if (tx - ty > 100 and gap > prec + 4) or (ty - tx > 100 and -gap > prec + 4):
-            big, small, t = (x, y, tx) if tx > ty else (y, x, ty)
-            nudge = 1 << (t - 1)
-            v = (big << (prec + 4)) + (nudge if small > 0 else -nudge)
-            return _round(v, prec, down=down) >> (prec + 4)
-    return _round(x + y, prec, down=down)
+    return _div_round(x, 1 << t) << t
 
 
 def _modulus(re, im, shift):
-    """|re + i im| / 2^shift, shift >= 0, as a float, as mpmath's abs
-    computes it at 53 bits: the squares summed exactly and rounded toward
-    zero at 57 bits, then the square root rounded to nearest; a zero part
-    leaves the other rounded to nearest."""
+    """|re + i im| / 2^shift, shift >= 0, as a float: the exact sum of the
+    squares rounded toward zero at 57 bits, then its square root rounded
+    to nearest at 53 (as mpmath's abs computes it); a zero part leaves the
+    other rounded to nearest."""
     if not (re and im):
         return abs(re or im) / (1 << shift)
-    n = _add(re * re, im * im, 57, down=True)
+    n = _round(re * re + im * im, 57, down=True)
     t = ((n & -n).bit_length() - 1) & ~1       # an even power of two leaves the root
     r = math.isqrt(n >> t << 112)
     r = 2 * r + (r * r != n >> t << 112)       # sticky bit: the root is inexact
@@ -377,15 +360,15 @@ def _modulus(re, im, shift):
 
 
 def _distance(a, b):
-    """|a - b| of two roots as mpmath computes it at 53 bits: each part of
-    the difference rounded to nearest, then :func:`_modulus`."""
+    """|a - b| of two roots as a float: each exact part of the difference
+    rounded once to nearest at 53 bits, then :func:`_modulus`."""
     (ar, ai, s), (br, bi, t) = a, b
     u = max(s, t)
     ar, ai, br, bi = ar << (u - s), ai << (u - s), br << (u - t), bi << (u - t)
     low = ar | ai | br | bi                    # drop the zeros all four end in
     z = min(u, (low & -low).bit_length() - 1) if low else 0
     ar, ai, br, bi = ar >> z, ai >> z, br >> z, bi >> z
-    return _modulus(_add(ar, -br, 53), _add(ai, -bi, 53), u - z)
+    return _modulus(_round(ar - br, 53), _round(ai - bi, 53), u - z)
 
 
 def _to_complex(root):
@@ -395,12 +378,10 @@ def _to_complex(root):
 
 
 def _mean(roots):
-    """The mean of roots on one grain, as mpmath's sum and division by
-    their count round it at ROOT_PREC bits."""
-    re, im, shift = roots[0]
-    for r in roots[1:]:
-        re, im = _add(re, r[0], ROOT_PREC), _add(im, r[1], ROOT_PREC)
-    return _round(re, ROOT_PREC, len(roots)), _round(im, ROOT_PREC, len(roots)), shift
+    """The exact mean of roots on one grain, rounded to nearest on it."""
+    n = len(roots)
+    return (_div_round(sum(r[0] for r in roots), n),
+            _div_round(sum(r[1] for r in roots), n), roots[0][2])
 
 
 def _root_key(root):
@@ -739,12 +720,16 @@ def stable_singularity(series: PowerSeries, family: str,
     location, is at most ``threshold``.  The reported location comes
     from the highest order, and ``trail`` holds the chain's root at each
     order used.  Orders whose fit is degenerate are skipped (at least
-    two must survive).  A threshold that is not finite and positive is a
-    ValueError."""
+    two must survive).  A threshold that is not finite and positive, or
+    an order that is not an int, is a ValueError."""
     _check_threshold(threshold)
     if order_list is None:
         order_list = default_orders(family, len(series))
-    orders = sorted(set(int(m) for m in order_list))
+    orders = list(order_list)
+    for m in orders:
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ValueError(f"approximant order must be an int, got {m!r}")
+    orders = sorted(set(orders))
     if len(orders) < 2:
         raise ValueError("need at least two approximant orders")
     chain = _chain_fits(series, family, orders)

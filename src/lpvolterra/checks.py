@@ -197,12 +197,6 @@ def _ring_axioms(ctx):
                 raise AssertionError(f"{label}: commutativity violated")
             if not ring.is_zero(ring.sub(x, x)):
                 raise AssertionError(f"{label}: x - x != 0")
-            d = y
-            if label == "phase":
-                # division in the phase extension only admits phase-free divisors
-                d = ring.lift(_rand_symbolic(rng, ring.base))
-            if not ring.is_zero(d) and not ring.eq(ring.div(ring.mul(x, d), d), x):
-                raise AssertionError(f"{label}: (x*y)/y != x")
             triples += 1
     return f"{triples} random triples across 4 coefficient rings"
 

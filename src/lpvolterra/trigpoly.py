@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebra import QQ, ExactDivisionError, over_lcm
+from .algebra import QQ, over_lcm
 
 
 class ResonantForcingError(ValueError):
@@ -508,17 +508,6 @@ class PhaseRing:
     sub = staticmethod(tp_sub)
     scale = staticmethod(tp_scale)
     mul = staticmethod(tp_mul)
-
-    def div(self, x, y):
-        """Division by a phase-free element (each coefficient divides)."""
-        if y.sin or y.cos.keys() - {0}:
-            raise ExactDivisionError("divisor must be phase-free")
-        d = y.const
-        b = self.base
-        if b.is_zero(d):
-            raise ZeroDivisionError("division by zero element")
-        return TrigPoly(b, {k: b.div(v, d) for k, v in x.sin.items()},
-                        {k: b.div(v, d) for k, v in x.cos.items()})
 
 
 def evaluate_at_zero(p: TrigPoly):

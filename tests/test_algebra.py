@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
-                                alpha_polynomial, evaluate_numeric,
+from lpvolterra.algebra import (QQ, SYMBOLIC, alpha_polynomial, evaluate_numeric,
                                 format_element, numeric_ring, over_lcm,
                                 rational_sqrt, ring_alpha)
 from lpvolterra.checks import _denotes
@@ -40,21 +39,6 @@ class TestSymbolicRing:
     def test_s_squares_to_alpha(self):
         assert R.eq(R.mul(R.s(1), R.s(1)), R.s(2))
         assert R.eq(R.mul(R.s(1), R.s(-1)), R.one())
-
-    def test_exact_division(self):
-        # (alpha^2 - 1) / (alpha - 1) = alpha + 1
-        num = R.sub(R.s(4), R.one())
-        den = R.sub(R.s(2), R.one())
-        q = R.div(num, den)
-        assert R.eq(q, R.add(R.s(2), R.one()))
-
-    def test_division_by_monomial(self):
-        x = R.scale(R.s(3), QQ(5, 7))
-        assert R.eq(R.div(x, R.s(1)), R.scale(R.s(2), QQ(5, 7)))
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(ExactDivisionError):
-            R.div(R.add(R.s(2), R.one()), R.add(R.s(2), R.s(1)))
 
     def test_alpha_polynomial_even_only(self):
         x = R.add(R.s(4), R.scale(R.s(2), QQ(3)))
@@ -296,15 +280,6 @@ def test_formatted_string_denotes_element(x, amp):
     assert _denotes(R, x, format_element(R, x, amp_power=amp), amp)
 
 
-@given(sym_elements(), sym_elements())
-@settings(max_examples=40, deadline=None)
-def test_division_inverts_multiplication(x, y):
-    if R.is_zero(y):
-        return
-    prod = R.mul(x, y)
-    assert R.eq(R.div(prod, y), x)
-
-
 @given(st.dictionaries(st.integers(min_value=1, max_value=5),
                        rationals.filter(lambda q: q != 0), max_size=3),
        st.dictionaries(st.integers(min_value=0, max_value=5),
@@ -361,9 +336,6 @@ def test_numeric_ring_laws(case):
     assert ring.eq(ring.mul(x, ring.add(y, z)),
                    ring.add(ring.mul(x, y), ring.mul(x, z)))
     assert ring.eq(ring.mul(ring.mul(x, y), z), ring.mul(x, ring.mul(y, z)))
-    if not ring.is_zero(y):
-        quot = ring.div(ring.mul(x, y), y)
-        assert is_reduced(ring, quot) and ring.eq(quot, x)
     with mpmath.workdps(50):
         vx = evaluate_numeric(ring, x)
         vy = evaluate_numeric(ring, y)
@@ -372,13 +344,6 @@ def test_numeric_ring_laws(case):
         scale = max(1, abs(vx), abs(vy), abs(vx * vy))
         assert abs(vxy - vx * vy) <= mpmath.mpf(10) ** -30 * scale
         assert abs(vsum - (vx + vy)) <= mpmath.mpf(10) ** -30 * scale
-
-
-def test_numeric_division_by_zero():
-    for alpha in NUMERIC_ALPHAS:
-        ring = numeric_ring(alpha)
-        with pytest.raises(ZeroDivisionError):
-            ring.div(ring.one(), ring.zero())
 
 
 FOLD_RINGS = (R,) + tuple(numeric_ring(a) for a in NUMERIC_ALPHAS)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpvolterra import analysis, engine
@@ -821,9 +821,8 @@ def own_seeds(roots, seeds, tol, floor=1):
     return all(place(i, set()) for i in range(len(roots)))
 
 
-# fixed-point ints of varied size and trailing zeros: mpmath's addition
-# takes its shortcut when the larger term's last bit lies over 100 bits
-# above the smaller term's
+# fixed-point ints of varied size and trailing zeros, some lying more than
+# 100 bits apart, where mpmath's addition would take a shortcut
 _GRAINED = st.builds(lambda m, e: m << e, st.integers(-2 ** 130, 2 ** 130),
                      st.integers(0, 260))
 
@@ -833,19 +832,8 @@ def _raw(v, shift):
 
 
 class TestMpmathRounding:
-    """The chain's fixed-point arithmetic rounds as mpmath's does."""
-
-    @given(_GRAINED, _GRAINED, st.sampled_from([53, 57, 203]), st.booleans())
-    @settings(max_examples=300, deadline=None)
-    @example(3 << 250, -(2 ** 60 + 1), 53, False)
-    @example(1 << 300, (2 ** 130 - 1) << 2, 57, True)
-    # x lies 2^200 above a 53-bit midpoint and y pulls the exact sum below
-    # it, but mpmath only nudges x, which then rounds up
-    @example((((1 << 52) | 12345) << 68 | (1 << 67) | 1) << 200, -((1 << 210) - 1), 53, False)
-    def test_add(self, x, y, prec, down):
-        rnd = mpmath.libmp.round_down if down else mpmath.libmp.round_nearest
-        want = mpmath.libmp.mpf_add(_raw(x, 0), _raw(y, 0), prec, rnd)
-        assert _raw(analysis._add(x, y, prec, down), 0) == want
+    """The chain's fixed-point arithmetic: its modulus rounds as mpmath's
+    abs does, and a difference or a mean is exact, then rounded once."""
 
     @given(_GRAINED, _GRAINED, st.integers(0, 400))
     @settings(max_examples=300, deadline=None)
@@ -858,11 +846,16 @@ class TestMpmathRounding:
 
     @given(_GRAINED, _GRAINED, _GRAINED, _GRAINED, st.integers(0, 400), st.integers(0, 400))
     @settings(max_examples=300, deadline=None)
+    # ar lies 2^200 above a 53-bit midpoint and br pulls the exact
+    # difference below it, where mpmath's addition, which only nudges ar,
+    # rounds up
+    @example((((1 << 52) | 12345) << 68 | (1 << 67) | 1) << 200, 0, (1 << 210) - 1, 0, 0, 0)
     def test_distance(self, ar, ai, br, bi, s, t):
-        nearest = mpmath.libmp.round_nearest
-        diff = mpmath.libmp.mpc_sub((_raw(ar, s), _raw(ai, s)), (_raw(br, t), _raw(bi, t)),
-                                    53, nearest)
-        want = mpmath.libmp.to_float(mpmath.libmp.mpc_abs(diff, 53, nearest))
+        lib = mpmath.libmp
+        nearest = lib.round_nearest
+        diff = [lib.mpf_pos(lib.mpf_sub(_raw(a, s), _raw(b, t)), 53, nearest)
+                for a, b in ((ar, br), (ai, bi))]
+        want = lib.to_float(lib.mpc_abs(tuple(diff), 53, nearest))
         assert analysis._distance((ar, ai, s), (br, bi, t)) == want
 
     @given(st.lists(st.tuples(_GRAINED, _GRAINED, st.integers(200, 400)), min_size=1,
@@ -879,15 +872,9 @@ class TestMpmathRounding:
     @given(st.lists(st.tuples(_GRAINED, _GRAINED), min_size=3, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_mean(self, parts):
-        roots = [(re, im, 300) for re, im in parts]
-        with mpmath.workprec(analysis.ROOT_PREC):
-            want = sum(mpmath.mpc(mpmath.mpf(_raw(re, 300)), mpmath.mpf(_raw(im, 300)))
-                       for re, im in parts) / len(parts)
-        # the mean is rounded on the roots' grain, which the kernel's roots
-        # hold with ~240 bits to spare
-        assume(all(part[2] >= -300 for part in want._mpc_))
-        re, im, shift = analysis._mean(roots)
-        assert (_raw(re, shift), _raw(im, shift)) == want._mpc_
+        # the exact mean, rounded to nearest (ties to even) on the grain
+        want = tuple(round(Fraction(sum(part), len(parts))) for part in zip(*parts))
+        assert analysis._mean([(re, im, 300) for re, im in parts]) == (*want, 300)
 
 
 class TestRootExtraction:
@@ -1007,10 +994,10 @@ class TestRootExtraction:
 
     def test_duplicated_starts_match_polyroots(self):
         # (z-1)(z-2)(z+3)(z^2+1) from three equal starts: each zero
-        # factor is skipped, and the iteration still separates them.  It
-        # also guards the confirming sweep: a kernel that stops once every
-        # root's last step was small, without one more sweep over all of
-        # them, returns non-roots here (-1 + 0.5i among them)
+        # factor is skipped, and the iteration still separates them.  The
+        # 128-bit rung separates them before the full-precision sweeps, so
+        # this does not guard the confirming sweep: a kernel that stops once
+        # every root's last step was small passes here too
         coeffs = poly_mul(poly_mul(poly_mul([QQ(-1), QQ(1)], [QQ(-2), QQ(1)]),
                                    [QQ(3), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
         starts = [0.5j, 0.5j, 0.5j, 1.5, -2.5]
@@ -1243,6 +1230,18 @@ class TestStableSingularity:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             stable_singularity(geometric(9), "cubic", (1, 2))
+
+    @pytest.mark.parametrize("order_list, bad", [
+        ([5.9, 6.9, 7.9], "5.9"), (["7", "8", "9"], "'7'"), ((1, 2.0, 3), "2.0"),
+        ((True, 2, 3), "True")])
+    def test_orders_must_be_ints(self, monkeypatch, order_list, bad):
+        # refused before any fit, and never truncated to the int below
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+        for name in ("_chain_fits", "pade_fit", "hermite_pade_fit"):
+            monkeypatch.setattr(analysis, name, no_fit)
+        with pytest.raises(ValueError, match=f"must be an int, got {bad}$"):
+            stable_singularity(geometric(20), FAMILY_PADE, order_list)
 
     def test_order44_pade_estimate(self, ps44):
         est = stable_singularity(ps44, FAMILY_PADE,

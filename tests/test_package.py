@@ -13,9 +13,9 @@ import lpvolterra
 
 # every name lpvolterra re-exports, by the module that defines it
 EXPORTS = {
-    "algebra": ["QQ", "SYMBOLIC", "ExactDivisionError", "NumericRing",
-                "SymbolicRing", "alpha_polynomial", "evaluate_numeric",
-                "format_element", "numeric_ring", "rational_sqrt"],
+    "algebra": ["QQ", "SYMBOLIC", "NumericRing", "SymbolicRing",
+                "alpha_polynomial", "evaluate_numeric", "format_element",
+                "numeric_ring", "rational_sqrt"],
     "trigpoly": ["PhaseRing", "ResonantForcingError", "TrigPoly",
                  "VectorTrigPoly", "particular_solution",
                  "solve_linear_anchored", "to_triples"],

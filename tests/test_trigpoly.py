@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpvolterra.trigpoly as trigpoly
-from lpvolterra.algebra import (QQ, SYMBOLIC, ExactDivisionError,
-                                evaluate_numeric, numeric_ring, rational_sqrt)
+from lpvolterra.algebra import (QQ, SYMBOLIC, evaluate_numeric, numeric_ring, rational_sqrt)
 from lpvolterra.checks import _denotes
 from lpvolterra.engine import run
 from lpvolterra.reference import residual, tp_diff
@@ -540,20 +539,6 @@ def test_anchor_examples_reach_the_folds():
     # the solution still moves: eta_1 = s F_1 does not vanish at tau = 0
     w = solve_linear_anchored(FIRST_HARMONIC_CASE[1])
     assert w != particular_solution(FIRST_HARMONIC_CASE[1])
-
-
-def test_phase_division():
-    P = PhaseRing(R)
-    x = P.add(P.one(), P.sin_phi(2))
-    root = P.s(1)
-    assert P.div(P.mul(x, root), root) == x
-    assert P.div(P.sin_phi(1), P.from_fraction(QQ(1, 2))).sin == {1: {0: QQ(2)}}
-    for divisor in (P.cos_phi(1), P.add(P.one(), P.sin_phi(3))):
-        with pytest.raises(ExactDivisionError, match="phase-free"):
-            P.div(x, divisor)
-    for dividend in (x, P.zero()):
-        with pytest.raises(ZeroDivisionError):
-            P.div(dividend, P.zero())
 
 
 def test_phase_element_constant_term():

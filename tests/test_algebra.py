@@ -40,6 +40,11 @@ class TestSymbolicRing:
         assert R.eq(R.mul(R.s(1), R.s(1)), R.s(2))
         assert R.eq(R.mul(R.s(1), R.s(-1)), R.one())
 
+    def test_division_by_monomial(self):
+        # a monomial s^k is a unit: dividing by it is the product with s^-k
+        x = R.scale(R.s(3), QQ(5, 7))
+        assert R.eq(R.mul(x, R.s(-1)), R.scale(R.s(2), QQ(5, 7)))
+
     def test_alpha_polynomial_even_only(self):
         x = R.add(R.s(4), R.scale(R.s(2), QQ(3)))
         assert alpha_polynomial(x) == {2: QQ(1), 1: QQ(3)}
@@ -278,6 +283,13 @@ def test_evaluation_is_ring_homomorphism(x, y):
 @settings(max_examples=60, deadline=None)
 def test_formatted_string_denotes_element(x, amp):
     assert _denotes(R, x, format_element(R, x, amp_power=amp), amp)
+
+
+@given(sym_elements(), st.integers(min_value=-4, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_division_inverts_multiplication(x, k):
+    # division by the monomial s^k, the product with s^-k, undoes s^k
+    assert R.eq(R.mul(R.mul(x, R.s(k)), R.s(-k)), x)
 
 
 @given(st.dictionaries(st.integers(min_value=1, max_value=5),

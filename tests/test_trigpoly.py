@@ -541,6 +541,15 @@ def test_anchor_examples_reach_the_folds():
     assert w != particular_solution(FIRST_HARMONIC_CASE[1])
 
 
+def test_phase_division():
+    # the phase ring divides by its units only: a root s^k as the product
+    # with s^-k, a nonzero constant as the product with its inverse
+    P = PhaseRing(R)
+    x = P.add(P.one(), P.sin_phi(2))
+    assert P.mul(P.mul(x, P.s(1)), P.s(-1)) == x
+    assert P.mul(P.sin_phi(1), P.from_fraction(QQ(2))).sin == {1: {0: QQ(2)}}
+
+
 def test_phase_element_constant_term():
     P = PhaseRing(numeric_ring(2))
     assert P.one().const == {0: QQ(1)}

@@ -269,18 +269,20 @@ def _poly_string(p: dict) -> str:
     return "".join(parts)
 
 
-def _fmt_sdict(d: dict, amp_power: int = 0, trig: str | None = None) -> str:
-    if not d:
+def _fmt_ints(ints: dict, den: int, amp_power: int = 0, trig: str | None = None) -> str:
+    """The canonical string of A^amp_power (sum_e ints[e] s^e / den) trig,
+    for nonzero integers keyed by exponent: the one formatting core, which
+    dicts reach through :func:`over_lcm` and integer forms through their
+    rows (``lpvolterra.trigpoly._rows``)."""
+    if not ints:
         return "0"
-    lead = max(d)
-    sign = -1 if d[lead] < 0 else 1
-    ints, den_lcm = over_lcm(d.values())
-    # content = sign * num_gcd / den_lcm (values in lowest terms: the gcd
-    # of the scaled numerators is that of the numerators)
-    num_gcd = math.gcd(*ints)
-    unit = sign * num_gcd
-    shift = min(d)
-    prim = {k - shift: n // unit for k, n in zip(d, ints)}
+    sign = -1 if ints[max(ints)] < 0 else 1
+    # content = sign * num_gcd / den, put in lowest terms
+    num_gcd = math.gcd(*ints.values())
+    shift = min(ints)
+    prim = {k - shift: n // (sign * num_gcd) for k, n in ints.items()}
+    common = math.gcd(num_gcd, den)
+    num_gcd, den = num_gcd // common, den // common
 
     num_factors = []
     if amp_power == 1:
@@ -297,8 +299,8 @@ def _fmt_sdict(d: dict, amp_power: int = 0, trig: str | None = None) -> str:
         num_factors.append(trig)
 
     den_factors = []
-    if den_lcm != 1:
-        den_factors.append(str(den_lcm))
+    if den != 1:
+        den_factors.append(str(den))
     if shift < 0:
         den_factors.extend(_spow_factors(-shift))
 
@@ -307,47 +309,44 @@ def _fmt_sdict(d: dict, amp_power: int = 0, trig: str | None = None) -> str:
         num = f"({num})"
     out = num
     if den_factors:
-        den = den_factors[0] if len(den_factors) == 1 else "(" + "*".join(den_factors) + ")"
-        out += "/" + den
+        out += "/" + (den_factors[0] if len(den_factors) == 1
+                      else "(" + "*".join(den_factors) + ")")
     return ("-" if sign < 0 else "") + out
 
 
-def _trig_name(kind: str, k: int) -> str:
-    arg = "phi" if k == 1 else f"{k}*phi"
-    return f"{kind}({arg})"
+def _fmt_phase(sin: dict, cos: dict, den: int, amp_power: int = 0) -> str:
+    """The canonical string of a phase-ring element given as the integer
+    rows {k: {exponent: n}} over ``den`` of its sin(k phi) and cos(k phi)
+    coefficients, cos[0] its constant term."""
+    pieces = [(cos[0], None)] if 0 in cos else []
+    for k in sorted((set(sin) | set(cos)) - {0}):
+        arg = "phi" if k == 1 else f"{k}*phi"
+        pieces += [(rows[k], f"{name}({arg})")
+                   for name, rows in (("sin", sin), ("cos", cos)) if k in rows]
+    if len(pieces) < 2:
+        row, trig = pieces[0] if pieces else ({}, None)
+        return _fmt_ints(row, den, amp_power, trig)
+    parts = [_fmt_ints(row, den, trig=trig) for row, trig in pieces]
+    body = parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+    if amp_power == 0:
+        return body
+    return f"{'A' if amp_power == 1 else f'A^{amp_power}'}*({body})"
 
 
 def format_element(ring, x, amp_power: int = 0) -> str:
     """Canonical string for a ring element.
 
     ``amp_power`` prefixes the known amplitude factor A**p; it is metadata
-    (the engine normalizes the amplitude to 1).
+    (the engine normalizes the amplitude to 1).  A phase-ring element is
+    read off its integer form, with no rational built.
     """
     if ring.has_phase:
-        pieces = []  # (sdict, trig-name or None)
-        if x.const:
-            pieces.append((x.const, None))
-        for k in sorted((set(x.sin) | set(x.cos)) - {0}):
-            if k in x.sin:
-                pieces.append((x.sin[k], _trig_name("sin", k)))
-            if k in x.cos:
-                pieces.append((x.cos[k], _trig_name("cos", k)))
-        if not pieces:
-            return "0"
-        if len(pieces) == 1:
-            d, trig = pieces[0]
-            return _fmt_sdict(d, amp_power=amp_power, trig=trig)
-        parts = [_fmt_sdict(d, trig=trig) for d, trig in pieces]
-        body = parts[0]
-        for p in parts[1:]:
-            body += p if p.startswith("-") else "+" + p
-        if amp_power == 0:
-            return body
-        if len(parts) > 1:
-            body = f"({body})"
-        amp = "A" if amp_power == 1 else f"A^{amp_power}"
-        return f"{amp}*{body}"
-    return _fmt_sdict(x, amp_power=amp_power)
+        from .trigpoly import _rows, int_form
+        coeffs, den = _rows(ring.base, int_form(x))
+        return _fmt_phase(*({j: phi[1][0] for (kind, j), phi in coeffs.items() if kind == k}
+                            for k in (0, 1)), den, amp_power)
+    ints, den = over_lcm(x.values())
+    return _fmt_ints(dict(zip(x, ints)), den, amp_power)
 
 
 # ---------------------------------------------------------------------------

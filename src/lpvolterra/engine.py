@@ -18,9 +18,9 @@ closed form from the forcing's first harmonic; the harmonic solve,
 anchored to W_n(0) = 0 on its numerators in the zero-initial gauge,
 returns (xi_n, eta_n) as reduced integer forms, the ones later orders
 multiply; and the self-check W' - K W - R = 0 folds the integer residual
-of those forms to zero.  The rationals of xi_n and eta_n are built on
-first read, so a run that reads only the frequencies (the radius scan)
-never builds them.
+of those forms to zero.  The rationals of xi_n and eta_n are built only
+when their dicts are read, so neither the radius scan nor the printed
+series, whose strings and gauge constants come from the forms, builds them.
 
 Amplitude convention: the series is computed with A = 1.  The scaling
 identity xi(tau, eps, A) = A xi(tau, A eps, 1) recovers general A: the
@@ -61,7 +61,7 @@ class OrderSolution:
 
     @property
     def gauge_constants(self) -> tuple:
-        """(xi_n(0), eta_n(0)) as phase-ring elements."""
+        """(xi_n(0), eta_n(0)) as phase-ring elements, read off the forms."""
         return evaluate_at_zero(self.xi), evaluate_at_zero(self.eta)
 
     @cached_property

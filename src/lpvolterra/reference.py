@@ -5,9 +5,9 @@ Everything here multiplies with :func:`tp_mul` and adds with
 :func:`tp_add`, over any ring, the phase ring included (its product is
 :func:`tp_mul` too), so no oracle reaches the integer kernel
 :func:`~lpvolterra.trigpoly.dot_form` that it is held against.
-:func:`residual` checks one solve of W' = K W + R, and
+:func:`residual` checks one solve of W' = K W + R,
 :func:`equation_residuals` a whole series against the equations of
-motion.
+motion, and :func:`at_zero` the value of a solution at tau = 0.
 """
 
 from .algebra import QQ
@@ -46,6 +46,19 @@ def residual(forcing: VectorTrigPoly, w: VectorTrigPoly) -> VectorTrigPoly:
         tp_sub(tp_sub(tp_diff(w.xi), kw.xi), forcing.xi),
         tp_sub(tp_sub(tp_diff(w.eta), kw.eta), forcing.eta),
     )
+
+
+def at_zero(p: TrigPoly) -> TrigPoly:
+    """p at tau = 0 (theta = phi) as a phase-ring element, by definition:
+    the sum of each theta coefficient times sin or cos(a phi)."""
+    base = p.ring.base if p.ring.has_phase else p.ring
+    total = TrigPoly(base)
+    for kind, store in enumerate((p.sin, p.cos)):
+        for a, v in store.items():
+            wave = TrigPoly(base, *({a: base.one()} if k == kind else {} for k in (0, 1)))
+            v = v if p.ring.has_phase else TrigPoly(base, cos={0: v})
+            total = tp_add(total, tp_mul(v, wave))
+    return total
 
 
 def equation_residuals(series, upto=None):

@@ -30,9 +30,10 @@ only, :func:`solve_linear_anchored` shifts that solve's first harmonic by
 exp(tau K) W(0) on its numerators, and :func:`vanishes` tests a residual
 for zero.  Both solves return the solution as its reduced integer form:
 folded by s^2 = alpha, over one denominator, content divided out, the
-very form its reduced rationals would encode to.  Those rationals are
-built on the first read of its dicts, one per coefficient, and not in
-the solve.
+very form its reduced rationals would encode to.  Printed strings and
+values at tau = 0 are read from that form too (:func:`_rows`,
+:func:`_at_zero`); rationals are built, one per coefficient, only when a
+caller reads the dicts.
 
 The dict side (:func:`tp_add`, :func:`tp_scale`, the product
 :func:`tp_mul`) is the phase ring's arithmetic, and it never calls the
@@ -295,18 +296,15 @@ def _reduced(ring, form: IntForm) -> IntForm:
                     max((abs(c) for _, c in keys), default=0)), out)
 
 
-def _unpack(ring, form: IntForm):
-    """The (sin, cos) dicts of the TrigPoly over ``ring`` whose integer
-    form is ``form``: what a TrigPoly built from its form builds on first
-    read.
-
-    The numerators are folded (:func:`_folded`) and each angle sum is
-    split into products of theta and phi waves, all on integers; then one
-    rational is built per kept exponent of each coefficient.  Harmonics
-    come out in ascending order, and zero coefficients are dropped."""
-    phase = ring.has_phase
-    base = ring.base if phase else ring
-    folded, f, g = _folded(base, form.terms)
+def _rows(ring, form: IntForm):
+    """(coeffs, den): the coefficients of the TrigPoly over ``ring`` whose
+    integer form is ``form`` as integer rows {kept exponent e: n}, each
+    worth sum n s^e / den.  The numerators are folded (:func:`_folded`)
+    and each angle sum is split into products of theta and phi waves:
+    coeffs maps each (theta kind, a), ascending, to the (sin, cos) dicts
+    {c: row} of its phi waves (phase-free, one cos row at c = 0).  Zero
+    coefficients are dropped."""
+    folded, f, g = _folded(ring.base if ring.has_phase else ring, form.terms)
     # cos(a th + c phi) = cos a cos c - sin a sin c and sin(a th + c phi) =
     # sin a cos c + cos a sin c, with c < 0 folded by sin(-x) = -sin x, and
     # sin 0 = 0 dropping a = 0 or c = 0
@@ -320,15 +318,24 @@ def _unpack(ring, form: IntForm):
                         continue
                     acc = rows.setdefault((t_kind, a, f_kind, abs(c)), {})
                     acc[r] = acc.get(r, 0) + s * n
-    coeffs: dict = {}     # {(theta kind, a): ({c: phi sin}, {c: phi cos})}
-    d = form.den * g
+    coeffs: dict = {}
     for (t_kind, a, f_kind, c), row in sorted(rows.items()):
-        el = {r: QQ(n * f, d) for r, n in sorted(row.items()) if n}
-        if el:
-            coeffs.setdefault((t_kind, a), ({}, {}))[f_kind][c] = el
+        row = {r: n * f for r, n in sorted(row.items()) if n}
+        if row:
+            coeffs.setdefault((t_kind, a), ({}, {}))[f_kind][c] = row
+    return coeffs, form.den * g
+
+
+def _unpack(ring, form: IntForm):
+    """The (sin, cos) dicts of the TrigPoly over ``ring`` whose integer
+    form is ``form``, one rational per entry of its :func:`_rows`: built
+    only when a caller reads the dicts (numeric evaluation, the oracles)."""
+    coeffs, den = _rows(ring, form)
     out: tuple = ({}, {})
     for (t_kind, a), phi in coeffs.items():
-        out[t_kind][a] = TrigPoly(base, *phi) if phase else phi[1][0]
+        phi = [{c: {r: QQ(n, den) for r, n in row.items()} for c, row in store.items()}
+               for store in phi]
+        out[t_kind][a] = TrigPoly(ring.base, *phi) if ring.has_phase else phi[1][0]
     return out
 
 
@@ -510,19 +517,30 @@ class PhaseRing:
     mul = staticmethod(tp_mul)
 
 
-def evaluate_at_zero(p: TrigPoly):
-    """Value of p at tau = 0, i.e. theta = phi, as a phase-ring element.
+def _at_zero(x: IntForm, phase: bool) -> IntForm:
+    """x at tau = 0, where theta = phi: each angle sum (a, c) becomes the
+    phi wave a + c (sin 0 = 0, sin(-x) = -sin x), keyed (0, a + c) as a
+    phase-ring constant if ``phase``, else (a + c, 0) over the base ring."""
+    terms: dict = {}
+    for e, pair in x.terms.items():
+        v = terms[e] = ({}, {})
+        for kind, store in enumerate(pair):
+            for (a, c), n in store.items():
+                if a + c or kind:
+                    key = (0, abs(a + c)) if phase else (abs(a + c), 0)
+                    v[kind][key] = v[kind].get(key, 0) + (n if kind or a + c > 0 else -n)
+    top = sum(x.tops)
+    return IntForm(x.den, (0, top) if phase else (top, 0), terms)
 
-    Read at theta = phi, a phase-free p already is that trig polynomial
-    in phi, so it is returned as it is."""
-    P = p.ring
-    if not P.has_phase:
+
+def evaluate_at_zero(p: TrigPoly):
+    """Value of p at tau = 0, i.e. theta = phi, as a phase-ring element,
+    read off p's integer form (:func:`_at_zero`).  Read at theta = phi, a
+    phase-free p already is that trig polynomial in phi, so it is
+    returned as it is."""
+    if not p.ring.has_phase:
         return p
-    coeffs = list(p.sin.values()) + list(p.cos.values())
-    if not coeffs:
-        return P.zero()
-    waves = [P.sin_phi(j) for j in p.sin] + [P.cos_phi(j) for j in p.cos]
-    return tp_dot(coeffs, waves)
+    return TrigPoly(p.ring.base, enc=_at_zero(int_form(p), False))
 
 
 # ---------------------------------------------------------------------------
@@ -622,23 +640,13 @@ def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
     absorb-xi solution P of :func:`particular_solution`.  exp(tau K) =
     cos tau + K sin tau, and tau = theta - phi is the angle sum (1, -1),
     so only theta harmonic 1 moves.  P(0) is read off the solve's
-    numerators, and each component's shift is one :func:`dot_form`.  Each
-    component is returned as its reduced integer form (:func:`_reduced`),
-    with no rational built until its dicts are first read."""
+    numerators (:func:`_at_zero`), and each component's shift is one
+    :func:`dot_form`.  Each component is returned as its reduced integer
+    form (:func:`_reduced`), with no rational built until its dicts are
+    first read."""
     ring = forcing.xi.ring
     parts = _solve(forcing, "xi")
-    values = []
-    for x in parts:
-        at_zero = {}
-        for e, pair in x.terms.items():
-            v = at_zero[e] = ({}, {})
-            for kind, store in enumerate(pair):
-                for (a, c), n in store.items():
-                    # at tau = 0 (a, c) is the phi wave a + c: sin 0 = 0, sin(-x) = -sin x
-                    if a + c or kind:
-                        key = (0, abs(a + c))
-                        v[kind][key] = v[kind].get(key, 0) + (n if kind or a + c > 0 else -n)
-        values.append(TrigPoly(ring, enc=IntForm(x.den, (0, sum(x.tops)), at_zero)))
+    values = [TrigPoly(ring, enc=_at_zero(x, True)) for x in parts]
 
     def wave(kind, e, n):        # n s^e sin tau (kind 0) or cos tau (kind 1)
         pair = ({(1, -1): n}, {}) if kind == 0 else ({}, {(1, -1): n})
@@ -652,12 +660,11 @@ def solve_linear_anchored(forcing: VectorTrigPoly) -> VectorTrigPoly:
 
 
 def to_triples(p: TrigPoly, amp_power: int = 0) -> list:
-    """JSON-ready [harmonic, kind, coefficient-string] triples."""
-    from .algebra import format_element
-    out = []
-    for j in sorted(set(p.sin) | set(p.cos)):
-        if j in p.sin:
-            out.append([j, "sin", format_element(p.ring, p.sin[j], amp_power)])
-        if j in p.cos:
-            out.append([j, "cos", format_element(p.ring, p.cos[j], amp_power)])
-    return out
+    """JSON-ready [harmonic, kind, coefficient-string] triples, formatted
+    from p's integer form (:func:`_rows`), so no rational is built."""
+    from .algebra import _fmt_ints, _fmt_phase
+    coeffs, den = _rows(p.ring, int_form(p))
+    return [[a, ("sin", "cos")[kind],
+             _fmt_phase(*coeffs[kind, a], den, amp_power) if p.ring.has_phase
+             else _fmt_ints(coeffs[kind, a][1][0], den, amp_power)]
+            for kind, a in sorted(coeffs, key=lambda key: key[::-1])]

@@ -996,8 +996,7 @@ class TestRootExtraction:
         # (z-1)(z-2)(z+3)(z^2+1) from three equal starts: each zero
         # factor is skipped, and the iteration still separates them.  The
         # 128-bit rung separates them before the full-precision sweeps, so
-        # this does not guard the confirming sweep: a kernel that stops once
-        # every root's last step was small passes here too
+        # the confirming sweep is guarded by the triple cluster below
         coeffs = poly_mul(poly_mul(poly_mul([QQ(-1), QQ(1)], [QQ(-2), QQ(1)]),
                                    [QQ(3), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
         starts = [0.5j, 0.5j, 0.5j, 1.5, -2.5]
@@ -1034,6 +1033,18 @@ class TestRootExtraction:
             for z, sign in zip(pair, (-1, 1)):
                 assert abs(z - mpmath.mpc(-4, sign * mpmath.mpf(10) ** -12)) \
                     < mpmath.mpf(10) ** -45
+
+    def test_cluster_settling_on_different_sweeps_matches_polyroots(self):
+        # (z-1)(z-1-d)(z-1-2d), d = 10^-26, from polyroots' own starts: the
+        # cluster's roots settle on different full-precision sweeps, and a
+        # kernel that stops once every root's last step was small, without
+        # the sweep that confirms the skipped ones, returns one 7e-39 off
+        d = QQ(1, 10 ** 26)
+        coeffs = poly_mul(poly_mul([QQ(-1), QQ(1)], [-1 - d, QQ(1)]), [-1 - 2 * d, QQ(1)])
+        got = _durand_kerner(ints(coeffs)[::-1], [(0.4 + 0.9j) ** n for n in range(3)])
+        with mpmath.workdps(200):
+            want = mpmath.polyroots(exact_mpf(coeffs), maxsteps=2000, extraprec=2000)
+        assert_close(mp_roots(sorted(got, key=_root_key)), sorted(want, key=mpc_key))
 
     def test_tiny_roots_keep_relative_precision(self):
         # (z^2 + 10^-100)(z - 3): on a fixed grain of 2^-443 the roots

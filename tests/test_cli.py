@@ -26,6 +26,7 @@ from lpvolterra.checks import load_golden
 from lpvolterra.cli import (BadArguments, fmt_sig, main, parse_alpha,
                             parse_angle, parse_rational)
 from lpvolterra.engine import GAUGES
+from lpvolterra.trigpoly import TrigPoly
 
 
 @pytest.fixture(autouse=True)
@@ -153,6 +154,30 @@ class TestSeriesCommand:
         assert main(["series", "--order", "2", "--alpha", "9/4"]) == 0
         out = capsys.readouterr().out
         assert "omega_0 = 3/2" in out
+
+    @pytest.mark.parametrize("gauge", ["simplified-xi", "zero-initial"])
+    def test_printing_builds_no_rationals(self, gauge, capsys, monkeypatch):
+        # every string is formatted from the solved orders' integer forms:
+        # the dicts of xi_n and eta_n (n >= 1), built on first read, stay unbuilt
+        runs, run = [], lpvolterra.cli.run
+
+        def recording_run(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(lpvolterra.cli, "run", recording_run)
+        assert main(["series", "--order", "6", "--gauge", gauge]) == 0
+        (series,) = runs
+        built = []
+        for sol in series.orders[1:]:
+            for name, tp in (("xi", sol.xi), ("eta", sol.eta)):
+                for slot in ("sin", "cos"):
+                    try:
+                        getattr(TrigPoly, slot).__get__(tp)   # no lazy build
+                        built.append(f"{name}_{sol.n}.{slot}")
+                    except AttributeError:
+                        pass
+        assert len(series.orders) == 7 and built == []
 
     def test_missing_order_is_usage_error(self, capsys):
         assert main(["series"]) == 2

@@ -8,9 +8,11 @@ import pathlib
 import pytest
 
 import lpvolterra.trigpoly as trigpoly
-from lpvolterra.engine import GAUGE_ZERO_INITIAL, build_forcing, remove_secular, run
-from lpvolterra.reference import equation_residuals, residual
-from lpvolterra.trigpoly import PhaseRing, VectorTrigPoly
+from lpvolterra.algebra import QQ
+from lpvolterra.engine import (GAUGE_SIMPLIFIED_XI, GAUGE_ZERO_INITIAL,
+                               build_forcing, remove_secular, run)
+from lpvolterra.reference import at_zero, equation_residuals, residual
+from lpvolterra.trigpoly import PhaseRing, VectorTrigPoly, evaluate_at_zero
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "lpvolterra" / "reference.py"
 
@@ -36,6 +38,21 @@ def test_oracles_never_reach_the_kernel(alpha, N, monkeypatch):
         sol = series.orders[n]
         res = residual(forcing, VectorTrigPoly(sol.xi, sol.eta))
         assert not (res.xi.sin or res.xi.cos or res.eta.sin or res.eta.cos), n
+        assert series.coeff_ring.is_zero(at_zero(sol.xi)), n
+        assert series.coeff_ring.is_zero(at_zero(sol.eta)), n
+
+
+@pytest.mark.parametrize("alpha,N,gauge", [("symbolic", 6, GAUGE_ZERO_INITIAL),
+                                           (2, 8, GAUGE_ZERO_INITIAL),
+                                           (QQ(9, 4), 6, GAUGE_ZERO_INITIAL),
+                                           ("symbolic", 8, GAUGE_SIMPLIFIED_XI)])
+def test_at_zero_agrees_with_evaluate_at_zero(alpha, N, gauge):
+    # the integer at-zero map, which the anchor shares, against the dict
+    # oracle that the gauge-conditions check reads W(0) with
+    series = run(N, alpha, gauge)
+    for sol in series.orders:
+        for p in (sol.xi, sol.eta):
+            assert evaluate_at_zero(p) == at_zero(p), sol.n
 
 
 def test_the_poisoned_kernel_is_detected(monkeypatch):

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpvolterra.trigpoly as trigpoly
-from lpvolterra.algebra import (QQ, SYMBOLIC, evaluate_numeric, numeric_ring, rational_sqrt)
+from lpvolterra.algebra import (QQ, SYMBOLIC, evaluate_numeric, format_element,
+                                numeric_ring, rational_sqrt)
 from lpvolterra.checks import _denotes
 from lpvolterra.engine import run
-from lpvolterra.reference import residual, tp_diff
+from lpvolterra.reference import at_zero, residual, tp_diff
 from lpvolterra.trigpoly import (PhaseRing, ResonantForcingError, TrigPoly,
                                  VectorTrigPoly, combine, evaluate_at_zero,
                                  harmonic, int_form, max_harmonic,
@@ -277,6 +278,39 @@ def test_triples_denote_their_coefficients(p, amp):
         assert _denotes(p.ring, (p.sin if kind == "sin" else p.cos)[j], text, amp)
 
 
+def unreduced_twin(p, k=6):
+    """p built from its integer form with every numerator and the
+    denominator k times as large, as a form the printing must reduce."""
+    f = int_form(p)
+    return TrigPoly(p.ring, enc=f._replace(den=k * f.den, terms={
+        e: tuple({key: k * n for key, n in store.items()} for store in pair)
+        for e, pair in f.terms.items()}))
+
+
+# symbolic, quadratic (alpha = 2), rational-root (alpha = 9/4) and phase rings
+@given(st.sampled_from([R, numeric_ring(2), numeric_ring(QQ(9, 4))] + PHASE_DOT_RINGS)
+       .flatmap(ring_trig_polys),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_forms_print_as_their_dicts(p, amp):
+    # printing reads the integer form: a dict-built TrigPoly and its
+    # form-built twins give the same strings as its dicts do
+    want = to_triples(p, amp)
+    for twin in (TrigPoly(p.ring, enc=int_form(p)), unreduced_twin(p)):
+        assert to_triples(twin, amp) == want
+    if not p.ring.has_phase:         # each coefficient through over_lcm
+        assert [text for _, _, text in want] == [
+            format_element(p.ring, (p.sin if kind == "sin" else p.cos)[j], amp)
+            for j, kind, _ in want]
+    # the phase-ring branch of format_element: a phase-free p read at
+    # theta = phi (a gauge constant), or each coefficient of a phase-ring p
+    P = p.ring if p.ring.has_phase else PhaseRing(p.ring)
+    for x in [*p.sin.values(), *p.cos.values()] if p.ring.has_phase else [p]:
+        got = {format_element(P, y, amp)
+               for y in (x, TrigPoly(x.ring, enc=int_form(x)), unreduced_twin(x))}
+        assert len(got) == 1
+
+
 def dot_operands(min_size=0):
     rings = DOT_RINGS + PHASE_DOT_RINGS
     return st.sampled_from(rings).flatmap(lambda ring: st.tuples(
@@ -451,18 +485,6 @@ def test_no_operand_is_encoded_twice(monkeypatch):
 # ---------------------------------------------------------------------------
 # the phase ring: trig polynomials in phi over a phase-free base ring
 
-def reference_at_zero(p, P):
-    """evaluate_at_zero by its definition: sum_j v_j sin(j phi) plus the
-    cos terms, built with the ring operations."""
-    lift = (lambda v: v) if p.ring is P else P.lift
-    total = P.zero()
-    for j, v in p.sin.items():
-        total = P.add(total, P.mul(lift(v), P.sin_phi(j)))
-    for j, v in p.cos.items():
-        total = P.add(total, P.mul(lift(v), P.cos_phi(j)))
-    return total
-
-
 def at_zero_cases(ring):
     """(p, P) with p over ``ring`` itself or over its phase ring P."""
     P = PhaseRing(ring)
@@ -480,7 +502,7 @@ def at_zero_cases(ring):
 @settings(max_examples=100, deadline=None)
 def test_evaluate_at_zero_matches_definition(case):
     p, P = case
-    assert evaluate_at_zero(p) == reference_at_zero(p, P)
+    assert evaluate_at_zero(p) == at_zero(p)
 
 
 def absorbable(P, f, g):

@@ -18,13 +18,13 @@ clusters of discriminant zeros Q^2 - 4PR (Hermite-Pade), tracked across
 approximant orders until they stabilize.  The estimate stays on integers
 from the elimination to the estimate: a chain order hands its candidate
 polynomial on with integer coefficients, and its zeros come from a
-fixed-point integer Durand-Kerner kernel with mpmath.polyroots' updates
-and stop rule that sweeps only the roots still moving, first at 128 bits,
-from Aberth-Ehrlich float seeds; each root must pass a residual
-certificate evaluated exactly.  The roots stay fixed-point ints, and the
-chain rounds each exact distance once to a double, so an estimate does
-not depend on the caller's mpmath precision.  Nothing here loads numpy
-or mpmath.
+fixed-point integer Durand-Kerner kernel with mpmath.polyroots' updates,
+from Aberth-Ehrlich float seeds, that sweeps only the roots still moving,
+first at 128 bits, and ends on one Weierstrass sweep whose corrections
+bound each root's distance to a zero (Braess & Hadeler).  The roots stay
+fixed-point ints, and the chain rounds each exact distance once to a
+double, so an estimate does not depend on the caller's mpmath precision.
+Nothing here loads numpy or mpmath.
 """
 
 from __future__ import annotations
@@ -61,12 +61,10 @@ class NoConvergenceError(ArithmeticError):
 # (ArithmeticError), and bad series or orders (ValueError)
 ESTIMATE_ERRORS = (ArithmeticError, ValueError)
 
-# decimal digits at which every polynomial root is polished and certified,
-# and the bits mpmath gives them, at which the roots are kept
+# decimal digits at which every polynomial root is polished, and the bits
+# mpmath gives them, at which the roots are kept
 ROOT_DPS = 60
 ROOT_PREC = round((ROOT_DPS + 1) * math.log2(10))
-# fixed-point bits at which the certificate evaluates each polynomial
-CERT_BITS = 4 * ROOT_DPS
 
 
 # ---------------------------------------------------------------------------
@@ -443,41 +441,52 @@ def _float_seed(hi_to_lo):
 
 
 def _durand_kerner(hi_to_lo, starts):
-    """mpmath 1.3's polyroots(maxsteps=200, extraprec=4 ROOT_DPS) updates at
-    ROOT_DPS digits on fixed-point ints (re, im) scaled by 2^bits, bits the
-    precision polyroots works at, from integer coefficients made monic by
-    one exact rounding and complex starts.  Sweeps update the roots in
-    place, in order, skipping a factor p - r_j that is exactly zero (never
-    an update) and a root whose last step was below eps; polyroots' stop
-    rule holds, so the iteration ends only after a sweep that updated every
-    root by less than eps: when every root has settled but the last sweep
-    skipped some, one full sweep confirms them.  At most 200 sweeps, each
-    counted, else NoConvergenceError; the roots come back unsorted, cleaned
-    as polyroots cleans them, as triples rounded to ROOT_PREC bits.
+    """Durand-Kerner iteration, with mpmath 1.3's polyroots(maxsteps=200,
+    extraprec=4 ROOT_DPS) updates, on fixed-point ints (re, im) scaled by
+    2^bits, from integer coefficients made monic by one exact rounding and
+    complex starts.  Gauss-Seidel sweeps update the roots still moving, in
+    order, each by W_i = f(z_i) / prod (z_i - z_j), a factor that is
+    exactly zero skipped; a root settles once its step is below t =
+    2^(1 - ROOT_PREC).  Once all have settled, one Weierstrass sweep applies
+    every W_i computed at the same roots, and the iteration returns after
+    such a sweep with every |W_i| < t (a root with a larger one moves on);
+    after 200 sweeps in all, NoConvergenceError.  The roots come back
+    unsorted, cleaned as polyroots cleans them (a part below t dropped), as
+    triples rounded to ROOT_PREC bits.  The sweeps first run on 128-bit
+    ints, until every root has settled at 2^-87 or for 200 sweeps.
 
     The ints hold w = z / 2^k, k <= 0 the least that puts every nonzero
-    start at modulus 1/2 or more, so roots and coefficients far below 1 keep
-    the relative precision that polyroots' floats keep (k = 0 leaves the
-    steps polyroots' own; 2^k scales exactly in binary).
+    start at modulus 1/2 or more, so that roots far below 1 keep their
+    relative precision; t and the errors below are in w.
 
-    The same sweeps first run on 128-bit ints, to a step below 2^-87 or for
-    200 sweeps, and never raise; the full-precision sweeps start from what
-    they reached, shifted up.  The roots are still those polyroots reaches
-    from the starts on the same monic coefficients, in fewer sweeps at full
-    precision."""
-    def settle(coeffs, roots, bits, tol):      # whether the sweeps settled
-        small, confirm = [False] * len(roots), False
+    For a monic f of degree n and distinct z_i, every zero lies in a disk
+    |w - z_i| <= n |W_i|, and k disks apart from the rest hold k zeros
+    (Braess & Hadeler, Numer. Math. 21, 1973).  The last sweep's steps are
+    within e_i = 2^(1 - bits) (1 + 2n m_i^(n-1) / P_i) of the exact W_i,
+    m_i = max(1, |z_i|), P_i = prod |z_i - z_j|: the monic rounding and
+    Horner's truncations put f(z_i) under 2n m_i^(n-1) units off, the
+    product keeps 31 bits beyond the fixed point and the division truncates
+    by under 2 units.  Stepped, cleaned and rounded, a returned root r lies
+    under 2t + t |r| / 2 from its z_i: with its disk apart from the rest,
+    within 2^k ((n + 2) t + n e_i) + t |r| of a zero of the integer
+    polynomial.  Zeros split off at 0 stay exact, and the other W_i are
+    those of f with them divided out."""
+    def settle(coeffs, roots, bits, tol, enclose):     # whether the sweeps settled
+        moving = range(len(roots))
         for _ in range(200):
-            skipped = False
-            for i, (pr, pi) in enumerate(roots):
-                if small[i] and not confirm:
-                    skipped = True
-                    continue
+            if not (moving or enclose):
+                return True
+            # Gauss-Seidel over the roots still moving, in place, or, once
+            # all have settled, one Weierstrass sweep from a copy of them
+            at = roots if moving else list(roots)
+            todo, moving = moving or range(len(roots)), []
+            for i in todo:
+                pr, pi = at[i]
                 fr, fi = 1 << bits, 0                # f(p) by Horner
                 for c in coeffs:
                     fr, fi = c + ((fr * pr - fi * pi) >> bits), (fr * pi + fi * pr) >> bits
                 dr, di, shift = 1, 0, 0              # prod (p - r_j) = (dr + i di) / 2^shift
-                for j, (rr, ri) in enumerate(roots):
+                for j, (rr, ri) in enumerate(at):
                     ar, ai = pr - rr, pi - ri
                     if j == i or not (ar or ai):
                         continue
@@ -489,10 +498,10 @@ def _durand_kerner(hi_to_lo, starts):
                 xr = ((fr * dr + fi * di) << shift) // den
                 xi = ((fi * dr - fr * di) << shift) // den
                 roots[i] = (pr - xr, pi - xi)
-                small[i] = xr * xr + xi * xi < tol * tol
-            if all(small) and not skipped:
+                if xr * xr + xi * xi >= tol * tol:
+                    moving.append(i)
+            if at is not roots and not moving:
                 return True
-            confirm = all(small)
         return False
 
     def fixed(x, bits):                        # x * 2^bits, exact for these starts
@@ -500,16 +509,16 @@ def _durand_kerner(hi_to_lo, starts):
         return _div_round(n << bits, d)
 
     bits = ROOT_PREC + 4 * ROOT_DPS
-    tol = 1 << (4 * ROOT_DPS + 1)      # eps = 2^(1 - prec), scaled
+    tol = 1 << (4 * ROOT_DPS + 1)      # t, scaled
     starts = [complex(z) for z in starts]
     k = min(0, math.frexp(min((abs(z) for z in starts if z), default=1.0))[1])
     sign, lead = (1 if hi_to_lo[0] > 0 else -1), abs(hi_to_lo[0])
     coeffs = [_div_round(sign * c << (bits - k * i), lead)
               for i, c in enumerate(hi_to_lo[1:], 1)]
     roots = [(fixed(z.real, 128 - k), fixed(z.imag, 128 - k)) for z in starts]
-    settle([c >> (bits - 128) for c in coeffs], roots, 128, 1 << 41)
+    settle([c >> (bits - 128) for c in coeffs], roots, 128, 1 << 41, False)
     roots = [(rr << (bits - 128), ri << (bits - 128)) for rr, ri in roots]
-    if not settle(coeffs, roots, bits, tol):
+    if not settle(coeffs, roots, bits, tol, True):
         raise NoConvergenceError("Didn't converge in maxsteps=200 steps.")
     out = []
     for rr, ri in roots:
@@ -523,28 +532,6 @@ def _durand_kerner(hi_to_lo, starts):
     return out
 
 
-def _certified(scaled, root):
-    """Whether |f(r)| <= 10^(-ROOT_DPS/2) max|c| max(1, |r|)^deg at the
-    root, for f's coefficients c (ascending) given as ``scaled`` =
-    floor(2^CERT_BITS c / max|c|).  With w = r, or 1/r and the coefficients
-    reversed when |r| > 1, so that |w| <= 1, the left side over the right
-    is |sum c_i w^i| / max|c|: Horner's rule on those ints, truncated at
-    each step, errs by less than 4 (deg + 1)^2 units, which the test adds
-    to the value."""
-    re, im, shift = root
-    bits, mod = CERT_BITS, re * re + im * im
-    if mod > 1 << 2 * shift:
-        scaled = scaled[::-1]
-        wr, wi = (re << bits + shift) // mod, (-im << bits + shift) // mod
-    else:
-        wr, wi = (re << bits) >> shift, (im << bits) >> shift
-    vr, vi = scaled[-1], 0
-    for c in reversed(scaled[:-1]):
-        vr, vi = ((vr * wr - vi * wi) >> bits) + c, (vr * wi + vi * wr) >> bits
-    err = 4 * len(scaled) ** 2
-    return math.isqrt(vr * vr + vi * vi) + 1 + err <= (1 << bits) // 10 ** (ROOT_DPS // 2)
-
-
 def _poly_roots(coeffs):
     """All complex roots of an integer polynomial (ascending powers), as
     (re, im, shift) triples on one grain, sorted by :func:`_root_key`.
@@ -553,19 +540,14 @@ def _poly_roots(coeffs):
     sweeps, not dozens), else from polyroots' own (0.4+0.9i)^n; its roots
     agree with mpmath.polyroots' from the same starts within 1e-40, given
     polyroots the coefficients beyond its working precision, and lie closer
-    to the exact roots than polyroots' for roots far below 1.  Each root
-    must pass :func:`_certified`, else ArithmeticError."""
+    to the exact roots than polyroots' for roots far below 1.  Each lies
+    within the kernel's bound of a zero."""
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
         return []
     hi_to_lo = coeffs[::-1]
     starts = _float_seed(hi_to_lo) or [(0.4 + 0.9j) ** n for n in range(len(coeffs) - 1)]
-    roots = _durand_kerner(hi_to_lo, starts)
-    norm = max(map(abs, coeffs))
-    scaled = [(c << CERT_BITS) // norm for c in coeffs]
-    if not all(_certified(scaled, r) for r in roots):
-        raise ArithmeticError("root refinement did not converge")
-    return sorted(roots, key=_root_key)
+    return sorted(_durand_kerner(hi_to_lo, starts), key=_root_key)
 
 
 def discriminant_roots(h: QuadHermitePade):

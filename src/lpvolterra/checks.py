@@ -484,13 +484,15 @@ def _golden_strings(ctx):
         if got != want:
             raise AssertionError(f"omega_{n}: got {got!r}, reference {want!r}")
         compared += 1
-    for key, want in golden["solutions"].items():
-        n = int(key[-1])
-        tp = series.orders[n].xi if key.startswith("xi") else series.orders[n].eta
-        got = to_triples(tp, n + 1)
-        if [list(t) for t in got] != [list(t) for t in want]:
-            raise AssertionError(f"{key}: got {got!r}, reference {want!r}")
-        compared += 1
+    zero = ctx.series(ctx.cap, gauge=GAUGE_ZERO_INITIAL)    # gauge-conditions' run
+    for ser, table in ((series, "solutions"), (zero, "zero_initial_solutions")):
+        for key, want in golden[table].items():
+            n = int(key[-1])
+            tp = ser.orders[n].xi if key.startswith("xi") else ser.orders[n].eta
+            got = to_triples(tp, n + 1)
+            if [list(t) for t in got] != [list(t) for t in want]:
+                raise AssertionError(f"{table} {key}: got {got!r}, reference {want!r}")
+            compared += 1
     for n_text, want in golden["gauge_constants"].items():
         n = int(n_text)
         got = [format_element(pring, c, n + 1)

@@ -468,9 +468,10 @@ def cmd_check(params):
         try:
             golden = load_golden(golden_path)
             if not (isinstance(golden, dict) and all(isinstance(golden.get(key), dict)
-                    for key in ("omega", "solutions", "gauge_constants", "frequency_ratios"))):
-                raise ValueError("expected an object whose omega, solutions, "
-                                 "gauge_constants and frequency_ratios are objects")
+                    for key in ("omega", "solutions", "zero_initial_solutions",
+                                "gauge_constants", "frequency_ratios"))):
+                raise ValueError("expected an object whose omega, solutions, zero_initial_"
+                                 "solutions, gauge_constants and frequency_ratios are objects")
         except (OSError, ValueError) as exc:
             raise BadArguments(f"cannot read golden file {golden_path}: {exc}")
 

@@ -10,6 +10,7 @@ monkeypatch made before the scan reaches them too.
 """
 
 import cmath
+import json
 import math
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -996,7 +998,7 @@ class TestRootExtraction:
         # (z-1)(z-2)(z+3)(z^2+1) from three equal starts: each zero
         # factor is skipped, and the iteration still separates them.  The
         # 128-bit rung separates them before the full-precision sweeps, so
-        # the confirming sweep is guarded by the triple cluster below
+        # the closing Weierstrass sweep is guarded by the triple cluster below
         coeffs = poly_mul(poly_mul(poly_mul([QQ(-1), QQ(1)], [QQ(-2), QQ(1)]),
                                    [QQ(3), QQ(1)]), [QQ(1), QQ(0), QQ(1)])
         starts = [0.5j, 0.5j, 0.5j, 1.5, -2.5]
@@ -1008,7 +1010,7 @@ class TestRootExtraction:
     def test_near_double_pair_among_simple_roots_matches_polyroots(self, seeded):
         # ((z+4)^2 + 10^-24) times ten simple rational roots: the pair keeps
         # moving for sweeps after the simple roots have settled, which the
-        # kernel then skips until one full sweep confirms them all
+        # kernel then skips until one Weierstrass sweep moves them all
         coeffs = [QQ(16) + QQ(1, 10 ** 24), QQ(8), QQ(1)]
         for k in (-15, -11, -5, -2, 1, 3, 5, 7, 9, 12):
             coeffs = poly_mul(coeffs, [QQ(-k, 2), QQ(1)])
@@ -1038,7 +1040,7 @@ class TestRootExtraction:
         # (z-1)(z-1-d)(z-1-2d), d = 10^-26, from polyroots' own starts: the
         # cluster's roots settle on different full-precision sweeps, and a
         # kernel that stops once every root's last step was small, without
-        # the sweep that confirms the skipped ones, returns one 7e-39 off
+        # the closing Weierstrass sweep, returns one 6.6e-39 off
         d = QQ(1, 10 ** 26)
         coeffs = poly_mul(poly_mul([QQ(-1), QQ(1)], [-1 - d, QQ(1)]), [-1 - 2 * d, QQ(1)])
         got = _durand_kerner(ints(coeffs)[::-1], [(0.4 + 0.9j) ** n for n in range(3)])
@@ -1118,6 +1120,130 @@ class TestRootExtraction:
         poles = mp_roots(pade_poles(fit))
         assert len(poles) == 1
         assert abs(poles[0] - 1) < mpmath.mpf(10) ** -50
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _norm(a):
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _sqrt_up(x, bits):
+    """sqrt(x) of a Fraction, rounded up on a grain of 2^-bits."""
+    return Fraction(math.isqrt(x.numerator * 4 ** bits // x.denominator) + 1, 2 ** bits)
+
+
+def _weierstrass(coeffs, points, shift):
+    """(N, D) at each Gaussian-integer point p / 2^shift: the exact
+    Weierstrass correction of the integer polynomial (ascending) there is
+    N / (lead 2^shift D)."""
+    n = len(coeffs) - 1
+    out = []
+    for i, p in enumerate(points):
+        num = (coeffs[-1], 0)
+        for j in range(n - 1, -1, -1):
+            num = _gmul(num, p)
+            num = (num[0] + (coeffs[j] << shift * (n - j)), num[1])
+        den = (1, 0)
+        for j, q in enumerate(points):
+            if j != i:
+                den = _gmul(den, (p[0] - q[0], p[1] - q[1]))
+        out.append((num, den))
+    return out
+
+
+def enclosure(coeffs, roots):
+    """(distance, bound) for each root triple of the integer polynomial
+    (ascending): an exact upper bound on its distance to a zero, and the
+    bound _durand_kerner's docstring states.  One exact Weierstrass step
+    takes each root r to r' on a grain of 2^-2s (s the roots' shift); by
+    Braess & Hadeler every zero lies in a disk |z - r'| <= n |W(r')|, and
+    these disks must be apart, so each holds one zero, within
+    |r - r'| + n |W(r')| of r."""
+    n, lead, s = len(coeffs) - 1, coeffs[-1], roots[0][2]
+    assert all(shift == s for _, _, shift in roots)
+    g, h = 2 * s, 2 * s + 64
+    points = [(re, im) for re, im, _ in roots]
+    moved = []
+    for p, (num, den) in zip(points, _weierstrass(coeffs, points, s)):
+        q, d = _gmul(num, (den[0], -den[1])), lead * _norm(den)
+        moved.append(tuple((x << g - s) - round(Fraction(y << g - s, d))
+                           for x, y in zip(p, q)))
+    radii = [n * _sqrt_up(Fraction(_norm(num), lead * lead * _norm(den) << 2 * g), h)
+             for num, den in _weierstrass(coeffs, moved, g)]
+    apart = all(Fraction(_norm((moved[i][0] - moved[j][0], moved[i][1] - moved[j][1])), 4 ** g)
+                > (radii[i] + radii[j]) ** 2 for i, j in combinations(range(n), 2))
+    assert apart, "touching disks"
+    bits = analysis.ROOT_PREC + 4 * analysis.ROOT_DPS
+    t, scale = Fraction(2, 2 ** analysis.ROOT_PREC), Fraction(2) ** (bits - s)   # t, 2^k
+    out = []
+    for i, p in enumerate(points):
+        step = ((p[0] << g - s) - moved[i][0], (p[1] << g - s) - moved[i][1])
+        distance = _sqrt_up(Fraction(_norm(step), 4 ** g), h) + radii[i]
+        w2 = Fraction(_norm(p), 4 ** s) / scale ** 2
+        gaps2 = math.prod(Fraction(_norm((p[0] - q[0], p[1] - q[1])), 4 ** s) / scale ** 2
+                          for j, q in enumerate(points) if j != i)
+        e = Fraction(2, 2 ** bits) * (1 + 2 * n * _sqrt_up(max(1, w2) ** (n - 1) / gaps2, h))
+        bound = scale * ((n + 2) * t + n * e) + t * _sqrt_up(w2 * scale ** 2, h)
+        out.append((distance, bound))
+    return out
+
+
+# (z-1)(z-1-d)(z-1-2d), d = 10^-26
+_CLUSTER = poly_mul(poly_mul([QQ(-1), QQ(1)], [QQ(-1) - QQ(1, 10 ** 26), QQ(1)]),
+                    [QQ(-1) - QQ(2, 10 ** 26), QQ(1)])
+
+
+def _frozen_chain_polynomials(monkeypatch):
+    """Every polynomial both families' chains root on the frozen order-62
+    series of alpha 2, with its roots."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "data",
+                        "fits_series.json")
+    with open(path, encoding="utf-8") as fh:
+        coeffs = json.load(fh)["series"]["2"]
+    ps = PowerSeries(tuple(QQ(Fraction(c)) for c in coeffs), alpha=QQ(2))
+    seen, roots_of = [], analysis._poly_roots
+
+    def spy(poly):
+        roots = roots_of(poly)
+        seen.append((poly, roots))
+        return roots
+
+    monkeypatch.setattr(analysis, "_poly_roots", spy)
+    for family in FAMILIES:
+        try:
+            stable_singularity(ps, family, threshold=5e-2)
+        except NoStableRootError:
+            pass
+    return seen
+
+
+class TestRootEnclosure:
+    """Each root the kernel returns lies within its docstring's bound of a
+    zero of the exact integer polynomial, proved in exact arithmetic."""
+
+    def test_frozen_chain_polynomials(self, monkeypatch):
+        polys = _frozen_chain_polynomials(monkeypatch)
+        assert len(polys) == 8
+        for coeffs, roots in polys:
+            assert all(d <= b for d, b in enclosure(coeffs, roots))
+
+    @pytest.mark.parametrize("coeffs, starts", [
+        # +-10^-50 i, far below 1, and 3
+        (poly_mul([QQ(1, 10 ** 100), QQ(0), QQ(1)], [QQ(-3), QQ(1)]), None),
+        # the 10^-26 cluster, from the float seeds and from polyroots' starts
+        (_CLUSTER, None),
+        (_CLUSTER, [(0.4 + 0.9j) ** n for n in range(3)]),
+        # 1 +- 10^-55 i: the pair converges linearly until it parts, so a
+        # kernel that stopped at a step 2^40 times larger leaves it unresolved
+        ([QQ(1) + QQ(1, 10 ** 110), QQ(-2), QQ(1)], None),
+    ], ids=["tiny-pair", "cluster-seeded", "cluster-polyroots-starts", "near-double"])
+    def test_hard_polynomials(self, coeffs, starts):
+        coeffs = ints(coeffs)
+        roots = _poly_roots(coeffs) if starts is None else _durand_kerner(coeffs[::-1], starts)
+        assert all(d <= b for d, b in enclosure(coeffs, roots))
 
 
 class TestDiscriminantClusters:
@@ -1482,7 +1608,7 @@ class TestRadiusScan:
         ("pade_poles", FAMILY_PADE, FAMILY_HERMITE_PADE, RC_HP_44),
         ("discriminant_roots", FAMILY_HERMITE_PADE, FAMILY_PADE, RC_PADE_44),
     ], ids=["pade-fails", "hermite-pade-fails"])
-    @pytest.mark.parametrize("exc", [ArithmeticError("root refinement did not converge"),
+    @pytest.mark.parametrize("exc", [ArithmeticError("arithmetic failure"),
                                      NoConvergenceError("no convergence")],
                              ids=["ArithmeticError", "NoConvergence"])
     def test_root_failure_keeps_the_other_family(self, monkeypatch, run44,

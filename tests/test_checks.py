@@ -65,6 +65,15 @@ class TestGoldenData:
         path.write_text(json.dumps({"ok": 1}), encoding="utf-8")
         assert load_golden(str(path)) == {"ok": 1}
 
+    def test_zero_initial_values_are_compared(self):
+        golden = load_golden()
+        assert set(golden["zero_initial_solutions"]) == {
+            f"{name}{n}" for name in ("xi", "eta") for n in (1, 2, 3)}
+        golden["zero_initial_solutions"]["eta2"][-1][2] = "-(A^3*alpha)/9"
+        (result,) = iter_checks("quick", names=["golden-strings"], golden=golden)
+        assert not result.passed
+        assert "zero_initial_solutions eta2" in result.detail
+
     def test_corruption_fails_named_check(self):
         golden = load_golden()
         golden["omega"]["4"] = golden["omega"]["4"].replace("6912", "6913")

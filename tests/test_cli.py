@@ -968,7 +968,10 @@ class TestCheckCommand:
     @pytest.mark.parametrize("name,content", [
         ("missing.json", None), ("broken.json", b"{not json"),
         ("binary.json", b"\xff\xfe"), ("folder", "dir"), ("list.json", b"[1, 2]"),
-        ("partial.json", b'{"omega": {}}')])
+        ("partial.json", b'{"omega": {}}'),
+        # the layout before the zero-initial values were frozen
+        ("no_zero_initial.json", json.dumps({key: value for key, value in load_golden().items()
+                                             if key != "zero_initial_solutions"}).encode())])
     def test_unreadable_golden_rejected_before_checks(self, name, content,
                                                       capsys, monkeypatch):
         forbid(monkeypatch, "iter_checks")

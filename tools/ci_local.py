@@ -7,9 +7,10 @@ from the checkout, with ``RUNNER_TEMP`` a fresh temporary directory,
 ``GITHUB_WORKSPACE`` the checkout and ``PYTHONPATH`` its ``src``, with
 this interpreter first on ``PATH``.  A step without ``if: always()`` is
 skipped once a step has failed.  Prints each step's name, result and wall
-time, the failing test ids of pytest steps and the tail of a failing
-step's output; exits 1 if any step failed.  Steps, expected files and
-tests are read, never changed.
+time, the failing test ids of pytest steps, each marked ``known`` when
+it is one of the documented failures below and ``NEW`` otherwise, and
+the tail of a failing step's output; exits 1 if any step failed.  Steps,
+expected files and tests are read, never changed.
 
     python tools/ci_local.py
 """
@@ -26,6 +27,12 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+# the failures README and ROADMAP document: a by-design acceptance bound,
+# and a benchmark count that does not repeat
+KNOWN_FAILURES = (
+    "tests/test_acceptance.py::TestLargeOrderSingularity::test_families_agree_within_two_percent",
+    "benchmark/test_benchmark.py::test_counts_repeat",
+)
 
 
 def steps():
@@ -67,7 +74,7 @@ def main():
     for name, result, wall, tests in rows:
         print(f"{name:<{width}}  {result:<7}  {wall:6.1f}")
         for test in tests:
-            print(f"{'':<{width}}    failed: {test}")
+            print(f"{'':<{width}}    {'known' if test in KNOWN_FAILURES else 'NEW':<5}  {test}")
     return 1 if failed else 0
 
 
